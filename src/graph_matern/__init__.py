@@ -26,13 +26,9 @@ from .spectral import (
 from .kernels import (
     FAMILIES,
     KernelSpec,
-    SpectralDensity,
-    inverse_cosine_kernel,
     kernel_matrix,
     matern_precision_sparse,
-    random_walk_kernel,
     separable_product_kernel,
-    spectral_density,
     spectral_weights,
     trainable_params,
 )

@@ -21,7 +21,6 @@ are hand-derived and checked against finite differences in the tests.
 """
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,16 @@ from scipy.special import log_ndtr
 
 from .kernels import KernelSpec, spectral_weights, trainable_params
 from .optim import AdamConfig, AdamState, adam_step
-from .regression import chain_factor, from_unconstrained, to_unconstrained, unconstrained_name
+from .regression import (
+    _as_query,
+    _read_node_csv,
+    _read_snapshot,
+    _write_snapshot,
+    chain_factor,
+    from_unconstrained,
+    to_unconstrained,
+    unconstrained_name,
+)
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -133,20 +141,13 @@ class VariationalClassifier:
             raise ValueError(f"q_mu must have shape {(c, m)}, got {mu.shape}")
         if (self.q_log_scale is None) == (self.q_scale_tril is None):
             raise ValueError("exactly one of q_log_scale / q_scale_tril must be set")
-        if self.q_log_scale is not None:
-            scale = np.asarray(self.q_log_scale, dtype=float)
-            if scale.shape != (c, m):
-                raise ValueError(
-                    f"q_log_scale must have shape {(c, m)}, got {scale.shape}"
-                )
-            object.__setattr__(self, "q_log_scale", scale)
-        else:
-            tril = np.asarray(self.q_scale_tril, dtype=float)
-            if tril.shape != (c, m, m):
-                raise ValueError(
-                    f"q_scale_tril must have shape {(c, m, m)}, got {tril.shape}"
-                )
-            object.__setattr__(self, "q_scale_tril", np.tril(tril))
+        name, shape = (
+            ("q_log_scale", (c, m)) if self.diag_cov else ("q_scale_tril", (c, m, m))
+        )
+        scale = np.asarray(getattr(self, name), dtype=float)
+        if scale.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {scale.shape}")
+        object.__setattr__(self, name, scale if self.diag_cov else np.tril(scale))
         if self.spec.laplacian_kind != self.basis.laplacian_kind:
             raise ValueError("kernel spec and basis disagree on the laplacian kind")
         object.__setattr__(self, "inducing_nodes", z)
@@ -175,18 +176,14 @@ class VariationalClassifier:
         """Identity-covariance, zero-mean initialization."""
         z = np.asarray(inducing_nodes, dtype=np.int64)
         m = z.shape[0]
-        mu = np.zeros((n_classes, m))
         if diag_cov:
-            return cls(
-                spec=spec, basis=basis, n_classes=n_classes, inducing_nodes=z,
-                q_mu=mu, q_log_scale=np.zeros((n_classes, m)),
-                whitened=whitened, epsilon=epsilon, jitter=jitter,
-            )
-        tril = np.broadcast_to(np.eye(m), (n_classes, m, m)).copy()
+            scale = {"q_log_scale": np.zeros((n_classes, m))}
+        else:
+            scale = {"q_scale_tril": np.broadcast_to(np.eye(m), (n_classes, m, m)).copy()}
         return cls(
             spec=spec, basis=basis, n_classes=n_classes, inducing_nodes=z,
-            q_mu=mu, q_scale_tril=tril,
-            whitened=whitened, epsilon=epsilon, jitter=jitter,
+            q_mu=np.zeros((n_classes, m)),
+            whitened=whitened, epsilon=epsilon, jitter=jitter, **scale,
         )
 
     def with_updates(self, **kwargs) -> "VariationalClassifier":
@@ -584,12 +581,7 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
     The probabilities are the sampled average of the robust-max link, so the
     rows sum to one up to rounding. Returns (probs (k, C), labels (k,)).
     """
-    if query is None:
-        query = np.arange(model.basis.total_dim, dtype=np.int64)
-    query = np.asarray(query, dtype=np.int64)
-    if query.size and (query.min() < 0 or query.max() >= model.basis.total_dim):
-        raise ValueError(f"query node out of range [0, {model.basis.total_dim})")
-    mean, var, _ = _marginals(model, query)
+    mean, var, _ = _marginals(model, _as_query(query, model.basis.total_dim))
     sd = np.sqrt(np.maximum(var, _VAR_FLOOR))
     rng = np.random.default_rng(seed)
     draws = mean[None] + sd[None] * rng.standard_normal((mc_samples,) + mean.shape)
@@ -606,23 +598,7 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
 
 def read_labels_csv(path):
     """Read ``node_index,class_index`` rows (optional header)."""
-    nodes, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise ValueError(f"expected 'node_index,class_index' at line {lineno}")
-            if lineno == 1 and not parts[0].lstrip("-").isdigit():
-                continue
-            try:
-                nodes.append(int(parts[0]))
-                labels.append(int(parts[1]))
-            except ValueError:
-                raise ValueError(f"malformed row at line {lineno}") from None
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes, labels = _read_node_csv(path, "class_index", int)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and labels.min() < 0:
         raise ValueError("negative class index in labels file")
@@ -631,41 +607,26 @@ def read_labels_csv(path):
 
 def save_classifier(model: VariationalClassifier, path):
     """Snapshot spec, inducing set and variational state as schema 1 JSON."""
-    payload = {
-        "schema_version": 1,
-        "kind": "classifier",
-        "kernel": model.spec.to_dict(),
-        "n_classes": model.n_classes,
-        "inducing_nodes": [int(i) for i in model.inducing_nodes],
-        "whitened": model.whitened,
-        "diag_cov": model.diag_cov,
-        "epsilon": model.epsilon,
-        "jitter": model.jitter,
-        "q_mu": model.q_mu.tolist(),
-        "q_scale": (
+    _write_snapshot(
+        path, "classifier", model,
+        n_classes=model.n_classes,
+        inducing_nodes=[int(i) for i in model.inducing_nodes],
+        whitened=model.whitened,
+        diag_cov=model.diag_cov,
+        epsilon=model.epsilon,
+        jitter=model.jitter,
+        q_mu=model.q_mu.tolist(),
+        q_scale=(
             model.q_log_scale.tolist() if model.diag_cov
             else model.q_scale_tril.tolist()
         ),
-        "eigenpairs": model.basis.n_retained,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    )
 
 
 def load_classifier(path, basis: SpectralBasis) -> VariationalClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("schema_version") != 1:
-        raise ValueError(f"unsupported snapshot schema {payload.get('schema_version')!r}")
-    if payload.get("kind") != "classifier":
-        raise ValueError(f"snapshot kind {payload.get('kind')!r} is not classifier")
-    if payload.get("eigenpairs") != basis.n_retained:
-        raise ValueError(
-            f"snapshot expects {payload.get('eigenpairs')} eigenpairs but basis "
-            f"holds {basis.n_retained}"
-        )
-    kwargs = dict(
+    payload = _read_snapshot(path, "classifier", basis)
+    scale = "q_log_scale" if payload["diag_cov"] else "q_scale_tril"
+    return VariationalClassifier(
         spec=KernelSpec.from_dict(payload["kernel"]),
         basis=basis,
         n_classes=int(payload["n_classes"]),
@@ -674,10 +635,5 @@ def load_classifier(path, basis: SpectralBasis) -> VariationalClassifier:
         whitened=bool(payload["whitened"]),
         epsilon=float(payload["epsilon"]),
         jitter=float(payload["jitter"]),
+        **{scale: np.asarray(payload["q_scale"], dtype=float)},
     )
-    scale = np.asarray(payload["q_scale"], dtype=float)
-    if payload["diag_cov"]:
-        kwargs["q_log_scale"] = scale
-    else:
-        kwargs["q_scale_tril"] = scale
-    return VariationalClassifier(**kwargs)

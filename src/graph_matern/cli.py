@@ -39,6 +39,7 @@ from .kernels import KernelSpec
 from .optim import AdamConfig, metrics, random_split
 from .regression import (
     GPRegressionModel,
+    _write_json,
     fit,
     load_model,
     read_targets_csv,
@@ -69,14 +70,53 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.10g}"
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and one line per row of already formatted cells."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in rows)
+
+
+def _write_regression_csv(path, summary):
+    rows = zip(summary.mean, summary.stddev)
+    _write_csv(path, "node_index,mean,std", (
+        (str(i), _fmt(mean), _fmt(std)) for i, (mean, std) in enumerate(rows)
+    ))
+
+
+def _write_classification_csv(path, probs, pred):
+    header = ",".join(f"p{c}" for c in range(probs.shape[1]))
+    _write_csv(path, f"node_index,label,{header}", (
+        (str(i), str(int(label)), *map(_fmt, row))
+        for i, (label, row) in enumerate(zip(pred, probs))
+    ))
+
+
+def _write_trace_csv(path, column, trace):
+    _write_csv(path, f"step,{column}", (
+        (str(step), _fmt(value)) for step, value in enumerate(trace)
+    ))
+
+
+def _split(count, train_size, test_size, seed):
+    """Train/test indices into ``count`` rows (all train without a size).
+
+    The split uses ``seed``; a test side larger than ``test_size`` is
+    subsampled with ``seed + 1``.
+    """
+    if train_size is None:
+        return np.arange(count), np.zeros(0, dtype=np.int64)
+    train_idx, test_idx = random_split(np.arange(count), train_size, seed)
+    if test_size is not None and test_idx.size > test_size:
+        pick = np.random.default_rng(seed + 1).choice(
+            test_idx.size, size=test_size, replace=False
+        )
+        test_idx = np.sort(test_idx[pick])
+    return train_idx, test_idx
 
 
 def _load_kernel_spec(text, default: KernelSpec) -> KernelSpec:
@@ -103,23 +143,38 @@ def _basis_for(graph, kind, eigenpairs, cache_dir):
     return operator, basis, hit, path
 
 
-def _default_regression_spec(kind="unnormalized") -> KernelSpec:
-    return KernelSpec(family="matern", nu=1.5, kappa=3.0, sigma2=1.0,
-                      laplacian_kind=kind, normalize_variance=True)
+def _write_fit_metrics(out, command, payload, predicted, truth, train_idx, test_idx):
+    """Score a fit on its train and test rows, write metrics.json and print.
+
+    ``predicted`` and ``truth`` run over the rows of the targets or labels
+    file; a score is left out when its split is empty.
+    """
+    task = payload["task"]
+    name = "mse" if task == "regression" else "accuracy"
+    payload.update(
+        schema_version=_SCHEMA_VERSION, timestamp=_timestamp(),
+        train_count=int(train_idx.size), test_count=int(test_idx.size),
+    )
+    line = f"{command}:"
+    for split, idx in (("train", train_idx), ("test", test_idx)):
+        if idx.size:
+            score = payload[f"{split}_{name}"] = metrics(predicted[idx], truth[idx], task)
+            line += f" {split}_{name}={_fmt(score)}"
+    _write_json(out / "metrics.json", payload)
+    print(line)
 
 
-def _default_classify_spec(kind="sym_normalized") -> KernelSpec:
-    return KernelSpec(family="matern", nu=3.0, kappa=5.0, sigma2=1.0,
-                      laplacian_kind=kind, normalize_variance=True)
-
-
-def _compare_spec(family, kind, task, rw_p) -> KernelSpec:
+def _default_spec(task, family="matern", kind=None, rw_p=None) -> KernelSpec:
+    """The CLI's kernel for a task: Matern nu=1.5, kappa=3 on the unnormalized
+    Laplacian for regression, nu=3, kappa=5 on the normalized one otherwise."""
+    regression = task == "regression"
+    kind = kind or ("unnormalized" if regression else "sym_normalized")
     if family == "matern":
-        base = _default_regression_spec(kind) if task == "regression" else _default_classify_spec(kind)
-        return base
+        return KernelSpec(family="matern", nu=1.5 if regression else 3.0,
+                          kappa=3.0 if regression else 5.0, laplacian_kind=kind)
     if family == "diffusion":
-        kappa = 3.0 if task == "regression" else 5.0
-        return KernelSpec(family="diffusion", kappa=kappa, laplacian_kind=kind)
+        return KernelSpec(family="diffusion", kappa=3.0 if regression else 5.0,
+                          laplacian_kind=kind)
     if family == "random_walk":
         return KernelSpec(family="random_walk", alpha=0.5, p=rw_p, laplacian_kind=kind)
     return KernelSpec(family="inverse_cosine", laplacian_kind=kind)
@@ -152,16 +207,9 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-def _fit_one_regression(basis, spec, nodes, values, noise2, config):
-    model = GPRegressionModel(
-        spec=spec, basis=basis, train_nodes=nodes, targets=values, noise2=noise2
-    )
-    return fit(model, config)
-
-
 def cmd_fit_regression(args) -> int:
     graph = read_edge_list(args.graph)
-    spec = _load_kernel_spec(args.kernel, _default_regression_spec())
+    spec = _load_kernel_spec(args.kernel, _default_spec("regression"))
     nodes, values = read_targets_csv(args.targets)
     if nodes.size == 0:
         raise ValueError("targets file is empty")
@@ -169,53 +217,33 @@ def cmd_fit_regression(args) -> int:
         graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir
     )
 
-    if args.train_size is None:
-        train_idx = np.arange(nodes.size)
-        test_idx = np.zeros(0, dtype=np.int64)
-    else:
-        train_idx, test_idx = random_split(
-            np.arange(nodes.size), args.train_size, args.seed
-        )
+    train_idx, test_idx = _split(nodes.size, args.train_size, None, args.seed)
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
-    model, trace = _fit_one_regression(
-        basis, spec, nodes[train_idx], values[train_idx], args.noise2, config
-    )
+    model, trace = fit(GPRegressionModel(
+        spec=spec, basis=basis, train_nodes=nodes[train_idx],
+        targets=values[train_idx], noise2=args.noise2,
+    ), config)
 
     summary = woodbury_posterior(model, query=None, diag=True)
     out = _out_dir(args)
-    with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
-        fh.write("node_index,mean,std\n")
-        for i in range(basis.total_dim):
-            fh.write(f"{i},{_fmt(summary.mean[i])},{_fmt(summary.stddev[i])}\n")
+    _write_regression_csv(out / "predictions.csv", summary)
+    _write_trace_csv(out / "trace.csv", "loss", trace)
     save_model(model, out / "model.json")
 
-    train_mse = metrics(summary.mean[nodes[train_idx]], values[train_idx], "regression")
-    payload = {
-        "schema_version": _SCHEMA_VERSION,
-        "timestamp": _timestamp(),
+    _write_fit_metrics(out, "fit-regression", {
         "task": "regression",
         "kernel": model.spec.to_dict(),
         "noise2": model.noise2,
         "iterations": args.iterations,
         "final_loss": float(trace[-1]),
         "best_loss": float(np.min(trace)),
-        "train_count": int(train_idx.size),
-        "test_count": int(test_idx.size),
-        "train_mse": train_mse,
-    }
-    line = f"fit-regression: train_mse={_fmt(train_mse)}"
-    if test_idx.size:
-        test_mse = metrics(summary.mean[nodes[test_idx]], values[test_idx], "regression")
-        payload["test_mse"] = test_mse
-        line += f" test_mse={_fmt(test_mse)}"
-    _write_json(out / "metrics.json", payload)
-    print(line)
+    }, summary.mean[nodes], values, train_idx, test_idx)
     return 0
 
 
 def cmd_fit_classify(args) -> int:
     graph = read_edge_list(args.graph)
-    spec = _load_kernel_spec(args.kernel, _default_classify_spec())
+    spec = _load_kernel_spec(args.kernel, _default_spec("classification"))
     nodes, labels = read_labels_csv(args.labels)
     if nodes.size == 0:
         raise ValueError("labels file is empty")
@@ -228,19 +256,9 @@ def cmd_fit_classify(args) -> int:
         graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir
     )
 
-    if args.train_size is None:
-        train_idx = np.arange(nodes.size)
-        test_idx = np.zeros(0, dtype=np.int64)
-    else:
-        train_idx, test_idx = random_split(
-            np.arange(nodes.size), args.train_size, args.seed
-        )
-    if args.test_size is not None and test_idx.size > args.test_size:
-        pick = np.random.default_rng(args.seed + 1).choice(
-            test_idx.size, size=args.test_size, replace=False
-        )
-        test_idx = np.sort(test_idx[pick])
-
+    train_idx, test_idx = _split(
+        nodes.size, args.train_size, args.test_size, args.seed
+    )
     model = VariationalClassifier.create(
         spec=spec,
         basis=basis,
@@ -261,34 +279,17 @@ def cmd_fit_classify(args) -> int:
         model, query=None, mc_samples=args.predict_samples, seed=args.seed
     )
     out = _out_dir(args)
-    with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
-        header = ",".join(f"p{c}" for c in range(n_classes))
-        fh.write(f"node_index,label,{header}\n")
-        for i in range(basis.total_dim):
-            row = ",".join(_fmt(p) for p in probs[i])
-            fh.write(f"{i},{int(pred[i])},{row}\n")
+    _write_classification_csv(out / "predictions.csv", probs, pred)
+    _write_trace_csv(out / "trace.csv", "elbo", trace)
     save_classifier(model, out / "model.json")
 
-    train_acc = metrics(pred[nodes[train_idx]], labels[train_idx], "classification")
-    payload = {
-        "schema_version": _SCHEMA_VERSION,
-        "timestamp": _timestamp(),
+    _write_fit_metrics(out, "fit-classify", {
         "task": "classification",
         "kernel": model.spec.to_dict(),
         "classes": n_classes,
         "iterations": args.iterations,
         "final_elbo": float(trace[-1]) if trace.size else None,
-        "train_count": int(train_idx.size),
-        "test_count": int(test_idx.size),
-        "train_accuracy": train_acc,
-    }
-    line = f"fit-classify: train_accuracy={_fmt(train_acc)}"
-    if test_idx.size:
-        test_acc = metrics(pred[nodes[test_idx]], labels[test_idx], "classification")
-        payload["test_accuracy"] = test_acc
-        line += f" test_accuracy={_fmt(test_acc)}"
-    _write_json(out / "metrics.json", payload)
-    print(line)
+    }, pred[nodes], labels, train_idx, test_idx)
     return 0
 
 
@@ -305,10 +306,7 @@ def cmd_predict(args) -> int:
     if kind == "regression":
         model = load_model(args.model, basis)
         summary = woodbury_posterior(model, query=None, diag=True)
-        with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
-            fh.write("node_index,mean,std\n")
-            for i in range(basis.total_dim):
-                fh.write(f"{i},{_fmt(summary.mean[i])},{_fmt(summary.stddev[i])}\n")
+        _write_regression_csv(out / "predictions.csv", summary)
         print(f"predict: wrote {basis.total_dim} regression rows")
         return 0
     if kind == "classifier":
@@ -316,12 +314,7 @@ def cmd_predict(args) -> int:
         probs, pred = predict_classes(
             model, query=None, mc_samples=args.predict_samples, seed=args.seed
         )
-        with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
-            header = ",".join(f"p{c}" for c in range(model.n_classes))
-            fh.write(f"node_index,label,{header}\n")
-            for i in range(basis.total_dim):
-                row = ",".join(_fmt(p) for p in probs[i])
-                fh.write(f"{i},{int(pred[i])},{row}\n")
+        _write_classification_csv(out / "predictions.csv", probs, pred)
         print(f"predict: wrote {basis.total_dim} classification rows")
         return 0
     raise ValueError(f"unknown snapshot kind {kind!r} in {args.model}")
@@ -354,24 +347,19 @@ def cmd_compare_kernels(args) -> int:
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     rows = []
     for family, kind in _COMPARE_ROWS:
-        spec = _compare_spec(family, kind, args.task, args.rw_p)
+        spec = _default_spec(args.task, family, kind, args.rw_p)
         scores = []
         for k in range(args.repeats):
             seed = args.seed + k
-            train_idx, test_idx = random_split(np.arange(nodes.size), train_size, seed)
-            if args.test_size is not None and test_idx.size > args.test_size:
-                pick = np.random.default_rng(seed + 1).choice(
-                    test_idx.size, size=args.test_size, replace=False
-                )
-                test_idx = np.sort(test_idx[pick])
+            train_idx, test_idx = _split(nodes.size, train_size, args.test_size, seed)
             if test_idx.size == 0:
                 raise ValueError("empty test split; lower --train-size")
             basis = bases[kind]
             if args.task == "regression":
-                model, _ = _fit_one_regression(
-                    basis, spec, nodes[train_idx], values[train_idx],
-                    args.noise2, config,
-                )
+                model, _ = fit(GPRegressionModel(
+                    spec=spec, basis=basis, train_nodes=nodes[train_idx],
+                    targets=values[train_idx], noise2=args.noise2,
+                ), config)
                 summary = woodbury_posterior(model, query=nodes[test_idx], diag=True)
                 scores.append(metrics(summary.mean, values[test_idx], "regression"))
             else:
@@ -402,13 +390,12 @@ def cmd_compare_kernels(args) -> int:
         )
 
     out = _out_dir(args)
-    with open(out / "results.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"kernel,laplacian,{metric_name}_mean,{metric_name}_std,repeats\n")
-        for row in rows:
-            fh.write(
-                f"{row['kernel']},{row['laplacian']},{_fmt(row['mean'])},"
-                f"{_fmt(row['std'])},{args.repeats}\n"
-            )
+    _write_csv(
+        out / "results.csv",
+        f"kernel,laplacian,{metric_name}_mean,{metric_name}_std,repeats",
+        ((row["kernel"], row["laplacian"], _fmt(row["mean"]), _fmt(row["std"]),
+          str(args.repeats)) for row in rows),
+    )
     _write_json(out / "results.json", {
         "schema_version": _SCHEMA_VERSION,
         "timestamp": _timestamp(),

@@ -1,7 +1,7 @@
 """Weighted undirected graphs and their Laplacians.
 
-Graphs are stored as a canonical edge set (u < v, one entry per pair,
-strictly positive weights). Laplacians come in two kinds:
+Graphs are stored as canonical edge arrays (u < v, one entry per pair,
+sorted, strictly positive weights). Laplacians come in two kinds:
 
 * ``"unnormalized"``:   L = D - W
 * ``"sym_normalized"``: D^{-1/2} (D - W) D^{-1/2}, with the convention that
@@ -33,84 +33,112 @@ __all__ = [
 LAPLACIAN_KINDS = ("unnormalized", "sym_normalized")
 
 
-@dataclass(frozen=True)
+def _interleave(a, b):
+    """a[0], b[0], a[1], b[1], ...: both endpoints, edge by edge."""
+    return np.stack([a, b], axis=1).ravel()
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected graph with positive edge weights.
 
-    ``edges`` is a tuple of (u, v, w) with u < v and at most one entry per
-    unordered pair. Nodes are 0..node_count-1; isolated nodes are allowed.
+    Edges are held as read-only arrays ``u``, ``v`` (int64) and ``w``
+    (float64) with u < v, at most one entry per unordered pair, sorted by
+    (u, v). Nodes are 0..node_count-1; isolated nodes are allowed.
     """
 
     node_count: int
-    edges: tuple
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
         if self.node_count < 0:
             raise ValueError("node_count must be nonnegative")
-        seen = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < v < self.node_count):
-                raise ValueError(f"edge ({u}, {v}) out of range or not canonical")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            if not (w > 0 and np.isfinite(w)):
-                raise ValueError(f"non-positive weight on edge ({u}, {v})")
-            seen.add((u, v))
+        u = np.array(self.u, dtype=np.int64)
+        v = np.array(self.v, dtype=np.int64)
+        w = np.array(self.w, dtype=float)
+        if not (u.ndim == 1 and u.shape == v.shape == w.shape):
+            raise ValueError("u, v and w must be matching 1-d arrays")
+        for name, arr in (("u", u), ("v", v), ("w", w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        out_of_range = ~((0 <= u) & (u < v) & (v < self.node_count))
+        duplicate = np.ones(u.shape, dtype=bool)
+        duplicate[np.unique(u * self.node_count + v, return_index=True)[1]] = False
+        bad_weight = ~((w > 0) & np.isfinite(w))
+        bad = out_of_range | duplicate | bad_weight
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            edge = f"({u[i]}, {v[i]})"
+            if out_of_range[i]:
+                raise ValueError(f"edge {edge} out of range or not canonical")
+            if duplicate[i]:
+                raise ValueError(f"duplicate edge {edge}")
+            raise ValueError(f"non-positive weight on edge {edge}")
 
     @classmethod
     def from_edges(cls, edges, node_count=None) -> "WeightedGraph":
-        """Build from an iterable of (u, v[, w]) tuples.
+        """Build from (u, v[, w]) rows: an iterable of tuples or an (m, 3) array.
 
         Parallel/duplicate entries for the same unordered pair are merged by
-        summing their weights. Self-loops are rejected.
+        summing their weights in input order. Self-loops are rejected.
         """
-        merged = {}
-        max_node = -1
-        for e in edges:
-            if len(e) == 2:
-                u, v = e
-                w = 1.0
-            else:
-                u, v, w = e
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if u > v:
-                u, v = v, u
-            max_node = max(max_node, v)
-            merged[(u, v)] = merged.get((u, v), 0.0) + float(w)
+        if not isinstance(edges, np.ndarray):
+            edges = [e if len(e) == 3 else (*e, 1.0) for e in edges]
+        rows = np.asarray(edges, dtype=float)
+        if rows.size == 0:
+            rows = rows.reshape(0, 3)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"expected (u, v[, w]) edge rows, got shape {rows.shape}")
+        u, v = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+        loops = np.flatnonzero(u == v)
+        if loops.size:
+            raise ValueError(f"self-loop at node {u[loops[0]]}")
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        max_node = int(hi.max(initial=-1))
         n = (max_node + 1) if node_count is None else int(node_count)
         if max_node >= n:
             raise ValueError(
                 f"node index {max_node} exceeds declared node count {n}"
             )
-        canon = tuple(
-            (u, v, w) for (u, v), w in sorted(merged.items())
+        # Shifted so negative indices (rejected by __post_init__) still merge
+        # and sort as (u, v) pairs do.
+        base = int(lo.min(initial=0))
+        span = n - base
+        keys, inverse = np.unique((lo - base) * span + (hi - base), return_inverse=True)
+        return cls(
+            node_count=n,
+            u=keys // span + base,
+            v=keys % span + base,
+            w=np.bincount(inverse, weights=rows[:, 2], minlength=keys.size),
         )
-        return cls(node_count=n, edges=canon)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(self.u.size)
 
     def adjacency(self) -> sp.csr_array:
         """Symmetric weighted adjacency matrix."""
         n = self.node_count
-        if not self.edges:
-            return sp.csr_array((n, n), dtype=float)
-        u, v, w = (np.asarray(col) for col in zip(*self.edges))
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        vals = np.concatenate([w, w]).astype(float)
+        rows = np.concatenate([self.u, self.v])
+        cols = np.concatenate([self.v, self.u])
+        vals = np.concatenate([self.w, self.w])
         return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree of every node (zero for isolated nodes)."""
-        deg = np.zeros(self.node_count)
-        for u, v, w in self.edges:
-            deg[u] += w
-            deg[v] += w
-        return deg
+        """Weighted degree of every node (zero for isolated nodes).
+
+        Each edge adds its weight to u, then to v, edge by edge: the order of
+        a per-edge loop. Summing all u ends before all v ends can change the
+        last bit, and with it the Laplacian's cache hash.
+        """
+        deg = np.bincount(
+            _interleave(self.u, self.v),
+            weights=np.repeat(self.w, 2),
+            minlength=self.node_count,
+        )
+        return deg.astype(float, copy=False)  # bincount of no edges is int
 
 
 @dataclass(frozen=True)
@@ -156,7 +184,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
     self-loops are dropped with a warning. Errors carry 1-based line numbers.
     """
     declared = None
-    raw_edges = []
+    rows = []
     self_loops = 0
     saw_data = False
     for lineno, line in enumerate(io.StringIO(text), start=1):
@@ -195,17 +223,11 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if u == v:
             self_loops += 1
             continue
-        raw_edges.append((u, v, w))
+        rows.append((u, v, w))
 
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=2)
-    if declared is not None:
-        max_seen = max((max(u, v) for u, v, _ in raw_edges), default=-1)
-        if max_seen >= declared:
-            raise ValueError(
-                f"node index {max_seen} exceeds declared node count {declared}"
-            )
-    return WeightedGraph.from_edges(raw_edges, node_count=declared)
+    return WeightedGraph.from_edges(np.array(rows, dtype=float), node_count=declared)
 
 
 def read_edge_list(path) -> WeightedGraph:
@@ -257,25 +279,18 @@ def build_laplacian(graph: WeightedGraph, kind: str = "unnormalized") -> Laplaci
         raise ValueError(f"unknown laplacian kind {kind!r}")
     n = graph.node_count
     deg = graph.degrees()
-    rows, cols, vals = [], [], []
     if kind == "unnormalized":
-        scale = np.ones(n)
-        diag = deg.copy()
+        off = -graph.w
+        diag = deg
     else:
         scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+        off = -graph.w * scale[graph.u] * scale[graph.v]
         diag = np.where(deg > 0, 1.0, 0.0)
-    for u, v, w in graph.edges:
-        value = -w if kind == "unnormalized" else -w * scale[u] * scale[v]
-        rows.extend((u, v))
-        cols.extend((v, u))
-        vals.extend((value, value))
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
-    mat = sp.coo_array(
-        (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))),
-        shape=(n, n),
-    ).tocsr()
+    nodes = np.arange(n)
+    rows = np.concatenate([_interleave(graph.u, graph.v), nodes])
+    cols = np.concatenate([_interleave(graph.v, graph.u), nodes])
+    vals = np.concatenate([np.repeat(off, 2), diag])
+    mat = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
     return LaplacianOperator(kind=kind, matrix=mat, degrees=deg)

@@ -31,19 +31,15 @@ import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from .graphs import LAPLACIAN_KINDS, LaplacianOperator
-from .spectral import SpectralBasis, eigendecompose_full
+from .spectral import SpectralBasis
 
 __all__ = [
     "FAMILIES",
     "KernelSpec",
-    "SpectralDensity",
-    "spectral_density",
     "spectral_weights",
     "trainable_params",
     "kernel_matrix",
     "matern_precision_sparse",
-    "random_walk_kernel",
-    "inverse_cosine_kernel",
     "separable_product_kernel",
 ]
 
@@ -144,56 +140,6 @@ class KernelSpec:
             laplacian_kind=obj.get("laplacian", "unnormalized"),
             normalize_variance=bool(obj.get("normalize", True)),
         )
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """The scalar spectral profile with parameters bound, plus partials."""
-
-    psi: object
-    dpsi_dkappa: object
-    dpsi_dnu: object | None
-
-
-def spectral_density(spec: KernelSpec) -> SpectralDensity:
-    """Closed-form Psi and its parameter partials (matern and diffusion).
-
-    The step-based families carry their profiles in their own constructors
-    and are rejected here.
-    """
-    if spec.family == "matern":
-        nu, kappa = spec.nu, spec.kappa
-
-        def psi(lam):
-            lam = np.asarray(lam, dtype=float)
-            return np.exp(-nu * np.log(2.0 * nu / kappa**2 + lam))
-
-        def dpsi_dkappa(lam):
-            lam = np.asarray(lam, dtype=float)
-            b = 2.0 * nu / kappa**2 + lam
-            return psi(lam) * (4.0 * nu**2 / (kappa**3 * b))
-
-        def dpsi_dnu(lam):
-            lam = np.asarray(lam, dtype=float)
-            b = 2.0 * nu / kappa**2 + lam
-            return psi(lam) * (-np.log(b) - 2.0 * nu / (kappa**2 * b))
-
-        return SpectralDensity(psi=psi, dpsi_dkappa=dpsi_dkappa, dpsi_dnu=dpsi_dnu)
-    if spec.family == "diffusion":
-        kappa = spec.kappa
-
-        def psi(lam):
-            lam = np.asarray(lam, dtype=float)
-            return np.exp(-0.5 * kappa**2 * lam)
-
-        def dpsi_dkappa(lam):
-            lam = np.asarray(lam, dtype=float)
-            return psi(lam) * (-kappa * lam)
-
-        return SpectralDensity(psi=psi, dpsi_dkappa=dpsi_dkappa, dpsi_dnu=None)
-    raise ValueError(
-        f"spectral_density is defined for matern/diffusion, not {spec.family!r}"
-    )
 
 
 def trainable_params(spec: KernelSpec) -> tuple:
@@ -357,40 +303,6 @@ def matern_precision_sparse(operator: LaplacianOperator, nu, kappa) -> sp.csr_ar
     q.sum_duplicates()
     q.sort_indices()
     return q
-
-
-def _basis_of(source) -> SpectralBasis:
-    if isinstance(source, SpectralBasis):
-        return source
-    if isinstance(source, LaplacianOperator):
-        return eigendecompose_full(source)
-    raise TypeError(f"expected SpectralBasis or LaplacianOperator, got {type(source)!r}")
-
-
-def random_walk_kernel(source, alpha, p, sigma2=1.0, normalize=False) -> np.ndarray:
-    """Random walk kernel sigma2 c (I - (1 - alpha) L_sym)^p as a dense matrix."""
-    basis = _basis_of(source)
-    spec = KernelSpec(
-        family="random_walk",
-        alpha=alpha,
-        p=p,
-        sigma2=sigma2,
-        laplacian_kind="sym_normalized",
-        normalize_variance=normalize,
-    )
-    return kernel_matrix(basis, spec)
-
-
-def inverse_cosine_kernel(source, sigma2=1.0, normalize=False) -> np.ndarray:
-    """Inverse cosine kernel with spectral weights cos(pi lambda / 4)."""
-    basis = _basis_of(source)
-    spec = KernelSpec(
-        family="inverse_cosine",
-        sigma2=sigma2,
-        laplacian_kind="sym_normalized",
-        normalize_variance=normalize,
-    )
-    return kernel_matrix(basis, spec)
 
 
 def separable_product_kernel(base_kernel, graph_kernel):

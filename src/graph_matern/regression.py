@@ -25,7 +25,7 @@ from scipy.linalg import cho_solve, solve_triangular
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .kernels import KernelSpec, kernel_matrix, spectral_weights, trainable_params
+from .kernels import KernelSpec, spectral_weights, trainable_params
 from .optim import AdamConfig, AdamState, adam_step
 from .spectral import SpectralBasis
 
@@ -47,6 +47,10 @@ __all__ = [
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _CONDITION_WARN = 1e12
+
+# Most float64 entries gmrf_posterior may allocate for its n x |query|
+# right-hand side and covariance columns (1 GiB each).
+DENSE_ELEMENT_LIMIT = 2**27
 
 
 def unconstrained_name(name: str) -> str:
@@ -101,16 +105,11 @@ class GPRegressionModel:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.train_nodes, dtype=np.int64)
-        targets = np.asarray(self.targets, dtype=float)
-        if nodes.ndim != 1 or targets.shape != nodes.shape:
-            raise ValueError("train_nodes and targets must be matching 1-d arrays")
+        nodes, targets = _as_observations(
+            self.train_nodes, self.targets, self.basis.total_dim
+        )
         if nodes.size == 0:
             raise ValueError("regression needs at least one training node")
-        if nodes.min() < 0 or nodes.max() >= self.basis.total_dim:
-            raise ValueError(
-                f"training node out of range [0, {self.basis.total_dim})"
-            )
         if not np.all(np.isfinite(targets)):
             raise ValueError("targets must be finite")
         if not (np.isfinite(self.noise2) and self.noise2 > 0):
@@ -139,16 +138,16 @@ class GPRegressionModel:
             self._cache["phi_x"] = self.basis.eigenvectors[self.train_nodes]
         return self._cache["phi_x"]
 
-    def _weights(self, with_grads=False):
-        key = "weights_g" if with_grads else "weights"
-        if key not in self._cache:
-            self._cache[key] = spectral_weights(
+    def _weights(self):
+        """``(d, grads)``: one evaluation serves the posteriors and the LML."""
+        if "weights" not in self._cache:
+            self._cache["weights"] = spectral_weights(
                 self.spec,
                 self.basis.eigenvalues,
                 self.basis.total_dim,
-                with_grads=with_grads,
+                with_grads=True,
             )
-        return self._cache[key]
+        return self._cache["weights"]
 
     def _train_chol(self):
         """Cholesky of K_xx + noise2 I with an escalating jitter ladder."""
@@ -178,14 +177,25 @@ class GPRegressionModel:
         return self._cache["chol"]
 
 
-def _as_query(model: GPRegressionModel, query):
+def _as_observations(train_nodes, targets, n):
+    x = np.asarray(train_nodes, dtype=np.int64)
+    y = np.asarray(targets, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValueError("train_nodes and targets must be matching 1-d arrays")
+    if x.size and (x.min() < 0 or x.max() >= n):
+        raise ValueError(f"training node out of range [0, {n})")
+    return x, y
+
+
+def _as_query(query, n):
+    """Query node indices into [0, n); all nodes when ``query`` is None."""
     if query is None:
-        return np.arange(model.basis.total_dim, dtype=np.int64)
+        return np.arange(n, dtype=np.int64)
     q = np.asarray(query, dtype=np.int64)
     if q.ndim != 1:
         raise ValueError("query must be a 1-d node index array")
-    if q.size and (q.min() < 0 or q.max() >= model.basis.total_dim):
-        raise ValueError(f"query node out of range [0, {model.basis.total_dim})")
+    if q.size and (q.min() < 0 or q.max() >= n):
+        raise ValueError(f"query node out of range [0, {n})")
     return q
 
 
@@ -195,7 +205,7 @@ def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSumm
     With ``diag`` only the marginal variances are formed. Warns when the
     train covariance is severely ill-conditioned instead of failing.
     """
-    q = _as_query(model, query)
+    q = _as_query(query, model.basis.total_dim)
     d, _ = model._weights()
     chol, _ = model._train_chol()
     phi_x = model._phi_train()
@@ -231,7 +241,7 @@ def woodbury_posterior(model: GPRegressionModel, query=None, diag=False) -> Post
     all solves are l x l. Zero-weight modes carry no prior mass and are
     dropped (with a warning) since D must be inverted.
     """
-    q = _as_query(model, query)
+    q = _as_query(query, model.basis.total_dim)
     d, _ = model._weights()
     keep = d > 0.0
     if not np.all(keep):
@@ -279,7 +289,7 @@ def log_marginal_likelihood(model: GPRegressionModel):
     coordinates (log_kappa, log_nu, log_sigma2, logit_alpha as applicable,
     and log_noise2).
     """
-    d, d_grads = model._weights(with_grads=True)
+    d, d_grads = model._weights()
     phi = model._phi_train()
     chol, _ = model._train_chol()
     y = model.targets
@@ -381,7 +391,7 @@ def pathwise_sample(model: GPRegressionModel, query=None, n_samples=1, seed=0):
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    q = _as_query(model, query)
+    q = _as_query(query, model.basis.total_dim)
     rng = np.random.default_rng(seed)
     d, _ = model._weights()
     root = np.sqrt(d)
@@ -412,18 +422,14 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
         raise ValueError("precision must be square")
     if not (np.isfinite(noise2) and noise2 > 0):
         raise ValueError(f"noise2 must be positive, got {noise2!r}")
-    x = np.asarray(train_nodes, dtype=np.int64)
-    y = np.asarray(targets, dtype=float)
-    if x.ndim != 1 or y.shape != x.shape:
-        raise ValueError("train_nodes and targets must be matching 1-d arrays")
-    if x.size and (x.min() < 0 or x.max() >= n):
-        raise ValueError(f"training node out of range [0, {n})")
-    if query is None:
-        q = np.arange(n, dtype=np.int64)
-    else:
-        q = np.asarray(query, dtype=np.int64)
-        if q.size and (q.min() < 0 or q.max() >= n):
-            raise ValueError(f"query node out of range [0, {n})")
+    x, y = _as_observations(train_nodes, targets, n)
+    q = _as_query(query, n)
+    if n * q.size > DENSE_ELEMENT_LIMIT:
+        raise ValueError(
+            f"gmrf_posterior would solve for a dense {n} x {q.size} block of "
+            f"covariance columns, over the {DENSE_ELEMENT_LIMIT}-element limit; "
+            "pass a smaller query"
+        )
 
     counts = np.zeros(n)
     np.add.at(counts, x, 1.0)
@@ -448,8 +454,8 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
     )
 
 
-def read_targets_csv(path):
-    """Read ``node_index,value`` rows (optional header) into index/value arrays."""
+def _read_node_csv(path, value_name, parse):
+    """Read ``node_index,<value_name>`` rows (optional header) into two lists."""
     nodes, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -458,46 +464,69 @@ def read_targets_csv(path):
                 continue
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 2:
-                raise ValueError(f"expected 'node_index,value' at line {lineno}")
+                raise ValueError(f"expected 'node_index,{value_name}' at line {lineno}")
             if lineno == 1 and not parts[0].lstrip("-").isdigit():
                 continue
             try:
                 nodes.append(int(parts[0]))
-                values.append(float(parts[1]))
+                values.append(parse(parts[1]))
             except ValueError:
                 raise ValueError(f"malformed row at line {lineno}") from None
-    return np.asarray(nodes, dtype=np.int64), np.asarray(values, dtype=float)
+    return np.asarray(nodes, dtype=np.int64), values
 
 
-def save_model(model: GPRegressionModel, path):
-    """Snapshot kernel, noise and training data as schema version 1 JSON."""
-    payload = {
-        "schema_version": 1,
-        "kind": "regression",
-        "kernel": model.spec.to_dict(),
-        "noise2": model.noise2,
-        "train_nodes": [int(i) for i in model.train_nodes],
-        "targets": [float(v) for v in model.targets],
-        "eigenpairs": model.basis.n_retained,
-    }
+def read_targets_csv(path):
+    """Read ``node_index,value`` rows (optional header) into index/value arrays."""
+    nodes, values = _read_node_csv(path, "value", float)
+    return nodes, np.asarray(values, dtype=float)
+
+
+def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_model(path, basis: SpectralBasis) -> GPRegressionModel:
-    """Rebuild a snapshot against a caller-provided basis."""
+def _write_snapshot(path, kind, model, **fields):
+    """Schema version 1 JSON: kind, kernel and basis size plus ``fields``."""
+    _write_json(path, {
+        "schema_version": 1,
+        "kind": kind,
+        "kernel": model.spec.to_dict(),
+        "eigenpairs": model.basis.n_retained,
+        **fields,
+    })
+
+
+def _read_snapshot(path, kind, basis: SpectralBasis) -> dict:
+    """Load a snapshot, checking its schema, kind and basis size."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("schema_version") != 1:
         raise ValueError(f"unsupported snapshot schema {payload.get('schema_version')!r}")
-    if payload.get("kind") != "regression":
-        raise ValueError(f"snapshot kind {payload.get('kind')!r} is not regression")
+    if payload.get("kind") != kind:
+        raise ValueError(f"snapshot kind {payload.get('kind')!r} is not {kind}")
     if payload.get("eigenpairs") != basis.n_retained:
         raise ValueError(
             f"snapshot expects {payload.get('eigenpairs')} eigenpairs but basis "
             f"holds {basis.n_retained}"
         )
+    return payload
+
+
+def save_model(model: GPRegressionModel, path):
+    """Snapshot kernel, noise and training data as schema version 1 JSON."""
+    _write_snapshot(
+        path, "regression", model,
+        noise2=model.noise2,
+        train_nodes=[int(i) for i in model.train_nodes],
+        targets=[float(v) for v in model.targets],
+    )
+
+
+def load_model(path, basis: SpectralBasis) -> GPRegressionModel:
+    """Rebuild a snapshot against a caller-provided basis."""
+    payload = _read_snapshot(path, "regression", basis)
     return GPRegressionModel(
         spec=KernelSpec.from_dict(payload["kernel"]),
         basis=basis,

@@ -29,6 +29,7 @@ __all__ = [
     "EigensolverError",
     "eigendecompose_full",
     "eigendecompose_truncated",
+    "truncate_basis",
     "apply_spectral_function",
     "heat_propagate",
     "laplacian_hash",
@@ -324,9 +325,7 @@ def cached_eigendecomposition(
         if path.exists():
             return load_basis(path, operator.kind), True, path
 
-    if n_pairs == n and n <= DENSE_SIZE_LIMIT:
-        basis = eigendecompose_full(operator)
-    elif n <= DENSE_SIZE_LIMIT:
+    if n <= DENSE_SIZE_LIMIT:
         basis = truncate_basis(eigendecompose_full(operator), n_pairs)
     else:
         basis = eigendecompose_truncated(operator, n_pairs)

@@ -7,8 +7,9 @@ evidence, not circularity.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from graph_matern import WeightedGraph, build_laplacian
+from graph_matern import LaplacianOperator, WeightedGraph, build_laplacian
 
 
 def random_graph(rng, n, p=0.3, wmin=0.2, wmax=2.0):
@@ -63,6 +64,46 @@ def two_cliques(k=10, bridge_weight=1.0):
                 edges.append((base + i, base + j, 1.0))
     edges.append((k - 1, k, bridge_weight))
     return WeightedGraph.from_edges(edges, node_count=2 * k)
+
+
+def loop_laplacian(edges, n, kind):
+    """Laplacian assembled edge by edge in Python, the way the library once did.
+
+    Duplicates merge by summing in input order, degrees accumulate u then v
+    per edge, and the COO pattern lists both orientations edge by edge, so
+    an array implementation must round every entry the same way to match.
+    """
+    merged = {}
+    for u, v, w in edges:
+        key = (min(u, v), max(u, v))
+        merged[key] = merged.get(key, 0.0) + float(w)
+    canon = sorted(merged.items())
+    deg = np.zeros(n)
+    for (u, v), w in canon:
+        deg[u] += w
+        deg[v] += w
+    if kind == "unnormalized":
+        scale = np.ones(n)
+        diag = deg.copy()
+    else:
+        scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+        diag = np.where(deg > 0, 1.0, 0.0)
+    rows, cols, vals = [], [], []
+    for (u, v), w in canon:
+        value = -w if kind == "unnormalized" else -w * scale[u] * scale[v]
+        rows.extend((u, v))
+        cols.extend((v, u))
+        vals.extend((value, value))
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend(diag)
+    mat = sp.coo_array(
+        (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))),
+        shape=(n, n),
+    ).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return LaplacianOperator(kind=kind, matrix=mat, degrees=deg)
 
 
 def dense_laplacian(graph, kind):

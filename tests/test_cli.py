@@ -13,8 +13,8 @@ from helpers import random_connected_graph, two_cliques
 
 def _write_graph(path, graph):
     lines = [f"nodes {graph.node_count}"]
-    for u, v, w in graph.edges:
-        lines.append(f"{u} {v} {w!r}")
+    for u, v, w in zip(graph.u, graph.v, graph.w):
+        lines.append(f"{u} {v} {float(w)!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -120,6 +120,21 @@ class TestFitRegression:
         snapshot = json.loads((out / "model.json").read_text())
         assert snapshot["kind"] == "regression"
 
+        trace = (out / "trace.csv").read_text().strip().split("\n")
+        assert trace[0] == "step,loss"
+        assert len(trace) == 1 + 61  # the initial point plus one row per step
+        assert trace[1].startswith("0,") and trace[-1].startswith("60,")
+        assert float(trace[-1].split(",")[1]) == pytest.approx(metrics["final_loss"])
+
+        rerun = tmp_path / "rerun"
+        assert main([
+            "fit-regression", "--graph", str(graph_path),
+            "--targets", str(targets_path), "--out", str(rerun),
+            "--train-size", "16", "--iterations", "60", "--lr", "0.05",
+        ]) == 0
+        for name in ("predictions.csv", "trace.csv"):
+            assert (rerun / name).read_bytes() == (out / name).read_bytes()
+
     def test_inline_kernel_json(self, regression_case, tmp_path):
         graph_path, targets_path, _ = regression_case
         out = tmp_path / "fit"
@@ -179,6 +194,22 @@ class TestFitClassify:
         assert len(lines) == 13
         probs = np.array([[float(x) for x in l.split(",")[2:]] for l in lines[1:]])
         assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+        trace = (out / "trace.csv").read_text().strip().split("\n")
+        assert trace[0] == "step,elbo"
+        assert len(trace) == 1 + 200  # one row per step
+        assert trace[-1].startswith("199,")
+        assert float(trace[-1].split(",")[1]) == pytest.approx(metrics["final_elbo"])
+
+        rerun = tmp_path / "rerun"
+        assert main([
+            "fit-classify", "--graph", str(graph_path),
+            "--labels", str(labels_path), "--out", str(rerun),
+            "--train-size", "8", "--iterations", "200", "--lr", "0.05",
+            "--mc-samples", "10", "--predict-samples", "50", "--seed", "3",
+        ]) == 0
+        for name in ("predictions.csv", "trace.csv"):
+            assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
         # the predict subcommand reproduces the training run's predictions
         out2 = tmp_path / "pred"

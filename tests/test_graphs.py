@@ -8,11 +8,20 @@ from graph_matern import (
     WeightedGraph,
     build_laplacian,
     connected_components,
+    laplacian_hash,
     parse_edge_list,
     read_edge_list,
     read_node_id_map,
 )
-from helpers import random_graph, two_cliques
+from helpers import loop_laplacian, random_graph, two_cliques
+
+
+def assert_edges(graph, u, v, w):
+    assert graph.u.dtype == np.int64 and graph.v.dtype == np.int64
+    assert graph.w.dtype == np.float64
+    assert_array_equal(graph.u, u)
+    assert_array_equal(graph.v, v)
+    assert_array_equal(graph.w, w)
 
 
 class TestParseEdgeList:
@@ -20,11 +29,11 @@ class TestParseEdgeList:
         text = "# a graph\nnodes 4\n0 1 2.0  # inline\n1 2\n2 3 0.5\n"
         g = parse_edge_list(text)
         assert g.node_count == 4
-        assert g.edges == ((0, 1, 2.0), (1, 2, 1.0), (2, 3, 0.5))
+        assert_edges(g, [0, 1, 2], [1, 2, 3], [2.0, 1.0, 0.5])
 
     def test_default_weight_is_one(self):
         g = parse_edge_list("0 1\n")
-        assert g.edges == ((0, 1, 1.0),)
+        assert_edges(g, [0], [1], [1.0])
 
     def test_node_count_infers_from_max_index(self):
         g = parse_edge_list("0 5 1.5\n")
@@ -32,12 +41,12 @@ class TestParseEdgeList:
 
     def test_duplicate_edges_merge_by_summing(self):
         g = parse_edge_list("0 1 1.0\n1 0 2.5\n")
-        assert g.edges == ((0, 1, 3.5),)
+        assert_edges(g, [0], [1], [3.5])
 
     def test_self_loops_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="self-loop"):
             g = parse_edge_list("0 0 1.0\n0 1 1.0\n2 2\n")
-        assert g.edges == ((0, 1, 1.0),)
+        assert_edges(g, [0], [1], [1.0])
 
     def test_zero_weight_rejected_with_line_number(self):
         with pytest.raises(ValueError, match="non-positive weight at line 1"):
@@ -80,21 +89,50 @@ class TestParseEdgeList:
         path = tmp_path / "g.txt"
         path.write_text("0 1 2.0\n")
         g = read_edge_list(path)
-        assert g.edges == ((0, 1, 2.0),)
+        assert_edges(g, [0], [1], [2.0])
 
 
 class TestWeightedGraph:
     def test_from_edges_canonicalizes_orientation(self):
         g = WeightedGraph.from_edges([(3, 1, 0.5), (1, 0)])
-        assert g.edges == ((0, 1, 1.0), (1, 3, 0.5))
+        assert g.node_count == 4
+        assert_edges(g, [0, 1], [1, 3], [1.0, 0.5])
+
+    def test_from_edges_accepts_row_array(self):
+        rows = np.array([[2.0, 0.0, 1.5], [0.0, 2.0, 0.25], [1.0, 2.0, 1.0]])
+        g = WeightedGraph.from_edges(rows, node_count=5)
+        assert g.node_count == 5
+        assert_edges(g, [0, 1], [2, 2], [1.75, 1.0])
+        assert g.edge_count == 2
+        with pytest.raises(ValueError, match="edge rows"):
+            WeightedGraph.from_edges(np.ones((3, 4)))
+
+    def test_duplicates_sum_in_input_order(self):
+        # 0.1 + 0.2 + 0.3 rounds differently from 0.1 + (0.2 + 0.3)
+        g = WeightedGraph.from_edges([(0, 1, 0.1), (1, 0, 0.2), (0, 1, 0.3)])
+        assert g.w[0] == (0.0 + 0.1) + 0.2 + 0.3
+
+    def test_edge_arrays_are_read_only(self):
+        u = np.array([0, 1])
+        g = WeightedGraph(node_count=3, u=u, v=[1, 2], w=[1.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            g.w[0] = 2.0
+        u[0] = 2  # the graph holds its own copy
+        assert g.u[0] == 0
+
+    def test_constructor_rejects_bad_weight_and_shape(self):
+        with pytest.raises(ValueError, match=r"non-positive weight on edge \(1, 2\)"):
+            WeightedGraph(node_count=3, u=[0, 1], v=[1, 2], w=[1.0, np.nan])
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            WeightedGraph(node_count=3, u=[0], v=[1, 2], w=[1.0])
 
     def test_constructor_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate edge"):
-            WeightedGraph(node_count=3, edges=((0, 1, 1.0), (0, 1, 2.0)))
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            WeightedGraph(node_count=3, u=[0, 0], v=[1, 1], w=[1.0, 2.0])
 
     def test_constructor_rejects_noncanonical(self):
         with pytest.raises(ValueError, match="not canonical"):
-            WeightedGraph(node_count=3, edges=((1, 0, 1.0),))
+            WeightedGraph(node_count=3, u=[1], v=[0], w=[1.0])
 
     def test_self_loop_rejected_in_from_edges(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -107,8 +145,10 @@ class TestWeightedGraph:
         assert_allclose(g.degrees(), [2.0, 2.5, 0.5])
 
     def test_adjacency_of_empty_graph(self):
-        g = WeightedGraph(node_count=3, edges=())
+        g = WeightedGraph(node_count=3, u=[], v=[], w=[])
         assert g.adjacency().toarray().sum() == 0.0
+        assert_array_equal(g.degrees(), [0.0, 0.0, 0.0])
+        assert g.degrees().dtype == np.float64
 
 
 class TestNodeIdMap:
@@ -178,7 +218,7 @@ class TestBuildLaplacian:
             op.validate()
 
     def test_isolated_node_rows_are_zero(self):
-        g = WeightedGraph(node_count=3, edges=((0, 1, 1.0),))
+        g = WeightedGraph(node_count=3, u=[0], v=[1], w=[1.0])
         for kind in ("unnormalized", "sym_normalized"):
             dense = build_laplacian(g, kind).matrix.toarray()
             assert_array_equal(dense[2], [0.0, 0.0, 0.0])
@@ -193,6 +233,24 @@ class TestBuildLaplacian:
                 scale = max(vals.max(), 1.0)
                 assert vals.min() >= -1e-10 * scale
 
+    def test_bit_identical_to_per_edge_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            n = int(rng.integers(20, 60))
+            m = 4 * n
+            u = rng.integers(0, n, size=m)
+            v = rng.integers(0, n, size=m)
+            keep = u != v
+            raw = [(int(a), int(b), float(w)) for a, b, w in
+                   zip(u[keep], v[keep], rng.uniform(0.1, 3.0, size=m)[keep])]
+            raw += [(b, a, float(rng.uniform(0.1, 3.0))) for a, b, _ in raw[: m // 4]]
+            g = WeightedGraph.from_edges(raw, node_count=n + 2)
+            for kind in ("unnormalized", "sym_normalized"):
+                op = build_laplacian(g, kind)
+                oracle = loop_laplacian(raw, n + 2, kind)
+                assert_array_equal(op.degrees, oracle.degrees)
+                assert laplacian_hash(op) == laplacian_hash(oracle)
+
     def test_unknown_kind_rejected(self):
         g = WeightedGraph.from_edges([(0, 1)])
         with pytest.raises(ValueError, match="unknown laplacian kind"):
@@ -201,7 +259,7 @@ class TestBuildLaplacian:
 
 class TestConnectedComponents:
     def test_empty_edge_graph_has_singleton_components(self):
-        g = WeightedGraph(node_count=3, edges=())
+        g = WeightedGraph(node_count=3, u=[], v=[], w=[])
         labels = connected_components(g)
         assert len(set(labels.tolist())) == 3
 
@@ -209,15 +267,15 @@ class TestConnectedComponents:
         g = two_cliques(k=4)
         labels = connected_components(g)
         assert len(set(labels.tolist())) == 1
-        edges = tuple(e for e in g.edges if e != (3, 4, 1.0))
-        g2 = WeightedGraph(node_count=8, edges=edges)
+        keep = ~((g.u == 3) & (g.v == 4))
+        g2 = WeightedGraph(node_count=8, u=g.u[keep], v=g.v[keep], w=g.w[keep])
         labels2 = connected_components(g2)
         assert len(set(labels2.tolist())) == 2
         assert len(set(labels2[:4].tolist())) == 1
         assert len(set(labels2[4:].tolist())) == 1
 
     def test_isolated_plus_path(self):
-        g = WeightedGraph(node_count=5, edges=((0, 1, 1.0), (1, 2, 1.0)))
+        g = WeightedGraph(node_count=5, u=[0, 1], v=[1, 2], w=[1.0, 1.0])
         labels = connected_components(g)
         assert labels[0] == labels[1] == labels[2]
         assert len(set(labels.tolist())) == 3

@@ -6,14 +6,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from graph_matern import (
     KernelSpec,
+    apply_spectral_function,
     build_laplacian,
     eigendecompose_full,
-    inverse_cosine_kernel,
     kernel_matrix,
     matern_precision_sparse,
-    random_walk_kernel,
     separable_product_kernel,
-    spectral_density,
     spectral_weights,
     trainable_params,
     truncate_basis,
@@ -110,44 +108,6 @@ class TestKernelSpec:
         assert trainable_params(DIFFUSION) == ("kappa", "sigma2")
         assert trainable_params(RANDOM_WALK) == ("alpha", "sigma2")
         assert trainable_params(INV_COSINE) == ("sigma2",)
-
-
-class TestSpectralDensity:
-    def test_matern_values(self):
-        dens = spectral_density(MATERN)
-        lam = np.array([0.0, 0.5, 2.0])
-        assert_allclose(dens.psi(lam), matern_profile(1.5, 2.0)(lam), rtol=1e-12)
-
-    def test_diffusion_values(self):
-        dens = spectral_density(DIFFUSION)
-        lam = np.array([0.0, 0.5, 2.0])
-        assert_allclose(dens.psi(lam), diffusion_profile(1.2)(lam), rtol=1e-12)
-
-    def test_partials_match_finite_differences(self):
-        lam = np.array([0.1, 0.9, 3.0])
-        h = 1e-6
-        dens = spectral_density(MATERN)
-        fd_kappa = (
-            spectral_density(MATERN.with_params(kappa=2.0 + h)).psi(lam)
-            - spectral_density(MATERN.with_params(kappa=2.0 - h)).psi(lam)
-        ) / (2 * h)
-        assert_allclose(dens.dpsi_dkappa(lam), fd_kappa, rtol=1e-6)
-        fd_nu = (
-            spectral_density(MATERN.with_params(nu=1.5 + h)).psi(lam)
-            - spectral_density(MATERN.with_params(nu=1.5 - h)).psi(lam)
-        ) / (2 * h)
-        assert_allclose(dens.dpsi_dnu(lam), fd_nu, rtol=1e-6)
-        dens_d = spectral_density(DIFFUSION)
-        fd = (
-            spectral_density(DIFFUSION.with_params(kappa=1.2 + h)).psi(lam)
-            - spectral_density(DIFFUSION.with_params(kappa=1.2 - h)).psi(lam)
-        ) / (2 * h)
-        assert_allclose(dens_d.dpsi_dkappa(lam), fd, rtol=1e-6)
-        assert dens_d.dpsi_dnu is None
-
-    def test_step_families_rejected(self):
-        with pytest.raises(ValueError, match="matern/diffusion"):
-            spectral_density(RANDOM_WALK)
 
 
 class TestSpectralWeights:
@@ -347,14 +307,24 @@ class TestMaternPrecision:
             matern_precision_sparse(op, 2, kappa=0.0)
 
 
+def _random_walk(basis, alpha, p):
+    return kernel_matrix(basis, KernelSpec(
+        family="random_walk", alpha=alpha, p=p,
+        laplacian_kind="sym_normalized", normalize_variance=False,
+    ))
+
+
 class TestStandaloneKernels:
+    """The random-walk and inverse-cosine kernels through ``kernel_matrix``."""
+
     def test_random_walk_matches_matrix_power(self):
         rng = np.random.default_rng(111)
         g = random_connected_graph(rng, 10)
         op = build_laplacian(g, "sym_normalized")
+        basis = eigendecompose_full(op)
         l_sym = op.matrix.toarray()
         for p in (1, 2, 5):
-            k = random_walk_kernel(op, alpha=0.6, p=p)
+            k = _random_walk(basis, alpha=0.6, p=p)
             oracle = np.linalg.matrix_power(np.eye(10) - 0.4 * l_sym, p)
             assert_allclose(k, oracle, atol=1e-10)
 
@@ -366,7 +336,7 @@ class TestStandaloneKernels:
         lam_max = np.linalg.eigvalsh(l_sym).max()
         assert lam_max > 1.0  # ensures the base goes negative at alpha ~ 0
         with pytest.warns(UserWarning, match="clamped"):
-            k = random_walk_kernel(op, alpha=0.01, p=3)
+            k = _random_walk(eigendecompose_full(op), alpha=0.01, p=3)
         vals = np.linalg.eigvalsh(k)
         assert vals.min() >= -1e-10 * max(vals.max(), 1.0)
         raw = np.linalg.matrix_power(np.eye(10) - 0.99 * l_sym, 3)
@@ -375,21 +345,20 @@ class TestStandaloneKernels:
     def test_random_walk_accepts_basis_source(self):
         rng = np.random.default_rng(113)
         g = random_connected_graph(rng, 8)
-        op = build_laplacian(g, "sym_normalized")
-        basis = eigendecompose_full(op)
+        basis = eigendecompose_full(build_laplacian(g, "sym_normalized"))
         assert_allclose(
-            random_walk_kernel(basis, alpha=0.7, p=2),
-            random_walk_kernel(op, alpha=0.7, p=2),
+            _random_walk(basis, alpha=0.7, p=2),
+            apply_spectral_function(basis, lambda lam: (1.0 - 0.3 * lam) ** 2),
             atol=1e-12,
         )
-        with pytest.raises(TypeError, match="SpectralBasis or LaplacianOperator"):
-            random_walk_kernel(op.matrix, alpha=0.7, p=2)
 
     def test_inverse_cosine_matches_oracle_and_psd(self):
         rng = np.random.default_rng(114)
         g = random_connected_graph(rng, 11)
         op = build_laplacian(g, "sym_normalized")
-        k = inverse_cosine_kernel(op)
+        k = kernel_matrix(eigendecompose_full(op), INV_COSINE.with_params(
+            normalize_variance=False
+        ))
         oracle = dense_spectral_kernel(
             op.matrix.toarray(),
             lambda lam: np.maximum(np.cos(np.pi * lam / 4.0), 0.0),
@@ -401,9 +370,9 @@ class TestStandaloneKernels:
     def test_standalone_kernels_reject_wrong_kind_basis(self):
         basis = eigendecompose_full(build_laplacian(path_graph(5), "unnormalized"))
         with pytest.raises(ValueError, match="sym_normalized"):
-            inverse_cosine_kernel(basis)
+            kernel_matrix(basis, INV_COSINE)
         with pytest.raises(ValueError, match="sym_normalized"):
-            random_walk_kernel(basis, alpha=0.5, p=2)
+            _random_walk(basis, alpha=0.5, p=2)
 
 
 class TestSeparableProduct:

@@ -30,7 +30,8 @@ from graph_matern.regression import (
     to_unconstrained,
     unconstrained_name,
 )
-from helpers import conditional_gaussian, random_connected_graph
+from graph_matern import regression
+from helpers import conditional_gaussian, path_graph, random_connected_graph
 
 MATERN = KernelSpec(family="matern", nu=1.5, kappa=2.0)
 
@@ -256,6 +257,21 @@ class TestLogMarginalLikelihood:
         _, model = _problem(54, spec=spec, noise2=0.1)
         self._gradcheck(model, ("kappa", "nu", "sigma2", "noise2"))
 
+    def test_one_weights_evaluation_per_model(self, monkeypatch):
+        calls = []
+        real = regression.spectral_weights
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("with_grads"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "spectral_weights", counted)
+        _, model = _problem(55)
+        log_marginal_likelihood(model)
+        woodbury_posterior(model)
+        posterior(model)
+        assert calls == [True]
+
 
 class TestFit:
     def test_loss_improves_and_best_is_returned(self):
@@ -381,6 +397,15 @@ class TestGmrfPosterior:
             gmrf_posterior(q_prior, 0.1, np.array([9]), np.array([1.0]))
         with pytest.raises(ValueError, match="noise2"):
             gmrf_posterior(q_prior, 0.0, np.array([1]), np.array([1.0]))
+
+    def test_dense_query_over_limit_fails_by_name(self):
+        op = build_laplacian(path_graph(20000), "unnormalized")
+        q_prior = matern_precision_sparse(op, 1, kappa=1.0)
+        train, y = np.array([0, 5]), np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match="dense 20000 x 20000 block"):
+            gmrf_posterior(q_prior, 0.1, train, y)
+        out = gmrf_posterior(q_prior, 0.1, train, y, np.arange(3))
+        assert out.covariance.shape == (3, 3)
 
 
 class TestSnapshotAndCsv:
