@@ -46,7 +46,7 @@ from .regression import (
     save_model,
     woodbury_posterior,
 )
-from .spectral import cached_eigendecomposition
+from .spectral import _residual_norms, cached_eigendecomposition
 
 _SCHEMA_VERSION = 1
 
@@ -182,9 +182,10 @@ def _default_spec(task, family="matern", kind=None, rw_p=None) -> KernelSpec:
 
 def cmd_eigen(args) -> int:
     graph = read_edge_list(args.graph)
-    _, basis, hit, path = _basis_for(
+    operator, basis, hit, path = _basis_for(
         graph, args.laplacian, args.eigenpairs, args.cache_dir
     )
+    residuals = _residual_norms(operator.matrix, basis.eigenvalues, basis.eigenvectors)
     out = _out_dir(args)
     summary = {
         "schema_version": _SCHEMA_VERSION,
@@ -195,6 +196,7 @@ def cmd_eigen(args) -> int:
         "eigenpairs": basis.n_retained,
         "lambda_min": float(basis.eigenvalues[0]),
         "lambda_max": float(basis.eigenvalues[-1]),
+        "max_residual": float(residuals.max()),
         "cache_file": str(path) if path is not None else None,
         "cache_hit": hit,
     }

@@ -23,11 +23,10 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_solve, solve_triangular
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .kernels import KernelSpec, spectral_weights, trainable_params
 from .optim import AdamConfig, AdamState, adam_step
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _factor_spd
 
 __all__ = [
     "PosteriorSummary",
@@ -49,7 +48,7 @@ _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 _CONDITION_WARN = 1e12
 
 # Most float64 entries gmrf_posterior may allocate for its n x |query|
-# right-hand side and covariance columns (1 GiB each).
+# covariance columns (1 GiB); the right-hand side adds the mean's column.
 DENSE_ELEMENT_LIMIT = 2**27
 
 
@@ -413,8 +412,11 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
     """Posterior under a sparse-precision prior by sparse factorization.
 
     The posterior precision is Q + noise2^{-1} sum_i e_i e_i^T over observed
-    nodes; the mean solves it against noise2^{-1} sum_i e_i y_i and the query
-    covariance reads off columns of its inverse.
+    nodes. It is factored once, with the minimum-degree sparse factorization
+    that the Lanczos eigensolver also uses, and one multi-right-hand-side
+    solve against [noise2^{-1} sum_i e_i y_i | e_q ...] gives the mean and
+    the query columns of its inverse, the covariance. A singular
+    precision raises ``scipy.linalg.LinAlgError``.
     """
     q_prior = sp.csc_array(precision)
     n = q_prior.shape[0]
@@ -431,23 +433,14 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
             "pass a smaller query"
         )
 
-    counts = np.zeros(n)
-    np.add.at(counts, x, 1.0)
-    q_post = (q_prior + sp.diags_array(counts / noise2)).tocsc()
-    b = np.zeros(n)
-    np.add.at(b, x, y / noise2)
-    try:
-        lu = splu(q_post)
-    except RuntimeError as exc:
-        raise scipy.linalg.LinAlgError(
-            f"posterior precision factorization failed ({exc}); the prior "
-            "precision may be singular or badly scaled"
-        ) from exc
-    mean = lu.solve(b)[q]
-    rhs = np.zeros((n, q.shape[0]))
-    rhs[q, np.arange(q.shape[0])] = 1.0
-    cols = lu.solve(rhs)
-    cov = cols[q]
+    obs_precision = np.bincount(x, minlength=n) / noise2
+    lu = _factor_spd(q_prior + sp.diags_array(obs_precision), "posterior precision")
+    rhs = np.zeros((n, 1 + q.size), order="F")
+    rhs[:, 0] = np.bincount(x, weights=y / noise2, minlength=n)
+    rhs[q, 1 + np.arange(q.size)] = 1.0
+    sol = lu.solve(rhs)
+    mean = sol[q, 0]
+    cov = sol[q, 1:]
     cov = (cov + cov.T) / 2.0
     return PosteriorSummary(
         mean=mean, variance=np.maximum(np.diag(cov), 0.0), covariance=cov
@@ -455,8 +448,13 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
 
 
 def _read_node_csv(path, value_name, parse):
-    """Read ``node_index,<value_name>`` rows (optional header) into two lists."""
+    """Read ``node_index,<value_name>`` rows (optional header) into two lists.
+
+    The first non-blank line is a header only when its node field is an
+    identifier such as ``node_index``; every other line must parse as data.
+    """
     nodes, values = [], []
+    first = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -465,7 +463,8 @@ def _read_node_csv(path, value_name, parse):
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 2:
                 raise ValueError(f"expected 'node_index,{value_name}' at line {lineno}")
-            if lineno == 1 and not parts[0].lstrip("-").isdigit():
+            header, first = first and parts[0].isidentifier(), False
+            if header:
                 continue
             try:
                 nodes.append(int(parts[0]))

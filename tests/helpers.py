@@ -55,6 +55,17 @@ def star_graph(n_leaves, weight=1.0):
     )
 
 
+def lattice_graph(side, diagonals=False):
+    """side x side grid, node r * side + c; unit 4-neighbour edges, plus
+    both diagonals of every cell at weight 0.5 with ``diagonals``."""
+    idx = np.arange(side * side).reshape(side, side)
+    pairs = [(idx[:, :-1], idx[:, 1:], 1.0), (idx[:-1, :], idx[1:, :], 1.0)]
+    if diagonals:
+        pairs += [(idx[:-1, :-1], idx[1:, 1:], 0.5), (idx[:-1, 1:], idx[1:, :-1], 0.5)]
+    rows = [np.column_stack([a.ravel(), b.ravel(), np.full(a.size, w)]) for a, b, w in pairs]
+    return WeightedGraph.from_edges(np.vstack(rows), node_count=side * side)
+
+
 def two_cliques(k=10, bridge_weight=1.0):
     """Two k-cliques joined by one edge (0..k-1 and k..2k-1, bridge k-1 to k)."""
     edges = []

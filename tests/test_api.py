@@ -1,6 +1,8 @@
 """The public surface: every module's ``__all__`` and the package re-exports."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +27,45 @@ def test_package_exports_come_from_module_all():
     public = {attr for attr, value in vars(graph_matern).items()
               if not attr.startswith("_") and not isinstance(value, type(graph_matern))}
     assert public - listed == set()
+
+
+def _calls(tree, names):
+    """(enclosing function, callee name, call) for every call of ``names``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                if name in names:
+                    found.append((func, name, child))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_sparse_factorizations_share_the_minimum_degree_helper():
+    """``splu`` runs only in ``spectral._factor_spd`` with the minimum-degree
+    ordering, ``eigsh`` only with an ``OPinv`` built from it, and ``spsolve``
+    or ``factorized`` not at all, so no sparse solve falls back to SuperLU's
+    default COLAMD ordering."""
+    package = Path(graph_matern.__file__).parent
+    seen = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, name, call in _calls(tree, {"splu", "eigsh", "spsolve", "factorized"}):
+            where = f"{name} at {path.name}:{call.lineno}"
+            keywords = {k.arg: k.value for k in call.keywords}
+            seen.append(name)
+            if name == "splu":
+                assert (path.name, func) == ("spectral.py", "_factor_spd"), where
+                spec = keywords.get("permc_spec")
+                assert isinstance(spec, ast.Constant) and spec.value == "MMD_AT_PLUS_A", where
+            else:
+                assert name == "eigsh" and "OPinv" in keywords, where
+    assert sorted(seen) == ["eigsh", "splu"]

@@ -515,10 +515,11 @@ class TestSnapshotAndCsv:
 
     def test_read_labels_csv(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text("node,class\n4,2\n0,1\n")
-        nodes, labels = read_labels_csv(path)
-        assert_array_equal(nodes, [4, 0])
-        assert_array_equal(labels, [2, 1])
+        for text in ("node,class\n4,2\n0,1\n", "\n\nnode_index,class_index\n4,2\n0,1\n"):
+            path.write_text(text)
+            nodes, labels = read_labels_csv(path)
+            assert_array_equal(nodes, [4, 0])
+            assert_array_equal(labels, [2, 1])
 
     def test_read_labels_csv_errors(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -527,4 +528,7 @@ class TestSnapshotAndCsv:
             read_labels_csv(path)
         path.write_text("0,-1\n")
         with pytest.raises(ValueError, match="negative class"):
+            read_labels_csv(path)
+        path.write_text("1a,2\n0,1\n")
+        with pytest.raises(ValueError, match="malformed row at line 1"):
             read_labels_csv(path)

@@ -70,6 +70,10 @@ class TestEigen:
         assert main(argv + ["--out", str(out2)]) == 0
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s2["cache_hit"] is True
+        lap = build_laplacian(g, "sym_normalized").matrix
+        bound = 1e-8 * max(1.0, float(abs(lap).sum(axis=1).max()))
+        for summary in (s1, s2):
+            assert 0.0 <= summary["max_residual"] <= bound
         for key in ("nodes", "edges", "eigenpairs", "lambda_min", "lambda_max", "cache_file"):
             assert s1[key] == s2[key]
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 import scipy.stats
+from scipy.sparse.linalg import splu
 from numpy.testing import assert_allclose, assert_array_equal
 
 from graph_matern import (
@@ -31,7 +34,8 @@ from graph_matern.regression import (
     unconstrained_name,
 )
 from graph_matern import regression
-from helpers import conditional_gaussian, path_graph, random_connected_graph
+from graph_matern.spectral import _factor_spd
+from helpers import conditional_gaussian, lattice_graph, path_graph, random_connected_graph
 
 MATERN = KernelSpec(family="matern", nu=1.5, kappa=2.0)
 
@@ -398,6 +402,22 @@ class TestGmrfPosterior:
         with pytest.raises(ValueError, match="noise2"):
             gmrf_posterior(q_prior, 0.0, np.array([1]), np.array([1.0]))
 
+    def test_singular_precision_fails_by_name(self):
+        q_prior = sp.csr_array((5, 5))
+        with pytest.raises(scipy.linalg.LinAlgError, match="factorization failed"):
+            gmrf_posterior(q_prior, 0.1, np.array([1]), np.array([1.0]))
+
+    def test_minimum_degree_fill_below_colamd(self):
+        op = build_laplacian(lattice_graph(40, diagonals=True), "unnormalized")
+        obs = np.arange(0, op.node_count, 7)
+        q_post = sp.csc_array(
+            matern_precision_sparse(op, 2, kappa=10.0)
+            + sp.diags_array(np.bincount(obs, minlength=op.node_count) / 0.01)
+        )
+        ours = _factor_spd(q_post, "posterior precision")
+        colamd = splu(q_post, permc_spec="COLAMD")
+        assert ours.L.nnz + ours.U.nnz < colamd.L.nnz + colamd.U.nnz
+
     def test_dense_query_over_limit_fails_by_name(self):
         op = build_laplacian(path_graph(20000), "unnormalized")
         q_prior = matern_precision_sparse(op, 1, kappa=1.0)
@@ -436,10 +456,11 @@ class TestSnapshotAndCsv:
 
     def test_read_targets_csv(self, tmp_path):
         path = tmp_path / "y.csv"
-        path.write_text("node,value\n3,0.5\n1,-2.0\n")
-        nodes, values = read_targets_csv(path)
-        assert_array_equal(nodes, [3, 1])
-        assert_allclose(values, [0.5, -2.0])
+        for text in ("node,value\n3,0.5\n1,-2.0\n", "\nnode_index,value\n3,0.5\n1,-2.0\n"):
+            path.write_text(text)
+            nodes, values = read_targets_csv(path)
+            assert_array_equal(nodes, [3, 1])
+            assert_allclose(values, [0.5, -2.0])
 
     def test_read_targets_csv_errors(self, tmp_path):
         path = tmp_path / "y.csv"
@@ -448,4 +469,7 @@ class TestSnapshotAndCsv:
             read_targets_csv(path)
         path.write_text("1,abc\n0,1.0\n")
         with pytest.raises(ValueError, match="line 1"):
+            read_targets_csv(path)
+        path.write_text("1a,2.0\n0,1.0\n")
+        with pytest.raises(ValueError, match="malformed row at line 1"):
             read_targets_csv(path)

@@ -20,9 +20,11 @@ from graph_matern import (
     save_basis,
     truncate_basis,
 )
+from graph_matern.spectral import DENSE_SIZE_LIMIT
 from helpers import (
     complete_graph,
     dense_laplacian,
+    lattice_graph,
     path_graph,
     random_connected_graph,
     random_graph,
@@ -356,6 +358,20 @@ class TestCachedEigendecomposition:
         assert path is not None and path.parent == tmp_path
         _, hit2, _ = cached_eigendecomposition(op, 3)
         assert hit2
+
+    def test_lanczos_route_above_dense_limit(self, tmp_path):
+        side = 70
+        op = build_laplacian(lattice_graph(side), "unnormalized")
+        assert op.node_count > DENSE_SIZE_LIMIT
+        basis, hit, _ = cached_eigendecomposition(op, 12, cache_dir=tmp_path)
+        assert not hit and basis.n_retained == 12
+        axis = 2.0 - 2.0 * np.cos(np.pi * np.arange(side) / side)
+        expected = np.sort((axis[:, None] + axis[None, :]).ravel())[:12]
+        assert_allclose(basis.eigenvalues, expected, rtol=0, atol=1e-10)
+        u = basis.eigenvectors
+        residuals = np.linalg.norm(op.matrix @ u - u * basis.eigenvalues, axis=0)
+        assert residuals.max() <= 1e-8
+        assert_allclose(u.T @ u, np.eye(12), atol=1e-10)
 
     def test_overlong_request_clamped_with_warning(self, tmp_path):
         op = build_laplacian(path_graph(5), "unnormalized")
