@@ -490,6 +490,19 @@ def _check_labels(model, batch, labels):
 _VARIATIONAL_PARAMS = ("q_mu", "q_scale")
 
 
+def _variational_state(model: VariationalClassifier) -> str:
+    """max |q_mu| and the range of the log scales or scale diagonals."""
+    if model.diag_cov:
+        name, scale = "q_log_scale", model.q_log_scale
+    else:
+        name = "q_scale_tril diagonal"
+        scale = np.diagonal(model.q_scale_tril, axis1=1, axis2=2)
+    return (
+        f"max |q_mu| {np.max(np.abs(model.q_mu)):.6g}, {name} in "
+        f"[{np.min(scale):.6g}, {np.max(scale):.6g}]"
+    )
+
+
 def fit_classifier(
     model: VariationalClassifier,
     nodes,
@@ -542,7 +555,7 @@ def fit_classifier(
     state = AdamState.from_config(config)
     current = model
     trace = []
-    for _ in range(config.iterations):
+    for step in range(config.iterations):
         if batch_size == n_total:
             bn, bl = nodes, labels
         else:
@@ -552,7 +565,8 @@ def fit_classifier(
         value, grads = _elbo_core(current, bn, bl, xi, n_total, with_grads=True)
         if not np.isfinite(value):
             raise RuntimeError(
-                f"non-finite ELBO during fit; kernel {current.spec.to_dict()}"
+                f"non-finite ELBO during fit at step {step}; kernel "
+                f"{current.spec.to_dict()}; {_variational_state(current)}"
             )
         trace.append(value)
         step_grads = {k: -np.asarray(grads[k]) for k in params}

@@ -39,6 +39,7 @@ from .kernels import KernelSpec
 from .optim import AdamConfig, metrics, random_split
 from .regression import (
     GPRegressionModel,
+    _lml_route,
     _write_json,
     fit,
     load_model,
@@ -232,6 +233,7 @@ def cmd_fit_regression(args) -> int:
     _write_trace_csv(out / "trace.csv", "loss", trace)
     save_model(model, out / "model.json")
 
+    route = _lml_route(model)
     _write_fit_metrics(out, "fit-regression", {
         "task": "regression",
         "kernel": model.spec.to_dict(),
@@ -239,6 +241,8 @@ def cmd_fit_regression(args) -> int:
         "iterations": args.iterations,
         "final_loss": float(trace[-1]),
         "best_loss": float(np.min(trace)),
+        "lml_route": route,
+        "jitter": model._train_chol()[1] if route == "dense" else None,
     }, summary.mean[nodes], values, train_idx, test_idx)
     return 0
 

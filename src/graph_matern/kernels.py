@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from .graphs import LAPLACIAN_KINDS, LaplacianOperator
 from .spectral import SpectralBasis
@@ -147,9 +146,26 @@ def trainable_params(spec: KernelSpec) -> tuple:
     return _TRAINABLE[spec.family]
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a finite 1-d array, bit-identical to
+    ``scipy.special.logsumexp`` (scipy 1.17) without its array-API dispatch.
+
+    The maxima are split out of the sum: s = sum over the other entries of
+    exp(a - max), divided by the number of maxima m, and the result is
+    log1p(s) + log(m) + max.
+    """
+    top = np.max(a)
+    at_top = a == top
+    m = np.sum(at_top, dtype=float)
+    s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top))
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + top
+
+
 def _weights_from_log(logw, dlogw, total_dim, sigma2, normalize, with_grads):
     if normalize:
-        lse = logsumexp(logw)
+        lse = _logsumexp(logw)
         d = sigma2 * np.exp(math.log(total_dim) + logw - lse)
         if not with_grads:
             return d, None

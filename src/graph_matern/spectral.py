@@ -120,13 +120,27 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _finalize(values, vectors, total_dim, kind) -> SpectralBasis:
+def _gershgorin(matrix) -> float:
+    """Largest absolute row sum: an upper bound on |lambda| for ``matrix``."""
+    return float(np.max(np.abs(matrix).sum(axis=1))) if matrix.shape[0] else 1.0
+
+
+def _finalize(values, vectors, total_dim, kind, norm_bound=None) -> SpectralBasis:
+    """Sort, fix signs, and clamp rounding negatives to zero.
+
+    Eigenvalues below -1e-8 * max(norm_bound, 1) raise. Rounding in the
+    smallest eigenvalue scales with lambda_max, which a partial solve does
+    not see among its own values, so solvers pass an operator bound (the
+    Gershgorin value); a loaded basis falls back to its largest value.
+    """
     values = np.asarray(values, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    scale = max(float(values[-1]), 1.0) if values.size else 1.0
+    if norm_bound is None:
+        norm_bound = float(values[-1]) if values.size else 1.0
+    scale = max(norm_bound, 1.0)
     if values.size and values[0] < -1e-8 * scale:
         raise EigensolverError(
             f"laplacian eigenvalue {values[0]:.3e} is negative beyond tolerance"
@@ -157,9 +171,22 @@ def eigendecompose_full(
             f"node count {n} exceeds dense limit {size_limit}; "
             "use eigendecompose_truncated for a partial basis"
         )
+    return _dense_lowest(operator, n)
+
+
+def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
+    """Lowest ``n_pairs`` eigenpairs by dense ``eigh``.
+
+    A partial request computes only the pairs asked for
+    (``subset_by_index``); a full one keeps the plain call.
+    """
     dense = operator.matrix.toarray()
-    values, vectors = scipy.linalg.eigh(dense)
-    return _finalize(values, vectors, n, operator.kind)
+    subset = None if n_pairs == operator.node_count else [0, n_pairs - 1]
+    values, vectors = scipy.linalg.eigh(dense, subset_by_index=subset)
+    return _finalize(
+        values, vectors, operator.node_count, operator.kind,
+        norm_bound=_gershgorin(operator.matrix),
+    )
 
 
 def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
@@ -174,11 +201,10 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
     if not 1 <= n_pairs <= n:
         raise ValueError(f"n_pairs={n_pairs} out of range for n={n}")
     if n_pairs == n or n < 8:
-        full = eigendecompose_full(operator, size_limit=max(n, DENSE_SIZE_LIMIT))
-        return truncate_basis(full, n_pairs)
+        return _dense_lowest(operator, n_pairs)
 
     mat = operator.matrix.tocsc()
-    gershgorin = float(np.max(np.abs(mat).sum(axis=1))) if n else 1.0
+    gershgorin = _gershgorin(mat)
     sigma = -1e-3 * max(gershgorin, 1.0)
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     shifted = _factor_spd(mat - sigma * sp.eye_array(n, format="csc"), "shifted laplacian")
@@ -208,7 +234,7 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
             ),
             residual_norms=residuals,
         ) from exc
-    return _finalize(values, vectors, n, operator.kind)
+    return _finalize(values, vectors, n, operator.kind, norm_bound=gershgorin)
 
 
 def truncate_basis(basis: SpectralBasis, n_pairs: int) -> SpectralBasis:
@@ -338,9 +364,11 @@ def cached_eigendecomposition(
     Returns ``(basis, cache_hit, path)``. ``cache_dir`` defaults to the
     ``GRAPH_MATERN_CACHE_DIR`` environment variable; with neither set the
     decomposition is computed fresh and ``path`` is None. ``n_pairs`` larger
-    than n is clamped with a warning.
+    than n is clamped with a warning; below 1 it raises ``ValueError``.
     """
     n = operator.node_count
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs={n_pairs} out of range for n={n}")
     if n_pairs > n:
         warnings.warn(
             f"requested {n_pairs} eigenpairs of an operator with {n} nodes; clamping",
@@ -356,7 +384,7 @@ def cached_eigendecomposition(
             return load_basis(path, operator.kind), True, path
 
     if n <= DENSE_SIZE_LIMIT:
-        basis = truncate_basis(eigendecompose_full(operator), n_pairs)
+        basis = _dense_lowest(operator, n_pairs)
     else:
         basis = eigendecompose_truncated(operator, n_pairs)
     if path is not None:

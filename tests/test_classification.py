@@ -22,6 +22,7 @@ from graph_matern import (
     save_classifier,
     save_model,
 )
+from graph_matern import classification
 from graph_matern.classification import _elbo_core, _marginals
 from graph_matern.regression import from_unconstrained, to_unconstrained, unconstrained_name
 from helpers import random_connected_graph, two_cliques
@@ -435,6 +436,25 @@ class TestFitClassifier:
             fit_classifier(
                 model, train, labels, AdamConfig(iterations=1, trainable=("alpha",))
             )
+
+    @pytest.mark.parametrize("diag_cov", (True, False))
+    def test_non_finite_elbo_names_step_and_state(self, monkeypatch, diag_cov):
+        real = classification._elbo_core
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            calls.append(None)
+            value, grads = real(*args, **kwargs)
+            return (np.nan if len(calls) == 6 else value), grads
+
+        monkeypatch.setattr(classification, "_elbo_core", poisoned)
+        model, train, labels = self._clique_setup(diag_cov=diag_cov)
+        scale = r"q_log_scale in \[" if diag_cov else r"q_scale_tril diagonal in \["
+        with pytest.raises(
+            RuntimeError, match=r"non-finite ELBO during fit at step 5;.*max \|q_mu\| "
+            + r"[0-9.e+-]+, " + scale,
+        ):
+            fit_classifier(model, train, labels, AdamConfig(iterations=10, learning_rate=0.05))
 
     def test_full_covariance_mode_trains(self):
         model, train, labels = self._clique_setup(diag_cov=False)

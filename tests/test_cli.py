@@ -114,6 +114,8 @@ class TestFitRegression:
         assert metrics["train_count"] == 16 and metrics["test_count"] == 8
         assert metrics["best_loss"] <= metrics["final_loss"] + 1e-12
         assert metrics["test_mse"] < float(np.var(y[:24]))
+        assert metrics["lml_route"] == "dense"  # 16 train nodes, 30 eigenpairs
+        assert metrics["jitter"] == 0.0
 
         lines = (out / "predictions.csv").read_text().strip().split("\n")
         assert lines[0] == "node_index,mean,std"
@@ -138,6 +140,27 @@ class TestFitRegression:
         ]) == 0
         for name in ("predictions.csv", "trace.csv"):
             assert (rerun / name).read_bytes() == (out / name).read_bytes()
+
+    def test_more_train_nodes_than_eigenpairs_takes_spectral_route(
+        self, regression_case, tmp_path
+    ):
+        graph_path, targets_path, _ = regression_case
+        out = tmp_path / "fit"
+        assert main([
+            "fit-regression", "--graph", str(graph_path),
+            "--targets", str(targets_path), "--out", str(out),
+            "--eigenpairs", "5", "--train-size", "16", "--iterations", "20",
+            "--lr", "0.05",
+        ]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["lml_route"] == "spectral"
+        assert metrics["jitter"] is None
+        assert np.isfinite(metrics["final_loss"])
+        # The CSVs hold numbers under fixed headers: no route, jitter or timestamp.
+        for name, header in (("predictions.csv", "node_index,mean,std"),
+                             ("trace.csv", "step,loss")):
+            assert (out / name).read_text().split("\n", 1)[0] == header
+            assert np.all(np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1)))
 
     def test_inline_kernel_json(self, regression_case, tmp_path):
         graph_path, targets_path, _ = regression_case

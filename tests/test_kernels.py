@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose, assert_array_equal
 
 from graph_matern import (
@@ -16,6 +17,7 @@ from graph_matern import (
     trainable_params,
     truncate_basis,
 )
+from graph_matern import kernels
 from helpers import (
     dense_laplacian,
     dense_spectral_kernel,
@@ -111,6 +113,19 @@ class TestKernelSpec:
 
 
 class TestSpectralWeights:
+    def test_logsumexp_is_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(80)
+        vectors = [rng.normal(0.0, scale, size=size)
+                   for scale in (1e-3, 1.0, 50.0, 700.0) for size in (2, 17, 500)]
+        for size in (3, 40, 501):
+            tied = rng.standard_normal(size)
+            tied[rng.choice(size, size=3, replace=False)] = tied.max() + 0.5
+            vectors.append(tied)
+        vectors += [np.array([-3.25]), np.array([0.0]), np.full(6, 2.0)]
+        for a in vectors:
+            ours, ref = kernels._logsumexp(a), scipy.special.logsumexp(a)
+            assert np.float64(ours).tobytes() == np.float64(ref).tobytes(), (a.size, ours, ref)
+
     def test_normalized_weights_sum_to_sigma2_times_n(self):
         rng = np.random.default_rng(81)
         lam = np.sort(rng.uniform(0, 4, size=15))

@@ -1,5 +1,7 @@
 """GP regression: dense, low-rank and sparse-precision posteriors, LML, fit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -50,6 +52,20 @@ def _problem(seed, n=18, n_train=7, spec=MATERN, noise2=0.05):
         spec=spec, basis=basis, train_nodes=train, targets=y, noise2=noise2
     )
     return rng, model
+
+
+def _spectral_problem(seed, spec=MATERN, n=40, n_pairs=12, n_train=30, noise2=0.1):
+    """A truncated-basis problem with more training nodes than eigenpairs."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    full = eigendecompose_full(build_laplacian(g, spec.laplacian_kind))
+    train = np.sort(rng.choice(n, size=n_train, replace=False))
+    model = GPRegressionModel(
+        spec=spec, basis=truncate_basis(full, n_pairs), train_nodes=train,
+        targets=rng.standard_normal(n_train), noise2=noise2,
+    )
+    assert regression._lml_route(model) == "spectral"
+    return model
 
 
 class TestModelValidation:
@@ -270,11 +286,82 @@ class TestLogMarginalLikelihood:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(regression, "spectral_weights", counted)
-        _, model = _problem(55)
-        log_marginal_likelihood(model)
-        woodbury_posterior(model)
-        posterior(model)
-        assert calls == [True]
+        for model in (_problem(55)[1], _spectral_problem(56)):
+            calls.clear()
+            log_marginal_likelihood(model)
+            woodbury_posterior(model)
+            posterior(model)
+            assert calls == [True]
+
+    def test_spectral_route_value_matches_multivariate_normal(self):
+        for seed, spec in (
+            (140, MATERN),
+            (141, KernelSpec(family="diffusion", kappa=1.3, sigma2=0.8)),
+            (142, MATERN.with_params(normalize_variance=False)),
+        ):
+            model = _spectral_problem(seed, spec=spec)
+            k_xx = kernel_matrix(model.basis, model.spec, model.train_nodes, model.train_nodes)
+            cov = k_xx + model.noise2 * np.eye(len(model.train_nodes))
+            oracle = scipy.stats.multivariate_normal(
+                mean=np.zeros(len(model.train_nodes)), cov=cov
+            ).logpdf(model.targets)
+            value, _ = log_marginal_likelihood(model)
+            assert_allclose(value, oracle, rtol=1e-10)
+
+    def test_spectral_route_gradients_match_finite_differences(self):
+        for seed in (150, 151):
+            self._gradcheck(_spectral_problem(seed), ("kappa", "nu", "sigma2", "noise2"))
+
+    def test_spectral_route_gradients_unnormalized_variance(self):
+        spec = MATERN.with_params(normalize_variance=False)
+        self._gradcheck(_spectral_problem(152, spec=spec), ("kappa", "nu", "sigma2", "noise2"))
+
+    def test_spectral_route_gradients_logit_alpha_with_clamped_modes(self):
+        # base 1 - (1 - alpha) lambda < 0 above lambda ~ 1.05, and p = 3 keeps
+        # those weights negative, so they are clamped to zero.
+        spec = KernelSpec(
+            family="random_walk", alpha=0.05, p=3, laplacian_kind="sym_normalized"
+        )
+        with pytest.warns(UserWarning, match="clamped to zero"):
+            model = _spectral_problem(153, spec=spec, n_pairs=25, n_train=32)
+            d, _ = model._weights()
+            assert np.any(d == 0.0) and np.any(d > 0.0)
+            self._gradcheck(model, ("alpha", "sigma2", "noise2"))
+
+    def test_dense_and_spectral_routes_agree(self):
+        rw = KernelSpec(family="random_walk", alpha=0.6, p=2, laplacian_kind="sym_normalized")
+        models = [
+            _spectral_problem(160),
+            _spectral_problem(161, spec=rw),
+            _problem(162, noise2=0.1)[1],  # m <= l: the identities hold here too
+        ]
+        for model in models:
+            v_dense, g_dense = regression._lml_dense(model)
+            v_spec, g_spec = regression._lml_spectral(model)
+            assert_allclose(v_spec, v_dense, rtol=1e-10)
+            assert g_spec.keys() == g_dense.keys()
+            for key in g_dense:
+                assert_allclose(g_spec[key], g_dense[key], rtol=1e-10, err_msg=key)
+
+    def test_route_follows_the_shapes(self, monkeypatch):
+        # l = 12 eigenpairs: the spectral route starts above m = 3l/4 = 9
+        base = _spectral_problem(172)
+        for m, route in ((9, "dense"), (10, "spectral")):
+            model = dataclasses.replace(
+                base, train_nodes=base.train_nodes[:m], targets=base.targets[:m]
+            )
+            assert regression._lml_route(model) == route
+
+        def refuse(self):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(GPRegressionModel, "_train_chol", refuse)
+        value, grads = log_marginal_likelihood(_spectral_problem(170))
+        assert np.isfinite(value) and all(np.isfinite(g) for g in grads.values())
+        _, dense = _problem(171)
+        assert regression._lml_route(dense) == "dense"
+        with pytest.raises(AssertionError, match="dense route taken"):
+            log_marginal_likelihood(dense)
 
 
 class TestFit:
@@ -308,6 +395,20 @@ class TestFit:
             fit(model, AdamConfig(iterations=1, trainable=("alpha",)))
         with pytest.raises(ValueError, match="no trainable"):
             fit(model, AdamConfig(iterations=1, trainable=()))
+
+    def test_non_finite_loss_names_the_step(self, monkeypatch):
+        real = regression.log_marginal_likelihood
+        calls = []
+
+        def poisoned(model):
+            calls.append(None)
+            value, grads = real(model)
+            return (np.nan if len(calls) == 4 else value), grads
+
+        monkeypatch.setattr(regression, "log_marginal_likelihood", poisoned)
+        _, model = _problem(65)
+        with pytest.raises(RuntimeError, match=r"non-finite loss during fit at step 3,"):
+            fit(model, AdamConfig(iterations=10, learning_rate=0.01))
 
     def test_zero_iterations_returns_start(self):
         _, model = _problem(64)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from graph_matern import (
     CACHE_ENV_VAR,
+    EigensolverError,
     SpectralBasis,
     WeightedGraph,
     apply_spectral_function,
@@ -20,7 +21,7 @@ from graph_matern import (
     save_basis,
     truncate_basis,
 )
-from graph_matern.spectral import DENSE_SIZE_LIMIT
+from graph_matern.spectral import DENSE_SIZE_LIMIT, _finalize
 from helpers import (
     complete_graph,
     dense_laplacian,
@@ -116,6 +117,67 @@ class TestTruncatedDecomposition:
             )
             assert np.max(angles) <= 1e-4
 
+    def test_dense_subset_matches_full_then_truncated(self):
+        rng = np.random.default_rng(33)
+        cases = [
+            # the dense branch of the cached path, and the dense fallback of
+            # the Lanczos path below 8 nodes
+            (random_connected_graph(rng, 120, extra=0.05), 30,
+             lambda op, k: cached_eigendecomposition(op, k)[0]),
+            (random_connected_graph(rng, 7), 3, eigendecompose_truncated),
+        ]
+        for g, k, solve in cases:
+            for kind in ("unnormalized", "sym_normalized"):
+                op = build_laplacian(g, kind)
+                reference = truncate_basis(eigendecompose_full(op), k)
+                basis = solve(op, k)
+                assert basis.n_retained == k
+                assert_allclose(basis.eigenvalues, reference.eigenvalues, rtol=0, atol=1e-12)
+                u = basis.eigenvectors
+                residuals = np.linalg.norm(op.matrix @ u - u * basis.eigenvalues, axis=0)
+                assert residuals.max() <= 1e-12
+                assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+                angles = scipy.linalg.subspace_angles(u, reference.eigenvectors)
+                assert np.max(angles) <= 1e-10
+                # a full request keeps the plain full solve, bit for bit
+                n = g.node_count
+                full = eigendecompose_full(op)
+                for other in (eigendecompose_truncated(op, n),
+                              cached_eigendecomposition(op, n)[0]):
+                    assert_array_equal(other.eigenvalues, full.eigenvalues)
+                    assert_array_equal(other.eigenvectors, full.eigenvectors)
+
+    def test_partial_dense_request_solves_only_the_subset(self, monkeypatch):
+        seen = []
+        real = scipy.linalg.eigh
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("subset_by_index"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        op = build_laplacian(random_connected_graph(np.random.default_rng(34), 40), "unnormalized")
+        cached_eigendecomposition(op, 12)
+        eigendecompose_full(op)
+        assert seen == [[0, 11], None]
+
+    def test_partial_solve_judges_negatives_against_the_operator_norm(self):
+        # One edge of weight 1e10 puts lambda_max near 2e10, and rounding
+        # leaves lambda_0 near -1e-6: beyond 1e-8 * lambda_4, the largest
+        # value a 5-pair solve sees, but far inside 1e-8 * lambda_max.
+        for seed in range(12):
+            g = random_connected_graph(np.random.default_rng(seed), 60)
+            w = g.w.copy()
+            w[0] = 1e10
+            heavy = WeightedGraph.from_edges(list(zip(g.u, g.v, w)), node_count=60)
+            op = build_laplacian(heavy, "unnormalized")
+            basis, _, _ = cached_eigendecomposition(op, 5)
+            assert basis.eigenvalues[0] >= 0.0
+            reference = eigendecompose_full(op)
+            assert_allclose(basis.eigenvalues, reference.eigenvalues[:5], rtol=0, atol=1e-4)
+        with pytest.raises(EigensolverError, match="negative beyond tolerance"):
+            _finalize(np.array([-1e-3, 0.5]), np.eye(2), 2, "unnormalized", norm_bound=10.0)
+
     def test_full_request_falls_back_to_dense(self):
         rng = np.random.default_rng(32)
         g = random_connected_graph(rng, 20)
@@ -136,6 +198,9 @@ class TestTruncatedDecomposition:
             eigendecompose_truncated(op, 6)
         with pytest.raises(ValueError, match="out of range"):
             eigendecompose_truncated(op, 0)
+        for k in (0, -2):
+            with pytest.raises(ValueError, match="out of range"):
+                cached_eigendecomposition(op, k)
 
     def test_truncate_basis(self):
         basis = _basis(path_graph(8))
