@@ -32,6 +32,7 @@ from .kernels import KernelSpec, spectral_weights, trainable_params
 from .optim import AdamConfig, AdamState, adam_step
 from .regression import (
     _as_query,
+    _carry_cache,
     _read_node_csv,
     _read_snapshot,
     _write_snapshot,
@@ -189,9 +190,6 @@ class VariationalClassifier:
     def with_updates(self, **kwargs) -> "VariationalClassifier":
         return dataclasses.replace(self, **kwargs)
 
-    def with_raw_kernel(self, raw: dict) -> "VariationalClassifier":
-        return self.with_updates(spec=self.spec.with_params(**raw)) if raw else self
-
 
 def _tril_halfdiag(x):
     out = np.tril(x)
@@ -210,17 +208,26 @@ def _chol_backward(chol, chol_bar):
 
 
 def _kernel_blocks(model: VariationalClassifier, batch):
-    """K_zz+jitter Cholesky, K_zb, diag K_bb, plus the pieces for backprop."""
+    """K_zz+jitter Cholesky, K_zb, diag K_bb, plus the pieces for backprop.
+
+    The inducing rows Phi_z are memoized in the model cache, which
+    ``fit_classifier`` carries from step to step. When the batch is the
+    inducing set, as on a full-batch step, Phi_b is Phi_z and the one
+    product (Phi_z D) Phi_z^T is K_zb and, symmetrized, K_zz.
+    """
     key = ("blocks", batch.tobytes())
     if key in model._cache:
         return model._cache[key]
     d, d_grads = spectral_weights(
         model.spec, model.basis.eigenvalues, model.basis.total_dim, with_grads=True
     )
-    phi_z = model.basis.eigenvectors[model.inducing_nodes]
-    phi_b = model.basis.eigenvectors[batch]
-    k_zz = (phi_z * d) @ phi_z.T
-    k_zz = (k_zz + k_zz.T) / 2.0
+    if "phi_z" not in model._cache:
+        model._cache["phi_z"] = model.basis.eigenvectors[model.inducing_nodes]
+    phi_z = model._cache["phi_z"]
+    shared = np.array_equal(batch, model.inducing_nodes)
+    phi_b = phi_z if shared else model.basis.eigenvectors[batch]
+    prod = (phi_z * d) @ phi_z.T
+    k_zz = (prod + prod.T) / 2.0
     k_zz[np.arange(k_zz.shape[0]), np.arange(k_zz.shape[0])] += model.jitter
     try:
         chol = scipy.linalg.cholesky(k_zz, lower=True)
@@ -228,7 +235,7 @@ def _kernel_blocks(model: VariationalClassifier, batch):
         raise scipy.linalg.LinAlgError(
             f"inducing covariance not positive definite with jitter {model.jitter:g}"
         ) from exc
-    k_zb = (phi_z * d) @ phi_b.T
+    k_zb = prod if shared else (phi_z * d) @ phi_b.T
     k_bb = np.einsum("ij,j->i", phi_b**2, d)
     blocks = {
         "d": d, "d_grads": d_grads, "phi_z": phi_z, "phi_b": phi_b,
@@ -389,6 +396,11 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
 
 
 def _elbo_core(model, batch, labels, xi, n_total, with_grads):
+    """ELBO at fixed draws ``xi`` and, with ``with_grads``, its gradients.
+
+    When the batch is the inducing set, the K_zb and K_zz sensitivities are
+    summed first, so the kernel gradients take one m x m x l product.
+    """
     batch = np.asarray(batch, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     mean, var, ctx = _marginals(model, batch)
@@ -443,11 +455,14 @@ def _elbo_core(model, batch, labels, xi, n_total, with_grads):
 
     # Spectral weight sensitivities through all three kernel blocks.
     phi_z, phi_b = blocks["phi_z"], blocks["phi_b"]
-    d_bar = (
-        np.einsum("is,is->s", phi_z, kzz_bar @ phi_z)
-        + np.einsum("is,is->s", phi_z, kzb_bar @ phi_b)
-        + kbb_bar @ (phi_b**2)
-    )
+    if phi_b is phi_z:
+        d_bar = np.einsum("is,is->s", phi_z, (kzz_bar + kzb_bar) @ phi_z)
+    else:
+        d_bar = (
+            np.einsum("is,is->s", phi_z, kzz_bar @ phi_z)
+            + np.einsum("is,is->s", phi_z, kzb_bar @ phi_b)
+        )
+    d_bar = d_bar + kbb_bar @ (phi_b**2)
     raw = {name: getattr(model.spec, name) for name in trainable_params(model.spec)}
     for name, dd in blocks["d_grads"].items():
         grads[unconstrained_name(name)] = (
@@ -585,7 +600,9 @@ def fit_classifier(
             for name in names
             if name not in ("q_mu", "q_scale")
         }
-        current = current.with_updates(**updates).with_raw_kernel(raw)
+        if raw:
+            updates["spec"] = current.spec.with_params(**raw)
+        current = _carry_cache(current, current.with_updates(**updates), ("phi_z",))
     return current, np.asarray(trace)
 
 
@@ -601,10 +618,8 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
     draws = mean[None] + sd[None] * rng.standard_normal((mc_samples,) + mean.shape)
     winners = np.argmax(draws, axis=-1)
     k, c = mean.shape
-    freq = np.zeros((k, c))
-    for s in range(mc_samples):
-        np.add.at(freq, (np.arange(k), winners[s]), 1.0)
-    freq /= mc_samples
+    votes = np.bincount((np.arange(k) * c + winners).ravel(), minlength=k * c)
+    freq = votes.reshape(k, c) / mc_samples
     low = model.epsilon / (c - 1)
     probs = low + (1.0 - model.epsilon - low) * freq
     return probs, np.argmax(probs, axis=-1)

@@ -135,7 +135,8 @@ class GPRegressionModel:
 
     # Everything below is derived state, memoized per instance. Parameter
     # changes go through with_raw_params, which builds a fresh instance, so
-    # stale entries cannot survive a parameter change.
+    # stale entries cannot survive a parameter change. ``fit`` carries only
+    # the train rows and E, which no parameter touches.
 
     def _phi_train(self) -> np.ndarray:
         if "phi_x" not in self._cache:
@@ -187,6 +188,13 @@ class GPRegressionModel:
             )
         self._cache["chol"] = (chol, used)
         return self._cache["chol"]
+
+
+def _carry_cache(old, new, keys):
+    """``new`` holding ``old``'s memoized ``keys``: state of the basis and
+    the fixed nodes, which a fit step does not change."""
+    new._cache.update({k: old._cache[k] for k in keys if k in old._cache})
+    return new
 
 
 def _as_observations(train_nodes, targets, n):
@@ -466,7 +474,7 @@ def fit(model: GPRegressionModel, config: AdamConfig | None = None):
             n: from_unconstrained(n, float(params[unconstrained_name(n)]))
             for n in names
         }
-        current = current.with_raw_params(raw)
+        current = _carry_cache(current, current.with_raw_params(raw), ("phi_x", "gram"))
     return best[1], np.asarray(trace)
 
 

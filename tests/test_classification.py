@@ -1,5 +1,7 @@
 """Variational classifier: link, KL, marginals, ELBO value/grads, training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -359,7 +361,8 @@ class TestElboGradients:
             vals = []
             for sign in (+1, -1):
                 raw = from_unconstrained(name, t0 + sign * h)
-                vals.append(val(model.with_raw_kernel({name: raw})))
+                spec = model.spec.with_params(**{name: raw})
+                vals.append(val(model.with_updates(spec=spec)))
             fd = (vals[0] - vals[1]) / (2 * h)
             compare(grads[unconstrained_name(name)], fd, name)
 
@@ -370,6 +373,36 @@ class TestElboGradients:
         batch = np.array([0, 2, 5, 7, 10])
         labels = np.array([1, 0, 2, 2, 1])
         self._check(model, batch, labels)
+
+    @pytest.mark.parametrize("diag_cov", [True, False])
+    @pytest.mark.parametrize("whitened", [True, False])
+    def test_finite_differences_batch_is_inducing_set(self, diag_cov, whitened):
+        rng, model = _classifier(21, diag_cov=diag_cov, whitened=whitened)
+        labels = rng.integers(0, model.n_classes, size=model.n_inducing)
+        self._check(model, model.inducing_nodes, labels)
+
+    @pytest.mark.parametrize("diag_cov", [True, False])
+    @pytest.mark.parametrize("whitened", [True, False])
+    def test_inducing_batch_matches_permuted_general_path(self, diag_cov, whitened):
+        rng, model = _classifier(22, diag_cov=diag_cov, whitened=whitened)
+        z = model.inducing_nodes
+        labels = rng.integers(0, model.n_classes, size=z.size)
+        xi = rng.standard_normal((7, z.size))
+        perm = np.roll(np.arange(z.size), 1)
+        value, grads = _elbo_core(model, z, labels, xi, z.size, True)
+        value_p, grads_p = _elbo_core(
+            model, z[perm], labels[perm], xi[:, perm], z.size, True
+        )
+        shared = model._cache[("blocks", z.tobytes())]
+        general = model._cache[("blocks", z[perm].tobytes())]
+        assert shared["phi_b"] is shared["phi_z"]
+        assert general["phi_b"] is not general["phi_z"]
+        assert_allclose(value, value_p, rtol=1e-10)
+        assert grads.keys() == grads_p.keys()
+        # The floor covers kernel gradients that nearly cancel: a log_sigma2
+        # gradient of 2e-5 moves by 6e-15 when the d_bar sums reassociate.
+        for key in grads:
+            assert_allclose(grads[key], grads_p[key], rtol=1e-10, atol=1e-12, err_msg=key)
 
 
 class TestFitClassifier:
@@ -456,6 +489,23 @@ class TestFitClassifier:
         ):
             fit_classifier(model, train, labels, AdamConfig(iterations=10, learning_rate=0.05))
 
+    def test_full_batch_fit_gathers_inducing_rows_once(self):
+        gathers = []
+
+        class CountingRows(np.ndarray):
+            def __getitem__(self, key):
+                gathers.append(key)
+                return np.asarray(super().__getitem__(key))
+
+        model, train, labels = self._clique_setup()
+        rows = model.basis.eigenvectors.view(CountingRows)
+        model = model.with_updates(
+            basis=dataclasses.replace(model.basis, eigenvectors=rows)
+        )
+        fit_classifier(model, train, labels, AdamConfig(iterations=5, learning_rate=0.05))
+        assert len(gathers) == 1
+        assert_array_equal(gathers[0], train)
+
     def test_full_covariance_mode_trains(self):
         model, train, labels = self._clique_setup(diag_cov=False)
         config = AdamConfig(iterations=60, learning_rate=0.05)
@@ -489,6 +539,20 @@ class TestPredictClasses:
         p3, _ = predict_classes(model, mc_samples=16, seed=8)
         assert_array_equal(p1, p2)
         assert not np.array_equal(p1, p3)
+
+    def test_vote_counts_match_naive_loop(self):
+        rng, model = _classifier(34)
+        probs, _ = predict_classes(model, mc_samples=50, seed=3)
+        mean, var, _ = _marginals(model, np.arange(12))
+        sd = np.sqrt(np.maximum(var, classification._VAR_FLOOR))
+        noise = np.random.default_rng(3).standard_normal((50,) + mean.shape)
+        draws = mean[None] + sd[None] * noise
+        freq = np.zeros(mean.shape)
+        for s in range(50):
+            for i in range(12):
+                freq[i, np.argmax(draws[s, i])] += 1.0
+        low = model.epsilon / 2
+        assert_array_equal(probs, low + (1.0 - model.epsilon - low) * (freq / 50))
 
     def test_query_validation(self):
         rng, model = _classifier(33)

@@ -410,6 +410,13 @@ class TestFit:
         with pytest.raises(RuntimeError, match=r"non-finite loss during fit at step 3,"):
             fit(model, AdamConfig(iterations=10, learning_rate=0.01))
 
+    def test_train_rows_and_gram_carried_across_steps(self):
+        model = _spectral_problem(66)
+        fitted, _ = fit(model, AdamConfig(iterations=5, learning_rate=0.05))
+        assert fitted is not model
+        assert fitted._cache["phi_x"] is model._cache["phi_x"]
+        assert fitted._cache["gram"] is model._cache["gram"]
+
     def test_zero_iterations_returns_start(self):
         _, model = _problem(64)
         fitted, trace = fit(model, AdamConfig(iterations=0))
