@@ -136,11 +136,23 @@ def _load_kernel_spec(text, default: KernelSpec) -> KernelSpec:
     return KernelSpec.from_dict(obj)
 
 
-def _basis_for(graph, kind, eigenpairs, cache_dir):
-    operator = build_laplacian(graph, kind)
+def _timed(timings, name, fn, *args, **kwargs):
+    """Call ``fn``, putting its wall time in seconds in ``timings[name]``."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    timings[name] = time.perf_counter() - start
+    return result
+
+
+def _basis_for(graph, kind, eigenpairs, cache_dir, timings):
+    """Laplacian and (cached) eigenpairs; records ``laplacian_s`` and either
+    ``eigensolve_s`` (cache miss) or ``cache_load_s`` (hit) in ``timings``."""
+    operator = _timed(timings, "laplacian_s", build_laplacian, graph, kind)
+    start = time.perf_counter()
     basis, hit, path = cached_eigendecomposition(
         operator, min(eigenpairs, graph.node_count), cache_dir=cache_dir
     )
+    timings["cache_load_s" if hit else "eigensolve_s"] = time.perf_counter() - start
     return operator, basis, hit, path
 
 
@@ -165,6 +177,15 @@ def _write_fit_metrics(out, command, payload, predicted, truth, train_idx, test_
     print(line)
 
 
+def _run_record(hit, path, timings) -> dict:
+    """The fit commands' eigen-cache outcome and stage timings (seconds)."""
+    return {
+        "eigen_cache_hit": hit,
+        "eigen_cache_file": str(path) if path is not None else None,
+        "timings": timings,
+    }
+
+
 def _default_spec(task, family="matern", kind=None, rw_p=None) -> KernelSpec:
     """The CLI's kernel for a task: Matern nu=1.5, kappa=3 on the unnormalized
     Laplacian for regression, nu=3, kappa=5 on the normalized one otherwise."""
@@ -182,9 +203,10 @@ def _default_spec(task, family="matern", kind=None, rw_p=None) -> KernelSpec:
 
 
 def cmd_eigen(args) -> int:
-    graph = read_edge_list(args.graph)
+    timings = {}
+    graph = _timed(timings, "parse_s", read_edge_list, args.graph)
     operator, basis, hit, path = _basis_for(
-        graph, args.laplacian, args.eigenpairs, args.cache_dir
+        graph, args.laplacian, args.eigenpairs, args.cache_dir, timings
     )
     residuals = _residual_norms(operator.matrix, basis.eigenvalues, basis.eigenvectors)
     out = _out_dir(args)
@@ -200,6 +222,7 @@ def cmd_eigen(args) -> int:
         "max_residual": float(residuals.max()),
         "cache_file": str(path) if path is not None else None,
         "cache_hit": hit,
+        "timings": timings,
     }
     _write_json(out / "summary.json", summary)
     print(
@@ -211,23 +234,25 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_fit_regression(args) -> int:
-    graph = read_edge_list(args.graph)
+    timings = {}
+    graph = _timed(timings, "parse_s", read_edge_list, args.graph)
     spec = _load_kernel_spec(args.kernel, _default_spec("regression"))
     nodes, values = read_targets_csv(args.targets)
     if nodes.size == 0:
         raise ValueError("targets file is empty")
-    _, basis, _, _ = _basis_for(
-        graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir
+    _, basis, hit, path = _basis_for(
+        graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
     )
 
     train_idx, test_idx = _split(nodes.size, args.train_size, None, args.seed)
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
-    model, trace = fit(GPRegressionModel(
+    model, trace = _timed(timings, "fit_s", fit, GPRegressionModel(
         spec=spec, basis=basis, train_nodes=nodes[train_idx],
         targets=values[train_idx], noise2=args.noise2,
     ), config)
 
-    summary = woodbury_posterior(model, query=None, diag=True)
+    summary = _timed(timings, "predict_s", woodbury_posterior, model,
+                     query=None, diag=True)
     out = _out_dir(args)
     _write_regression_csv(out / "predictions.csv", summary)
     _write_trace_csv(out / "trace.csv", "loss", trace)
@@ -243,12 +268,14 @@ def cmd_fit_regression(args) -> int:
         "best_loss": float(np.min(trace)),
         "lml_route": route,
         "jitter": model._train_chol()[1] if route == "dense" else None,
+        **_run_record(hit, path, timings),
     }, summary.mean[nodes], values, train_idx, test_idx)
     return 0
 
 
 def cmd_fit_classify(args) -> int:
-    graph = read_edge_list(args.graph)
+    timings = {}
+    graph = _timed(timings, "parse_s", read_edge_list, args.graph)
     spec = _load_kernel_spec(args.kernel, _default_spec("classification"))
     nodes, labels = read_labels_csv(args.labels)
     if nodes.size == 0:
@@ -258,8 +285,8 @@ def cmd_fit_classify(args) -> int:
         raise ValueError(
             f"label {int(labels.max())} out of range for {n_classes} declared classes"
         )
-    _, basis, _, _ = _basis_for(
-        graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir
+    _, basis, hit, path = _basis_for(
+        graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
     )
 
     train_idx, test_idx = _split(
@@ -272,7 +299,8 @@ def cmd_fit_classify(args) -> int:
         inducing_nodes=nodes[train_idx],
     )
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
-    model, trace = fit_classifier(
+    model, trace = _timed(
+        timings, "fit_s", fit_classifier,
         model,
         nodes[train_idx],
         labels[train_idx],
@@ -281,8 +309,9 @@ def cmd_fit_classify(args) -> int:
         mc_samples=args.mc_samples,
     )
 
-    probs, pred = predict_classes(
-        model, query=None, mc_samples=args.predict_samples, seed=args.seed
+    probs, pred = _timed(
+        timings, "predict_s", predict_classes,
+        model, query=None, mc_samples=args.predict_samples, seed=args.seed,
     )
     out = _out_dir(args)
     _write_classification_csv(out / "predictions.csv", probs, pred)
@@ -295,6 +324,7 @@ def cmd_fit_classify(args) -> int:
         "classes": n_classes,
         "iterations": args.iterations,
         "final_elbo": float(trace[-1]) if trace.size else None,
+        **_run_record(hit, path, timings),
     }, pred[nodes], labels, train_idx, test_idx)
     return 0
 
@@ -307,7 +337,7 @@ def cmd_predict(args) -> int:
     kernel = snapshot.get("kernel", {})
     lap = kernel.get("laplacian", "unnormalized")
     eigenpairs = snapshot.get("eigenpairs", graph.node_count)
-    _, basis, _, _ = _basis_for(graph, lap, eigenpairs, args.cache_dir)
+    _, basis, _, _ = _basis_for(graph, lap, eigenpairs, args.cache_dir, {})
     out = _out_dir(args)
     if kind == "regression":
         model = load_model(args.model, basis)
@@ -347,7 +377,7 @@ def cmd_compare_kernels(args) -> int:
 
     bases = {}
     for kind in ("unnormalized", "sym_normalized"):
-        _, basis, _, _ = _basis_for(graph, kind, args.eigenpairs, args.cache_dir)
+        _, basis, _, _ = _basis_for(graph, kind, args.eigenpairs, args.cache_dir, {})
         bases[kind] = basis
 
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)

@@ -32,6 +32,10 @@ __all__ = [
 
 LAPLACIAN_KINDS = ("unnormalized", "sym_normalized")
 
+# Largest n with n * n - 1 in int64, so that every edge key lo * n + hi fits.
+_MAX_NODE_COUNT = 3_037_000_499
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def _interleave(a, b):
     """a[0], b[0], a[1], b[1], ...: both endpoints, edge by edge."""
@@ -64,10 +68,15 @@ class WeightedGraph:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         out_of_range = ~((0 <= u) & (u < v) & (v < self.node_count))
-        duplicate = np.ones(u.shape, dtype=bool)
-        duplicate[np.unique(u * self.node_count + v, return_index=True)[1]] = False
+        # Each pair against the one before it: sorted by (u, v), a repeat
+        # is a duplicate and a step back is out of order.
+        same_u = u[1:] == u[:-1]
+        duplicate = np.zeros(u.shape, dtype=bool)
+        duplicate[1:] = same_u & (v[1:] == v[:-1])
+        unordered = np.zeros(u.shape, dtype=bool)
+        unordered[1:] = (u[1:] < u[:-1]) | (same_u & (v[1:] < v[:-1]))
         bad_weight = ~((w > 0) & np.isfinite(w))
-        bad = out_of_range | duplicate | bad_weight
+        bad = out_of_range | duplicate | unordered | bad_weight
         if np.any(bad):
             i = int(np.argmax(bad))
             edge = f"({u[i]}, {v[i]})"
@@ -75,6 +84,8 @@ class WeightedGraph:
                 raise ValueError(f"edge {edge} out of range or not canonical")
             if duplicate[i]:
                 raise ValueError(f"duplicate edge {edge}")
+            if unordered[i]:
+                raise ValueError(f"edge {edge} out of (u, v) order: not canonical")
             raise ValueError(f"non-positive weight on edge {edge}")
 
     @classmethod
@@ -91,27 +102,43 @@ class WeightedGraph:
             rows = rows.reshape(0, 3)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"expected (u, v[, w]) edge rows, got shape {rows.shape}")
-        u, v = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+        return cls._from_arrays(
+            rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2],
+            node_count,
+        )
+
+    @classmethod
+    def _from_arrays(cls, u, v, w, node_count=None) -> "WeightedGraph":
+        """Canonicalize int64 endpoint arrays ``u``, ``v`` and float64 weights.
+
+        The merge and sort key ``lo * n + hi`` stays inside int64 for node
+        counts up to ``_MAX_NODE_COUNT``; larger counts are refused.
+        """
         loops = np.flatnonzero(u == v)
         if loops.size:
             raise ValueError(f"self-loop at node {u[loops[0]]}")
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         max_node = int(hi.max(initial=-1))
         n = (max_node + 1) if node_count is None else int(node_count)
+        if n > _MAX_NODE_COUNT:
+            raise ValueError(
+                f"node count {n} exceeds the largest supported, {_MAX_NODE_COUNT}"
+            )
         if max_node >= n:
             raise ValueError(
                 f"node index {max_node} exceeds declared node count {n}"
             )
-        # Shifted so negative indices (rejected by __post_init__) still merge
-        # and sort as (u, v) pairs do.
-        base = int(lo.min(initial=0))
-        span = n - base
-        keys, inverse = np.unique((lo - base) * span + (hi - base), return_inverse=True)
+        if lo.size and lo.min() < 0:
+            first = np.lexsort((hi, lo))[0]
+            raise ValueError(
+                f"edge ({lo[first]}, {hi[first]}) out of range or not canonical"
+            )
+        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
         return cls(
             node_count=n,
-            u=keys // span + base,
-            v=keys % span + base,
-            w=np.bincount(inverse, weights=rows[:, 2], minlength=keys.size),
+            u=keys // n,
+            v=keys % n,
+            w=np.bincount(inverse, weights=w, minlength=keys.size),
         )
 
     @property
@@ -182,9 +209,104 @@ def parse_edge_list(text: str) -> WeightedGraph:
     data line ``nodes N`` declares the node count (otherwise it is one past
     the largest index seen). Duplicate edges are merged by summing weights;
     self-loops are dropped with a warning. Errors carry 1-based line numbers.
+
+    A valid file is read in one vectorized pass (``_parse_fast``). Whenever
+    that pass declines, the line loop (``_parse_lines``) reads the file
+    instead and names the first bad line; the two give identical edges on
+    every file the fast pass accepts.
     """
+    parsed = _parse_fast(text)
+    if parsed is None:
+        parsed = _parse_lines(text)
+    u, v, w, declared, self_loops = parsed
+    if self_loops:
+        warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=2)
+    return WeightedGraph._from_arrays(u, v, w, node_count=declared)
+
+
+_ROWS = {
+    2: np.dtype([("u", np.int64), ("v", np.int64)]),
+    3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
+}
+
+
+def _next_data_line(text, start):
+    """Tokens of the first line at or after offset ``start`` that holds data
+    once its comment is cut, and the offset just past it; None if none does."""
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end + 1
+        tokens = text[start:end].split("#", 1)[0].split()
+        if tokens:
+            return tokens, end
+        start = end
+    return None
+
+
+def _nodes_header(tokens, lineno):
+    """The count that the tokens of a ``nodes N`` line declare."""
+    if len(tokens) != 2:
+        raise ValueError(f"malformed nodes header at line {lineno}")
+    try:
+        declared = int(tokens[1])
+    except ValueError:
+        raise ValueError(f"malformed nodes header at line {lineno}") from None
+    if declared < 0:
+        raise ValueError(f"negative node count at line {lineno}")
+    return declared
+
+
+def _parse_fast(text):
+    """``(u, v, w, declared, self_loops)`` of a valid file from one
+    ``np.loadtxt`` pass, or None to decline.
+
+    It declines on anything the line loop might read differently or reject:
+    a lone carriage return (the loop splits lines at ``\\n`` only), a
+    malformed header, no edge rows, rows that are not all ``u v`` or all
+    ``u v w``, a token numpy cannot convert (numpy reads no ``1_0`` and no
+    index past int64), any numpy warning (older numpy read ``1.0`` as an
+    int with a warning), a negative index or a weight that is not positive
+    and finite.
+    """
+    if text.count("\r") != text.count("\r\n"):
+        return None
+    first = _next_data_line(text, 0)
+    if first is None:
+        return None
+    tokens, end = first
+    declared, body = None, text
+    if tokens[0] == "nodes":
+        try:
+            declared = _nodes_header(tokens, lineno=None)
+        except ValueError:
+            return None
+        body = text[end:]
+        first = _next_data_line(text, end)
+        if first is None:
+            return None
+        tokens = first[0]
+    if len(tokens) not in _ROWS:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body), dtype=_ROWS[len(tokens)],
+                              comments="#", ndmin=1)
+    except (ValueError, Warning):
+        return None
+    u, v = rows["u"], rows["v"]
+    w = rows["w"] if len(tokens) == 3 else np.ones(rows.size)
+    if u.min() < 0 or v.min() < 0 or not np.all((w > 0) & np.isfinite(w)):
+        return None
+    keep = u != v
+    return u[keep], v[keep], w[keep], declared, int(rows.size - keep.sum())
+
+
+def _parse_lines(text):
+    """``(u, v, w, declared, self_loops)`` read line by line; raises on the
+    first bad line with its 1-based number."""
     declared = None
-    rows = []
+    us, vs, ws = [], [], []
     self_loops = 0
     saw_data = False
     for lineno, line in enumerate(io.StringIO(text), start=1):
@@ -193,14 +315,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
             continue
         tokens = line.split()
         if not saw_data and tokens[0] == "nodes":
-            if len(tokens) != 2:
-                raise ValueError(f"malformed nodes header at line {lineno}")
-            try:
-                declared = int(tokens[1])
-            except ValueError:
-                raise ValueError(f"malformed nodes header at line {lineno}") from None
-            if declared < 0:
-                raise ValueError(f"negative node count at line {lineno}")
+            declared = _nodes_header(tokens, lineno)
             saw_data = True
             continue
         saw_data = True
@@ -210,6 +325,8 @@ def parse_edge_list(text: str) -> WeightedGraph:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ValueError(f"invalid node index at line {lineno}") from None
+        if max(u, v) > _INT64_MAX:
+            raise ValueError(f"invalid node index at line {lineno}")
         if u < 0 or v < 0:
             raise ValueError(f"negative node index at line {lineno}")
         w = 1.0
@@ -223,11 +340,11 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if u == v:
             self_loops += 1
             continue
-        rows.append((u, v, w))
-
-    if self_loops:
-        warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=2)
-    return WeightedGraph.from_edges(np.array(rows, dtype=float), node_count=declared)
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+            np.array(ws, dtype=np.float64), declared, self_loops)
 
 
 def read_edge_list(path) -> WeightedGraph:

@@ -1,6 +1,7 @@
 """End-to-end command line runs through main(argv) in-process."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ def _write_graph(path, graph):
     for u, v, w in zip(graph.u, graph.v, graph.w):
         lines.append(f"{u} {v} {float(w)!r}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def assert_timings(timings, names):
+    """``timings`` holds exactly ``names``, each a non-negative float (seconds)."""
+    assert set(timings) == set(names)
+    for value in timings.values():
+        assert isinstance(value, float) and value >= 0.0
 
 
 @pytest.fixture
@@ -76,6 +84,8 @@ class TestEigen:
             assert 0.0 <= summary["max_residual"] <= bound
         for key in ("nodes", "edges", "eigenpairs", "lambda_min", "lambda_max", "cache_file"):
             assert s1[key] == s2[key]
+        assert_timings(s1["timings"], ("parse_s", "laplacian_s", "eigensolve_s"))
+        assert_timings(s2["timings"], ("parse_s", "laplacian_s", "cache_load_s"))
 
     def test_eigenpairs_clamped_to_node_count(self, tmp_path):
         rng = np.random.default_rng(211)
@@ -88,6 +98,13 @@ class TestEigen:
         ]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["eigenpairs"] == 9
+
+    def test_index_past_int64_fails_cleanly(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text("0 1\n1 99999999999999999999\n")
+        code = main(["eigen", "--graph", str(graph_path), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: invalid node index at line 2" in capsys.readouterr().err
 
     def test_missing_graph_file_fails_cleanly(self, tmp_path, capsys):
         code = main([
@@ -116,6 +133,10 @@ class TestFitRegression:
         assert metrics["test_mse"] < float(np.var(y[:24]))
         assert metrics["lml_route"] == "dense"  # 16 train nodes, 30 eigenpairs
         assert metrics["jitter"] == 0.0
+        assert metrics["eigen_cache_hit"] is False
+        assert metrics["eigen_cache_file"] is None  # no cache directory
+        assert_timings(metrics["timings"], (
+            "parse_s", "laplacian_s", "eigensolve_s", "fit_s", "predict_s"))
 
         lines = (out / "predictions.csv").read_text().strip().split("\n")
         assert lines[0] == "node_index,mean,std"
@@ -249,6 +270,26 @@ class TestFitClassify:
         assert (out2 / "predictions.csv").read_bytes() == (
             out / "predictions.csv"
         ).read_bytes()
+
+    def test_metrics_record_eigen_cache_and_timings(self, classify_case, tmp_path):
+        graph_path, labels_path = classify_case
+        cache = tmp_path / "cache"
+        runs = []
+        for name in ("miss", "hit"):
+            assert main([
+                "fit-classify", "--graph", str(graph_path),
+                "--labels", str(labels_path), "--out", str(tmp_path / name),
+                "--cache-dir", str(cache), "--iterations", "3",
+                "--mc-samples", "2", "--predict-samples", "5",
+            ]) == 0
+            runs.append(json.loads((tmp_path / name / "metrics.json").read_text()))
+        miss, hit = runs
+        assert miss["eigen_cache_hit"] is False and hit["eigen_cache_hit"] is True
+        assert miss["eigen_cache_file"] == hit["eigen_cache_file"]
+        assert Path(hit["eigen_cache_file"]).is_file()
+        stages = ("parse_s", "laplacian_s", "fit_s", "predict_s")
+        assert_timings(miss["timings"], stages + ("eigensolve_s",))
+        assert_timings(hit["timings"], stages + ("cache_load_s",))
 
     def test_declared_class_count_validated(self, classify_case, tmp_path, capsys):
         graph_path, labels_path = classify_case

@@ -1,5 +1,8 @@
 """Edge-list parsing, graph canonicalization and Laplacian assembly."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -13,7 +16,9 @@ from graph_matern import (
     read_edge_list,
     read_node_id_map,
 )
-from helpers import loop_laplacian, random_graph, two_cliques
+from graph_matern import graphs
+from graph_matern.graphs import _parse_fast, _parse_lines
+from helpers import lattice_graph, loop_laplacian, random_graph, two_cliques
 
 
 def assert_edges(graph, u, v, w):
@@ -91,6 +96,153 @@ class TestParseEdgeList:
         g = read_edge_list(path)
         assert_edges(g, [0], [1], [2.0])
 
+    def test_indices_stay_exact_past_float_precision(self):
+        # 2**53 + 1 rounds to 2**53 as a float64; as int64 the two stay
+        # apart, and a node count this large is refused instead of merged.
+        text = ("nodes 9007199254740995\n"
+                "0 9007199254740993 1.0\n0 9007199254740992 1.0\n")
+        for parse in (_parse_fast, _parse_lines):
+            u, v, w, declared, _ = parse(text)
+            assert v.dtype == np.int64
+            assert v.tolist() == [9007199254740993, 9007199254740992]
+            assert declared == 9007199254740995
+        with pytest.raises(ValueError, match="node count 9007199254740995 exceeds"):
+            parse_edge_list(text)
+
+    def test_index_past_int64_names_its_line(self):
+        with pytest.raises(ValueError, match="invalid node index at line 2"):
+            parse_edge_list("0 1\n0 99999999999999999999 1.0\n")
+        with pytest.raises(ValueError, match="invalid node index at line 1"):
+            parse_edge_list("9223372036854775808 1\n")
+
+    def test_node_count_past_key_range_refused(self):
+        with pytest.raises(ValueError, match="node count 5000000000 exceeds"):
+            parse_edge_list("nodes 5000000000\n0 1 1.0\n")
+
+
+# Each entry: text, and whether the fast pass must accept it (None: either
+# way, as numpy's reader allows). Declining is always safe; the differential
+# test checks that accepting never changes the result.
+PARSE_CORPUS = [
+    ("nodes 4\n0 1 2.0\n1 2 0.5\n", True),
+    ("nodes 4\r\n0 1 2.0\r\n1 2 0.5\r\n", True),
+    ("0 1 2.0\r1 2 0.5\n", False),
+    ("0 1 2.0\n1 2 0.5\r", False),
+    ("0\t1\t2.0\n1\t\t2 0.5\n", True),
+    ("0\xa01 2.0\n", None),
+    ("0\x0b1 2.0\n1 2\x0c0.5\n", None),
+    ("+1 2 1.0\n", None),
+    ("007 2 1.0\n", None),
+    ("1_0 2 1.0\n", None),
+    ("0 1 1_0\n", None),
+    ("1.0 2 1.0\n", False),
+    ("1e1 2 1.0\n", False),
+    ("0 1 nan\n", False),
+    ("0 1 inf\n", False),
+    ("0 1 1e400\n", False),
+    ("0 1 0\n", False),
+    ("0 1 -1\n", False),
+    ("0 1 1.0\n2 3 -1\n", False),
+    ("-1 2 1.0\n", False),
+    ("0 99999999999999999999 1.0\n", False),
+    ("0 9223372036854775808 1.0\n", False),
+    ("0 9223372036854775807 1.0\n", None),
+    ("# comment\n\n   \n# another\nnodes 5\n0 1 1.0\n3 4 2.5\n", True),
+    ("0 1 1.0\nnodes 5\n1 2 1.0\n", False),
+    ("nodes 5 # five nodes\n0 1 1.0\n", True),
+    ("nodes five\n0 1 1.0\n", False),
+    ("nodes -2\n0 1 1.0\n", False),
+    ("nodes 5 6\n0 1 1.0\n", False),
+    ("nodes 5\n", False),
+    ("0 1\n1 2\n2 0\n", True),
+    ("nodes 6\n0 1\n# gap\n\n4 5\n", True),
+    ("0 1 1.0\n1 2\n", False),
+    ("0 1\n1 2 1.0\n", False),
+    ("0 1 1.0 7\n", False),
+    ("0\n", False),
+    ("0 0 1.0\n0 1 1.0\n2 2\n", None),
+    ("0 0 1.0\n0 1 1.0\n2 2 3.0\n", True),
+    ("3 3\n", True),
+    ("0 1 1.0\n1 0 2.5\n0 1 0.25\n", True),
+    ("0 1 0.1\n1 0 0.2\n0 1 0.3\n", True),
+    ("nodes 2\n0 5 1.0\n", True),
+    ("x 2\n", False),
+    ("0 1 abc\n", False),
+    ("", False),
+    ("# only a comment\n\n", False),
+]
+
+
+def _outcome(parse, text):
+    """What ``parse`` does with ``text``: its value, or its error message."""
+    try:
+        return parse(text), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def assert_same_parse(fast, loop):
+    for got, want in zip(fast[:3], loop[:3]):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert fast[3:] == loop[3:]  # declared count and self-loop count
+
+
+class TestParsePasses:
+    @pytest.mark.parametrize("text,accepts", PARSE_CORPUS)
+    def test_fast_pass_matches_line_loop(self, text, accepts):
+        fast = _parse_fast(text)
+        if accepts is not None:
+            assert (fast is not None) == accepts
+        loop, message = _outcome(_parse_lines, text)
+        if fast is not None:
+            assert message is None, message
+            assert_same_parse(fast, loop)
+            return
+        # Declined: the public parser is the loop, errors and all.
+        if message is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_edge_list(text)
+        else:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                parse_edge_list(text)
+            assert len(caught) == int(loop[4] > 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fast_pass_matches_line_loop_on_random_lattices(self, seed):
+        rng = np.random.default_rng([seed, 77])
+        side = int(rng.integers(3, 15))
+        graph = lattice_graph(side, diagonals=True)
+        keep = rng.random(graph.edge_count) < 0.8
+        u, v = graph.u[keep], graph.v[keep]
+        w = rng.lognormal(0.0, 2.0, size=u.size)
+        flip = rng.random(u.size) < 0.5
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        order = rng.permutation(u.size)
+        again = order[: u.size // 10]  # some pairs twice, merged by summing
+        lines = [f"{a} {b} {c!r}" for a, b, c in zip(
+            np.concatenate([u[order], v[again]]).tolist(),
+            np.concatenate([v[order], u[again]]).tolist(),
+            np.concatenate([w[order], w[again] / 3]).tolist())]
+        header = f"nodes {side * side + int(rng.integers(0, 3))}\n" if seed % 2 else ""
+        text = header + "\n".join(lines) + "\n"
+        fast = _parse_fast(text)
+        assert fast is not None
+        assert_same_parse(fast, _parse_lines(text))
+        g = parse_edge_list(text)
+        assert g.edge_count == keep.sum()
+
+    def test_valid_files_never_reach_the_loop(self, monkeypatch):
+        def loop(text):
+            raise AssertionError("line loop reached")
+
+        monkeypatch.setattr(graphs, "_parse_lines", loop)
+        assert_edges(parse_edge_list("nodes 3\n0 1\n2 1\n"), [0, 1], [1, 2], [1.0, 1.0])
+        assert_edges(parse_edge_list("0 1 2.0\n1 2 0.5\n"), [0, 1], [1, 2], [2.0, 0.5])
+        with pytest.raises(AssertionError, match="line loop reached"):
+            parse_edge_list("0 1 2.0\n1 2 -0.5\n")
+
 
 class TestWeightedGraph:
     def test_from_edges_canonicalizes_orientation(self):
@@ -133,6 +285,31 @@ class TestWeightedGraph:
     def test_constructor_rejects_noncanonical(self):
         with pytest.raises(ValueError, match="not canonical"):
             WeightedGraph(node_count=3, u=[1], v=[0], w=[1.0])
+
+    def test_constructor_rejects_out_of_order_pairs(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) .*not canonical"):
+            WeightedGraph(node_count=4, u=[1, 0], v=[2, 3], w=[1.0, 1.0])
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) .*not canonical"):
+            WeightedGraph(node_count=4, u=[0, 0], v=[2, 1], w=[1.0, 1.0])
+
+    def test_constructor_checks_duplicates_past_int64_keys(self):
+        # With n = 2**33, the pair keys u * n + v of these two distinct
+        # edges are equal modulo 2**64; adjacent pairs are compared instead.
+        g = WeightedGraph(node_count=2**33, u=[0, 2**31], v=[2**31 + 5] * 2,
+                          w=[1.0, 2.0])
+        assert g.edge_count == 2
+
+    def test_from_edges_node_count_bound(self):
+        top = 3_037_000_499
+        g = WeightedGraph.from_edges([(top - 1, 0, 1.0), (1, top - 1)])
+        assert g.node_count == top
+        assert_edges(g, [0, 1], [top - 1, top - 1], [1.0, 1.0])
+        with pytest.raises(ValueError, match=f"node count {top + 1} exceeds"):
+            WeightedGraph.from_edges([(0, 1)], node_count=top + 1)
+
+    def test_from_edges_negative_index_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(-2, 1\) out of range"):
+            WeightedGraph.from_edges([(3, 0), (1, -2), (-1, 4)])
 
     def test_self_loop_rejected_in_from_edges(self):
         with pytest.raises(ValueError, match="self-loop"):
