@@ -178,7 +178,7 @@ def _write_fit_metrics(out, command, payload, predicted, truth, train_idx, test_
 
 
 def _run_record(hit, path, timings) -> dict:
-    """The fit commands' eigen-cache outcome and stage timings (seconds)."""
+    """A command's eigen-cache outcome and stage timings (seconds)."""
     return {
         "eigen_cache_hit": hit,
         "eigen_cache_file": str(path) if path is not None else None,
@@ -330,30 +330,39 @@ def cmd_fit_classify(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    graph = read_edge_list(args.graph)
+    timings = {}
+    graph = _timed(timings, "parse_s", read_edge_list, args.graph)
     with open(args.model, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
     kind = snapshot.get("kind")
     kernel = snapshot.get("kernel", {})
     lap = kernel.get("laplacian", "unnormalized")
     eigenpairs = snapshot.get("eigenpairs", graph.node_count)
-    _, basis, _, _ = _basis_for(graph, lap, eigenpairs, args.cache_dir, {})
+    _, basis, hit, path = _basis_for(graph, lap, eigenpairs, args.cache_dir, timings)
     out = _out_dir(args)
     if kind == "regression":
         model = load_model(args.model, basis)
-        summary = woodbury_posterior(model, query=None, diag=True)
+        summary = _timed(timings, "predict_s", woodbury_posterior, model,
+                         query=None, diag=True)
         _write_regression_csv(out / "predictions.csv", summary)
-        print(f"predict: wrote {basis.total_dim} regression rows")
-        return 0
-    if kind == "classifier":
+    elif kind == "classifier":
         model = load_classifier(args.model, basis)
-        probs, pred = predict_classes(
-            model, query=None, mc_samples=args.predict_samples, seed=args.seed
+        probs, pred = _timed(
+            timings, "predict_s", predict_classes,
+            model, query=None, mc_samples=args.predict_samples, seed=args.seed,
         )
         _write_classification_csv(out / "predictions.csv", probs, pred)
-        print(f"predict: wrote {basis.total_dim} classification rows")
-        return 0
-    raise ValueError(f"unknown snapshot kind {kind!r} in {args.model}")
+    else:
+        raise ValueError(f"unknown snapshot kind {kind!r} in {args.model}")
+    _write_json(out / "summary.json", {
+        "schema_version": _SCHEMA_VERSION,
+        "timestamp": _timestamp(),
+        "kind": kind,
+        **_run_record(hit, path, timings),
+    })
+    rows = "regression" if kind == "regression" else "classification"
+    print(f"predict: wrote {basis.total_dim} {rows} rows")
+    return 0
 
 
 def cmd_compare_kernels(args) -> int:

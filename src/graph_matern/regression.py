@@ -3,9 +3,10 @@
 Three inference routes over the same prior:
 
 * ``posterior``: dense conditioning on K_xx + noise2 I.
-* ``woodbury_posterior``: the identical posterior computed through the
-  spectral (Fourier feature) identity, whose cost is an l x l solve plus
-  l * |x| products; exact when the basis is full, rank-l otherwise.
+* ``woodbury_posterior``: the identical posterior computed in the l x l
+  spectral (Fourier feature) space from the one Cholesky factor of
+  B = I + D^1/2 E D^1/2 / noise2 that the spectral LML also reads; exact
+  when the basis is full, rank-l otherwise, and zero-weight modes stay in.
 * ``gmrf_posterior``: sparse-precision conditioning for integer smoothness,
   dual to the matern kernel with variance normalization off.
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 import scipy.sparse as sp
 
@@ -189,6 +191,23 @@ class GPRegressionModel:
         self._cache["chol"] = (chol, used)
         return self._cache["chol"]
 
+    def _b_factor(self):
+        """``(chol_b, inv_chol_b, root, t, coef)``, shared by the spectral LML
+        and ``woodbury_posterior``: the Cholesky factor L_B of
+        B = I + D^1/2 E D^1/2 / noise2 and its inverse, root = sqrt(d),
+        t = P^T y and coef = D^1/2 B^-1 D^1/2 t / noise2. B's eigenvalues
+        are >= 1, so it needs no jitter and zero-weight modes stay in."""
+        if "b_factor" not in self._cache:
+            d, _ = self._weights()
+            root = np.sqrt(d)
+            t = self._phi_train().T @ self.targets
+            b = np.eye(d.size) + (root[:, None] * self._gram() * root[None, :]) / self.noise2
+            chol_b = scipy.linalg.cholesky(b, lower=True)
+            inv_chol_b, _ = dtrtri(chol_b, lower=1)
+            coef = root * cho_solve((chol_b, True), root * t) / self.noise2
+            self._cache["b_factor"] = (chol_b, inv_chol_b, root, t, coef)
+        return self._cache["b_factor"]
+
 
 def _carry_cache(old, new, keys):
     """``new`` holding ``old``'s memoized ``keys``: state of the basis and
@@ -254,52 +273,27 @@ def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSumm
 
 
 def woodbury_posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSummary:
-    """Same posterior through the low-rank spectral identity.
+    """Same posterior in the l-dimensional feature space, from the model's
+    one factor L_B of B = I + D^1/2 E D^1/2 / s2 (see ``_lml_spectral``).
 
-    (K_xx + s2 I)^{-1} = s2^{-1} I - s2^{-2} P (D^{-1} + s2^{-1} P^T P)^{-1} P^T
-    with P the train rows of the eigenvectors and D the spectral weights, so
-    all solves are l x l. Zero-weight modes carry no prior mass and are
-    dropped (with a warning) since D must be inverted.
+    With P the train rows of the eigenvectors and D the spectral weights,
+    the weight posterior has mean coef = D^1/2 B^-1 D^1/2 P^T y / s2
+    (= D P^T alpha) and covariance D^1/2 B^-1 D^1/2. So the mean is
+    Phi_q coef and, with W = L_B^-1 D^1/2 Phi_q^T, the covariance is W^T W
+    and the variances are the column sums of W^2. Zero-weight modes stay
+    in; an all-zero prior gives zero mean and covariance. After the LML
+    the factor is memoized, and the cost is one triangular product,
+    l^2 |q| flops.
     """
     q = _as_query(query, model.basis.total_dim)
-    d, _ = model._weights()
-    keep = d > 0.0
-    if not np.all(keep):
-        warnings.warn(
-            f"dropping {int(np.sum(~keep))} zero-weight spectral mode(s) in the "
-            "low-rank posterior",
-            stacklevel=2,
-        )
-    dk = d[keep]
-    if dk.size == 0:
-        raise ValueError("all spectral weights are zero; prior is degenerate")
-    phi_x = model._phi_train()[:, keep]
-    phi_q = model.basis.eigenvectors[q][:, keep]
-    s2 = model.noise2
-    y = model.targets
-
-    e = model._gram()[np.ix_(keep, keep)]
-    g = np.diag(1.0 / dk) + e / s2
-    g_chol = scipy.linalg.cholesky((g + g.T) / 2.0, lower=True)
-
-    # alpha = (K_xx + s2 I)^{-1} y without forming the n_x x n_x matrix
-    t = phi_x.T @ y
-    alpha = y / s2 - phi_x @ cho_solve((g_chol, True), t) / s2**2
-    mean = phi_q @ (dk * (phi_x.T @ alpha))
-
-    # mid = D - D P^T (K_xx + s2 I)^{-1} P D, all in l x l space
-    s = cho_solve((g_chol, True), e)
-    inner = e / s2 - (e @ s) / s2**2
-    mid = np.diag(dk) - (dk[:, None] * inner) * dk[None, :]
-    mid = (mid + mid.T) / 2.0
+    _, inv_chol_b, root, _, coef = model._b_factor()
+    phi_q = model.basis.eigenvectors[q]
+    mean = phi_q @ coef
+    w = dtrmm(1.0, inv_chol_b, root[:, None] * phi_q.T, lower=1, overwrite_b=1)
+    var = np.einsum("ij,ij->j", w, w)
     if diag:
-        var = np.einsum("ij,ij->i", phi_q @ mid, phi_q)
-        return PosteriorSummary(mean=mean, variance=np.maximum(var, 0.0))
-    cov = phi_q @ mid @ phi_q.T
-    cov = (cov + cov.T) / 2.0
-    return PosteriorSummary(
-        mean=mean, variance=np.maximum(np.diag(cov), 0.0), covariance=cov
-    )
+        return PosteriorSummary(mean=mean, variance=var)
+    return PosteriorSummary(mean=mean, variance=var, covariance=w.T @ w)
 
 
 def _lml_route(model: GPRegressionModel) -> str:
@@ -370,7 +364,7 @@ def _lml_dense(model: GPRegressionModel):
     proj = phi.T @ alpha
     m = cho_solve((chol, True), phi)
     trace_cols = np.einsum("ij,ij->j", phi, m)
-    inv_chol = solve_triangular(chol, np.eye(n), lower=True)
+    inv_chol, _ = dtrtri(chol, lower=1)
     trace_cinv = float(np.sum(inv_chol**2))
     return value, _lml_grads(model, proj, trace_cols, float(alpha @ alpha), trace_cinv)
 
@@ -378,42 +372,37 @@ def _lml_dense(model: GPRegressionModel):
 def _lml_spectral(model: GPRegressionModel):
     """LML in the l-dimensional feature space of P = Phi_x (m x l).
 
-    With E = P^T P, t = P^T y, u = D^1/2 t and s2 the noise, the l x l
-    B = I + D^1/2 E D^1/2 / s2 has eigenvalues >= 1, so its Cholesky factor
-    L_B needs no jitter and zero-weight modes stay in. Then
-    log|C| = log|B| + m log s2, y^T C^-1 y = (y^T y - u^T B^-1 u / s2) / s2,
-    alpha = (y - P D^1/2 B^-1 u / s2) / s2, P^T alpha follows the same way,
-    diag(P^T C^-1 P) = (diag E - colsum(H^2) / s2) / s2 with
-    H = L_B^-1 D^1/2 E, and tr(C^-1) = (m - l + tr B^-1) / s2.
+    With E = P^T P, t = P^T y and s2 the noise, the model's memoized factor
+    L_B of B = I + M, M = D^1/2 E D^1/2 / s2, and coef = D^1/2 B^-1 D^1/2
+    t / s2 give log|C| = log|B| + m log s2, y^T C^-1 y = (y^T y - t^T coef)
+    / s2, P^T alpha = (t - E coef) / s2 and alpha = (y - P coef) / s2. The
+    identity M B^-1 M = M - I + B^-1 gives D^1/2 P^T C^-1 P D^1/2 = I - B^-1,
+    so diag(P^T C^-1 P) = (1 - diag B^-1) / d and tr(C^-1) =
+    (m - l + tr B^-1) / s2, both from the column sums of squares of L_B^-1.
+    Where d = 0 (clamped or underflowed weights) the quotient is 0/0; the
+    entry is then E_jj / s2, its value without the other modes. It only
+    meets derivatives dd that vanish there too, except at the kink of a
+    p = 1 random walk whose base is exactly 0.
     """
     d, _ = model._weights()
+    chol_b, inv_chol_b, _, t, coef = model._b_factor()
     phi = model._phi_train()
+    e = model._gram()
     y = model.targets
     s2 = model.noise2
     m, l = phi.shape
 
-    root = np.sqrt(d)
-    e = model._gram()
-    t = phi.T @ y
-    u = root * t
-    root_e = root[:, None] * e
-    b = np.eye(l) + (root_e * root[None, :]) / s2
-    chol_b = scipy.linalg.cholesky(b, lower=True)
-    b_inv_u = cho_solve((chol_b, True), u)
-
     value = (
-        -0.5 * float(y @ y - u @ b_inv_u / s2) / s2
+        -0.5 * float(y @ y - t @ coef) / s2
         - float(np.sum(np.log(np.diag(chol_b))))
         - 0.5 * m * np.log(s2)
         - 0.5 * m * np.log(2.0 * np.pi)
     )
-    coef = root * b_inv_u / s2
     proj = (t - e @ coef) / s2
     alpha = (y - phi @ coef) / s2
-    h = solve_triangular(chol_b, root_e, lower=True)
-    trace_cols = (np.diag(e) - np.einsum("ij,ij->j", h, h) / s2) / s2
-    inv_chol_b, _ = dtrtri(chol_b, lower=1)
-    trace_cinv = (m - l + float(np.sum(inv_chol_b**2))) / s2
+    diag_b_inv = np.einsum("ij,ij->j", inv_chol_b, inv_chol_b)
+    trace_cols = np.divide(1.0 - diag_b_inv, d, out=np.diag(e) / s2, where=d > 0.0)
+    trace_cinv = (m - l + float(np.sum(diag_b_inv))) / s2
     return value, _lml_grads(model, proj, trace_cols, float(alpha @ alpha), trace_cinv)
 
 

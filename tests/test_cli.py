@@ -331,6 +331,39 @@ class TestPredict:
             out / "predictions.csv"
         ).read_bytes()
 
+    def test_summary_records_eigen_cache_and_timings(self, regression_case, tmp_path, capsys):
+        graph_path, targets_path, _ = regression_case
+        fit_dir = tmp_path / "fit"
+        assert main([
+            "fit-regression", "--graph", str(graph_path),
+            "--targets", str(targets_path), "--out", str(fit_dir),
+            "--iterations", "3", "--lr", "0.05",
+        ]) == 0
+        cache = tmp_path / "cache"
+        runs = []
+        for name in ("miss", "hit"):
+            capsys.readouterr()
+            assert main([
+                "predict", "--graph", str(graph_path),
+                "--model", str(fit_dir / "model.json"), "--out", str(tmp_path / name),
+                "--cache-dir", str(cache),
+            ]) == 0
+            assert capsys.readouterr().out == "predict: wrote 30 regression rows\n"
+            assert (tmp_path / name / "predictions.csv").read_bytes() == (
+                fit_dir / "predictions.csv"
+            ).read_bytes()
+            runs.append(json.loads((tmp_path / name / "summary.json").read_text()))
+        miss, hit = runs
+        for summary in runs:
+            assert summary["schema_version"] == 1 and summary["kind"] == "regression"
+            assert isinstance(summary["timestamp"], str)
+        assert miss["eigen_cache_hit"] is False and hit["eigen_cache_hit"] is True
+        assert miss["eigen_cache_file"] == hit["eigen_cache_file"]
+        assert Path(hit["eigen_cache_file"]).is_file()
+        stages = ("parse_s", "laplacian_s", "predict_s")
+        assert_timings(miss["timings"], stages + ("eigensolve_s",))
+        assert_timings(hit["timings"], stages + ("cache_load_s",))
+
     def test_unknown_snapshot_kind(self, regression_case, tmp_path, capsys):
         graph_path, _, _ = regression_case
         bogus = tmp_path / "weird.json"

@@ -1,6 +1,7 @@
 """GP regression: dense, low-rank and sparse-precision posteriors, LML, fit."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -187,17 +188,18 @@ class TestWoodburyPosterior:
         assert_allclose(b.mean, a.mean, atol=1e-10)
         assert_allclose(b.covariance, a.covariance, atol=1e-10)
 
-    def test_underflowed_modes_dropped_with_warning(self):
+    def test_underflowed_modes_kept(self):
         spec = KernelSpec(family="diffusion", kappa=60.0)
         rng, model = _problem(34, spec=spec)
-        with pytest.warns(UserWarning, match="zero-weight"):
+        assert np.any(model._weights()[0] == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = woodbury_posterior(model)
         clean = posterior(model)
         assert_allclose(out.mean, clean.mean, atol=1e-8)
         assert_allclose(out.covariance, clean.covariance, atol=1e-8)
 
-    @pytest.mark.filterwarnings("ignore:dropping")
-    def test_degenerate_prior_rejected(self):
+    def test_degenerate_prior_gives_the_prior(self):
         # hand-built basis whose spectrum lies entirely in the clamped region
         vec = np.eye(4)[:, 1:3]
         basis = SpectralBasis(
@@ -217,8 +219,27 @@ class TestWoodburyPosterior:
             spec, basis, np.array([0, 1]), np.array([0.5, -0.5])
         )
         with pytest.warns(UserWarning, match="clamped"):
-            with pytest.raises(ValueError, match="all spectral weights are zero"):
-                woodbury_posterior(model)
+            out = woodbury_posterior(model)
+        clean = posterior(model)
+        assert_array_equal(out.mean, np.zeros(4))
+        assert_array_equal(out.covariance, np.zeros((4, 4)))
+        assert_allclose(out.mean, clean.mean, atol=1e-15)
+        assert_allclose(out.covariance, clean.covariance, atol=1e-15)
+
+    def test_one_factor_per_model(self, monkeypatch):
+        calls = []
+        real = scipy.linalg.cholesky
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", counted)
+        model = _spectral_problem(57)
+        log_marginal_likelihood(model)
+        woodbury_posterior(model)
+        woodbury_posterior(model, np.array([0, 3]), diag=True)
+        assert len(calls) == 1
 
 
 class TestLogMarginalLikelihood:
@@ -245,8 +266,8 @@ class TestLogMarginalLikelihood:
             value, _ = log_marginal_likelihood(model)
             assert_allclose(value, oracle, rtol=1e-10)
 
-    def _gradcheck(self, model, names, h=1e-5, tol=1e-4):
-        _, grads = log_marginal_likelihood(model)
+    def _gradcheck(self, model, names, h=1e-5, tol=1e-4, lml=log_marginal_likelihood):
+        _, grads = lml(model)
         for name in names:
             raw0 = model.noise2 if name == "noise2" else getattr(model.spec, name)
             t0 = to_unconstrained(name, raw0)
@@ -254,7 +275,7 @@ class TestLogMarginalLikelihood:
             for sign in (+1, -1):
                 raw = from_unconstrained(name, t0 + sign * h)
                 shifted = model.with_raw_params({name: raw})
-                vals.append(log_marginal_likelihood(shifted)[0])
+                vals.append(lml(shifted)[0])
             fd = (vals[0] - vals[1]) / (2 * h)
             an = grads[unconstrained_name(name)]
             denom = max(abs(fd), abs(an), 1e-3)
@@ -293,6 +314,14 @@ class TestLogMarginalLikelihood:
             posterior(model)
             assert calls == [True]
 
+    def test_spectral_lml_needs_no_triangular_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_triangular called")
+
+        monkeypatch.setattr(regression, "solve_triangular", refuse)
+        value, grads = regression._lml_spectral(_spectral_problem(58))
+        assert np.isfinite(value) and all(np.isfinite(g) for g in grads.values())
+
     def test_spectral_route_value_matches_multivariate_normal(self):
         for seed, spec in (
             (140, MATERN),
@@ -327,6 +356,38 @@ class TestLogMarginalLikelihood:
             d, _ = model._weights()
             assert np.any(d == 0.0) and np.any(d > 0.0)
             self._gradcheck(model, ("alpha", "sigma2", "noise2"))
+
+    @pytest.mark.filterwarnings("ignore:random walk base")
+    @pytest.mark.parametrize("case", ["random_walk_clamped", "inverse_cosine_at_2", "diffusion_underflow"])
+    def test_spectral_route_at_zero_weights(self, case):
+        if case == "random_walk_clamped":
+            spec = KernelSpec(family="random_walk", alpha=0.05, p=3, laplacian_kind="sym_normalized")
+            model = _spectral_problem(154, spec=spec, n_pairs=25, n_train=32)
+        elif case == "inverse_cosine_at_2":
+            # a path is bipartite: its normalized Laplacian has lambda = 2,
+            # where cos(pi lambda / 4) vanishes up to rounding
+            spec = KernelSpec(family="inverse_cosine", laplacian_kind="sym_normalized")
+            basis = eigendecompose_full(build_laplacian(path_graph(14), "sym_normalized"))
+            rng = np.random.default_rng(155)
+            train = np.sort(rng.choice(14, size=12, replace=False))
+            model = GPRegressionModel(spec, basis, train, rng.standard_normal(12), noise2=0.1)
+            assert_allclose(basis.eigenvalues[-1], 2.0, atol=1e-12)
+            assert model._weights()[0][-1] < 1e-15
+        else:
+            spec = KernelSpec(family="diffusion", kappa=60.0)
+            model = _spectral_problem(156, spec=spec)
+        d, _ = model._weights()
+        if case != "inverse_cosine_at_2":
+            assert np.any(d == 0.0) and np.any(d > 0.0)
+        v_spec, g_spec = regression._lml_spectral(model)
+        v_dense, g_dense = regression._lml_dense(model)
+        assert np.isfinite(v_spec) and all(np.isfinite(g) for g in g_spec.values())
+        assert_allclose(v_spec, v_dense, rtol=1e-10)
+        assert g_spec.keys() == g_dense.keys()
+        for key in g_dense:
+            assert_allclose(g_spec[key], g_dense[key], rtol=1e-10, err_msg=key)
+        names = regression.trainable_params(spec) + ("noise2",)
+        self._gradcheck(model, names, lml=regression._lml_spectral)
 
     def test_dense_and_spectral_routes_agree(self):
         rw = KernelSpec(family="random_walk", alpha=0.6, p=2, laplacian_kind="sym_normalized")
