@@ -21,7 +21,6 @@ from .spectral import (
     laplacian_hash,
     load_basis,
     save_basis,
-    truncate_basis,
 )
 from .kernels import (
     FAMILIES,

@@ -8,7 +8,9 @@ Three inference routes over the same prior:
   B = I + D^1/2 E D^1/2 / noise2 that the spectral LML also reads; exact
   when the basis is full, rank-l otherwise, and zero-weight modes stay in.
 * ``gmrf_posterior``: sparse-precision conditioning for integer smoothness,
-  dual to the matern kernel with variance normalization off.
+  dual to the matern kernel with variance normalization off. One sparse
+  factorization, with the query nodes eliminated last, gives the mean by
+  one solve and the query covariance from the factor's trailing block.
 
 The log marginal likelihood carries hand-derived gradients with respect to
 the unconstrained (log, or logit for alpha) coordinates of the trainable
@@ -54,8 +56,9 @@ _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _CONDITION_WARN = 1e12
 
-# Most float64 entries gmrf_posterior may allocate for its n x |query|
-# covariance columns (1 GiB); the right-hand side adds the mean's column.
+# Most n x |query| elements gmrf_posterior accepts (1 GiB of float64). The
+# covariance is only a k x k block for k distinct queries, so the limit is
+# conservative; a k^2 limit would need its own bound on the k^3 inversion.
 DENSE_ELEMENT_LIMIT = 2**27
 
 
@@ -498,16 +501,24 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
     """Posterior under a sparse-precision prior by sparse factorization.
 
     The posterior precision is Q + noise2^{-1} sum_i e_i e_i^T over observed
-    nodes. It is factored once, with the minimum-degree sparse factorization
-    that the Lanczos eigensolver also uses, and one multi-right-hand-side
-    solve against [noise2^{-1} sum_i e_i y_i | e_q ...] gives the mean and
-    the query columns of its inverse, the covariance. A singular
-    precision raises ``scipy.linalg.LinAlgError``.
+    nodes. It is factored once, by the minimum-degree sparse factorization
+    that the Lanczos eigensolver also uses, with the k distinct query nodes
+    eliminated last. One solve against noise2^{-1} sum_i e_i y_i gives the
+    mean. The covariance at the queries is the inverse of their Schur
+    complement, whose LU factors are the factor's rows and columns at the
+    query positions, so it costs one k x k triangular inversion and no
+    covariance columns. A non-symmetric precision raises ``ValueError``; a
+    singular or indefinite one raises ``scipy.linalg.LinAlgError``.
     """
-    q_prior = sp.csc_array(precision)
-    n = q_prior.shape[0]
-    if q_prior.shape[0] != q_prior.shape[1]:
+    q_post = sp.csc_array(precision)
+    n = q_post.shape[0]
+    if q_post.shape[0] != q_post.shape[1]:
         raise ValueError("precision must be square")
+    asymmetry = np.abs((q_post - q_post.T).data).max(initial=0.0)
+    if asymmetry > 1e-10 * np.abs(q_post.data).max(initial=0.0):
+        raise ValueError(
+            f"precision must be symmetric; |Q - Q^T| reaches {asymmetry:.3e}"
+        )
     if not (np.isfinite(noise2) and noise2 > 0):
         raise ValueError(f"noise2 must be positive, got {noise2!r}")
     x, y = _as_observations(train_nodes, targets, n)
@@ -519,18 +530,34 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
             "pass a smaller query"
         )
 
-    obs_precision = np.bincount(x, minlength=n) / noise2
-    lu = _factor_spd(q_prior + sp.diags_array(obs_precision), "posterior precision")
-    rhs = np.zeros((n, 1 + q.size), order="F")
-    rhs[:, 0] = np.bincount(x, weights=y / noise2, minlength=n)
-    rhs[q, 1 + np.arange(q.size)] = 1.0
-    sol = lu.solve(rhs)
-    mean = sol[q, 0]
-    cov = sol[q, 1:]
+    nodes, inverse = np.unique(q, return_inverse=True)
+    k = nodes.size
+    q_post = q_post + sp.diags_array(np.bincount(x, minlength=n) / noise2)
+    lu, order = _factor_spd(q_post, "posterior precision", last=nodes)
+    del q_post
+    b = np.bincount(x, weights=y / noise2, minlength=n)
+    mean = np.empty(n)
+    mean[order] = lu.solve(b[order])
+    pivots = lu.U.diagonal()
+    if not np.all(pivots > 0):
+        raise scipy.linalg.LinAlgError(
+            "posterior precision is not positive definite: a pivot is "
+            f"{pivots.min():.3e}"
+        )
+    # The query nodes sit at factor positions perm_c[n-k:]; sorted, they
+    # index lower and upper triangular blocks of L and U.
+    at = np.argsort(lu.perm_c[n - k:])
+    pos = lu.perm_c[n - k:][at]
+    rows = np.searchsorted(nodes, order[n - k:][at])
+    l_tt = lu.L[:, pos][pos].toarray()
+    u_tt = lu.U[:, pos][pos].toarray()
+    del lu
+    inv_l = solve_triangular(l_tt, np.eye(k), lower=True, unit_diagonal=True)
+    cov = np.empty((k, k))
+    cov[np.ix_(rows, rows)] = solve_triangular(u_tt, inv_l)
+    cov = cov[np.ix_(inverse, inverse)]
     cov = (cov + cov.T) / 2.0
-    return PosteriorSummary(
-        mean=mean, variance=np.maximum(np.diag(cov), 0.0), covariance=cov
-    )
+    return PosteriorSummary(mean=mean[q], variance=np.diag(cov).copy(), covariance=cov)
 
 
 def _read_node_csv(path, value_name, parse):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spilu, splu
 
 from .graphs import LaplacianOperator
 
@@ -29,7 +29,6 @@ __all__ = [
     "EigensolverError",
     "eigendecompose_full",
     "eigendecompose_truncated",
-    "truncate_basis",
     "apply_spectral_function",
     "heat_propagate",
     "laplacian_hash",
@@ -80,25 +79,48 @@ class SpectralBasis:
         return self.n_retained == self.total_dim
 
 
-def _factor_spd(matrix, name):
-    """SuperLU factor of a sparse symmetric positive-definite matrix.
+def _factor_spd(matrix, name, last=()):
+    """Unpivoted SuperLU factor of a sparse symmetric positive-definite matrix.
 
-    Orders with the minimum-degree ordering of A^T + A. SuperLU's default,
-    COLAMD, orders for unsymmetric matrices and nearly doubles the fill on
-    symmetric ones: L + U hold 25.4M against 14.4M nonzeros for the nu = 2
-    posterior precision of a 50k-node 8-neighbour lattice. Partial pivoting
-    stays on; turning it off (``diag_pivot_thresh=0``, ``SymmetricMode``)
-    saved less than the run-to-run spread and would leave a precision that
-    is not positive definite unpivoted. A failed factorization is raised as
+    Returns ``(lu, order)``: ``lu`` factors ``matrix[order][:, order]``, so
+    ``x[order] = lu.solve(b[order])`` solves ``matrix @ x = b``. ``order`` is
+    SuperLU's minimum-degree ordering of A^T + A with the nodes in ``last``
+    moved to the end, each part keeping its order. Eliminated last, those
+    nodes form an ancestor-closed set of the elimination tree, so the
+    factor's rows and columns at their positions are the LU factors of their
+    Schur complement.
+
+    SuperLU's default ordering, COLAMD, orders for unsymmetric matrices and
+    nearly doubles the fill on symmetric ones: L + U hold 25.4M against
+    14.4M nonzeros for the nu = 2 posterior precision of a 50k-node
+    8-neighbour lattice. scipy has no ordering routine, so the ordering is
+    read from an incomplete factorization that drops every entry. The
+    factorization itself does not pivot, as positive definiteness allows. A
+    failure, or a zero diagonal that forces an off-diagonal pivot, raises
     ``LinAlgError`` naming ``name``.
     """
+    matrix = sp.csc_array(matrix)
+    n = matrix.shape[0]
     try:
-        return splu(sp.csc_array(matrix), permc_spec="MMD_AT_PLUS_A")
+        ordering = spilu(
+            matrix, permc_spec="MMD_AT_PLUS_A", drop_tol=1e300, fill_factor=1,
+            diag_pivot_thresh=0, options=dict(SymmetricMode=True),
+        ).perm_c
+        order = np.empty(n, dtype=np.intp)
+        order[ordering] = np.arange(n)
+        moved = np.isin(order, last)
+        order = np.concatenate([order[~moved], order[moved]])
+        lu = splu(matrix[order][:, order], permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise scipy.linalg.LinAlgError(
             f"{name} factorization failed ({exc}); the matrix may be singular "
             "or badly scaled"
         ) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise scipy.linalg.LinAlgError(
+            f"{name} factorization needed pivoting; the matrix is not positive definite"
+        )
+    return lu, order
 
 
 def _residual_norms(matrix, values, vectors) -> np.ndarray:
@@ -207,8 +229,15 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
     gershgorin = _gershgorin(mat)
     sigma = -1e-3 * max(gershgorin, 1.0)
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
-    shifted = _factor_spd(mat - sigma * sp.eye_array(n, format="csc"), "shifted laplacian")
-    opinv = LinearOperator((n, n), matvec=shifted.solve, dtype=float)
+    shifted, order = _factor_spd(mat - sigma * sp.eye_array(n, format="csc"),
+                                 "shifted laplacian")
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = shifted.solve(b[order])
+        return x
+
+    opinv = LinearOperator((n, n), matvec=solve, dtype=float)
     try:
         values, vectors = eigsh(
             mat,
@@ -235,20 +264,6 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
             residual_norms=residuals,
         ) from exc
     return _finalize(values, vectors, n, operator.kind, norm_bound=gershgorin)
-
-
-def truncate_basis(basis: SpectralBasis, n_pairs: int) -> SpectralBasis:
-    """Keep the lowest ``n_pairs`` pairs of an existing basis."""
-    if not 1 <= n_pairs <= basis.n_retained:
-        raise ValueError(
-            f"n_pairs={n_pairs} out of range for basis with {basis.n_retained} pairs"
-        )
-    return SpectralBasis(
-        eigenvalues=basis.eigenvalues[:n_pairs],
-        eigenvectors=basis.eigenvectors[:, :n_pairs],
-        total_dim=basis.total_dim,
-        laplacian_kind=basis.laplacian_kind,
-    )
 
 
 def apply_spectral_function(basis: SpectralBasis, fn) -> np.ndarray:

@@ -5,6 +5,8 @@ from dense numpy/scipy primitives (eigh, expm, solve) so that agreement is
 evidence, not circularity.
 """
 
+import dataclasses
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -34,6 +36,13 @@ def random_connected_graph(rng, n, extra=0.15, wmin=0.2, wmax=2.0):
             if rng.random() < extra:
                 edges.append((i, j, float(rng.uniform(wmin, wmax))))
     return WeightedGraph.from_edges(edges, node_count=n)
+
+
+def leading_pairs(basis, k):
+    """The lowest ``k`` eigenpairs of ``basis``, sliced."""
+    return dataclasses.replace(
+        basis, eigenvalues=basis.eigenvalues[:k], eigenvectors=basis.eigenvectors[:, :k]
+    )
 
 
 def path_graph(n, weight=1.0):

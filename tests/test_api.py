@@ -50,22 +50,25 @@ def _calls(tree, names):
 
 
 def test_sparse_factorizations_share_the_minimum_degree_helper():
-    """``splu`` runs only in ``spectral._factor_spd`` with the minimum-degree
-    ordering, ``eigsh`` only with an ``OPinv`` built from it, and ``spsolve``
-    or ``factorized`` not at all, so no sparse solve falls back to SuperLU's
-    default COLAMD ordering."""
+    """``spilu`` and ``splu`` run only in ``spectral._factor_spd``: the first
+    reads the minimum-degree ordering, the second factors in the order given
+    (``NATURAL``). ``eigsh`` runs only with an ``OPinv`` built from it, and
+    ``spsolve`` or ``factorized`` not at all, so no sparse solve falls back
+    to SuperLU's default COLAMD ordering."""
     package = Path(graph_matern.__file__).parent
+    specs = {"spilu": "MMD_AT_PLUS_A", "splu": "NATURAL"}
     seen = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for func, name, call in _calls(tree, {"splu", "eigsh", "spsolve", "factorized"}):
+        names = {"spilu", "splu", "eigsh", "spsolve", "factorized"}
+        for func, name, call in _calls(tree, names):
             where = f"{name} at {path.name}:{call.lineno}"
             keywords = {k.arg: k.value for k in call.keywords}
             seen.append(name)
-            if name == "splu":
+            if name in specs:
                 assert (path.name, func) == ("spectral.py", "_factor_spd"), where
                 spec = keywords.get("permc_spec")
-                assert isinstance(spec, ast.Constant) and spec.value == "MMD_AT_PLUS_A", where
+                assert isinstance(spec, ast.Constant) and spec.value == specs[name], where
             else:
                 assert name == "eigsh" and "OPinv" in keywords, where
-    assert sorted(seen) == ["eigsh", "splu"]
+    assert sorted(seen) == ["eigsh", "spilu", "splu"]

@@ -15,13 +15,13 @@ from graph_matern import (
     separable_product_kernel,
     spectral_weights,
     trainable_params,
-    truncate_basis,
 )
 from graph_matern import kernels
 from helpers import (
     dense_laplacian,
     dense_spectral_kernel,
     diffusion_profile,
+    leading_pairs,
     matern_profile,
     path_graph,
     random_connected_graph,
@@ -258,7 +258,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(95)
         g = random_connected_graph(rng, 15)
         basis = eigendecompose_full(build_laplacian(g, "unnormalized"))
-        part = truncate_basis(basis, 5)
+        part = leading_pairs(basis, 5)
         k = kernel_matrix(part, MATERN)
         assert np.linalg.matrix_rank(k, tol=1e-10) <= 5
         u = part.eigenvectors

@@ -28,7 +28,6 @@ from graph_matern import (
     posterior,
     read_targets_csv,
     save_model,
-    truncate_basis,
     woodbury_posterior,
 )
 from graph_matern.regression import (
@@ -36,9 +35,15 @@ from graph_matern.regression import (
     to_unconstrained,
     unconstrained_name,
 )
-from graph_matern import regression
+from graph_matern import regression, spectral
 from graph_matern.spectral import _factor_spd
-from helpers import conditional_gaussian, lattice_graph, path_graph, random_connected_graph
+from helpers import (
+    conditional_gaussian,
+    lattice_graph,
+    leading_pairs,
+    path_graph,
+    random_connected_graph,
+)
 
 MATERN = KernelSpec(family="matern", nu=1.5, kappa=2.0)
 
@@ -62,7 +67,7 @@ def _spectral_problem(seed, spec=MATERN, n=40, n_pairs=12, n_train=30, noise2=0.
     full = eigendecompose_full(build_laplacian(g, spec.laplacian_kind))
     train = np.sort(rng.choice(n, size=n_train, replace=False))
     model = GPRegressionModel(
-        spec=spec, basis=truncate_basis(full, n_pairs), train_nodes=train,
+        spec=spec, basis=leading_pairs(full, n_pairs), train_nodes=train,
         targets=rng.standard_normal(n_train), noise2=noise2,
     )
     assert regression._lml_route(model) == "spectral"
@@ -179,7 +184,7 @@ class TestWoodburyPosterior:
 
     def test_truncated_basis_agrees_with_dense_on_same_rank(self):
         rng, model = _problem(33)
-        part = truncate_basis(model.basis, 6)
+        part = leading_pairs(model.basis, 6)
         small = GPRegressionModel(
             model.spec, part, model.train_nodes, model.targets, model.noise2
         )
@@ -532,6 +537,67 @@ class TestGmrfPosterior:
             assert_allclose(out.mean, mean, rtol=1e-8, atol=1e-10)
             assert_allclose(out.covariance, cov, rtol=1e-8, atol=1e-10)
 
+    @staticmethod
+    def _two_components(rng):
+        """Precision of two disconnected random graphs, as one 20-node GMRF."""
+        parts = [
+            matern_precision_sparse(
+                build_laplacian(random_connected_graph(rng, size), "unnormalized"), 2, 1.4
+            )
+            for size in (12, 8)
+        ]
+        return sp.block_diag(parts, format="csr")
+
+    @pytest.mark.parametrize(
+        "query",
+        [np.array([2, 15, 7, 19]), np.array([9, 3, 9, 14, 3, 0]),
+         np.array([], dtype=np.int64), None],
+        ids=["both_components", "repeated_unsorted", "empty", "all_nodes"],
+    )
+    def test_query_shapes_match_dense_inverse_oracle(self, query):
+        rng = np.random.default_rng(84)
+        q_prior = self._two_components(rng)
+        k_full = np.linalg.inv(q_prior.toarray())
+        train = np.array([1, 5, 13, 17])
+        y = rng.standard_normal(4)
+        nodes = np.arange(20) if query is None else query
+        mean, cov = conditional_gaussian(k_full, train, nodes, y, 0.05)
+        out = gmrf_posterior(q_prior, 0.05, train, y, query)
+        assert out.covariance.shape == (nodes.size, nodes.size)
+        assert_allclose(out.mean, mean, rtol=1e-8, atol=1e-10)
+        assert_allclose(out.covariance, cov, rtol=1e-8, atol=1e-10)
+        assert_allclose(out.variance, np.diag(cov), rtol=1e-8, atol=1e-10)
+
+    def test_one_factorization_and_one_vector_solve(self, monkeypatch):
+        """The covariance comes from the factor itself: the only solve is the
+        mean's, with a 1-d right-hand side."""
+        factors, solves = [], []
+
+        class Counted:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def solve(self, b):
+                solves.append(np.shape(b))
+                return self._lu.solve(b)
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+        real = spectral.splu
+
+        def counted_splu(*args, **kwargs):
+            factors.append(1)
+            return Counted(real(*args, **kwargs))
+
+        monkeypatch.setattr(spectral, "splu", counted_splu)
+        rng = np.random.default_rng(85)
+        q_prior = self._two_components(rng)
+        gmrf_posterior(q_prior, 0.1, np.array([0, 4, 12]), rng.standard_normal(3),
+                       np.arange(0, 20, 3))
+        assert len(factors) == 1
+        assert solves == [(20,)]
+
     def test_dual_to_spectral_posterior(self):
         rng = np.random.default_rng(81)
         g = random_connected_graph(rng, 14)
@@ -571,6 +637,16 @@ class TestGmrfPosterior:
         with pytest.raises(ValueError, match="noise2"):
             gmrf_posterior(q_prior, 0.0, np.array([1]), np.array([1.0]))
 
+    def test_non_symmetric_precision_rejected(self):
+        q_prior = sp.diags_array([2.0 * np.ones(4), 0.9 * np.ones(3)], offsets=[0, 1])
+        with pytest.raises(ValueError, match="symmetric"):
+            gmrf_posterior(q_prior, 0.1, np.array([1]), np.array([1.0]), np.arange(4))
+
+    def test_indefinite_precision_fails_by_name(self):
+        q_prior = sp.diags_array([1.0, -2.0, 3.0, 1.0])
+        with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
+            gmrf_posterior(q_prior, 0.1, np.array([0]), np.array([1.0]), np.arange(4))
+
     def test_singular_precision_fails_by_name(self):
         q_prior = sp.csr_array((5, 5))
         with pytest.raises(scipy.linalg.LinAlgError, match="factorization failed"):
@@ -583,9 +659,14 @@ class TestGmrfPosterior:
             matern_precision_sparse(op, 2, kappa=10.0)
             + sp.diags_array(np.bincount(obs, minlength=op.node_count) / 0.01)
         )
-        ours = _factor_spd(q_post, "posterior precision")
+        ours, _ = _factor_spd(q_post, "posterior precision")
         colamd = splu(q_post, permc_spec="COLAMD")
         assert ours.L.nnz + ours.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    def test_zero_diagonal_pivot_fails_by_name(self):
+        swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
+            _factor_spd(swap, "posterior precision")
 
     def test_dense_query_over_limit_fails_by_name(self):
         op = build_laplacian(path_graph(20000), "unnormalized")
@@ -615,7 +696,7 @@ class TestSnapshotAndCsv:
         _, model = _problem(91)
         path = tmp_path / "model.json"
         save_model(model, path)
-        part = truncate_basis(model.basis, 5)
+        part = leading_pairs(model.basis, 5)
         with pytest.raises(ValueError, match="eigenpairs"):
             load_model(path, part)
         payload = path.read_text().replace('"schema_version": 1', '"schema_version": 2')

@@ -19,13 +19,13 @@ from graph_matern import (
     laplacian_hash,
     load_basis,
     save_basis,
-    truncate_basis,
 )
 from graph_matern.spectral import DENSE_SIZE_LIMIT, _finalize
 from helpers import (
     complete_graph,
     dense_laplacian,
     lattice_graph,
+    leading_pairs,
     path_graph,
     random_connected_graph,
     random_graph,
@@ -129,7 +129,7 @@ class TestTruncatedDecomposition:
         for g, k, solve in cases:
             for kind in ("unnormalized", "sym_normalized"):
                 op = build_laplacian(g, kind)
-                reference = truncate_basis(eigendecompose_full(op), k)
+                reference = leading_pairs(eigendecompose_full(op), k)
                 basis = solve(op, k)
                 assert basis.n_retained == k
                 assert_allclose(basis.eigenvalues, reference.eigenvalues, rtol=0, atol=1e-12)
@@ -201,15 +201,6 @@ class TestTruncatedDecomposition:
         for k in (0, -2):
             with pytest.raises(ValueError, match="out of range"):
                 cached_eigendecomposition(op, k)
-
-    def test_truncate_basis(self):
-        basis = _basis(path_graph(8))
-        part = truncate_basis(basis, 3)
-        assert_array_equal(part.eigenvalues, basis.eigenvalues[:3])
-        assert_array_equal(part.eigenvectors, basis.eigenvectors[:, :3])
-        assert part.total_dim == 8
-        with pytest.raises(ValueError, match="out of range"):
-            truncate_basis(part, 4)
 
 
 class TestApplySpectralFunction:
@@ -329,7 +320,7 @@ class TestCacheFormat:
         assert loaded.laplacian_kind == "sym_normalized"
 
     def test_roundtrip_truncated(self, tmp_path):
-        basis = truncate_basis(_basis(path_graph(9)), 4)
+        basis = leading_pairs(_basis(path_graph(9)), 4)
         path = tmp_path / "part.eig"
         save_basis(path, basis)
         loaded = load_basis(path, "unnormalized")
