@@ -57,6 +57,8 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _VAR_FLOOR = 1e-12
+# Monte Carlo samples per predictive vote; bounds its arrays at chunk x k x C.
+_VOTE_CHUNK = 16
 
 
 def robustmax(f, epsilon: float = 1e-3) -> np.ndarray:
@@ -610,15 +612,19 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
     """Monte Carlo predictive class probabilities and hard labels.
 
     The probabilities are the sampled average of the robust-max link, so the
-    rows sum to one up to rounding. Returns (probs (k, C), labels (k,)).
+    rows sum to one up to rounding. Samples are drawn in chunks from the
+    one generator, which gives the same stream as a single draw. Returns
+    (probs (k, C), labels (k,)).
     """
     mean, var, _ = _marginals(model, _as_query(query, model.basis.total_dim))
     sd = np.sqrt(np.maximum(var, _VAR_FLOOR))
     rng = np.random.default_rng(seed)
-    draws = mean[None] + sd[None] * rng.standard_normal((mc_samples,) + mean.shape)
-    winners = np.argmax(draws, axis=-1)
     k, c = mean.shape
-    votes = np.bincount((np.arange(k) * c + winners).ravel(), minlength=k * c)
+    votes = np.zeros(k * c, dtype=np.int64)
+    for start in range(0, mc_samples, _VOTE_CHUNK):
+        z = rng.standard_normal((min(_VOTE_CHUNK, mc_samples - start), k, c))
+        winners = np.argmax(mean + sd * z, axis=-1)
+        votes += np.bincount((np.arange(k) * c + winners).ravel(), minlength=k * c)
     freq = votes.reshape(k, c) / mc_samples
     low = model.epsilon / (c - 1)
     probs = low + (1.0 - model.epsilon - low) * freq

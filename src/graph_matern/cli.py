@@ -366,7 +366,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare_kernels(args) -> int:
-    graph = read_edge_list(args.graph)
+    timings = {}
+    graph = _timed(timings, "parse_s", read_edge_list, args.graph)
     if args.task == "regression":
         if args.targets is None:
             raise ValueError("--targets is required for the regression task")
@@ -386,9 +387,11 @@ def cmd_compare_kernels(args) -> int:
 
     bases = {}
     for kind in ("unnormalized", "sym_normalized"):
-        _, basis, _, _ = _basis_for(graph, kind, args.eigenpairs, args.cache_dir, {})
-        bases[kind] = basis
+        stage = timings[kind] = {}
+        _, bases[kind], stage["eigen_cache_hit"], _ = _basis_for(
+            graph, kind, args.eigenpairs, args.cache_dir, stage)
 
+    start = time.perf_counter()
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     rows = []
     for family, kind in _COMPARE_ROWS:
@@ -434,6 +437,7 @@ def cmd_compare_kernels(args) -> int:
             f"{np.mean(scores):.4f} ({np.std(scores):.4f})"
         )
 
+    timings["compare_s"] = time.perf_counter() - start
     out = _out_dir(args)
     _write_csv(
         out / "results.csv",
@@ -451,6 +455,7 @@ def cmd_compare_kernels(args) -> int:
         "test_size": args.test_size,
         "iterations": args.iterations,
         "rows": rows,
+        "timings": timings,
     })
     return 0
 

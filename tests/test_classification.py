@@ -554,6 +554,26 @@ class TestPredictClasses:
         low = model.epsilon / 2
         assert_array_equal(probs, low + (1.0 - model.epsilon - low) * (freq / 50))
 
+    @pytest.mark.parametrize("extra_chunks,rest", [(2, 5), (0, 3)],
+                             ids=["not_a_multiple", "below_one_chunk"])
+    def test_chunked_votes_equal_one_shot_draw(self, extra_chunks, rest):
+        """Votes drawn chunk by chunk equal the vote of one draw of all
+        samples from the same generator, bit for bit."""
+        samples = extra_chunks * classification._VOTE_CHUNK + rest
+        rng, model = _classifier(35, n=20)
+        query = np.array([3, 0, 7, 7, 19])
+        probs, labels = predict_classes(model, query, mc_samples=samples, seed=4)
+        mean, var, _ = _marginals(model, query)
+        sd = np.sqrt(np.maximum(var, classification._VAR_FLOOR))
+        noise = np.random.default_rng(4).standard_normal((samples,) + mean.shape)
+        winners = np.argmax(mean[None] + sd[None] * noise, axis=-1)
+        k, c = mean.shape
+        votes = np.bincount((np.arange(k) * c + winners).ravel(), minlength=k * c)
+        low = model.epsilon / (c - 1)
+        expected = low + (1.0 - model.epsilon - low) * (votes.reshape(k, c) / samples)
+        assert_array_equal(probs, expected)
+        assert_array_equal(labels, np.argmax(expected, axis=-1))
+
     def test_query_validation(self):
         rng, model = _classifier(33)
         with pytest.raises(ValueError, match="out of range"):

@@ -405,6 +405,34 @@ class TestCompareKernels:
             assert_allclose(row["mean"], runs.mean(), rtol=1e-12)
             assert_allclose(row["std"], runs.std(), rtol=1e-9, atol=1e-12)
 
+    def test_results_record_timings_and_eigen_cache(self, classify_case, tmp_path):
+        """``results.json`` times the parse, each Laplacian kind's basis (with
+        its cache outcome) and the comparison loop; the CSV does not change
+        between a cold and a warm cache."""
+        graph_path, labels_path = classify_case
+        cache = tmp_path / "cache"
+        runs = []
+        for name in ("miss", "hit"):
+            assert main([
+                "compare-kernels", "--graph", str(graph_path),
+                "--task", "classification", "--labels", str(labels_path),
+                "--out", str(tmp_path / name), "--cache-dir", str(cache),
+                "--train-size", "6", "--repeats", "1", "--iterations", "3",
+                "--mc-samples", "2", "--predict-samples", "5",
+            ]) == 0
+            runs.append(json.loads((tmp_path / name / "results.json").read_text()))
+        kinds = ("unnormalized", "sym_normalized")
+        for run, hit, stage in zip(runs, (False, True), ("eigensolve_s", "cache_load_s")):
+            timings = run["timings"]
+            assert set(timings) == {"parse_s", "compare_s", *kinds}
+            assert_timings({k: timings[k] for k in ("parse_s", "compare_s")},
+                           ("parse_s", "compare_s"))
+            for kind in kinds:
+                assert timings[kind].pop("eigen_cache_hit") is hit
+                assert_timings(timings[kind], ("laplacian_s", stage))
+        assert ((tmp_path / "miss" / "results.csv").read_bytes()
+                == (tmp_path / "hit" / "results.csv").read_bytes())
+
     @pytest.mark.filterwarnings("ignore:random walk base", "ignore:dropping")
     def test_regression_comparison_runs(self, regression_case, tmp_path):
         graph_path, targets_path, _ = regression_case

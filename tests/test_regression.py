@@ -643,14 +643,18 @@ class TestGmrfPosterior:
             gmrf_posterior(q_prior, 0.1, np.array([1]), np.array([1.0]), np.arange(4))
 
     def test_indefinite_precision_fails_by_name(self):
+        # with query nodes eliminated last, and with none (the one-call factor)
         q_prior = sp.diags_array([1.0, -2.0, 3.0, 1.0])
-        with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
-            gmrf_posterior(q_prior, 0.1, np.array([0]), np.array([1.0]), np.arange(4))
+        for query in (np.arange(4), np.arange(0)):
+            with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
+                gmrf_posterior(q_prior, 0.1, np.array([0]), np.array([1.0]), query)
 
     def test_singular_precision_fails_by_name(self):
         q_prior = sp.csr_array((5, 5))
         with pytest.raises(scipy.linalg.LinAlgError, match="factorization failed"):
             gmrf_posterior(q_prior, 0.1, np.array([1]), np.array([1.0]))
+        with pytest.raises(scipy.linalg.LinAlgError, match="factorization failed"):
+            _factor_spd(q_prior, "posterior precision")
 
     def test_minimum_degree_fill_below_colamd(self):
         op = build_laplacian(lattice_graph(40, diagonals=True), "unnormalized")
@@ -665,8 +669,9 @@ class TestGmrfPosterior:
 
     def test_zero_diagonal_pivot_fails_by_name(self):
         swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
-            _factor_spd(swap, "posterior precision")
+        for last in ((), [1]):
+            with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
+                _factor_spd(swap, "posterior precision", last=last)
 
     def test_dense_query_over_limit_fails_by_name(self):
         op = build_laplacian(path_graph(20000), "unnormalized")

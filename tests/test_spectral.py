@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from graph_matern import (
     CACHE_ENV_VAR,
@@ -19,8 +21,9 @@ from graph_matern import (
     laplacian_hash,
     load_basis,
     save_basis,
+    spectral,
 )
-from graph_matern.spectral import DENSE_SIZE_LIMIT, _finalize
+from graph_matern.spectral import DENSE_SIZE_LIMIT, _factor_spd, _finalize, _gershgorin
 from helpers import (
     complete_graph,
     dense_laplacian,
@@ -34,6 +37,32 @@ from helpers import (
 
 def _basis(graph, kind="unnormalized"):
     return eigendecompose_full(build_laplacian(graph, kind))
+
+
+def _assert_lowest_pairs(op, basis, values, vectors):
+    """``basis`` holds the pairs ``(values, vectors)`` of a dense solve: the
+    same values to 1e-12, residuals and orthonormality to 1e-12, and the
+    same subspace to 1e-10 radians."""
+    k = values.size
+    assert basis.n_retained == k
+    assert_allclose(basis.eigenvalues, values, rtol=0, atol=1e-12)
+    u = basis.eigenvectors
+    residuals = np.linalg.norm(op.matrix @ u - u * basis.eigenvalues, axis=0)
+    assert residuals.max() <= 1e-12
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+    assert np.max(scipy.linalg.subspace_angles(u, vectors)) <= 1e-10
+
+
+def _dense_pairs(op, k):
+    return scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1])
+
+
+def _disjoint(*graphs):
+    """The union of ``graphs`` on consecutive node ranges, with no edge between them."""
+    offsets = np.cumsum([0] + [g.node_count for g in graphs])
+    edges = np.vstack([np.column_stack([g.u + off, g.v + off, g.w])
+                       for g, off in zip(graphs, offsets)])
+    return WeightedGraph.from_edges(edges, node_count=int(offsets[-1]))
 
 
 class TestFullDecomposition:
@@ -130,15 +159,8 @@ class TestTruncatedDecomposition:
             for kind in ("unnormalized", "sym_normalized"):
                 op = build_laplacian(g, kind)
                 reference = leading_pairs(eigendecompose_full(op), k)
-                basis = solve(op, k)
-                assert basis.n_retained == k
-                assert_allclose(basis.eigenvalues, reference.eigenvalues, rtol=0, atol=1e-12)
-                u = basis.eigenvectors
-                residuals = np.linalg.norm(op.matrix @ u - u * basis.eigenvalues, axis=0)
-                assert residuals.max() <= 1e-12
-                assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
-                angles = scipy.linalg.subspace_angles(u, reference.eigenvectors)
-                assert np.max(angles) <= 1e-10
+                _assert_lowest_pairs(op, solve(op, k), reference.eigenvalues,
+                                     reference.eigenvectors)
                 # a full request keeps the plain full solve, bit for bit
                 n = g.node_count
                 full = eigendecompose_full(op)
@@ -146,6 +168,81 @@ class TestTruncatedDecomposition:
                               cached_eigendecomposition(op, n)[0]):
                     assert_array_equal(other.eigenvalues, full.eigenvalues)
                     assert_array_equal(other.eigenvectors, full.eigenvectors)
+
+    def test_shift_lies_between_zero_and_the_second_eigenvalue(self, monkeypatch):
+        """On a 40 x 40 lattice, lambda_2 lies below 1e-3 of the Gershgorin
+        bound, where the shift used to sit. The shift now sits closer to 0
+        than lambda_2, and the pairs match a dense solve."""
+        shifts = []
+        real = spectral.eigsh
+
+        def recording(*args, **kwargs):
+            shifts.append(kwargs["sigma"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigsh", recording)
+        for kind in ("unnormalized", "sym_normalized"):
+            op = build_laplacian(lattice_graph(40), kind)
+            values, vectors = _dense_pairs(op, 8)
+            assert 1e-3 * max(_gershgorin(op.matrix), 1.0) > values[1]
+            basis = eigendecompose_truncated(op, 8)
+            assert len(shifts) == 1
+            sigma = shifts.pop()
+            assert sigma < 0 and abs(sigma) < values[1]
+            _assert_lowest_pairs(op, basis, values, vectors)
+
+    def test_repeated_zero_eigenvalue_of_two_components(self):
+        """Two disconnected lattices give eigenvalue 0 twice; the Lanczos
+        path finds both and the pairs above them."""
+        g = _disjoint(lattice_graph(30), lattice_graph(20))
+        for kind in ("unnormalized", "sym_normalized"):
+            op = build_laplacian(g, kind)
+            values, vectors = _dense_pairs(op, 7)
+            assert values[1] < 1e-12 < values[2]
+            _assert_lowest_pairs(op, eigendecompose_truncated(op, 7), values, vectors)
+
+    def test_lanczos_factors_once_without_an_ordering_pass(self, monkeypatch):
+        """Without ``last``, ``_factor_spd`` is one ``splu`` call that orders
+        by minimum degree itself; ``spilu`` never runs."""
+        calls = []
+        for name in ("splu", "spilu"):
+            real = getattr(spectral, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append((_name, kwargs.get("permc_spec")))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(spectral, name, counted)
+        op = build_laplacian(lattice_graph(12, diagonals=True), "unnormalized")
+        shifted = sp.csc_array(op.matrix + 0.1 * sp.eye_array(op.node_count))
+        lu, order = _factor_spd(shifted, "shifted laplacian")
+        assert calls == [("splu", "MMD_AT_PLUS_A")]
+        assert_array_equal(order, np.arange(op.node_count))
+        b = np.random.default_rng(36).standard_normal(op.node_count)
+        assert_allclose(shifted @ lu.solve(b), b, rtol=0, atol=1e-12)
+        calls.clear()
+        eigendecompose_truncated(op, 5)
+        assert calls == [("splu", "MMD_AT_PLUS_A")]
+
+    def test_no_convergence_names_converged_pairs(self, monkeypatch):
+        op = build_laplacian(lattice_graph(6), "unnormalized")
+        full = eigendecompose_full(op)
+
+        def failing(values, vectors):
+            def eigsh(*args, **kwargs):
+                raise ArpackNoConvergence("no convergence", values, vectors)
+            return eigsh
+
+        pairs = (full.eigenvalues[:2], full.eigenvectors[:, :2])
+        monkeypatch.setattr(spectral, "eigsh", failing(*pairs))
+        with pytest.raises(EigensolverError, match=r"converged 2/5 pairs; residual norms") as err:
+            eigendecompose_truncated(op, 5)
+        assert err.value.residual_norms.shape == (2,)
+        assert err.value.residual_norms.max() <= 1e-12
+        monkeypatch.setattr(spectral, "eigsh", failing(np.empty(0), np.empty((36, 0))))
+        with pytest.raises(EigensolverError, match=r"^ARPACK converged 0/5 pairs$") as err:
+            eigendecompose_truncated(op, 5)
+        assert err.value.residual_norms is None
 
     def test_partial_dense_request_solves_only_the_subset(self, monkeypatch):
         seen = []
