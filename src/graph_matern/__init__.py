@@ -4,10 +4,8 @@ from .graphs import (
     LaplacianOperator,
     WeightedGraph,
     build_laplacian,
-    connected_components,
     parse_edge_list,
     read_edge_list,
-    read_node_id_map,
 )
 from .spectral import (
     CACHE_ENV_VAR,
@@ -27,7 +25,6 @@ from .kernels import (
     KernelSpec,
     kernel_matrix,
     matern_precision_sparse,
-    separable_product_kernel,
     spectral_weights,
     trainable_params,
 )
@@ -58,11 +55,9 @@ from .classification import (
 from .optim import (
     AdamConfig,
     AdamState,
-    Standardizer,
     adam_step,
     metrics,
     random_split,
-    standardize,
 )
 
 __version__ = "0.1.0"

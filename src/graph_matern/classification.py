@@ -28,10 +28,9 @@ import scipy.linalg
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import log_ndtr
 
-from .kernels import KernelSpec, spectral_weights, trainable_params
+from .kernels import KernelSpec, _as_query, spectral_weights, trainable_params
 from .optim import AdamConfig, AdamState, adam_step
 from .regression import (
-    _as_query,
     _carry_cache,
     _read_node_csv,
     _read_snapshot,
@@ -482,6 +481,8 @@ def elbo(model: VariationalClassifier, batch, labels, mc_samples=20, seed=0, n_t
     ``n_total`` rescales the likelihood term to the full dataset size (N/b);
     by default the batch is taken to be the dataset.
     """
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
     batch = np.asarray(batch, dtype=np.int64)
     labels = _check_labels(model, batch, labels)
     if n_total is None:
@@ -537,6 +538,8 @@ def fit_classifier(
     (``batch_size``) and the Monte Carlo draws both consume the seed stream,
     so runs are reproducible.
     """
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
     config = config or AdamConfig()
     nodes = np.asarray(nodes, dtype=np.int64)
     labels = _check_labels(model, nodes, labels)
@@ -616,6 +619,8 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
     one generator, which gives the same stream as a single draw. Returns
     (probs (k, C), labels (k,)).
     """
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
     mean, var, _ = _marginals(model, _as_query(query, model.basis.total_dim))
     sd = np.sqrt(np.maximum(var, _VAR_FLOOR))
     rng = np.random.default_rng(seed)

@@ -240,12 +240,12 @@ def cmd_fit_regression(args) -> int:
     nodes, values = read_targets_csv(args.targets)
     if nodes.size == 0:
         raise ValueError("targets file is empty")
+    config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
+    train_idx, test_idx = _split(nodes.size, args.train_size, None, args.seed)
     _, basis, hit, path = _basis_for(
         graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
     )
 
-    train_idx, test_idx = _split(nodes.size, args.train_size, None, args.seed)
-    config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     model, trace = _timed(timings, "fit_s", fit, GPRegressionModel(
         spec=spec, basis=basis, train_nodes=nodes[train_idx],
         targets=values[train_idx], noise2=args.noise2,
@@ -285,20 +285,20 @@ def cmd_fit_classify(args) -> int:
         raise ValueError(
             f"label {int(labels.max())} out of range for {n_classes} declared classes"
         )
+    config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
+    train_idx, test_idx = _split(
+        nodes.size, args.train_size, args.test_size, args.seed
+    )
     _, basis, hit, path = _basis_for(
         graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
     )
 
-    train_idx, test_idx = _split(
-        nodes.size, args.train_size, args.test_size, args.seed
-    )
     model = VariationalClassifier.create(
         spec=spec,
         basis=basis,
         n_classes=n_classes,
         inducing_nodes=nodes[train_idx],
     )
-    config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     model, trace = _timed(
         timings, "fit_s", fit_classifier,
         model,
@@ -334,7 +334,11 @@ def cmd_predict(args) -> int:
     graph = _timed(timings, "parse_s", read_edge_list, args.graph)
     with open(args.model, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
+    if not isinstance(snapshot, dict):
+        raise ValueError(f"model snapshot {args.model} is not a JSON object")
     kind = snapshot.get("kind")
+    if kind not in ("regression", "classifier"):
+        raise ValueError(f"unknown snapshot kind {kind!r} in {args.model}")
     kernel = snapshot.get("kernel", {})
     lap = kernel.get("laplacian", "unnormalized")
     eigenpairs = snapshot.get("eigenpairs", graph.node_count)
@@ -345,15 +349,13 @@ def cmd_predict(args) -> int:
         summary = _timed(timings, "predict_s", woodbury_posterior, model,
                          query=None, diag=True)
         _write_regression_csv(out / "predictions.csv", summary)
-    elif kind == "classifier":
+    else:
         model = load_classifier(args.model, basis)
         probs, pred = _timed(
             timings, "predict_s", predict_classes,
             model, query=None, mc_samples=args.predict_samples, seed=args.seed,
         )
         _write_classification_csv(out / "predictions.csv", probs, pred)
-    else:
-        raise ValueError(f"unknown snapshot kind {kind!r} in {args.model}")
     _write_json(out / "summary.json", {
         "schema_version": _SCHEMA_VERSION,
         "timestamp": _timestamp(),
@@ -384,6 +386,7 @@ def cmd_compare_kernels(args) -> int:
     train_size = args.train_size
     if train_size is None:
         raise ValueError("--train-size is required for compare-kernels")
+    config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
 
     bases = {}
     for kind in ("unnormalized", "sym_normalized"):
@@ -392,7 +395,6 @@ def cmd_compare_kernels(args) -> int:
             graph, kind, args.eigenpairs, args.cache_dir, stage)
 
     start = time.perf_counter()
-    config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     rows = []
     for family, kind in _COMPARE_ROWS:
         spec = _default_spec(args.task, family, kind, args.rw_p)
@@ -542,6 +544,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("mc_samples", "predict_samples", "repeats"):
+            if getattr(args, name, 1) < 1:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} must be >= 1, got {getattr(args, name)}")
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

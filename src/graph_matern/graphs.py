@@ -18,16 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 __all__ = [
     "WeightedGraph",
     "LaplacianOperator",
     "parse_edge_list",
     "read_edge_list",
-    "read_node_id_map",
     "build_laplacian",
-    "connected_components",
 ]
 
 LAPLACIAN_KINDS = ("unnormalized", "sym_normalized")
@@ -144,14 +141,6 @@ class WeightedGraph:
     @property
     def edge_count(self) -> int:
         return int(self.u.size)
-
-    def adjacency(self) -> sp.csr_array:
-        """Symmetric weighted adjacency matrix."""
-        n = self.node_count
-        rows = np.concatenate([self.u, self.v])
-        cols = np.concatenate([self.v, self.u])
-        vals = np.concatenate([self.w, self.w])
-        return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     def degrees(self) -> np.ndarray:
         """Weighted degree of every node (zero for isolated nodes).
@@ -352,40 +341,6 @@ def read_edge_list(path) -> WeightedGraph:
         return parse_edge_list(fh.read())
 
 
-def read_node_id_map(path) -> dict:
-    """Read an ``id,index`` CSV mapping external ids to node indices.
-
-    A header line ``id,index`` is skipped if present. Indices must be unique
-    nonnegative integers; ids must be unique.
-    """
-    mapping = {}
-    used = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise ValueError(f"expected 'id,index' at line {lineno}")
-            if lineno == 1 and parts == ["id", "index"]:
-                continue
-            key, idx_text = parts
-            try:
-                idx = int(idx_text)
-            except ValueError:
-                raise ValueError(f"invalid index at line {lineno}") from None
-            if idx < 0:
-                raise ValueError(f"negative index at line {lineno}")
-            if key in mapping:
-                raise ValueError(f"duplicate id {key!r} at line {lineno}")
-            if idx in used:
-                raise ValueError(f"duplicate index {idx} at line {lineno}")
-            mapping[key] = idx
-            used.add(idx)
-    return mapping
-
-
 def build_laplacian(graph: WeightedGraph, kind: str = "unnormalized") -> LaplacianOperator:
     """Assemble L = D - W or its symmetric normalization.
 
@@ -411,11 +366,3 @@ def build_laplacian(graph: WeightedGraph, kind: str = "unnormalized") -> Laplaci
     mat.sum_duplicates()
     mat.sort_indices()
     return LaplacianOperator(kind=kind, matrix=mat, degrees=deg)
-
-
-def connected_components(graph: WeightedGraph) -> np.ndarray:
-    """Component label per node (labels are 0..k-1, order scipy's)."""
-    if graph.node_count == 0:
-        return np.zeros(0, dtype=np.int64)
-    _, labels = csgraph.connected_components(graph.adjacency(), directed=False)
-    return labels.astype(np.int64)

@@ -39,7 +39,6 @@ __all__ = [
     "trainable_params",
     "kernel_matrix",
     "matern_precision_sparse",
-    "separable_product_kernel",
 ]
 
 FAMILIES = ("matern", "diffusion", "random_walk", "inverse_cosine")
@@ -260,17 +259,16 @@ def spectral_weights(spec: KernelSpec, eigenvalues, total_dim=None, with_grads=F
     raise ValueError(f"unknown kernel family {spec.family!r}")
 
 
-def _select(basis: SpectralBasis, nodes):
-    if nodes is None:
-        return basis.eigenvectors, None
-    idx = np.asarray(nodes, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("node selection must be a 1-d index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= basis.total_dim):
-        raise ValueError(
-            f"node index out of range [0, {basis.total_dim}) in selection"
-        )
-    return basis.eigenvectors[idx], idx
+def _as_query(query, n):
+    """Query node indices into [0, n); all nodes when ``query`` is None."""
+    if query is None:
+        return np.arange(n, dtype=np.int64)
+    q = np.asarray(query, dtype=np.int64)
+    if q.ndim != 1:
+        raise ValueError("query must be a 1-d node index array")
+    if q.size and (q.min() < 0 or q.max() >= n):
+        raise ValueError(f"query node out of range [0, {n})")
+    return q
 
 
 def kernel_matrix(basis: SpectralBasis, spec: KernelSpec, rows=None, cols=None):
@@ -285,12 +283,13 @@ def kernel_matrix(basis: SpectralBasis, spec: KernelSpec, rows=None, cols=None):
             f"built from {basis.laplacian_kind!r}"
         )
     d, _ = spectral_weights(spec, basis.eigenvalues, basis.total_dim)
-    ur, ridx = _select(basis, rows)
-    uc, cidx = _select(basis, cols)
+    ridx = None if rows is None else _as_query(rows, basis.total_dim)
+    cidx = None if cols is None else _as_query(cols, basis.total_dim)
     same = (rows is None and cols is None) or (
         ridx is not None and cidx is not None and np.array_equal(ridx, cidx)
     )
-    k = (ur * d) @ uc.T
+    u = basis.eigenvectors
+    k = ((u if ridx is None else u[ridx]) * d) @ (u if cidx is None else u[cidx]).T
     if same:
         k = (k + k.T) / 2.0
     return k
@@ -319,35 +318,3 @@ def matern_precision_sparse(operator: LaplacianOperator, nu, kappa) -> sp.csr_ar
     q.sum_duplicates()
     q.sort_indices()
     return q
-
-
-def separable_product_kernel(base_kernel, graph_kernel):
-    """Product kernel on (feature, node) pairs.
-
-    ``base_kernel(Xa, Xb)`` must return the Gram matrix of the non-graph
-    factor; ``graph_kernel`` is a fixed (n, n) node kernel matrix. The result
-    is a callable gram((Xa, nodes_a), (Xb, nodes_b)=None) evaluating the
-    elementwise product k_base(x, x') * k_graph(i, i').
-    """
-    graph_kernel = np.asarray(graph_kernel, dtype=float)
-    if graph_kernel.ndim != 2 or graph_kernel.shape[0] != graph_kernel.shape[1]:
-        raise ValueError("graph_kernel must be a square matrix")
-
-    def gram(pairs_a, pairs_b=None):
-        xa, ia = pairs_a
-        xb, ib = (xa, ia) if pairs_b is None else pairs_b
-        ia = np.asarray(ia, dtype=np.int64)
-        ib = np.asarray(ib, dtype=np.int64)
-        n = graph_kernel.shape[0]
-        for idx in (ia, ib):
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise ValueError(f"node index out of range [0, {n}) in pairs")
-        kb = np.asarray(base_kernel(xa, xb), dtype=float)
-        if kb.shape != (ia.shape[0], ib.shape[0]):
-            raise ValueError(
-                f"base kernel returned shape {kb.shape}, expected "
-                f"{(ia.shape[0], ib.shape[0])}"
-            )
-        return kb * graph_kernel[np.ix_(ia, ib)]
-
-    return gram

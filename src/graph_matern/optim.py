@@ -16,8 +16,6 @@ __all__ = [
     "adam_step",
     "random_split",
     "metrics",
-    "standardize",
-    "Standardizer",
 ]
 
 
@@ -26,7 +24,8 @@ class AdamConfig:
     """Settings shared by the regression and classification fit loops.
 
     ``trainable`` is a tuple of parameter names, or None for the model's
-    default trainable set.
+    default trainable set. Settings no fit can run with raise ValueError
+    naming the field.
     """
 
     iterations: int = 20000
@@ -35,6 +34,19 @@ class AdamConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     trainable: tuple | None = None
+
+    def __post_init__(self):
+        if not self.iterations >= 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations!r}")
+        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps!r}")
 
 
 @dataclass
@@ -130,38 +142,3 @@ def metrics(predictions, truth, task: str) -> float:
     if task == "classification":
         return float(np.mean(predictions == truth))
     raise ValueError(f"unknown task {task!r}")
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    """Affine transform record from :func:`standardize`."""
-
-    mean: float
-    std: float
-
-    def apply(self, values):
-        return (np.asarray(values, dtype=float) - self.mean) / self.std
-
-    def invert(self, values):
-        return np.asarray(values, dtype=float) * self.std + self.mean
-
-    def invert_scale(self, values):
-        """Map standardized-scale spreads (std devs) back to data scale."""
-        return np.asarray(values, dtype=float) * self.std
-
-
-def standardize(train_values, values=None):
-    """Standardize by train-set mean/std; returns (transformed, Standardizer).
-
-    ``values`` defaults to the training values themselves. Constant training
-    targets are rejected because the scale would be degenerate.
-    """
-    train_values = np.asarray(train_values, dtype=float)
-    if values is None:
-        values = train_values
-    mean = float(np.mean(train_values))
-    std = float(np.std(train_values))
-    if std == 0.0 or not np.isfinite(std):
-        raise ValueError("training targets are constant: cannot standardize")
-    rec = Standardizer(mean=mean, std=std)
-    return rec.apply(values), rec

@@ -33,7 +33,7 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 import scipy.sparse as sp
 
-from .kernels import KernelSpec, spectral_weights, trainable_params
+from .kernels import KernelSpec, _as_query, spectral_weights, trainable_params
 from .optim import AdamConfig, AdamState, adam_step
 from .spectral import SpectralBasis, _factor_spd
 
@@ -227,18 +227,6 @@ def _as_observations(train_nodes, targets, n):
     if x.size and (x.min() < 0 or x.max() >= n):
         raise ValueError(f"training node out of range [0, {n})")
     return x, y
-
-
-def _as_query(query, n):
-    """Query node indices into [0, n); all nodes when ``query`` is None."""
-    if query is None:
-        return np.arange(n, dtype=np.int64)
-    q = np.asarray(query, dtype=np.int64)
-    if q.ndim != 1:
-        raise ValueError("query must be a 1-d node index array")
-    if q.size and (q.min() < 0 or q.max() >= n):
-        raise ValueError(f"query node out of range [0, {n})")
-    return q
 
 
 def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSummary:

@@ -180,21 +180,11 @@ def _finalize(values, vectors, total_dim, kind, norm_bound=None) -> SpectralBasi
     )
 
 
-def eigendecompose_full(
-    operator: LaplacianOperator, size_limit: int = DENSE_SIZE_LIMIT
-) -> SpectralBasis:
-    """Dense symmetric eigendecomposition (all n pairs).
-
-    Guarded by ``size_limit`` to keep dense O(n^3) work at desk scale; larger
-    operators should go through :func:`eigendecompose_truncated`.
-    """
-    n = operator.node_count
-    if n > size_limit:
-        raise ValueError(
-            f"node count {n} exceeds dense limit {size_limit}; "
-            "use eigendecompose_truncated for a partial basis"
-        )
-    return _dense_lowest(operator, n)
+def eigendecompose_full(operator: LaplacianOperator) -> SpectralBasis:
+    """Dense symmetric eigendecomposition (all n pairs), for n up to
+    ``DENSE_SIZE_LIMIT``; larger operators go through
+    :func:`eigendecompose_truncated` for a partial basis."""
+    return _dense_lowest(operator, operator.node_count)
 
 
 def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
@@ -203,13 +193,20 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
     A partial request computes only the pairs asked for
     (``subset_by_index``); a full one keeps the plain call. The matrix is
     built column-major and handed over to LAPACK, so no second n x n copy
-    is made.
+    is made. Operators over ``DENSE_SIZE_LIMIT`` nodes are refused before
+    that allocation, which keeps dense O(n^3) work at desk scale.
     """
+    n = operator.node_count
+    if n > DENSE_SIZE_LIMIT:
+        raise ValueError(
+            f"node count {n} exceeds dense limit {DENSE_SIZE_LIMIT}; "
+            "ask for fewer eigenpairs than nodes for a partial basis"
+        )
     dense = operator.matrix.toarray(order="F")
-    subset = None if n_pairs == operator.node_count else [0, n_pairs - 1]
+    subset = None if n_pairs == n else [0, n_pairs - 1]
     values, vectors = scipy.linalg.eigh(dense, subset_by_index=subset, overwrite_a=True)
     return _finalize(
-        values, vectors, operator.node_count, operator.kind,
+        values, vectors, n, operator.kind,
         norm_bound=_gershgorin(operator.matrix),
     )
 
@@ -225,7 +222,8 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
     and costs ARPACK restarts: at -1e-3 of the bound, 127 solves instead of
     100 for the 32 lowest pairs of a 50k-node mesh. Falls back to the dense
     path for tiny problems or a full request, where ARPACK either cannot
-    run (k = n) or is not worth it.
+    run (k = n) or is not worth it; a full request past
+    ``DENSE_SIZE_LIMIT`` nodes raises ``ValueError`` there.
     """
     n = operator.node_count
     if not 1 <= n_pairs <= n:

@@ -299,6 +299,12 @@ class TestElboValue:
         )
         assert_allclose(value + kl, 10 * np.log1p(-model.epsilon), rtol=1e-6)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_below_one_fails_by_name(self, samples):
+        _, model = _classifier(13)
+        with pytest.raises(ValueError, match="mc_samples must be >= 1"):
+            elbo(model, np.arange(4), np.zeros(4, dtype=np.int64), mc_samples=samples)
+
     def test_likelihood_scales_linearly_with_dataset_size(self):
         rng, model = _classifier(16)
         batch = np.array([0, 4, 9])
@@ -463,6 +469,13 @@ class TestFitClassifier:
         assert_array_equal(t1, t2)
         assert np.all(np.isfinite(t1))
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_below_one_fails_by_name(self, samples):
+        model, train, labels = self._clique_setup()
+        with pytest.raises(ValueError, match="mc_samples must be >= 1"):
+            fit_classifier(model, train, labels, AdamConfig(iterations=2),
+                           mc_samples=samples)
+
     def test_unknown_trainable_rejected(self):
         model, train, labels = self._clique_setup()
         with pytest.raises(ValueError, match="unknown trainable"):
@@ -573,6 +586,12 @@ class TestPredictClasses:
         expected = low + (1.0 - model.epsilon - low) * (votes.reshape(k, c) / samples)
         assert_array_equal(probs, expected)
         assert_array_equal(labels, np.argmax(expected, axis=-1))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sample_count_below_one_fails_by_name(self, samples):
+        _, model = _classifier(36)
+        with pytest.raises(ValueError, match="mc_samples must be >= 1"):
+            predict_classes(model, mc_samples=samples)
 
     def test_query_validation(self):
         rng, model = _classifier(33)

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from graph_matern import build_laplacian, eigendecompose_full
+from graph_matern import build_laplacian, cli, eigendecompose_full
 from graph_matern.cli import main
+from graph_matern.spectral import DENSE_SIZE_LIMIT
 from helpers import random_connected_graph, two_cliques
 
 
@@ -50,6 +52,15 @@ def classify_case(tmp_path):
     rows = ["node,class"] + [f"{i},{0 if i < 6 else 1}" for i in range(12)]
     labels_path.write_text("\n".join(rows) + "\n")
     return graph_path, labels_path
+
+
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    """Fail the test if the command reaches the eigensolve."""
+    def eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(cli, "cached_eigendecomposition", eigensolve)
 
 
 class TestEigen:
@@ -105,6 +116,24 @@ class TestEigen:
         code = main(["eigen", "--graph", str(graph_path), "--out", str(tmp_path)])
         assert code == 1
         assert "error: invalid node index at line 2" in capsys.readouterr().err
+
+    def test_full_basis_past_dense_limit_fails_by_name(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """A pair count clamped to n > DENSE_SIZE_LIMIT is refused by name
+        instead of asking for an n x n dense matrix."""
+        def dense_solve(*args, **kwargs):
+            raise AssertionError("dense eigensolve reached")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", dense_solve)
+        n = DENSE_SIZE_LIMIT + 1
+        graph_path = tmp_path / "path.txt"
+        graph_path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        code = main([
+            "eigen", "--graph", str(graph_path), "--eigenpairs", "60000",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert f"error: node count {n} exceeds dense limit" in capsys.readouterr().err
 
     def test_missing_graph_file_fails_cleanly(self, tmp_path, capsys):
         code = main([
@@ -364,7 +393,7 @@ class TestPredict:
         assert_timings(miss["timings"], stages + ("eigensolve_s",))
         assert_timings(hit["timings"], stages + ("cache_load_s",))
 
-    def test_unknown_snapshot_kind(self, regression_case, tmp_path, capsys):
+    def test_unknown_snapshot_kind(self, regression_case, tmp_path, capsys, no_eigensolve):
         graph_path, _, _ = regression_case
         bogus = tmp_path / "weird.json"
         bogus.write_text(json.dumps({"kind": "mystery", "kernel": {}}))
@@ -373,7 +402,7 @@ class TestPredict:
             "--model", str(bogus), "--out", str(tmp_path / "x"),
         ])
         assert code == 1
-        assert "unknown snapshot kind" in capsys.readouterr().err
+        assert "unknown snapshot kind 'mystery'" in capsys.readouterr().err
 
 
 class TestCompareKernels:
@@ -475,3 +504,45 @@ class TestParser:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestRefusedBeforeTheEigensolve:
+    """Settings that cannot work fail by name with exit code 1, before any
+    eigenpair is computed."""
+
+    CASES = {
+        "negative_iterations": ("fit-regression", ["--iterations", "-1"],
+                                "iterations must be >= 0, got -1"),
+        "negative_lr": ("fit-regression", ["--lr", "-1"],
+                        "learning_rate must be positive and finite, got -1.0"),
+        "nan_lr": ("fit-classify", ["--lr", "nan"],
+                   "learning_rate must be positive and finite, got nan"),
+        "zero_mc_samples": ("fit-classify", ["--mc-samples", "0"],
+                            "--mc-samples must be >= 1, got 0"),
+        "zero_predict_samples": ("fit-classify", ["--predict-samples", "0"],
+                                 "--predict-samples must be >= 1, got 0"),
+        "zero_repeats": ("compare-kernels", ["--repeats", "0"],
+                         "--repeats must be >= 1, got 0"),
+        "snapshot_not_an_object": ("predict", [], "is not a JSON object"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fails_by_name(self, case, classify_case, tmp_path, capsys, no_eigensolve):
+        graph_path, labels_path = classify_case
+        command, extra, message = self.CASES[case]
+        targets_path = tmp_path / "targets.csv"
+        targets_path.write_text("node,value\n0,1.0\n5,-1.0\n")
+        snapshot = tmp_path / "model.json"
+        snapshot.write_text(json.dumps(["regression"]))
+        inputs = {
+            "fit-regression": ["--targets", str(targets_path)],
+            "fit-classify": ["--labels", str(labels_path)],
+            "compare-kernels": ["--task", "classification", "--labels", str(labels_path),
+                                "--train-size", "6"],
+            "predict": ["--model", str(snapshot)],
+        }[command]
+        code = main([command, "--graph", str(graph_path), "--out", str(tmp_path / "x"),
+                     *inputs, *extra])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()

@@ -10,15 +10,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from graph_matern import (
     WeightedGraph,
     build_laplacian,
-    connected_components,
     laplacian_hash,
     parse_edge_list,
     read_edge_list,
-    read_node_id_map,
 )
 from graph_matern import graphs
 from graph_matern.graphs import _parse_fast, _parse_lines
-from helpers import lattice_graph, loop_laplacian, random_graph, two_cliques
+from helpers import lattice_graph, loop_laplacian, random_graph
 
 
 def assert_edges(graph, u, v, w):
@@ -315,47 +313,12 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="self-loop"):
             WeightedGraph.from_edges([(2, 2, 1.0)])
 
-    def test_adjacency_symmetric_and_degrees(self):
+    def test_degrees_of_weighted_and_empty_graphs(self):
         g = WeightedGraph.from_edges([(0, 1, 2.0), (1, 2, 0.5)])
-        a = g.adjacency().toarray()
-        assert_array_equal(a, a.T)
         assert_allclose(g.degrees(), [2.0, 2.5, 0.5])
-
-    def test_adjacency_of_empty_graph(self):
-        g = WeightedGraph(node_count=3, u=[], v=[], w=[])
-        assert g.adjacency().toarray().sum() == 0.0
-        assert_array_equal(g.degrees(), [0.0, 0.0, 0.0])
-        assert g.degrees().dtype == np.float64
-
-
-class TestNodeIdMap:
-    def test_roundtrip_with_header(self, tmp_path):
-        path = tmp_path / "ids.csv"
-        path.write_text("id,index\npaperA,0\npaperB,1\n")
-        assert read_node_id_map(path) == {"paperA": 0, "paperB": 1}
-
-    def test_without_header(self, tmp_path):
-        path = tmp_path / "ids.csv"
-        path.write_text("x,3\ny,1\n")
-        assert read_node_id_map(path) == {"x": 3, "y": 1}
-
-    def test_duplicate_id_rejected(self, tmp_path):
-        path = tmp_path / "ids.csv"
-        path.write_text("x,0\nx,1\n")
-        with pytest.raises(ValueError, match="duplicate id"):
-            read_node_id_map(path)
-
-    def test_duplicate_index_rejected(self, tmp_path):
-        path = tmp_path / "ids.csv"
-        path.write_text("x,0\ny,0\n")
-        with pytest.raises(ValueError, match="duplicate index"):
-            read_node_id_map(path)
-
-    def test_bad_index_reports_line(self, tmp_path):
-        path = tmp_path / "ids.csv"
-        path.write_text("x,zero\n")
-        with pytest.raises(ValueError, match="invalid index at line 1"):
-            read_node_id_map(path)
+        empty = WeightedGraph(node_count=3, u=[], v=[], w=[])
+        assert_array_equal(empty.degrees(), [0.0, 0.0, 0.0])
+        assert empty.degrees().dtype == np.float64
 
 
 class TestBuildLaplacian:
@@ -432,27 +395,3 @@ class TestBuildLaplacian:
         g = WeightedGraph.from_edges([(0, 1)])
         with pytest.raises(ValueError, match="unknown laplacian kind"):
             build_laplacian(g, "rw_normalized")
-
-
-class TestConnectedComponents:
-    def test_empty_edge_graph_has_singleton_components(self):
-        g = WeightedGraph(node_count=3, u=[], v=[], w=[])
-        labels = connected_components(g)
-        assert len(set(labels.tolist())) == 3
-
-    def test_two_cliques_without_bridge(self):
-        g = two_cliques(k=4)
-        labels = connected_components(g)
-        assert len(set(labels.tolist())) == 1
-        keep = ~((g.u == 3) & (g.v == 4))
-        g2 = WeightedGraph(node_count=8, u=g.u[keep], v=g.v[keep], w=g.w[keep])
-        labels2 = connected_components(g2)
-        assert len(set(labels2.tolist())) == 2
-        assert len(set(labels2[:4].tolist())) == 1
-        assert len(set(labels2[4:].tolist())) == 1
-
-    def test_isolated_plus_path(self):
-        g = WeightedGraph(node_count=5, u=[0, 1], v=[1, 2], w=[1.0, 1.0])
-        labels = connected_components(g)
-        assert labels[0] == labels[1] == labels[2]
-        assert len(set(labels.tolist())) == 3

@@ -12,7 +12,6 @@ from graph_matern import (
     eigendecompose_full,
     kernel_matrix,
     matern_precision_sparse,
-    separable_product_kernel,
     spectral_weights,
     trainable_params,
 )
@@ -388,47 +387,3 @@ class TestStandaloneKernels:
             kernel_matrix(basis, INV_COSINE)
         with pytest.raises(ValueError, match="sym_normalized"):
             _random_walk(basis, alpha=0.5, p=2)
-
-
-class TestSeparableProduct:
-    def _rbf(self, xa, xb):
-        d2 = (xa[:, None] - xb[None, :]) ** 2
-        return np.exp(-0.5 * d2)
-
-    def test_equals_elementwise_product(self):
-        rng = np.random.default_rng(121)
-        g = random_connected_graph(rng, 9)
-        basis = eigendecompose_full(build_laplacian(g, "unnormalized"))
-        kg = kernel_matrix(basis, MATERN)
-        gram = separable_product_kernel(self._rbf, kg)
-        xa = rng.standard_normal(6)
-        ia = rng.integers(0, 9, size=6)
-        xb = rng.standard_normal(4)
-        ib = rng.integers(0, 9, size=4)
-        out = gram((xa, ia), (xb, ib))
-        oracle = self._rbf(xa, xb) * kg[np.ix_(ia, ib)]
-        assert_allclose(out, oracle, atol=1e-14)
-
-    def test_default_second_argument_and_psd(self):
-        rng = np.random.default_rng(122)
-        g = random_connected_graph(rng, 9)
-        basis = eigendecompose_full(build_laplacian(g, "unnormalized"))
-        kg = kernel_matrix(basis, MATERN)
-        gram = separable_product_kernel(self._rbf, kg)
-        xa = rng.standard_normal(12)
-        ia = rng.integers(0, 9, size=12)
-        k = gram((xa, ia))
-        assert_allclose(k, k.T, atol=1e-14)
-        vals = np.linalg.eigvalsh(k)
-        assert vals.min() >= -1e-8 * max(vals.max(), 1.0)
-
-    def test_errors(self):
-        kg = np.eye(4)
-        gram = separable_product_kernel(self._rbf, kg)
-        with pytest.raises(ValueError, match="out of range"):
-            gram((np.zeros(2), np.array([0, 4])))
-        bad = separable_product_kernel(lambda xa, xb: np.zeros((1, 1)), kg)
-        with pytest.raises(ValueError, match="shape"):
-            bad((np.zeros(2), np.array([0, 1])))
-        with pytest.raises(ValueError, match="square"):
-            separable_product_kernel(self._rbf, np.zeros((3, 4)))

@@ -1,4 +1,4 @@
-"""Adam stepping, splits, metric helpers and target standardization."""
+"""Adam stepping and its settings, splits and metric helpers."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from graph_matern import (
     AdamConfig,
     AdamState,
-    Standardizer,
     adam_step,
     metrics,
     random_split,
-    standardize,
 )
 
 
@@ -89,6 +87,25 @@ class TestAdamStep:
         assert state.step == 0
 
 
+class TestAdamConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", -1),
+        ("learning_rate", 0.0),
+        ("learning_rate", -0.001),
+        ("learning_rate", np.inf),
+        ("learning_rate", np.nan),
+        ("beta1", -0.1),
+        ("beta1", 1.0),
+        ("beta2", 1.0),
+        ("beta2", np.nan),
+        ("eps", 0.0),
+        ("eps", -1e-8),
+    ])
+    def test_rejects_unworkable_settings_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            AdamConfig(**{field: value})
+
+
 class TestRandomSplit:
     def test_partition_properties(self):
         nodes = np.arange(20, 60)
@@ -132,28 +149,3 @@ class TestMetrics:
             metrics(np.zeros(3), np.zeros(4), "regression")
         with pytest.raises(ValueError, match="unknown task"):
             metrics(np.zeros(3), np.zeros(3), "ranking")
-
-
-class TestStandardize:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(5)
-        y = rng.normal(3.0, 2.5, size=40)
-        z, rec = standardize(y)
-        assert abs(z.mean()) < 1e-12
-        assert_allclose(z.std(), 1.0, rtol=1e-12)
-        assert_allclose(rec.invert(z), y, atol=1e-12)
-
-    def test_applies_train_statistics_to_other_values(self):
-        train = np.array([0.0, 2.0])
-        other = np.array([4.0])
-        z, rec = standardize(train, other)
-        assert_allclose(z, [(4.0 - 1.0) / 1.0], atol=1e-12)
-        assert rec.mean == 1.0 and rec.std == 1.0
-
-    def test_invert_scale_maps_spreads(self):
-        rec = Standardizer(mean=5.0, std=2.0)
-        assert_allclose(rec.invert_scale(np.array([1.5])), [3.0])
-
-    def test_constant_targets_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            standardize(np.full(6, 2.0))

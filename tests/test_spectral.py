@@ -1,5 +1,8 @@
 """Eigendecomposition, functional calculus, heat flow and the basis cache."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -110,10 +113,9 @@ class TestFullDecomposition:
             assert col[lead] > 0
 
     def test_size_guard(self):
-        g = path_graph(5)
-        op = build_laplacian(g, "unnormalized")
-        with pytest.raises(ValueError, match="exceeds dense limit"):
-            eigendecompose_full(op, size_limit=4)
+        op = build_laplacian(path_graph(DENSE_SIZE_LIMIT + 1), "unnormalized")
+        with pytest.raises(ValueError, match=f"{DENSE_SIZE_LIMIT + 1} exceeds dense limit"):
+            eigendecompose_full(op)
 
     def test_metadata(self):
         basis = _basis(path_graph(6), "sym_normalized")
@@ -288,6 +290,34 @@ class TestTruncatedDecomposition:
         assert basis.n_retained == 2
         expected = 2.0 - 2.0 * np.cos(np.arange(5) * np.pi / 5)
         assert_allclose(basis.eigenvalues, np.sort(expected)[:2], atol=1e-10)
+
+    def test_full_request_past_dense_limit_fails_by_name(self, monkeypatch):
+        """A full basis past ``DENSE_SIZE_LIMIT`` nodes is refused through
+        every entry point, before any n x n array is allocated."""
+        n = DENSE_SIZE_LIMIT + 1
+        op = build_laplacian(path_graph(n), "unnormalized")
+
+        def dense_solve(*args, **kwargs):
+            raise AssertionError("dense eigensolve reached")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", dense_solve)
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        calls = (
+            lambda: eigendecompose_truncated(op, n),
+            lambda: cached_eigendecomposition(op, n),
+            lambda: cached_eigendecomposition(op, 60000),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "requested 60000", UserWarning)
+                    with pytest.raises(ValueError, match=f"{n} exceeds dense limit"):
+                        call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8 // 100
 
     def test_out_of_range_request(self):
         op = build_laplacian(path_graph(5), "unnormalized")
