@@ -313,12 +313,21 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="self-loop"):
             WeightedGraph.from_edges([(2, 2, 1.0)])
 
-    def test_degrees_of_weighted_and_empty_graphs(self):
+    def test_adjacency_symmetric_and_degrees(self):
+        # The adjacency is the negated off-diagonal of L = D - A.
         g = WeightedGraph.from_edges([(0, 1, 2.0), (1, 2, 0.5)])
+        a = -build_laplacian(g, "unnormalized").matrix.toarray()
+        np.fill_diagonal(a, 0.0)
+        assert_array_equal(a, a.T)
+        assert_array_equal(a, [[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
         assert_allclose(g.degrees(), [2.0, 2.5, 0.5])
-        empty = WeightedGraph(node_count=3, u=[], v=[], w=[])
-        assert_array_equal(empty.degrees(), [0.0, 0.0, 0.0])
-        assert empty.degrees().dtype == np.float64
+        assert_allclose(g.degrees(), a.sum(axis=1))
+
+    def test_adjacency_of_empty_graph(self):
+        g = WeightedGraph(node_count=3, u=[], v=[], w=[])
+        assert build_laplacian(g, "unnormalized").matrix.toarray().sum() == 0.0
+        assert_array_equal(g.degrees(), [0.0, 0.0, 0.0])
+        assert g.degrees().dtype == np.float64
 
 
 class TestBuildLaplacian:
