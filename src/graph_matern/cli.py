@@ -136,6 +136,16 @@ def _load_kernel_spec(text, default: KernelSpec) -> KernelSpec:
     return KernelSpec.from_dict(obj)
 
 
+def _class_count(args, labels) -> int:
+    """``--classes`` or one more than the top label: above every label, and >= 2."""
+    n_classes = args.classes if args.classes is not None else int(labels.max()) + 1
+    if labels.max() >= n_classes:
+        raise ValueError(f"label {labels.max()} out of range for {n_classes} declared classes")
+    if n_classes < 2:
+        raise ValueError(f"need at least two classes, got {n_classes}")
+    return n_classes
+
+
 def _timed(timings, name, fn, *args, **kwargs):
     """Call ``fn``, putting its wall time in seconds in ``timings[name]``."""
     start = time.perf_counter()
@@ -280,11 +290,7 @@ def cmd_fit_classify(args) -> int:
     nodes, labels = read_labels_csv(args.labels)
     if nodes.size == 0:
         raise ValueError("labels file is empty")
-    n_classes = args.classes if args.classes is not None else int(labels.max()) + 1
-    if labels.max() >= n_classes:
-        raise ValueError(
-            f"label {int(labels.max())} out of range for {n_classes} declared classes"
-        )
+    n_classes = _class_count(args, labels)
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     train_idx, test_idx = _split(
         nodes.size, args.train_size, args.test_size, args.seed
@@ -340,9 +346,13 @@ def cmd_predict(args) -> int:
     if kind not in ("regression", "classifier"):
         raise ValueError(f"unknown snapshot kind {kind!r} in {args.model}")
     kernel = snapshot.get("kernel", {})
+    if not isinstance(kernel, dict):
+        raise ValueError(f"snapshot field 'kernel' in {args.model} is not a JSON object")
+    pairs = snapshot.get("eigenpairs", graph.node_count)
+    if type(pairs) is not int or pairs < 1:
+        raise ValueError(f"snapshot field 'eigenpairs' is not a positive integer: {pairs!r}")
     lap = kernel.get("laplacian", "unnormalized")
-    eigenpairs = snapshot.get("eigenpairs", graph.node_count)
-    _, basis, hit, path = _basis_for(graph, lap, eigenpairs, args.cache_dir, timings)
+    _, basis, hit, path = _basis_for(graph, lap, pairs, args.cache_dir, timings)
     out = _out_dir(args)
     if kind == "regression":
         model = load_model(args.model, basis)
@@ -379,7 +389,7 @@ def cmd_compare_kernels(args) -> int:
         if args.labels is None:
             raise ValueError("--labels is required for the classification task")
         nodes, labels = read_labels_csv(args.labels)
-        n_classes = args.classes if args.classes is not None else int(labels.max()) + 1
+        n_classes = _class_count(args, labels)
         metric_name = "test_accuracy"
     if nodes.size == 0:
         raise ValueError("no labeled/targeted nodes")

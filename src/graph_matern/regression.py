@@ -141,19 +141,19 @@ class GPRegressionModel:
     # Everything below is derived state, memoized per instance. Parameter
     # changes go through with_raw_params, which builds a fresh instance, so
     # stale entries cannot survive a parameter change. ``fit`` carries only
-    # the train rows and E, which no parameter touches.
+    # the train rows, E and t, which no parameter touches.
 
     def _phi_train(self) -> np.ndarray:
         if "phi_x" not in self._cache:
             self._cache["phi_x"] = self.basis.eigenvectors[self.train_nodes]
         return self._cache["phi_x"]
 
-    def _gram(self) -> np.ndarray:
-        """E = P^T P over the train rows P, shared by the spectral LML and
-        ``woodbury_posterior``."""
+    def _gram(self):
+        """``(E, t)``: E = P^T P and t = P^T y over the train rows P, shared
+        by the spectral LML and ``woodbury_posterior``."""
         if "gram" not in self._cache:
             phi = self._phi_train()
-            self._cache["gram"] = phi.T @ phi
+            self._cache["gram"] = (phi.T @ phi, phi.T @ self.targets)
         return self._cache["gram"]
 
     def _weights(self):
@@ -195,20 +195,26 @@ class GPRegressionModel:
         return self._cache["chol"]
 
     def _b_factor(self):
-        """``(chol_b, inv_chol_b, root, t, coef)``, shared by the spectral LML
-        and ``woodbury_posterior``: the Cholesky factor L_B of
-        B = I + D^1/2 E D^1/2 / noise2 and its inverse, root = sqrt(d),
-        t = P^T y and coef = D^1/2 B^-1 D^1/2 t / noise2. B's eigenvalues
-        are >= 1, so it needs no jitter and zero-weight modes stay in."""
+        """``(half_logdet, inv_chol_b, root, t, coef)`` for the spectral LML
+        and ``woodbury_posterior``: log|B| / 2 and L_B^-1 for L_B the Cholesky
+        factor of B = I + D^1/2 E D^1/2 / noise2 (all three in one l x l
+        array), root = sqrt(d), t = P^T y and coef = D^1/2 B^-1 D^1/2 t /
+        noise2. B's eigenvalues are >= 1, so it needs no jitter and
+        zero-weight modes stay in."""
         if "b_factor" not in self._cache:
             d, _ = self._weights()
             root = np.sqrt(d)
-            t = self._phi_train().T @ self.targets
-            b = np.eye(d.size) + (root[:, None] * self._gram() * root[None, :]) / self.noise2
-            chol_b = scipy.linalg.cholesky(b, lower=True)
-            inv_chol_b, _ = dtrtri(chol_b, lower=1)
+            e, t = self._gram()
+            b = np.multiply(root[:, None], e, order="F")  # LAPACK's layout
+            b *= root
+            b /= self.noise2
+            b += 0.0  # I's zeros: -0.0 (zero weight, negative E entry) becomes +0.0
+            b.flat[:: d.size + 1] += 1.0
+            chol_b = scipy.linalg.cholesky(b, lower=True, overwrite_a=True)
             coef = root * cho_solve((chol_b, True), root * t) / self.noise2
-            self._cache["b_factor"] = (chol_b, inv_chol_b, root, t, coef)
+            half_logdet = float(np.sum(np.log(np.diag(chol_b))))
+            inv_chol_b, _ = dtrtri(chol_b, lower=1, overwrite_c=1)
+            self._cache["b_factor"] = (half_logdet, inv_chol_b, root, t, coef)
         return self._cache["b_factor"]
 
 
@@ -376,16 +382,16 @@ def _lml_spectral(model: GPRegressionModel):
     p = 1 random walk whose base is exactly 0.
     """
     d, _ = model._weights()
-    chol_b, inv_chol_b, _, t, coef = model._b_factor()
+    half_logdet, inv_chol_b, _, t, coef = model._b_factor()
     phi = model._phi_train()
-    e = model._gram()
+    e, _ = model._gram()
     y = model.targets
     s2 = model.noise2
     m, l = phi.shape
 
     value = (
         -0.5 * float(y @ y - t @ coef) / s2
-        - float(np.sum(np.log(np.diag(chol_b))))
+        - half_logdet
         - 0.5 * m * np.log(s2)
         - 0.5 * m * np.log(2.0 * np.pi)
     )

@@ -125,13 +125,21 @@ def _factor_spd(matrix, name, last=()):
 
 
 def _residual_norms(matrix, values, vectors) -> np.ndarray:
-    """Per-pair residual norms ||A u_j - lambda_j u_j||."""
-    return np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
+    """Per-pair residual norms ||A u_j - lambda_j u_j||, over near-equal
+    column blocks of at most 32, so temporaries are n x 32. No block is one
+    column wide unless the basis is: numpy sums a lone column in another
+    order, and each norm keeps the bits of a whole-basis pass.
+    """
+    norms = []
+    for cols in np.array_split(np.arange(len(values)), -(-len(values) // 32)):
+        j = slice(cols[0], cols[-1] + 1)
+        u = vectors[:, j]
+        norms.append(np.linalg.norm(matrix @ u - u * values[j], axis=0))
+    return np.concatenate(norms)
 
 
-def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so the first entry with non-negligible magnitude is > 0."""
-    vectors = np.array(vectors, copy=True)
+def _canonical_signs(vectors: np.ndarray):
+    """Flip columns in place so the first entry of non-negligible size is > 0."""
     for j in range(vectors.shape[1]):
         col = vectors[:, j]
         peak = np.max(np.abs(col))
@@ -139,8 +147,7 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
             continue
         lead = np.argmax(np.abs(col) > 1e-8 * peak)
         if col[lead] < 0:
-            vectors[:, j] = -col
-    return vectors
+            np.negative(col, out=col)
 
 
 def _gershgorin(matrix) -> float:
@@ -151,16 +158,19 @@ def _gershgorin(matrix) -> float:
 def _finalize(values, vectors, total_dim, kind, norm_bound=None) -> SpectralBasis:
     """Sort, fix signs, and clamp rounding negatives to zero.
 
+    ``vectors`` is copied only if unsorted or not column-major; signs flip
+    in place and the result is read-only.
+
     Eigenvalues below -1e-8 * max(norm_bound, 1) raise. Rounding in the
     smallest eigenvalue scales with lambda_max, which a partial solve does
     not see among its own values, so solvers pass an operator bound (the
     Gershgorin value); a loaded basis falls back to its largest value.
     """
     values = np.asarray(values, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    if not np.array_equal(order, np.arange(order.size)):
+        values, vectors = values[order], vectors[:, order]
+    vectors = np.asfortranarray(vectors, dtype=float)
     if norm_bound is None:
         norm_bound = float(values[-1]) if values.size else 1.0
     scale = max(norm_bound, 1.0)
@@ -169,7 +179,7 @@ def _finalize(values, vectors, total_dim, kind, norm_bound=None) -> SpectralBasi
             f"laplacian eigenvalue {values[0]:.3e} is negative beyond tolerance"
         )
     values = np.maximum(values, 0.0)
-    vectors = _canonical_signs(vectors)
+    _canonical_signs(vectors)
     values.setflags(write=False)
     vectors.setflags(write=False)
     return SpectralBasis(
@@ -193,8 +203,9 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
     A partial request computes only the pairs asked for
     (``subset_by_index``); a full one keeps the plain call. The matrix is
     built column-major and handed over to LAPACK, so no second n x n copy
-    is made. Operators over ``DENSE_SIZE_LIMIT`` nodes are refused before
-    that allocation, which keeps dense O(n^3) work at desk scale.
+    is made; it is dropped before finalizing, so the peak is it plus the
+    n x l output. Operators over ``DENSE_SIZE_LIMIT`` nodes are refused
+    before that allocation, which keeps dense O(n^3) work at desk scale.
     """
     n = operator.node_count
     if n > DENSE_SIZE_LIMIT:
@@ -205,6 +216,7 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
     dense = operator.matrix.toarray(order="F")
     subset = None if n_pairs == n else [0, n_pairs - 1]
     values, vectors = scipy.linalg.eigh(dense, subset_by_index=subset, overwrite_a=True)
+    del dense
     return _finalize(
         values, vectors, n, operator.kind,
         norm_bound=_gershgorin(operator.matrix),
@@ -313,22 +325,24 @@ def save_basis(path, basis: SpectralBasis):
     """Write a basis to the binary cache format.
 
     Layout: header (magic, version, n, l) then eigenvalues as float64 and
-    eigenvectors as float64 in column-major order.
+    eigenvectors as float64 in column-major order, written from the basis's
+    own memory when it is column-major, as every producer returns it.
     """
     n, l = basis.total_dim, basis.n_retained
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, n, l))
-        fh.write(np.asarray(basis.eigenvalues, dtype="<f8").tobytes())
-        fh.write(np.asarray(basis.eigenvectors, dtype="<f8").tobytes(order="F"))
+        fh.write(np.ascontiguousarray(basis.eigenvalues, dtype="<f8"))
+        fh.write(np.asfortranarray(basis.eigenvectors, dtype="<f8").T)
 
 
 def load_basis(path, laplacian_kind: str) -> SpectralBasis:
     """Read a basis written by :func:`save_basis`.
 
     The kind is supplied by the caller because cache files are keyed by a
-    hash that already commits to it.
+    hash that already commits to it. The vectors are read straight into
+    the basis's one column-major array.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -339,16 +353,10 @@ def load_basis(path, laplacian_kind: str) -> SpectralBasis:
             raise ValueError(f"not a basis cache file: {path}")
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported basis format version {version}")
-        payload = fh.read()
-    expected = 8 * (l + n * l)
-    if len(payload) != expected:
-        raise ValueError(f"corrupt basis file {path}: payload size mismatch")
-    values = np.frombuffer(payload[: 8 * l], dtype="<f8").copy()
-    vectors = (
-        np.frombuffer(payload[8 * l :], dtype="<f8")
-        .reshape((n, l), order="F")
-        .copy()
-    )
+        if os.fstat(fh.fileno()).st_size - _HEADER.size != 8 * (l + n * l):
+            raise ValueError(f"corrupt basis file {path}: payload size mismatch")
+        values = np.fromfile(fh, dtype="<f8", count=l)
+        vectors = np.fromfile(fh, dtype="<f8", count=n * l).reshape((n, l), order="F")
     return _finalize(values, vectors, n, laplacian_kind)
 
 

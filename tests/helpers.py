@@ -6,12 +6,26 @@ evidence, not circularity.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from graph_matern import LaplacianOperator, WeightedGraph, build_laplacian
+
+
+class PeakMemory:
+    """``with PeakMemory() as mem:`` traces the block's allocations;
+    afterwards ``mem.peak`` is the most bytes they held at once."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 def random_graph(rng, n, p=0.3, wmin=0.2, wmax=2.0):

@@ -524,12 +524,29 @@ class TestRefusedBeforeTheEigensolve:
         "zero_repeats": ("compare-kernels", ["--repeats", "0"],
                          "--repeats must be >= 1, got 0"),
         "snapshot_not_an_object": ("predict", [], "is not a JSON object"),
+        "snapshot_kernel_a_list": ("predict", ["--model", "kernel_list.json"],
+                                   "snapshot field 'kernel'"),
+        "snapshot_eigenpairs_not_a_count": ("predict", ["--model", "eigenpairs_all.json"],
+                                            "snapshot field 'eigenpairs'"),
+        "one_class_labels": ("fit-classify", ["--labels", "one_class.csv"],
+                             "need at least two classes"),
+    }
+    # Inputs that cases name, written into the working directory; a repeated
+    # option takes the last value given.
+    FILES = {
+        "kernel_list.json": json.dumps({"kind": "regression", "kernel": ["matern"]}),
+        "eigenpairs_all.json": json.dumps({"kind": "regression", "eigenpairs": "all"}),
+        "one_class.csv": "node,class\n0,0\n5,0\n7,0\n",
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_fails_by_name(self, case, classify_case, tmp_path, capsys, no_eigensolve):
+    def test_fails_by_name(self, case, classify_case, tmp_path, capsys, monkeypatch,
+                           no_eigensolve):
         graph_path, labels_path = classify_case
         command, extra, message = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
         targets_path = tmp_path / "targets.csv"
         targets_path.write_text("node,value\n0,1.0\n5,-1.0\n")
         snapshot = tmp_path / "model.json"

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.stats
+from scipy.linalg.lapack import dtrtri
 from scipy.sparse.linalg import splu
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -393,6 +394,23 @@ class TestLogMarginalLikelihood:
             assert_allclose(g_spec[key], g_dense[key], rtol=1e-10, err_msg=key)
         names = regression.trainable_params(spec) + ("noise2",)
         self._gradcheck(model, names, lml=regression._lml_spectral)
+
+    def test_b_factor_keeps_the_bits_of_the_formula(self):
+        """B, its factor and the factor's inverse share one array; they keep
+        the bits of I + D^1/2 E D^1/2 / s2 factored and inverted out of
+        place, signed zeros of zero-weight modes included."""
+        model = _spectral_problem(156, spec=KernelSpec(family="diffusion", kappa=60.0))
+        d, _ = model._weights()
+        assert np.any(d == 0.0)
+        root, (e, t) = np.sqrt(d), model._gram()
+        b = np.eye(d.size) + (root[:, None] * e * root[None, :]) / model.noise2
+        chol_b = scipy.linalg.cholesky(b, lower=True)
+        half_logdet, inv_chol_b, _, t_cached, _ = model._b_factor()
+        assert half_logdet == float(np.sum(np.log(np.diag(chol_b))))
+        assert_array_equal(inv_chol_b.view(np.int64),
+                           dtrtri(chol_b, lower=1)[0].view(np.int64))
+        assert t_cached is t
+        assert_array_equal(t, model._phi_train().T @ model.targets)
 
     def test_dense_and_spectral_routes_agree(self):
         rw = KernelSpec(family="random_walk", alpha=0.6, p=2, laplacian_kind="sym_normalized")

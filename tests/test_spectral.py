@@ -1,6 +1,6 @@
 """Eigendecomposition, functional calculus, heat flow and the basis cache."""
 
-import tracemalloc
+import dataclasses
 import warnings
 
 import numpy as np
@@ -26,8 +26,15 @@ from graph_matern import (
     save_basis,
     spectral,
 )
-from graph_matern.spectral import DENSE_SIZE_LIMIT, _factor_spd, _finalize, _gershgorin
+from graph_matern.spectral import (
+    DENSE_SIZE_LIMIT,
+    _factor_spd,
+    _finalize,
+    _gershgorin,
+    _residual_norms,
+)
 from helpers import (
+    PeakMemory,
     complete_graph,
     dense_laplacian,
     lattice_graph,
@@ -308,16 +315,11 @@ class TestTruncatedDecomposition:
             lambda: cached_eigendecomposition(op, 60000),
         )
         for call in calls:
-            tracemalloc.start()
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "requested 60000", UserWarning)
-                    with pytest.raises(ValueError, match=f"{n} exceeds dense limit"):
-                        call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < n * n * 8 // 100
+            with PeakMemory() as mem, warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "requested 60000", UserWarning)
+                with pytest.raises(ValueError, match=f"{n} exceeds dense limit"):
+                    call()
+            assert mem.peak < n * n * 8 // 100
 
     def test_out_of_range_request(self):
         op = build_laplacian(path_graph(5), "unnormalized")
@@ -484,11 +486,91 @@ class TestCacheFormat:
         with pytest.raises(ValueError, match="payload size mismatch"):
             load_basis(path, "unnormalized")
 
+    def test_overlong_payload_rejected(self, tmp_path):
+        path = tmp_path / "b.eig"
+        save_basis(path, _basis(path_graph(4)))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="payload size mismatch"):
+            load_basis(path, "unnormalized")
+
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "b.eig"
         path.write_bytes(b"GMEIG")
         with pytest.raises(ValueError, match="truncated basis file"):
             load_basis(path, "unnormalized")
+
+    def test_row_major_basis_saves_the_same_bytes(self, tmp_path):
+        basis = _basis(path_graph(6))
+        rows = dataclasses.replace(
+            basis, eigenvectors=np.ascontiguousarray(basis.eigenvectors))
+        save_basis(tmp_path / "f.eig", basis)
+        save_basis(tmp_path / "c.eig", rows)
+        assert (tmp_path / "f.eig").read_bytes() == (tmp_path / "c.eig").read_bytes()
+
+    def test_every_producer_returns_a_column_major_read_only_basis(self, tmp_path):
+        """Downstream BLAS products round by the vectors' layout, so every
+        producer hands over one layout."""
+        op = build_laplacian(lattice_graph(6), "unnormalized")
+        partial = cached_eigendecomposition(op, 10, cache_dir=tmp_path)[0]
+        bases = {
+            "full": eigendecompose_full(op),
+            "lanczos": eigendecompose_truncated(op, 10),
+            "dense partial": partial,
+            "cache load": cached_eigendecomposition(op, 10, cache_dir=tmp_path)[0],
+        }
+        for name, basis in bases.items():
+            u = basis.eigenvectors
+            assert u.flags.f_contiguous and u.dtype == np.float64, name
+            assert not u.flags.writeable and not basis.eigenvalues.flags.writeable, name
+        assert_array_equal(bases["cache load"].eigenvectors, partial.eigenvectors)
+
+
+class TestMemoryFloor:
+    """tracemalloc peaks of each stage of a dense partial basis, in n x l
+    float64 copies of the basis: a stage adds one copy at most, not four."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        """A 40 x 40 lattice, its lowest 400 pairs by the cold dense path,
+        that solve's traced peak, and the bytes of one n x l copy."""
+        op = build_laplacian(lattice_graph(40), "unnormalized")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv(CACHE_ENV_VAR, raising=False)
+            with PeakMemory() as mem:
+                basis = cached_eigendecomposition(op, 400)[0]
+        return op, basis, mem.peak, op.node_count * 400 * 8
+
+    def test_cold_solve_holds_the_matrix_and_one_output(self, solved):
+        op, basis, peak, copy = solved
+        assert basis.n_retained == 400 and not basis.is_full
+        assert peak <= op.node_count**2 * 8 + 1.25 * copy
+
+    def test_save_writes_from_the_basis(self, solved, tmp_path):
+        _, basis, _, copy = solved
+        with PeakMemory() as mem:
+            save_basis(tmp_path / "b.eig", basis)
+        assert mem.peak <= 0.25 * copy
+
+    def test_load_reads_into_one_array(self, solved, tmp_path):
+        op, basis, _, copy = solved
+        save_basis(tmp_path / "b.eig", basis)
+        with PeakMemory() as mem:
+            loaded = load_basis(tmp_path / "b.eig", op.kind)
+        assert mem.peak <= 1.25 * copy
+        assert_array_equal(loaded.eigenvectors, basis.eigenvectors)
+
+    def test_residual_check_goes_by_column_blocks(self, solved):
+        """The ``eigen`` command's residual check keeps the bits of one
+        whole-basis pass in a fraction of its memory."""
+        op, basis, _, copy = solved
+        u, lam = basis.eigenvectors, basis.eigenvalues
+        with PeakMemory() as mem:
+            residuals = _residual_norms(op.matrix, lam, u)
+        assert mem.peak <= 0.5 * copy
+        whole = np.linalg.norm(op.matrix @ u - u * lam, axis=0)
+        assert_array_equal(residuals, whole)
+        for k in (1, 2, 33, 65):
+            assert_array_equal(_residual_norms(op.matrix, lam[:k], u[:, :k]), whole[:k])
 
 
 class TestLaplacianHash:
