@@ -16,8 +16,8 @@ class latent only, with the other classes integrated out analytically as a
 product of normal CDFs; the integrand is smooth, so gradients of the sampled
 objective are exact gradients of the estimator at fixed draws.
 
-All gradients (variational, kernel, through Cholesky and triangular solves)
-are hand-derived and checked against finite differences in the tests.
+All gradients (variational, kernel, through the Cholesky factor and its
+inverse) are hand-derived and checked against finite differences in the tests.
 """
 
 import dataclasses
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 from scipy.special import log_ndtr
 
 from .kernels import KernelSpec, _as_query, spectral_weights, trainable_params
@@ -199,20 +200,19 @@ def _tril_halfdiag(x):
     return out
 
 
-def _chol_backward(chol, chol_bar):
-    """Sensitivity to Sigma given sensitivity to its Cholesky factor."""
+def _chol_backward(chol, inv_chol, chol_bar):
+    """Sensitivity to Sigma given sensitivity to its Cholesky factor L."""
     p = _tril_halfdiag(chol.T @ chol_bar)
-    sym = p + p.T
-    half = solve_triangular(chol, sym, lower=True, trans="T")
-    out = solve_triangular(chol, half.T, lower=True, trans="T").T
-    return 0.5 * out
+    return 0.5 * (inv_chol.T @ (p + p.T) @ inv_chol)
 
 
 def _kernel_blocks(model: VariationalClassifier, batch):
-    """K_zz+jitter Cholesky, K_zb, diag K_bb, plus the pieces for backprop.
+    """K_zz+jitter Cholesky L and L^-1, K_zb, diag K_bb, plus backprop pieces.
 
-    The inducing rows Phi_z are memoized in the model cache, which
-    ``fit_classifier`` carries from step to step. When the batch is the
+    One ``dtrtri`` gives L^-1, so every triangular operation of a step
+    (marginals, their backward pass, the unwhitened KL) is a matrix product
+    with L^-1 or L^-T. The inducing rows Phi_z are memoized in the model
+    cache, which ``fit_classifier`` carries from step to step. When the batch is the
     inducing set, as on a full-batch step, Phi_b is Phi_z and the one
     product (Phi_z D) Phi_z^T is K_zb and, symmetrized, K_zz.
     """
@@ -236,11 +236,12 @@ def _kernel_blocks(model: VariationalClassifier, batch):
         raise scipy.linalg.LinAlgError(
             f"inducing covariance not positive definite with jitter {model.jitter:g}"
         ) from exc
+    inv_chol, _ = dtrtri(chol, lower=1)
     k_zb = prod if shared else (phi_z * d) @ phi_b.T
     k_bb = np.einsum("ij,j->i", phi_b**2, d)
     blocks = {
         "d": d, "d_grads": d_grads, "phi_z": phi_z, "phi_b": phi_b,
-        "chol": chol, "k_zb": k_zb, "k_bb": k_bb,
+        "chol": chol, "inv_chol": inv_chol, "k_zb": k_zb, "k_bb": k_bb,
     }
     model._cache[key] = blocks
     return blocks
@@ -249,18 +250,20 @@ def _kernel_blocks(model: VariationalClassifier, batch):
 def _marginals(model: VariationalClassifier, batch):
     """Per-class q(f) marginal means/variances at the batch nodes.
 
+    With a = L^-1 K_zb, the marginals project q through proj = a (whitened)
+    or proj = L^-T a (unwhitened), both products with the memoized L^-1.
     Returns (mean (b, C), var (b, C), ctx) where ctx carries intermediates
     for the backward pass.
     """
     blocks = _kernel_blocks(model, batch)
-    chol, k_zb, k_bb = blocks["chol"], blocks["k_zb"], blocks["k_bb"]
-    a = solve_triangular(chol, k_zb, lower=True)
+    inv_chol, k_zb, k_bb = blocks["inv_chol"], blocks["k_zb"], blocks["k_bb"]
+    a = inv_chol @ k_zb
     base_var = k_bb - np.einsum("ji,ji->i", a, a)
     ctx = {"blocks": blocks, "a": a, "base_var": base_var}
     if model.whitened:
         proj = a
     else:
-        proj = solve_triangular(chol, a, lower=True, trans="T")
+        proj = inv_chol.T @ a
         ctx["a2"] = proj
     mean = (model.q_mu @ proj).T
     if model.diag_cov:
@@ -279,7 +282,12 @@ def _log_lik_forward(model, mean, var, labels, xi, scale):
     """Expected robust-max log likelihood of the batch, and its m/v grads.
 
     mean/var are (b, C); xi is (S, b) standard normal; scale multiplies the
-    batch sum (the N/|batch| factor). Returns (value, gmean, gvar).
+    batch sum (the N/|batch| factor). The bound needs only each node's C-1
+    rival classes, so z, the log CDFs and the pdf terms are formed on
+    (S, b, C-1) arrays gathered once by a flat (b, C-1) index, and the
+    gradients are scattered back into (b, C). Dropping the label column
+    drops only exact zeros, so the value equals the all-class sum with the
+    label's term zeroed, bit for bit. Returns (value, gmean, gvar).
     """
     b, c = mean.shape
     eps = model.epsilon
@@ -289,12 +297,13 @@ def _log_lik_forward(model, mean, var, labels, xi, scale):
     vfloor = np.maximum(var, _VAR_FLOOR)
     sd = np.sqrt(vfloor)
     rows = np.arange(b)
-    m_y = mean[rows, labels]
+    rivals = np.arange(c - 1)[None, :]
+    rivals = rows[:, None] * c + rivals + (rivals >= labels[:, None])
+    m_r, v_r, sd_r = (x.take(rivals) for x in (mean, vfloor, sd))
     sd_y = sd[rows, labels]
-    t = m_y[None, :] + sd_y[None, :] * xi
-    z = (t[:, :, None] - mean[None, :, :]) / sd[None, :, :]
+    t = mean[rows, labels][None, :] + sd_y[None, :] * xi
+    z = (t[:, :, None] - m_r[None, :, :]) / sd_r[None, :, :]
     log_cdf = log_ndtr(z)
-    log_cdf[:, rows, labels] = 0.0
     g = np.sum(log_cdf, axis=-1)
     p_hat = np.mean(np.exp(g), axis=0)
     value = scale * float(b * log_low + gap * np.sum(p_hat))
@@ -302,21 +311,17 @@ def _log_lik_forward(model, mean, var, labels, xi, scale):
     s = xi.shape[0]
     log_pdf = -0.5 * z**2 - 0.5 * _LOG_2PI
     coef = (scale * gap / s) * np.exp(g[:, :, None] - log_cdf + log_pdf)
-    coef[:, rows, labels] = 0.0
 
-    csum = np.sum(coef, axis=0) / sd
-    csum_z = np.sum(coef * z, axis=0) / (2.0 * vfloor)
-    csum_xi = np.sum(coef * xi[:, :, None], axis=0) / sd
+    csum = np.sum(coef, axis=0) / sd_r
+    csum_z = np.sum(coef * z, axis=0) / (2.0 * v_r)
+    csum_xi = np.sum(coef * xi[:, :, None], axis=0) / sd_r
 
-    gmean = -csum
-    gmean[rows, labels] = 0.0
-    own_mean = np.sum(csum, axis=1) - csum[rows, labels]
-    gmean[rows, labels] = own_mean
-
-    gvar = -csum_z
-    gvar[rows, labels] = 0.0
-    own_var = (np.sum(csum_xi, axis=1) - csum_xi[rows, labels]) / (2.0 * sd_y)
-    gvar[rows, labels] = own_var
+    gmean = np.empty((b, c))
+    np.put(gmean, rivals, -csum)
+    gmean[rows, labels] = np.sum(csum, axis=1)
+    gvar = np.empty((b, c))
+    np.put(gvar, rivals, -csum_z)
+    gvar[rows, labels] = np.sum(csum_xi, axis=1) / (2.0 * sd_y)
     gvar = np.where(var > _VAR_FLOOR, gvar, 0.0)
     return value, gmean, gvar
 
@@ -357,11 +362,11 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
                 grads["q_scale_tril"] = g
         return value, grads, kzz_bar
 
-    chol = blocks["chol"]
+    chol, inv_chol = blocks["chol"], blocks["inv_chol"]
     m = chol.shape[0]
-    kinv = cho_solve((chol, True), np.eye(m))
+    kinv = inv_chol.T @ inv_chol
     logdet_k = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    w_mu = solve_triangular(chol, mu.T, lower=True)
+    w_mu = inv_chol @ mu.T
     value = 0.0
     if with_grads:
         kzz_bar = np.zeros((m, m))
@@ -376,7 +381,7 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
             diag = np.diag(r_c)
             if np.any(diag == 0):
                 raise ValueError("q_scale_tril has a zero diagonal entry")
-            w_r = solve_triangular(chol, r_c, lower=True)
+            w_r = inv_chol @ r_c
             trace = float(np.sum(w_r**2))
             logdet_q = 2.0 * float(np.sum(np.log(np.abs(diag))))
         quad = float(np.sum(w_mu[:, c] ** 2))
@@ -388,8 +393,8 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
                 smm = kinv * r2_c[None, :]
             else:
                 grads.setdefault("q_scale_tril", np.zeros_like(model.q_scale_tril))
-                rinv_t = solve_triangular(r_c, np.eye(m), lower=True).T
-                grads["q_scale_tril"][c] = np.tril(kinv @ r_c - rinv_t)
+                rinv, _ = dtrtri(r_c, lower=1)
+                grads["q_scale_tril"][c] = np.tril(kinv @ r_c - rinv.T)
                 smm = kinv @ (r_c @ r_c.T)
             kmu = kinv @ mu[c]
             kzz_bar += 0.5 * (kinv - smm @ kinv - np.outer(kmu, kmu))
@@ -415,7 +420,7 @@ def _elbo_core(model, batch, labels, xi, n_total, with_grads):
 
     a = ctx["a"]
     proj = ctx["proj"]
-    chol = blocks["chol"]
+    chol, inv_chol = blocks["chol"], blocks["inv_chol"]
 
     # mean = (q_mu @ proj)^T
     grads = {"q_mu": gmean.T @ proj.T}
@@ -443,14 +448,14 @@ def _elbo_core(model, batch, labels, xi, n_total, with_grads):
         chol_bar = np.zeros_like(chol)
     else:
         # proj = chol^{-T} a
-        back = solve_triangular(chol, proj_bar, lower=True)
+        back = inv_chol @ proj_bar
         a_bar += back
         chol_bar = -np.tril(ctx["a2"] @ back.T)
     # a = chol^{-1} k_zb
-    kzb_bar = solve_triangular(chol, a_bar, lower=True, trans="T")
+    kzb_bar = inv_chol.T @ a_bar
     chol_bar = chol_bar - np.tril(kzb_bar @ a.T)
 
-    kzz_bar = _chol_backward(chol, chol_bar)
+    kzz_bar = _chol_backward(chol, inv_chol, chol_bar)
     if kl_kzz_bar is not None:
         kzz_bar = kzz_bar - kl_kzz_bar
 

@@ -17,6 +17,7 @@ fit (separate generators). The eigenpair cache directory comes from
 """
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -187,12 +188,41 @@ def _write_fit_metrics(out, command, payload, predicted, truth, train_idx, test_
     print(line)
 
 
+def _blas_threads() -> int | None:
+    """Thread count the loaded OpenBLAS reports, or None if none is found.
+
+    numpy and scipy may each load their own OpenBLAS; the largest count is
+    reported. The libraries are found in the process's memory map, which
+    exists on Linux only.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if line.strip()}
+    except OSError:
+        return None
+    counts = []
+    for path in sorted(p for p in paths if "openblas" in p.lower() and ".so" in p):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(int(getter()))
+                break
+    return max(counts, default=None)
+
+
 def _run_record(hit, path, timings) -> dict:
-    """A command's eigen-cache outcome and stage timings (seconds)."""
+    """A command's eigen-cache outcome, stage timings (seconds) and BLAS threads."""
     return {
         "eigen_cache_hit": hit,
         "eigen_cache_file": str(path) if path is not None else None,
         "timings": timings,
+        "blas_threads": _blas_threads(),
     }
 
 
@@ -233,6 +263,7 @@ def cmd_eigen(args) -> int:
         "cache_file": str(path) if path is not None else None,
         "cache_hit": hit,
         "timings": timings,
+        "blas_threads": _blas_threads(),
     }
     _write_json(out / "summary.json", summary)
     print(
@@ -468,6 +499,7 @@ def cmd_compare_kernels(args) -> int:
         "iterations": args.iterations,
         "rows": rows,
         "timings": timings,
+        "blas_threads": _blas_threads(),
     })
     return 0
 

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .kernels import KernelSpec, _as_query, spectral_weights, trainable_params
 from .optim import AdamConfig, AdamState, adam_step
-from .spectral import SpectralBasis, _factor_spd
+from .spectral import DENSE_SIZE_LIMIT, SpectralBasis, _factor_spd
 
 __all__ = [
     "PosteriorSummary",
@@ -56,9 +56,9 @@ _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _CONDITION_WARN = 1e12
 
-# Most n x |query| elements gmrf_posterior accepts (1 GiB of float64). The
-# covariance is only a k x k block for k distinct queries, so the limit is
-# conservative; a k^2 limit would need its own bound on the k^3 inversion.
+# Most elements of the |query| x |query| covariance gmrf_posterior returns
+# (1 GiB of float64). Its k^3 inversion of the k distinct query nodes is
+# bounded apart, by the dense eigensolver's node limit.
 DENSE_ELEMENT_LIMIT = 2**27
 
 
@@ -501,8 +501,12 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
     mean. The covariance at the queries is the inverse of their Schur
     complement, whose LU factors are the factor's rows and columns at the
     query positions, so it costs one k x k triangular inversion and no
-    covariance columns. A non-symmetric precision raises ``ValueError``; a
-    singular or indefinite one raises ``scipy.linalg.LinAlgError``.
+    covariance columns. Before the factorization, a |query| x |query|
+    output over ``DENSE_ELEMENT_LIMIT`` elements, or k over
+    ``spectral.DENSE_SIZE_LIMIT`` nodes for the k^3 inversion, raises
+    ``ValueError`` naming the refused shape. A non-symmetric precision
+    raises ``ValueError``; a singular or indefinite one raises
+    ``scipy.linalg.LinAlgError``.
     """
     q_post = sp.csc_array(precision)
     n = q_post.shape[0]
@@ -517,15 +521,20 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
         raise ValueError(f"noise2 must be positive, got {noise2!r}")
     x, y = _as_observations(train_nodes, targets, n)
     q = _as_query(query, n)
-    if n * q.size > DENSE_ELEMENT_LIMIT:
+    if q.size**2 > DENSE_ELEMENT_LIMIT:
         raise ValueError(
-            f"gmrf_posterior would solve for a dense {n} x {q.size} block of "
-            f"covariance columns, over the {DENSE_ELEMENT_LIMIT}-element limit; "
+            f"gmrf_posterior would return a dense {q.size} x {q.size} query "
+            f"covariance, over the {DENSE_ELEMENT_LIMIT}-element limit; "
             "pass a smaller query"
         )
-
     nodes, inverse = np.unique(q, return_inverse=True)
     k = nodes.size
+    if k > DENSE_SIZE_LIMIT:
+        raise ValueError(
+            f"gmrf_posterior would invert a dense {k} x {k} block of distinct "
+            f"query nodes, over the {DENSE_SIZE_LIMIT}-node dense limit; "
+            "pass fewer distinct query nodes"
+        )
     q_post = q_post + sp.diags_array(np.bincount(x, minlength=n) / noise2)
     lu, order = _factor_spd(q_post, "posterior precision", last=nodes)
     del q_post

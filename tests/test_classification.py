@@ -1,11 +1,13 @@
 """Variational classifier: link, KL, marginals, ELBO value/grads, training."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import log_ndtr
 
 from graph_matern import (
     AdamConfig,
@@ -25,7 +27,7 @@ from graph_matern import (
     save_model,
 )
 from graph_matern import classification
-from graph_matern.classification import _elbo_core, _marginals
+from graph_matern.classification import _VAR_FLOOR, _elbo_core, _log_lik_forward, _marginals
 from graph_matern.regression import from_unconstrained, to_unconstrained, unconstrained_name
 from helpers import random_connected_graph, two_cliques
 
@@ -409,6 +411,121 @@ class TestElboGradients:
         # gradient of 2e-5 moves by 6e-15 when the d_bar sums reassociate.
         for key in grads:
             assert_allclose(grads[key], grads_p[key], rtol=1e-10, atol=1e-12, err_msg=key)
+
+
+def _all_class_log_lik(epsilon, mean, var, labels, xi, scale):
+    """The bound and its m/v grads over all C classes, the label column
+    zeroed after the fact: the formula ``_log_lik_forward`` replaced."""
+    b, c = mean.shape
+    log_low = np.log(epsilon) - np.log(c - 1)
+    gap = np.log1p(-epsilon) - log_low
+    vfloor = np.maximum(var, _VAR_FLOOR)
+    sd = np.sqrt(vfloor)
+    rows = np.arange(b)
+    m_y = mean[rows, labels]
+    sd_y = sd[rows, labels]
+    t = m_y[None, :] + sd_y[None, :] * xi
+    z = (t[:, :, None] - mean[None, :, :]) / sd[None, :, :]
+    log_cdf = log_ndtr(z)
+    log_cdf[:, rows, labels] = 0.0
+    g = np.sum(log_cdf, axis=-1)
+    p_hat = np.mean(np.exp(g), axis=0)
+    value = scale * float(b * log_low + gap * np.sum(p_hat))
+    s = xi.shape[0]
+    log_pdf = -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi)
+    coef = (scale * gap / s) * np.exp(g[:, :, None] - log_cdf + log_pdf)
+    coef[:, rows, labels] = 0.0
+    csum = np.sum(coef, axis=0) / sd
+    csum_z = np.sum(coef * z, axis=0) / (2.0 * vfloor)
+    csum_xi = np.sum(coef * xi[:, :, None], axis=0) / sd
+    gmean = -csum
+    gmean[rows, labels] = np.sum(csum, axis=1) - csum[rows, labels]
+    gvar = -csum_z
+    gvar[rows, labels] = (np.sum(csum_xi, axis=1) - csum_xi[rows, labels]) / (2.0 * sd_y)
+    return value, gmean, np.where(var > _VAR_FLOOR, gvar, 0.0)
+
+
+class TestRivalClassLikelihood:
+    @pytest.mark.parametrize("n_classes", [2, 3, 7, 12])
+    def test_matches_the_all_class_formula(self, n_classes):
+        rng = np.random.default_rng(50 + n_classes)
+        b = 9
+        mean = rng.normal(0.0, 1.5, size=(b, n_classes))
+        var = np.exp(rng.normal(-1.0, 0.8, size=(b, n_classes)))
+        var[1, 0] = var[4, -1] = _VAR_FLOOR
+        var[2, 1] = 0.5 * _VAR_FLOOR
+        labels = rng.integers(0, n_classes, size=b)
+        labels[:3] = 0
+        labels[3:6] = n_classes - 1
+        xi = rng.standard_normal((11, b))
+        model = dataclasses.replace(
+            _classifier(0, n_classes=n_classes, randomize=False)[1], epsilon=0.02
+        )
+        value, gmean, gvar = _log_lik_forward(model, mean, var, labels, xi, 2.5)
+        ref_value, ref_gmean, ref_gvar = _all_class_log_lik(
+            model.epsilon, mean, var, labels, xi, 2.5
+        )
+        assert value == ref_value
+        assert_allclose(gmean, ref_gmean, rtol=1e-13, atol=0.0)
+        assert_allclose(gvar, ref_gvar, rtol=1e-13, atol=0.0)
+        assert gvar[2, 1] == 0.0 and gvar[1, 0] == 0.0
+
+
+class TestOneTriangularInverse:
+    @pytest.mark.parametrize("diag_cov", [True, False])
+    @pytest.mark.parametrize("whitened", [True, False])
+    def test_step_and_prediction_take_no_triangular_solve(
+        self, monkeypatch, diag_cov, whitened
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_triangular called")
+
+        monkeypatch.setattr(classification, "solve_triangular", refuse)
+        rng, model = _classifier(42, diag_cov=diag_cov, whitened=whitened)
+        for batch in (model.inducing_nodes, np.array([1, 3, 6, 8, 11])):
+            labels = rng.integers(0, model.n_classes, size=batch.size)
+            xi = rng.standard_normal((5, batch.size))
+            value, grads = _elbo_core(model, batch, labels, xi, 12, True)
+            blocks = model._cache[("blocks", batch.tobytes())]
+            assert (blocks["phi_b"] is blocks["phi_z"]) == (batch is model.inducing_nodes)
+            assert np.isfinite(value)
+            assert all(np.all(np.isfinite(g)) for g in grads.values())
+        probs, _ = predict_classes(model, mc_samples=8, seed=1)
+        assert probs.shape == (12, model.n_classes)
+
+
+class TestMinibatchUnbiased:
+    @pytest.mark.parametrize("diag_cov", [True, False])
+    @pytest.mark.parametrize("whitened", [True, False])
+    def test_mean_over_every_batch_is_the_full_batch_bound(self, diag_cov, whitened):
+        """With the Monte Carlo noise fixed per node, the N/|batch|-scaled
+        bound over all 15 batches of 2 out of 6 averages to the full one."""
+        rng, model = _classifier(43, diag_cov=diag_cov, whitened=whitened)
+        nodes = np.array([0, 2, 5, 7, 9, 11])
+        labels = rng.integers(0, model.n_classes, size=nodes.size)
+        xi = rng.standard_normal((5, nodes.size))
+        full, full_grads = _elbo_core(model, nodes, labels, xi, nodes.size, True)
+        batches = [list(pair) for pair in itertools.combinations(range(nodes.size), 2)]
+        assert len(batches) == 15
+        values, grads = [], []
+        for pick in batches:
+            value, g = _elbo_core(model, nodes[pick], labels[pick], xi[:, pick],
+                                  nodes.size, True)
+            blocks = model._cache[("blocks", nodes[pick].tobytes())]
+            assert blocks["phi_b"] is not blocks["phi_z"]
+            values.append(value)
+            grads.append(g)
+        assert_allclose(np.mean(values), full, rtol=1e-12)
+        assert full_grads.keys() == grads[0].keys()
+        # Whitened, the sigma2 gradient is zero but for the jitter (the argmax
+        # of f is scale-free), and its O(1) terms cancel to ~1e-5; the kernel
+        # gradients share a floor of 1e-12 of the largest of them.
+        kernel = [key for key in full_grads if not key.startswith("q_")]
+        floor = 1e-12 * max(abs(full_grads[key]) for key in kernel)
+        for key in full_grads:
+            mean = np.mean([g[key] for g in grads], axis=0)
+            assert_allclose(mean, full_grads[key], rtol=1e-12,
+                            atol=floor if key in kernel else 0.0, err_msg=key)
 
 
 class TestFitClassifier:

@@ -1,6 +1,7 @@
 """End-to-end command line runs through main(argv) in-process."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,35 @@ class TestCompareKernels:
         ])
         assert code == 1
         assert "--train-size is required" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    def test_every_record_carries_the_pinned_thread_count(self, classify_case, tmp_path):
+        """``tests/conftest.py`` pins OpenBLAS to 1 thread unless the caller
+        set the variable; every command's JSON record reads it back."""
+        pinned = int(os.environ["OPENBLAS_NUM_THREADS"])
+        graph_path, labels_path = classify_case
+        targets_path = tmp_path / "targets.csv"
+        targets_path.write_text("node,value\n0,1.0\n3,0.5\n7,-1.0\n")
+        common = ["--graph", str(graph_path), "--iterations", "2", "--mc-samples", "2",
+                  "--predict-samples", "5"]
+        runs = {
+            "eigen": (["--graph", str(graph_path)], "summary.json"),
+            "fit-regression": (["--graph", str(graph_path), "--targets", str(targets_path),
+                                "--iterations", "2"], "metrics.json"),
+            "fit-classify": (common + ["--labels", str(labels_path)], "metrics.json"),
+            "predict": (["--graph", str(graph_path), "--predict-samples", "5",
+                         "--model", str(tmp_path / "fit-classify" / "model.json")],
+                        "summary.json"),
+            "compare-kernels": (common + ["--task", "classification", "--labels",
+                                          str(labels_path), "--train-size", "6",
+                                          "--repeats", "1"], "results.json"),
+        }
+        for command, (args, record) in runs.items():
+            out = tmp_path / command
+            assert main([command, "--out", str(out), *args]) == 0, command
+            value = json.loads((out / record).read_text())["blas_threads"]
+            assert value == pinned and type(value) is int, (command, value)
 
 
 class TestParser:

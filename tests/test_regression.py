@@ -695,10 +695,38 @@ class TestGmrfPosterior:
         op = build_laplacian(path_graph(20000), "unnormalized")
         q_prior = matern_precision_sparse(op, 1, kappa=1.0)
         train, y = np.array([0, 5]), np.array([1.0, -1.0])
-        with pytest.raises(ValueError, match="dense 20000 x 20000 block"):
+        with pytest.raises(ValueError, match="dense 20000 x 20000 query covariance"):
             gmrf_posterior(q_prior, 0.1, train, y)
         out = gmrf_posterior(q_prior, 0.1, train, y, np.arange(3))
         assert out.covariance.shape == (3, 3)
+
+    def test_duplicate_heavy_query_refused_by_its_output(self):
+        # one distinct node, but a 12000 x 12000 output
+        q_prior = matern_precision_sparse(
+            build_laplacian(path_graph(50), "unnormalized"), 1, kappa=1.0
+        )
+        with pytest.raises(ValueError, match="dense 12000 x 12000 query covariance"):
+            gmrf_posterior(q_prior, 0.1, np.array([0]), np.array([1.0]),
+                           np.full(12000, 7))
+
+    def test_distinct_queries_over_dense_size_limit_refused(self):
+        op = build_laplacian(path_graph(20000), "unnormalized")
+        q_prior = matern_precision_sparse(op, 1, kappa=1.0)
+        with pytest.raises(ValueError, match="dense 4097 x 4097 block of distinct"):
+            gmrf_posterior(q_prior, 0.1, np.array([0]), np.array([1.0]),
+                           np.arange(4097))
+
+    def test_long_path_with_many_queries_runs(self):
+        # n * |query| = 1.4e8 is past 2**27, but the output is 1000 x 1000
+        op = build_laplacian(path_graph(140000), "unnormalized")
+        q_prior = matern_precision_sparse(op, 1, kappa=1.0)
+        train, y = np.array([0, 70000, 139999]), np.array([1.0, -1.0, 0.5])
+        query = np.arange(0, 140000, 140)
+        out = gmrf_posterior(q_prior, 0.1, train, y, query)
+        assert out.covariance.shape == (1000, 1000)
+        one = gmrf_posterior(q_prior, 0.1, train, y, query[500:501])
+        assert_allclose(out.mean[500], one.mean[0], rtol=1e-10)
+        assert_allclose(out.variance[500], one.variance[0], rtol=1e-10)
 
 
 class TestSnapshotAndCsv:
