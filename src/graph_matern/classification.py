@@ -29,17 +29,23 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri
 from scipy.special import log_ndtr
 
-from .kernels import KernelSpec, _as_query, spectral_weights, trainable_params
+from .kernels import (
+    KernelSpec,
+    _as_query,
+    check_laplacian_kind,
+    check_trainable,
+    from_unconstrained,
+    spectral_weights,
+    to_unconstrained,
+    unconstrained_grads,
+)
 from .optim import AdamConfig, AdamState, adam_step
 from .regression import (
     _carry_cache,
     _read_node_csv,
     _read_snapshot,
+    _snapshot_spec,
     _write_snapshot,
-    chain_factor,
-    from_unconstrained,
-    to_unconstrained,
-    unconstrained_name,
 )
 from .spectral import SpectralBasis
 
@@ -151,18 +157,13 @@ class VariationalClassifier:
         if scale.shape != shape:
             raise ValueError(f"{name} must have shape {shape}, got {scale.shape}")
         object.__setattr__(self, name, scale if self.diag_cov else np.tril(scale))
-        if self.spec.laplacian_kind != self.basis.laplacian_kind:
-            raise ValueError("kernel spec and basis disagree on the laplacian kind")
+        check_laplacian_kind(self.spec, self.basis)
         object.__setattr__(self, "inducing_nodes", z)
         object.__setattr__(self, "q_mu", mu)
 
     @property
     def diag_cov(self) -> bool:
         return self.q_log_scale is not None
-
-    @property
-    def n_inducing(self) -> int:
-        return self.inducing_nodes.shape[0]
 
     @classmethod
     def create(
@@ -212,13 +213,12 @@ def _kernel_blocks(model: VariationalClassifier, batch):
     One ``dtrtri`` gives L^-1, so every triangular operation of a step
     (marginals, their backward pass, the unwhitened KL) is a matrix product
     with L^-1 or L^-T. The inducing rows Phi_z are memoized in the model
-    cache, which ``fit_classifier`` carries from step to step. When the batch is the
-    inducing set, as on a full-batch step, Phi_b is Phi_z and the one
-    product (Phi_z D) Phi_z^T is K_zb and, symmetrized, K_zz.
+    cache, which ``fit_classifier`` carries from step to step; the blocks
+    are not, as a fit builds a new model every step and prediction asks
+    once. When the batch is the inducing set, as on a full-batch step,
+    Phi_b is Phi_z and the one product (Phi_z D) Phi_z^T is K_zb and,
+    symmetrized, K_zz.
     """
-    key = ("blocks", batch.tobytes())
-    if key in model._cache:
-        return model._cache[key]
     d, d_grads = spectral_weights(
         model.spec, model.basis.eigenvalues, model.basis.total_dim, with_grads=True
     )
@@ -239,12 +239,10 @@ def _kernel_blocks(model: VariationalClassifier, batch):
     inv_chol, _ = dtrtri(chol, lower=1)
     k_zb = prod if shared else (phi_z * d) @ phi_b.T
     k_bb = np.einsum("ij,j->i", phi_b**2, d)
-    blocks = {
+    return {
         "d": d, "d_grads": d_grads, "phi_z": phi_z, "phi_b": phi_b,
         "chol": chol, "inv_chol": inv_chol, "k_zb": k_zb, "k_bb": k_bb,
     }
-    model._cache[key] = blocks
-    return blocks
 
 
 def _marginals(model: VariationalClassifier, batch):
@@ -469,11 +467,7 @@ def _elbo_core(model, batch, labels, xi, n_total, with_grads):
             + np.einsum("is,is->s", phi_z, kzb_bar @ phi_b)
         )
     d_bar = d_bar + kbb_bar @ (phi_b**2)
-    raw = {name: getattr(model.spec, name) for name in trainable_params(model.spec)}
-    for name, dd in blocks["d_grads"].items():
-        grads[unconstrained_name(name)] = (
-            float(np.dot(d_bar, dd)) * chain_factor(name, raw[name])
-        )
+    grads.update(unconstrained_grads(model.spec, d_bar, blocks["d_grads"]))
 
     for key, g in kl_grads.items():
         grads[key] = grads.get(key, 0.0) - g
@@ -552,32 +546,19 @@ def fit_classifier(
     if batch_size is None or batch_size >= n_total:
         batch_size = n_total
 
-    kernel_names = tuple(trainable_params(model.spec))
-    allowed = _VARIATIONAL_PARAMS + kernel_names
-    names = config.trainable if config.trainable is not None else allowed
-    unknown = set(names) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown trainable parameters: {sorted(unknown)}")
-    if not names:
-        raise ValueError("no trainable parameters selected")
+    names = check_trainable(model.spec, config.trainable, _VARIATIONAL_PARAMS)
+    kernel_names = [name for name in names if name not in _VARIATIONAL_PARAMS]
 
     scale_key = "q_log_scale" if model.diag_cov else "q_scale_tril"
     params = {}
     if "q_mu" in names:
         params["q_mu"] = model.q_mu.copy()
     if "q_scale" in names:
-        params[scale_key] = (
-            model.q_log_scale.copy() if model.diag_cov else model.q_scale_tril.copy()
-        )
-    for name in names:
-        if name in ("q_mu", "q_scale"):
-            continue
-        params[unconstrained_name(name)] = np.asarray(
-            to_unconstrained(name, getattr(model.spec, name))
-        )
+        params[scale_key] = getattr(model, scale_key).copy()
+    params.update(to_unconstrained({n: getattr(model.spec, n) for n in kernel_names}))
 
     rng = np.random.default_rng(seed)
-    state = AdamState.from_config(config)
+    state = AdamState(config)
     current = model
     trace = []
     for step in range(config.iterations):
@@ -597,19 +578,9 @@ def fit_classifier(
         step_grads = {k: -np.asarray(grads[k]) for k in params}
         state, new_params = adam_step(state, params, step_grads)
         params = new_params
-        updates = {}
-        if "q_mu" in params:
-            updates["q_mu"] = params["q_mu"]
-        if scale_key in params:
-            updates[scale_key] = (
-                np.tril(params[scale_key]) if scale_key == "q_scale_tril"
-                else params[scale_key]
-            )
-        raw = {
-            name: from_unconstrained(name, float(params[unconstrained_name(name)]))
-            for name in names
-            if name not in ("q_mu", "q_scale")
-        }
+        # The model keeps only the lower triangle of q_scale_tril.
+        updates = {k: params[k] for k in ("q_mu", scale_key) if k in params}
+        raw = from_unconstrained(params, kernel_names)
         if raw:
             updates["spec"] = current.spec.with_params(**raw)
         current = _carry_cache(current, current.with_updates(**updates), ("phi_z",))
@@ -669,16 +640,20 @@ def save_classifier(model: VariationalClassifier, path):
 
 
 def load_classifier(path, basis: SpectralBasis) -> VariationalClassifier:
-    payload = _read_snapshot(path, "classifier", basis)
-    scale = "q_log_scale" if payload["diag_cov"] else "q_scale_tril"
+    """Rebuild a snapshot against a caller-provided basis."""
+    return _classifier_from_snapshot(_read_snapshot(path, "classifier"), basis)
+
+
+def _classifier_from_snapshot(snapshot, basis: SpectralBasis) -> VariationalClassifier:
+    scale = "q_log_scale" if snapshot["diag_cov"] else "q_scale_tril"
     return VariationalClassifier(
-        spec=KernelSpec.from_dict(payload["kernel"]),
+        spec=_snapshot_spec(snapshot, basis),
         basis=basis,
-        n_classes=int(payload["n_classes"]),
-        inducing_nodes=np.asarray(payload["inducing_nodes"], dtype=np.int64),
-        q_mu=np.asarray(payload["q_mu"], dtype=float),
-        whitened=bool(payload["whitened"]),
-        epsilon=float(payload["epsilon"]),
-        jitter=float(payload["jitter"]),
-        **{scale: np.asarray(payload["q_scale"], dtype=float)},
+        n_classes=snapshot["n_classes"],
+        inducing_nodes=np.asarray(snapshot["inducing_nodes"], dtype=np.int64),
+        q_mu=np.asarray(snapshot["q_mu"], dtype=float),
+        whitened=snapshot["whitened"],
+        epsilon=float(snapshot["epsilon"]),
+        jitter=float(snapshot["jitter"]),
+        **{scale: np.asarray(snapshot["q_scale"], dtype=float)},
     )

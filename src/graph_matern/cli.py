@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .classification import (
     VariationalClassifier,
+    _classifier_from_snapshot,
     fit_classifier,
-    load_classifier,
     predict_classes,
     read_labels_csv,
     save_classifier,
@@ -41,9 +41,10 @@ from .optim import AdamConfig, metrics, random_split
 from .regression import (
     GPRegressionModel,
     _lml_route,
+    _model_from_snapshot,
+    _read_snapshot,
     _write_json,
     fit,
-    load_model,
     read_targets_csv,
     save_model,
     woodbury_posterior,
@@ -369,29 +370,20 @@ def cmd_fit_classify(args) -> int:
 def cmd_predict(args) -> int:
     timings = {}
     graph = _timed(timings, "parse_s", read_edge_list, args.graph)
-    with open(args.model, "r", encoding="utf-8") as fh:
-        snapshot = json.load(fh)
-    if not isinstance(snapshot, dict):
-        raise ValueError(f"model snapshot {args.model} is not a JSON object")
-    kind = snapshot.get("kind")
-    if kind not in ("regression", "classifier"):
-        raise ValueError(f"unknown snapshot kind {kind!r} in {args.model}")
-    kernel = snapshot.get("kernel", {})
-    if not isinstance(kernel, dict):
-        raise ValueError(f"snapshot field 'kernel' in {args.model} is not a JSON object")
-    pairs = snapshot.get("eigenpairs", graph.node_count)
-    if type(pairs) is not int or pairs < 1:
-        raise ValueError(f"snapshot field 'eigenpairs' is not a positive integer: {pairs!r}")
-    lap = kernel.get("laplacian", "unnormalized")
-    _, basis, hit, path = _basis_for(graph, lap, pairs, args.cache_dir, timings)
+    snapshot = _read_snapshot(args.model)
+    kind = snapshot["kind"]
+    _, basis, hit, path = _basis_for(
+        graph, snapshot["kernel"].laplacian_kind, snapshot["eigenpairs"],
+        args.cache_dir, timings,
+    )
     out = _out_dir(args)
     if kind == "regression":
-        model = load_model(args.model, basis)
+        model = _model_from_snapshot(snapshot, basis)
         summary = _timed(timings, "predict_s", woodbury_posterior, model,
                          query=None, diag=True)
         _write_regression_csv(out / "predictions.csv", summary)
     else:
-        model = load_classifier(args.model, basis)
+        model = _classifier_from_snapshot(snapshot, basis)
         probs, pred = _timed(
             timings, "predict_s", predict_classes,
             model, query=None, mc_samples=args.predict_samples, seed=args.seed,
@@ -504,11 +496,12 @@ def cmd_compare_kernels(args) -> int:
     return 0
 
 
-def _add_common(p, kernel=True):
+def _add_common(p, kernel=True, seed=True):
     p.add_argument("--graph", required=True, help="edge list file")
     p.add_argument("--eigenpairs", type=int, default=500,
                    help="spectral modes to retain (clamped to n)")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--cache-dir", default=None,
                    help="eigenpair cache directory (default $GRAPH_MATERN_CACHE_DIR)")
@@ -526,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eigen", help="eigendecompose a graph Laplacian")
-    _add_common(p, kernel=False)
+    _add_common(p, kernel=False, seed=False)
     p.add_argument("--laplacian", choices=("unnormalized", "sym_normalized"),
                    default="unnormalized")
     p.set_defaults(func=cmd_eigen)

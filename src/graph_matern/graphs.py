@@ -173,23 +173,6 @@ class LaplacianOperator:
     def node_count(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, tol_scale: float = 1e-12):
-        """Cheap structural checks: exact symmetry, row sums / diagonal."""
-        m = self.matrix
-        asym = (m - m.T)
-        if asym.nnz and np.max(np.abs(asym.data)) != 0.0:
-            raise AssertionError("laplacian is not symmetric")
-        max_deg = max(float(np.max(self.degrees)), 1.0) if self.degrees.size else 1.0
-        if self.kind == "unnormalized":
-            row_sums = np.asarray(m.sum(axis=1)).ravel()
-            if self.node_count and np.max(np.abs(row_sums)) > tol_scale * max_deg:
-                raise AssertionError("unnormalized laplacian row sums not ~0")
-        else:
-            diag = m.diagonal()
-            expect = np.where(self.degrees > 0, 1.0, 0.0)
-            if self.node_count and np.max(np.abs(diag - expect)) > 1e-12:
-                raise AssertionError("sym_normalized diagonal not 1 (or 0 if isolated)")
-
 
 def parse_edge_list(text: str) -> WeightedGraph:
     """Parse the whitespace-separated edge-list format.

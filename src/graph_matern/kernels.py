@@ -25,6 +25,7 @@ normalization constant's dependence on the parameters is included.
 import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +52,14 @@ _TRAINABLE = {
 }
 
 
+# The JSON key of each KernelSpec field.
+_JSON_KEYS = {
+    "family": "family", "nu": "nu", "kappa": "kappa", "sigma2": "sigma2",
+    "alpha": "alpha", "p": "p", "laplacian_kind": "laplacian",
+    "normalize_variance": "normalize",
+}
+
+
 def _positive(name, value):
     if value is None or not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -74,6 +83,10 @@ class KernelSpec:
     normalize_variance: bool = True
 
     def __post_init__(self):
+        for name in ("nu", "kappa", "sigma2", "alpha", "p"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is bool or not isinstance(value, Real)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.laplacian_kind not in LAPLACIAN_KINDS:
@@ -109,40 +122,82 @@ class KernelSpec:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "nu": self.nu,
-            "kappa": self.kappa,
-            "sigma2": self.sigma2,
-            "alpha": self.alpha,
-            "p": self.p,
-            "laplacian": self.laplacian_kind,
-            "normalize": self.normalize_variance,
-        }
+        return {key: getattr(self, name) for name, key in _JSON_KEYS.items()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KernelSpec":
-        known = {"family", "nu", "kappa", "sigma2", "alpha", "p", "laplacian", "normalize"}
-        extra = set(obj) - known
+        """Spec from JSON keys; an absent key takes the field's default."""
+        extra = set(obj) - set(_JSON_KEYS.values())
         if extra:
             raise ValueError(f"unknown kernel spec fields: {sorted(extra)}")
         if "family" not in obj:
             raise ValueError("kernel spec is missing 'family'")
-        return cls(
-            family=obj["family"],
-            nu=obj.get("nu"),
-            kappa=obj.get("kappa"),
-            sigma2=obj.get("sigma2", 1.0),
-            alpha=obj.get("alpha"),
-            p=obj.get("p"),
-            laplacian_kind=obj.get("laplacian", "unnormalized"),
-            normalize_variance=bool(obj.get("normalize", True)),
-        )
+        if type(obj.get("normalize", True)) is not bool:
+            raise ValueError(f"normalize must be true or false, got {obj['normalize']!r}")
+        return cls(**{name: obj[key] for name, key in _JSON_KEYS.items() if key in obj})
 
 
 def trainable_params(spec: KernelSpec) -> tuple:
     """Raw kernel parameter names the fit loops may optimize."""
     return _TRAINABLE[spec.family]
+
+
+def check_trainable(spec: KernelSpec, requested, model_params) -> tuple:
+    """Names a fit optimizes: ``requested``, or all kernel and ``model_params``
+    names when it is None; an empty set or any other name is refused."""
+    allowed = trainable_params(spec) + tuple(model_params)
+    names = allowed if requested is None else tuple(requested)
+    unknown = set(names) - set(allowed)
+    if unknown:
+        raise ValueError(
+            f"unknown trainable parameters {sorted(unknown)}: not trainable "
+            f"for a {spec.family} kernel"
+        )
+    if not names:
+        raise ValueError("no trainable parameters selected")
+    return names
+
+
+def unconstrained_name(name: str) -> str:
+    """A fit steps alpha in logit coordinates and the other parameters in log."""
+    return "logit_alpha" if name == "alpha" else f"log_{name}"
+
+
+def to_unconstrained(raw: dict) -> dict:
+    """``{unconstrained_name(name): 0-d array}`` of raw parameter values."""
+    return {
+        unconstrained_name(n): np.asarray(
+            float(np.log(v) - np.log1p(-v)) if n == "alpha" else float(np.log(v))
+        )
+        for n, v in raw.items()
+    }
+
+
+def from_unconstrained(params: dict, names) -> dict:
+    """Raw values of ``names`` from their coordinates in ``params``."""
+    t = {n: float(params[unconstrained_name(n)]) for n in names}
+    return {n: float(1.0 / (1.0 + np.exp(-v))) if n == "alpha" else float(np.exp(v))
+            for n, v in t.items()}
+
+
+def unconstrained_grads(spec: KernelSpec, d_bar, d_grads) -> dict:
+    """Kernel gradients in unconstrained coordinates from ``d_bar`` = dL/dd
+    and the dd/dparam arrays ``d_grads`` of ``spectral_weights``, by the
+    chain factor d(raw)/d(coordinate): alpha (1 - alpha) or the raw value."""
+    grads = {}
+    for name, dd in d_grads.items():
+        raw = getattr(spec, name)
+        chain = raw * (1.0 - raw) if name == "alpha" else raw
+        grads[unconstrained_name(name)] = float(np.dot(d_bar, dd)) * float(chain)
+    return grads
+
+
+def check_laplacian_kind(spec: KernelSpec, basis: SpectralBasis):
+    if spec.laplacian_kind != basis.laplacian_kind:
+        raise ValueError(
+            f"kernel expects the {spec.laplacian_kind!r} laplacian kind but the "
+            f"basis was built from {basis.laplacian_kind!r}"
+        )
 
 
 def _logsumexp(a):
@@ -277,11 +332,7 @@ def kernel_matrix(basis: SpectralBasis, spec: KernelSpec, rows=None, cols=None):
     The basis must come from the Laplacian kind the spec declares. With a
     truncated basis this is the rank-l kernel on the retained modes.
     """
-    if basis.laplacian_kind != spec.laplacian_kind:
-        raise ValueError(
-            f"kernel expects {spec.laplacian_kind!r} laplacian but basis was "
-            f"built from {basis.laplacian_kind!r}"
-        )
+    check_laplacian_kind(spec, basis)
     d, _ = spectral_weights(spec, basis.eigenvalues, basis.total_dim)
     ridx = None if rows is None else _as_query(rows, basis.total_dim)
     cidx = None if cols is None else _as_query(cols, basis.total_dim)

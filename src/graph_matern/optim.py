@@ -51,24 +51,13 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for a named parameter set."""
+    """The settings Adam steps with and its first/second moment
+    accumulators for a named parameter set."""
 
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    config: AdamConfig = field(default_factory=AdamConfig)
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_config(cls, config: AdamConfig) -> "AdamState":
-        return cls(
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-        )
 
 
 def adam_step(state: AdamState, params: dict, grads: dict):
@@ -87,7 +76,8 @@ def adam_step(state: AdamState, params: dict, grads: dict):
             )
 
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    config = state.config
+    b1, b2 = config.beta1, config.beta2
     new_m = dict(state.m)
     new_v = dict(state.v)
     new_params = {k: np.array(v, dtype=float, copy=True) for k, v in params.items()}
@@ -101,8 +91,8 @@ def adam_step(state: AdamState, params: dict, grads: dict):
         new_v[name] = v
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        new_params[name] = new_params[name] - state.learning_rate * m_hat / (
-            np.sqrt(v_hat) + state.eps
+        new_params[name] = new_params[name] - config.learning_rate * m_hat / (
+            np.sqrt(v_hat) + config.eps
         )
 
     new_state = dataclasses.replace(state, step=t, m=new_m, v=new_v)

@@ -33,7 +33,16 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 import scipy.sparse as sp
 
-from .kernels import KernelSpec, _as_query, spectral_weights, trainable_params
+from .kernels import (
+    KernelSpec,
+    _as_query,
+    check_laplacian_kind,
+    check_trainable,
+    from_unconstrained,
+    spectral_weights,
+    to_unconstrained,
+    unconstrained_grads,
+)
 from .optim import AdamConfig, AdamState, adam_step
 from .spectral import DENSE_SIZE_LIMIT, SpectralBasis, _factor_spd
 
@@ -60,29 +69,6 @@ _CONDITION_WARN = 1e12
 # (1 GiB of float64). Its k^3 inversion of the k distinct query nodes is
 # bounded apart, by the dense eigensolver's node limit.
 DENSE_ELEMENT_LIMIT = 2**27
-
-
-def unconstrained_name(name: str) -> str:
-    return "logit_alpha" if name == "alpha" else f"log_{name}"
-
-
-def to_unconstrained(name: str, value: float) -> float:
-    if name == "alpha":
-        return float(np.log(value) - np.log1p(-value))
-    return float(np.log(value))
-
-
-def from_unconstrained(name: str, t: float) -> float:
-    if name == "alpha":
-        return float(1.0 / (1.0 + np.exp(-t)))
-    return float(np.exp(t))
-
-
-def chain_factor(name: str, value: float) -> float:
-    """d(raw)/d(unconstrained) evaluated at the raw value."""
-    if name == "alpha":
-        return float(value * (1.0 - value))
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -123,10 +109,7 @@ class GPRegressionModel:
             raise ValueError("targets must be finite")
         if not (np.isfinite(self.noise2) and self.noise2 > 0):
             raise ValueError(f"noise2 must be positive, got {self.noise2!r}")
-        if self.spec.laplacian_kind != self.basis.laplacian_kind:
-            raise ValueError(
-                "kernel spec and basis disagree on the laplacian kind"
-            )
+        check_laplacian_kind(self.spec, self.basis)
         object.__setattr__(self, "train_nodes", nodes)
         object.__setattr__(self, "targets", targets)
 
@@ -334,12 +317,7 @@ def _lml_grads(model, proj, trace_cols, alpha_sq, trace_cinv):
     term needs alpha^T alpha and tr(C^{-1}).
     """
     _, d_grads = model._weights()
-    quad_cols = proj**2
-    grads = {}
-    raw = {name: getattr(model.spec, name) for name in trainable_params(model.spec)}
-    for name, dd in d_grads.items():
-        g = 0.5 * float(np.dot(dd, quad_cols - trace_cols))
-        grads[unconstrained_name(name)] = g * chain_factor(name, raw[name])
+    grads = unconstrained_grads(model.spec, 0.5 * (proj**2 - trace_cols), d_grads)
     g_noise = 0.5 * (alpha_sq - trace_cinv)
     grads["log_noise2"] = g_noise * model.noise2
     return grads
@@ -411,27 +389,13 @@ def fit(model: GPRegressionModel, config: AdamConfig | None = None):
     and the post-update endpoint).
     """
     config = config or AdamConfig()
-    allowed = tuple(trainable_params(model.spec)) + ("noise2",)
-    names = config.trainable if config.trainable is not None else allowed
-    unknown = set(names) - set(allowed)
-    if unknown:
-        raise ValueError(
-            f"not trainable for a {model.spec.family} kernel: {sorted(unknown)}"
-        )
-    if not names:
-        raise ValueError("no trainable parameters selected")
+    names = check_trainable(model.spec, config.trainable, ("noise2",))
 
     def raw_of(m):
-        out = {n: getattr(m.spec, n) for n in names if n != "noise2"}
-        if "noise2" in names:
-            out["noise2"] = m.noise2
-        return out
+        return {n: m.noise2 if n == "noise2" else getattr(m.spec, n) for n in names}
 
-    params = {
-        unconstrained_name(n): np.asarray(to_unconstrained(n, v))
-        for n, v in raw_of(model).items()
-    }
-    state = AdamState.from_config(config)
+    params = to_unconstrained(raw_of(model))
+    state = AdamState(config)
     current = model
     best = (np.inf, model)
     trace = []
@@ -456,10 +420,7 @@ def fit(model: GPRegressionModel, config: AdamConfig | None = None):
                 f"optimization aborted at step {step}, parameters "
                 f"{raw_of(current)}: {exc}"
             ) from exc
-        raw = {
-            n: from_unconstrained(n, float(params[unconstrained_name(n)]))
-            for n in names
-        }
+        raw = from_unconstrained(params, names)
         current = _carry_cache(current, current.with_raw_params(raw), ("phi_x", "gram"))
     return best[1], np.asarray(trace)
 
@@ -613,20 +574,64 @@ def _write_snapshot(path, kind, model, **fields):
     })
 
 
-def _read_snapshot(path, kind, basis: SpectralBasis) -> dict:
-    """Load a snapshot, checking its schema, kind and basis size."""
+# JSON type of every snapshot field, shared and per kind: [t] is an array
+# of t or of such arrays, and a float field takes an integer too.
+_SNAPSHOT_FIELDS = {
+    None: {"schema_version": int, "kernel": dict, "eigenpairs": int},
+    "regression": {"noise2": float, "train_nodes": [int], "targets": [float]},
+    "classifier": {"n_classes": int, "inducing_nodes": [int], "whitened": bool,
+                   "diag_cov": bool, "epsilon": float, "jitter": float,
+                   "q_mu": [float], "q_scale": [float]},
+}
+_JSON_NAMES = {int: "integer", float: "number", bool: "boolean", dict: "object"}
+
+
+def _json_is(value, kind) -> bool:
+    if isinstance(kind, list):
+        return type(value) is list and all(
+            _json_is(v, kind if type(v) is list else kind[0]) for v in value
+        )
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _read_snapshot(path, kind=None) -> dict:
+    """Parse a snapshot once and check it: a JSON object of a known kind
+    (``kind`` when given), every field that kind needs present with its
+    JSON type, schema version 1, a positive eigenpair count and a valid
+    kernel, returned parsed into a ``KernelSpec``. A field of the wrong
+    type is named before a missing one."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("schema_version") != 1:
-        raise ValueError(f"unsupported snapshot schema {payload.get('schema_version')!r}")
-    if payload.get("kind") != kind:
-        raise ValueError(f"snapshot kind {payload.get('kind')!r} is not {kind}")
-    if payload.get("eigenpairs") != basis.n_retained:
+    if not isinstance(payload, dict):
+        raise ValueError(f"model snapshot {path} is not a JSON object")
+    found = payload.get("kind")
+    if found not in ("regression", "classifier"):
+        raise ValueError(f"unknown snapshot kind {found!r} in {path}")
+    if kind is not None and found != kind:
+        raise ValueError(f"snapshot kind {found!r} is not {kind}")
+    fields = {**_SNAPSHOT_FIELDS[None], **_SNAPSHOT_FIELDS[found]}
+    for name, t in fields.items():
+        if name in payload and not _json_is(payload[name], t):
+            what = _JSON_NAMES[t[0]] + " array" if isinstance(t, list) else _JSON_NAMES[t]
+            raise ValueError(f"snapshot field {name!r} in {path} is not a JSON {what}")
+    for name in fields:
+        if name not in payload:
+            raise ValueError(f"snapshot {path} lacks field {name!r}")
+    if payload["schema_version"] != 1:
+        raise ValueError(f"unsupported snapshot schema {payload['schema_version']!r}")
+    if payload["eigenpairs"] < 1:
+        raise ValueError(f"snapshot field 'eigenpairs' is {payload['eigenpairs']}, not positive")
+    return {**payload, "kernel": KernelSpec.from_dict(payload["kernel"])}
+
+
+def _snapshot_spec(snapshot, basis: SpectralBasis) -> KernelSpec:
+    """The snapshot's kernel, once its basis size matches ``basis``."""
+    if snapshot["eigenpairs"] != basis.n_retained:
         raise ValueError(
-            f"snapshot expects {payload.get('eigenpairs')} eigenpairs but basis "
+            f"snapshot expects {snapshot['eigenpairs']} eigenpairs but basis "
             f"holds {basis.n_retained}"
         )
-    return payload
+    return snapshot["kernel"]
 
 
 def save_model(model: GPRegressionModel, path):
@@ -641,11 +646,14 @@ def save_model(model: GPRegressionModel, path):
 
 def load_model(path, basis: SpectralBasis) -> GPRegressionModel:
     """Rebuild a snapshot against a caller-provided basis."""
-    payload = _read_snapshot(path, "regression", basis)
+    return _model_from_snapshot(_read_snapshot(path, "regression"), basis)
+
+
+def _model_from_snapshot(snapshot, basis: SpectralBasis) -> GPRegressionModel:
     return GPRegressionModel(
-        spec=KernelSpec.from_dict(payload["kernel"]),
+        spec=_snapshot_spec(snapshot, basis),
         basis=basis,
-        train_nodes=np.asarray(payload["train_nodes"], dtype=np.int64),
-        targets=np.asarray(payload["targets"], dtype=float),
-        noise2=float(payload["noise2"]),
+        train_nodes=np.asarray(snapshot["train_nodes"], dtype=np.int64),
+        targets=np.asarray(snapshot["targets"], dtype=float),
+        noise2=float(snapshot["noise2"]),
     )

@@ -74,10 +74,6 @@ class SpectralBasis:
     def n_retained(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
-    def is_full(self) -> bool:
-        return self.n_retained == self.total_dim
-
 
 def _factor_spd(matrix, name, last=()):
     """Unpivoted SuperLU factor of a sparse symmetric positive-definite matrix.

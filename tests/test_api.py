@@ -74,3 +74,19 @@ def test_sparse_factorizations_share_the_minimum_degree_helper():
             else:
                 assert name == "eigsh" and "OPinv" in keywords, where
     assert sorted(seen) == ["eigsh", "spilu", "splu", "splu"]
+
+
+def test_every_benchmark_wrapped_name_resolves():
+    """The traced benchmark replaces the names in ``bench/tracing.py``'s
+    ``WRAPPED`` where they are looked up, so each must exist there, and each
+    layer must be a module of the package. The file is parsed, not run."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (wrapped,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    assert wrapped
+    for module, attr, layer in wrapped:
+        namespace = importlib.import_module(f"graph_matern.{module}")
+        assert callable(getattr(namespace, attr, None)), f"graph_matern.{module}.{attr}"
+        importlib.import_module(f"graph_matern.{layer}")

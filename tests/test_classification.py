@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -27,8 +28,14 @@ from graph_matern import (
     save_model,
 )
 from graph_matern import classification
-from graph_matern.classification import _VAR_FLOOR, _elbo_core, _log_lik_forward, _marginals
-from graph_matern.regression import from_unconstrained, to_unconstrained, unconstrained_name
+from graph_matern.classification import (
+    _VAR_FLOOR,
+    _elbo_core,
+    _kernel_blocks,
+    _log_lik_forward,
+    _marginals,
+)
+from graph_matern.kernels import from_unconstrained, to_unconstrained, unconstrained_name
 from helpers import random_connected_graph, two_cliques
 
 SYM_MATERN = KernelSpec(
@@ -335,7 +342,7 @@ class TestElboGradients:
             assert abs(an - fd) / denom < tol, (label, an, fd)
 
         for c in range(model.n_classes):
-            for j in range(model.n_inducing):
+            for j in range(model.inducing_nodes.size):
                 mu_p = model.q_mu.copy(); mu_p[c, j] += h
                 mu_m = model.q_mu.copy(); mu_m[c, j] -= h
                 fd = (val(model.with_updates(q_mu=mu_p))
@@ -344,14 +351,14 @@ class TestElboGradients:
 
         if model.diag_cov:
             for c in range(model.n_classes):
-                for j in range(model.n_inducing):
+                for j in range(model.inducing_nodes.size):
                     s_p = model.q_log_scale.copy(); s_p[c, j] += h
                     s_m = model.q_log_scale.copy(); s_m[c, j] -= h
                     fd = (val(model.with_updates(q_log_scale=s_p))
                           - val(model.with_updates(q_log_scale=s_m))) / (2 * h)
                     compare(grads["q_log_scale"][c, j], fd, f"q_log_scale[{c},{j}]")
         else:
-            m = model.n_inducing
+            m = model.inducing_nodes.size
             for c in range(model.n_classes):
                 for i in range(m):
                     for j in range(i + 1):
@@ -365,14 +372,15 @@ class TestElboGradients:
                         )
 
         for name in ("kappa", "nu", "sigma2"):
-            t0 = to_unconstrained(name, getattr(model.spec, name))
+            key = unconstrained_name(name)
+            t0 = to_unconstrained({name: getattr(model.spec, name)})[key]
             vals = []
             for sign in (+1, -1):
-                raw = from_unconstrained(name, t0 + sign * h)
-                spec = model.spec.with_params(**{name: raw})
+                raw = from_unconstrained({key: t0 + sign * h}, [name])
+                spec = model.spec.with_params(**raw)
                 vals.append(val(model.with_updates(spec=spec)))
             fd = (vals[0] - vals[1]) / (2 * h)
-            compare(grads[unconstrained_name(name)], fd, name)
+            compare(grads[key], fd, name)
 
     @pytest.mark.parametrize("diag_cov", [True, False])
     @pytest.mark.parametrize("whitened", [True, False])
@@ -386,7 +394,7 @@ class TestElboGradients:
     @pytest.mark.parametrize("whitened", [True, False])
     def test_finite_differences_batch_is_inducing_set(self, diag_cov, whitened):
         rng, model = _classifier(21, diag_cov=diag_cov, whitened=whitened)
-        labels = rng.integers(0, model.n_classes, size=model.n_inducing)
+        labels = rng.integers(0, model.n_classes, size=model.inducing_nodes.size)
         self._check(model, model.inducing_nodes, labels)
 
     @pytest.mark.parametrize("diag_cov", [True, False])
@@ -401,8 +409,8 @@ class TestElboGradients:
         value_p, grads_p = _elbo_core(
             model, z[perm], labels[perm], xi[:, perm], z.size, True
         )
-        shared = model._cache[("blocks", z.tobytes())]
-        general = model._cache[("blocks", z[perm].tobytes())]
+        shared = _kernel_blocks(model, z)
+        general = _kernel_blocks(model, z[perm])
         assert shared["phi_b"] is shared["phi_z"]
         assert general["phi_b"] is not general["phi_z"]
         assert_allclose(value, value_p, rtol=1e-10)
@@ -486,7 +494,7 @@ class TestOneTriangularInverse:
             labels = rng.integers(0, model.n_classes, size=batch.size)
             xi = rng.standard_normal((5, batch.size))
             value, grads = _elbo_core(model, batch, labels, xi, 12, True)
-            blocks = model._cache[("blocks", batch.tobytes())]
+            blocks = _kernel_blocks(model, batch)
             assert (blocks["phi_b"] is blocks["phi_z"]) == (batch is model.inducing_nodes)
             assert np.isfinite(value)
             assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -511,7 +519,7 @@ class TestMinibatchUnbiased:
         for pick in batches:
             value, g = _elbo_core(model, nodes[pick], labels[pick], xi[:, pick],
                                   nodes.size, True)
-            blocks = model._cache[("blocks", nodes[pick].tobytes())]
+            blocks = _kernel_blocks(model, nodes[pick])
             assert blocks["phi_b"] is not blocks["phi_z"]
             values.append(value)
             grads.append(g)
@@ -641,7 +649,7 @@ class TestFitClassifier:
         config = AdamConfig(iterations=60, learning_rate=0.05)
         fitted, trace = fit_classifier(model, train, labels, config)
         assert trace[-1] > trace[0]
-        idx = np.arange(fitted.n_inducing)
+        idx = np.arange(fitted.inducing_nodes.size)
         upper = np.triu(fitted.q_scale_tril[0], k=1)
         assert np.all(upper == 0.0)
 
@@ -751,6 +759,24 @@ class TestSnapshotAndCsv:
         path = tmp_path / "reg.json"
         save_model(reg, path)
         with pytest.raises(ValueError, match="not classifier"):
+            load_classifier(path, model.basis)
+
+    @pytest.mark.parametrize("field, value", [
+        ("whitened", "false"), ("diag_cov", 1), ("n_classes", True), ("epsilon", "0.1"),
+        ("q_mu", [[0.0, "0"]]), ("inducing_nodes", [[0, 1.5]]),
+    ])
+    def test_load_refuses_fields_by_name(self, tmp_path, field, value):
+        _, model = _classifier(44)
+        path = tmp_path / "clf.json"
+        save_classifier(model, path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"snapshot field '{field}'"):
+            load_classifier(path, model.basis)
+        del payload[field]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"lacks field '{field}'"):
             load_classifier(path, model.basis)
 
     def test_read_labels_csv(self, tmp_path):

@@ -535,6 +535,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_eigen_takes_no_seed(self, capsys):
+        """The Lanczos start vector is fixed, so ``eigen`` has no seed to take."""
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", "--graph", "g.txt", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
 
 class TestRefusedBeforeTheEigensolve:
     """Settings that cannot work fail by name with exit code 1, before any
@@ -560,14 +567,53 @@ class TestRefusedBeforeTheEigensolve:
                                             "snapshot field 'eigenpairs'"),
         "one_class_labels": ("fit-classify", ["--labels", "one_class.csv"],
                              "need at least two classes"),
+        "kernel_nu_not_a_number": (
+            "fit-regression", ["--kernel", '{"family":"matern","nu":"abc","kappa":1}'],
+            "nu must be a number, got 'abc'"),
+        "snapshot_lacks_train_nodes": ("predict", ["--model", "no_train_nodes.json"],
+                                       "lacks field 'train_nodes'"),
+        "snapshot_lacks_eigenpairs": ("predict", ["--model", "no_eigenpairs.json"],
+                                      "lacks field 'eigenpairs'"),
+        "snapshot_noise2_a_string": ("predict", ["--model", "noise2_text.json"],
+                                     "snapshot field 'noise2'"),
+        "snapshot_whitened_a_string": ("predict", ["--model", "whitened_text.json"],
+                                       "snapshot field 'whitened'"),
     }
+    # Complete snapshots of each kind, which the files below break one field of.
+    REGRESSION = {"schema_version": 1, "kind": "regression", "eigenpairs": 12,
+                  "kernel": {"family": "matern", "nu": 1.5, "kappa": 3.0},
+                  "noise2": 0.01, "train_nodes": [0, 5], "targets": [1.0, -1.0]}
+    CLASSIFIER = {"schema_version": 1, "kind": "classifier", "eigenpairs": 12,
+                  "kernel": {"family": "matern", "nu": 3.0, "kappa": 5.0,
+                             "laplacian": "sym_normalized"},
+                  "n_classes": 2, "inducing_nodes": [0, 7], "whitened": True,
+                  "diag_cov": True, "epsilon": 0.001, "jitter": 1e-6,
+                  "q_mu": [[0.0, 0.0], [0.0, 0.0]], "q_scale": [[0.0, 0.0], [0.0, 0.0]]}
     # Inputs that cases name, written into the working directory; a repeated
     # option takes the last value given.
     FILES = {
         "kernel_list.json": json.dumps({"kind": "regression", "kernel": ["matern"]}),
         "eigenpairs_all.json": json.dumps({"kind": "regression", "eigenpairs": "all"}),
         "one_class.csv": "node,class\n0,0\n5,0\n7,0\n",
+        "no_train_nodes.json": json.dumps(
+            {k: v for k, v in REGRESSION.items() if k != "train_nodes"}),
+        "no_eigenpairs.json": json.dumps(
+            {k: v for k, v in REGRESSION.items() if k != "eigenpairs"}),
+        "noise2_text.json": json.dumps(dict(REGRESSION, noise2="x")),
+        "whitened_text.json": json.dumps(dict(CLASSIFIER, whitened="false")),
     }
+
+    @pytest.mark.parametrize("snapshot", ["REGRESSION", "CLASSIFIER"])
+    def test_the_complete_snapshots_reach_the_eigensolve(self, snapshot, classify_case,
+                                                         tmp_path, no_eigensolve):
+        """The snapshots the cases break are valid, so each case fails on its
+        one broken field."""
+        graph_path, _ = classify_case
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(getattr(self, snapshot)))
+        with pytest.raises(AssertionError, match="eigensolve reached"):
+            main(["predict", "--graph", str(graph_path), "--model", str(path),
+                  "--out", str(tmp_path / "x")])
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_fails_by_name(self, case, classify_case, tmp_path, capsys, monkeypatch,

@@ -100,6 +100,32 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="missing 'family'"):
             KernelSpec.from_dict({"nu": 1.0})
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", [1.0], {"v": 1}, True])
+    @pytest.mark.parametrize("field, base", [
+        ("nu", MATERN), ("kappa", MATERN), ("sigma2", MATERN),
+        ("alpha", RANDOM_WALK), ("p", RANDOM_WALK),
+    ])
+    def test_non_numeric_parameter_fails_by_name(self, field, base, value):
+        obj = dict(base.to_dict(), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+            KernelSpec.from_dict(obj)
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+            base.with_params(**{field: value})
+
+    def test_numpy_scalars_are_numbers(self):
+        spec = KernelSpec(family="matern", nu=np.float64(1.5), kappa=np.int64(2))
+        assert spec == MATERN
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_from_dict_normalize_takes_only_a_json_boolean(self, value):
+        obj = dict(MATERN.to_dict(), normalize=value)
+        with pytest.raises(ValueError, match="normalize must be true or false"):
+            KernelSpec.from_dict(obj)
+        obj["normalize"] = False
+        assert KernelSpec.from_dict(obj).normalize_variance is False
+        del obj["normalize"]
+        assert KernelSpec.from_dict(obj).normalize_variance is True
+
     def test_with_params(self):
         spec = MATERN.with_params(kappa=5.0)
         assert spec.kappa == 5.0 and spec.nu == MATERN.nu

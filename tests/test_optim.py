@@ -16,7 +16,7 @@ from graph_matern import (
 class TestAdamStep:
     def test_first_step_moves_by_learning_rate_in_sign_direction(self):
         # with zero moment history the first update is ~ lr * sign(g)
-        state = AdamState(learning_rate=0.05)
+        state = AdamState(AdamConfig(learning_rate=0.05))
         params = {"w": np.array([1.0, -2.0, 0.5])}
         grads = {"w": np.array([3.0, -0.1, 0.0])}
         _, new = adam_step(state, params, grads)
@@ -25,7 +25,7 @@ class TestAdamStep:
 
     def test_second_step_matches_manual_recursion(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        state = AdamState(learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+        state = AdamState(AdamConfig(learning_rate=lr, beta1=b1, beta2=b2, eps=eps))
         params = {"w": np.array([0.3])}
         g1 = np.array([0.7])
         g2 = np.array([-0.2])
@@ -41,7 +41,7 @@ class TestAdamStep:
         assert state.step == 2
 
     def test_constant_gradient_approaches_learning_rate_step(self):
-        state = AdamState(learning_rate=0.02)
+        state = AdamState(AdamConfig(learning_rate=0.02))
         params = {"w": np.array([0.0])}
         g = {"w": np.array([5.0])}
         prev = params["w"].copy()
@@ -79,12 +79,15 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="unknown parameter"):
             adam_step(state, {"a": np.array([1.0])}, {"zzz": np.array([1.0])})
 
-    def test_from_config(self):
+    def test_state_steps_with_its_config(self):
         config = AdamConfig(iterations=10, learning_rate=0.5, beta1=0.8)
-        state = AdamState.from_config(config)
-        assert state.learning_rate == 0.5
-        assert state.beta1 == 0.8
+        state = AdamState(config)
+        assert state.config is config
         assert state.step == 0
+        assert AdamState().config == AdamConfig()
+        state, params = adam_step(state, {"w": np.array([1.0])}, {"w": np.array([2.0])})
+        assert state.config is config
+        assert_allclose(params["w"], [0.5], rtol=1e-7)
 
 
 class TestAdamConfig:

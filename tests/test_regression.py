@@ -1,6 +1,7 @@
 """GP regression: dense, low-rank and sparse-precision posteriors, LML, fit."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -31,9 +32,10 @@ from graph_matern import (
     save_model,
     woodbury_posterior,
 )
-from graph_matern.regression import (
+from graph_matern.kernels import (
     from_unconstrained,
     to_unconstrained,
+    trainable_params,
     unconstrained_name,
 )
 from graph_matern import regression, spectral
@@ -276,14 +278,15 @@ class TestLogMarginalLikelihood:
         _, grads = lml(model)
         for name in names:
             raw0 = model.noise2 if name == "noise2" else getattr(model.spec, name)
-            t0 = to_unconstrained(name, raw0)
+            key = unconstrained_name(name)
+            t0 = to_unconstrained({name: raw0})[key]
             vals = []
             for sign in (+1, -1):
-                raw = from_unconstrained(name, t0 + sign * h)
-                shifted = model.with_raw_params({name: raw})
+                raw = from_unconstrained({key: t0 + sign * h}, [name])
+                shifted = model.with_raw_params(raw)
                 vals.append(lml(shifted)[0])
             fd = (vals[0] - vals[1]) / (2 * h)
-            an = grads[unconstrained_name(name)]
+            an = grads[key]
             denom = max(abs(fd), abs(an), 1e-3)
             assert abs(an - fd) / denom < tol, (name, an, fd)
 
@@ -392,7 +395,7 @@ class TestLogMarginalLikelihood:
         assert g_spec.keys() == g_dense.keys()
         for key in g_dense:
             assert_allclose(g_spec[key], g_dense[key], rtol=1e-10, err_msg=key)
-        names = regression.trainable_params(spec) + ("noise2",)
+        names = trainable_params(spec) + ("noise2",)
         self._gradcheck(model, names, lml=regression._lml_spectral)
 
     def test_b_factor_keeps_the_bits_of_the_formula(self):
@@ -753,6 +756,29 @@ class TestSnapshotAndCsv:
         payload = path.read_text().replace('"schema_version": 1', '"schema_version": 2')
         path.write_text(payload)
         with pytest.raises(ValueError, match="schema"):
+            load_model(path, model.basis)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("train_nodes", None, "lacks field 'train_nodes'"),
+        ("eigenpairs", None, "lacks field 'eigenpairs'"),
+        ("noise2", "x", "field 'noise2' in .* is not a JSON number$"),
+        ("noise2", True, "field 'noise2' in .* is not a JSON number$"),
+        ("targets", [1.0, "2"], "field 'targets' in .* is not a JSON number array$"),
+        ("train_nodes", [0.0], "field 'train_nodes' in .* is not a JSON integer array$"),
+        ("eigenpairs", 0, "'eigenpairs' is 0, not positive"),
+        ("kernel", {"family": "matern", "nu": "abc", "kappa": 1.0}, "nu must be a number"),
+    ])
+    def test_load_refuses_fields_by_name(self, tmp_path, field, value, message):
+        _, model = _problem(92)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
             load_model(path, model.basis)
 
     def test_read_targets_csv(self, tmp_path):

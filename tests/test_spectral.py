@@ -128,7 +128,7 @@ class TestFullDecomposition:
         basis = _basis(path_graph(6), "sym_normalized")
         assert basis.total_dim == 6
         assert basis.n_retained == 6
-        assert basis.is_full
+        assert basis.n_retained == basis.total_dim
         assert basis.laplacian_kind == "sym_normalized"
         with pytest.raises(ValueError):
             basis.eigenvalues[0] = 5.0
@@ -143,7 +143,7 @@ class TestTruncatedDecomposition:
             dense = eigendecompose_full(op)
             part = eigendecompose_truncated(op, 10)
             assert part.n_retained == 10
-            assert not part.is_full
+            assert part.n_retained != part.total_dim
             assert_allclose(
                 part.eigenvalues,
                 dense.eigenvalues[:10],
@@ -542,7 +542,7 @@ class TestMemoryFloor:
 
     def test_cold_solve_holds_the_matrix_and_one_output(self, solved):
         op, basis, peak, copy = solved
-        assert basis.n_retained == 400 and not basis.is_full
+        assert basis.n_retained == 400 and basis.n_retained != basis.total_dim
         assert peak <= op.node_count**2 * 8 + 1.25 * copy
 
     def test_save_writes_from_the_basis(self, solved, tmp_path):
