@@ -367,11 +367,26 @@ def cmd_fit_classify(args) -> int:
     return 0
 
 
+def _check_snapshot_fits(snapshot, n):
+    """Refuse a snapshot that cannot match an ``n``-node graph, with the
+    messages its model would give, before any eigenpair is computed."""
+    if snapshot["eigenpairs"] > n:
+        raise ValueError(
+            f"snapshot expects {snapshot['eigenpairs']} eigenpairs but basis holds {n}"
+        )
+    field, role = (("train_nodes", "training") if snapshot["kind"] == "regression"
+                   else ("inducing_nodes", "inducing"))
+    nodes = np.asarray(snapshot[field], dtype=np.int64)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
+        raise ValueError(f"{role} node out of range [0, {n})")
+
+
 def cmd_predict(args) -> int:
     timings = {}
     graph = _timed(timings, "parse_s", read_edge_list, args.graph)
     snapshot = _read_snapshot(args.model)
     kind = snapshot["kind"]
+    _check_snapshot_fits(snapshot, graph.node_count)
     _, basis, hit, path = _basis_for(
         graph, snapshot["kernel"].laplacian_kind, snapshot["eigenpairs"],
         args.cache_dir, timings,

@@ -10,6 +10,7 @@ Bases can be cached on disk in a small binary format keyed by a content hash
 of the Laplacian, so repeated runs skip the eigensolve.
 """
 
+import ctypes
 import hashlib
 import os
 import struct
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import cython_lapack, lapack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spilu, splu
 
 from .graphs import LaplacianOperator
@@ -38,6 +40,8 @@ __all__ = [
     "CACHE_ENV_VAR",
 ]
 
+# Also keeps n^2 and every LAPACK workspace size inside the 32-bit integers
+# that the dense path's LAPACK bindings pass.
 DENSE_SIZE_LIMIT = 4096
 CACHE_ENV_VAR = "GRAPH_MATERN_CACHE_DIR"
 
@@ -47,7 +51,7 @@ _HEADER = struct.Struct("<8sIQQ")
 
 
 class EigensolverError(RuntimeError):
-    """Iterative eigensolver failure, carrying per-pair residual norms."""
+    """Eigensolver failure; an iterative one carries per-pair residual norms."""
 
     def __init__(self, message, residual_norms=None):
         super().__init__(message)
@@ -121,16 +125,17 @@ def _factor_spd(matrix, name, last=()):
 
 
 def _residual_norms(matrix, values, vectors) -> np.ndarray:
-    """Per-pair residual norms ||A u_j - lambda_j u_j||, over near-equal
-    column blocks of at most 32, so temporaries are n x 32. No block is one
-    column wide unless the basis is: numpy sums a lone column in another
-    order, and each norm keeps the bits of a whole-basis pass.
+    """Per-pair residual norms ||A u_j - lambda_j u_j||, over column blocks
+    of at most 32, so temporaries are n x 32. Each block is column-major, so
+    every column's squares are summed as one contiguous run, in the same
+    order whatever the block holds: a norm keeps its bits at any width.
     """
     norms = []
-    for cols in np.array_split(np.arange(len(values)), -(-len(values) // 32)):
-        j = slice(cols[0], cols[-1] + 1)
+    for start in range(0, len(values), 32):
+        j = slice(start, start + 32)
         u = vectors[:, j]
-        norms.append(np.linalg.norm(matrix @ u - u * values[j], axis=0))
+        r = np.asfortranarray(matrix @ u - u * values[j])
+        norms.append(np.sqrt(np.add.reduce(r * r, axis=0)))
     return np.concatenate(norms)
 
 
@@ -193,15 +198,107 @@ def eigendecompose_full(operator: LaplacianOperator) -> SpectralBasis:
     return _dense_lowest(operator, operator.node_count)
 
 
-def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
-    """Lowest ``n_pairs`` eigenpairs by dense ``eigh``.
+_POINTER = {
+    "c": ctypes.c_char_p,
+    "i": ctypes.POINTER(ctypes.c_int),
+    "d": ctypes.POINTER(ctypes.c_double),
+    "I": np.ctypeslib.ndpointer(np.intc, flags="F_CONTIGUOUS"),
+    "D": np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS"),
+}
+_SCALAR = {"i": ctypes.c_int, "d": ctypes.c_double}
+_C_TYPE = {"char *": "c", "int *": "i", "__pyx_t_5scipy_6linalg_13cython_lapack_d *": "d"}
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
-    A partial request computes only the pairs asked for
-    (``subset_by_index``); a full one keeps the plain call. The matrix is
-    built column-major and handed over to LAPACK, so no second n x n copy
-    is made; it is dropped before finalizing, so the peak is it plus the
-    n x l output. Operators over ``DENSE_SIZE_LIMIT`` nodes are refused
-    before that allocation, which keeps dense O(n^3) work at desk scale.
+
+def _lapack_export(name, args):
+    """LAPACK routine ``name`` from the C exports of ``scipy.linalg.cython_lapack``.
+
+    ``args`` has one letter per argument: ``c`` a character, ``i``/``d`` an
+    int/double passed by reference, ``I``/``D`` a column-major int32/float64
+    array (which the routine may write). The returned function takes every
+    argument but the last, ``info``, and returns it. The export's signature
+    string must list the same C types, or the binding is refused by name at
+    import.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    text = signature.decode()
+    params = text.removeprefix("void (").removesuffix(")").split(", ")
+    if not text.startswith("void (") or [_C_TYPE.get(p) for p in params] != list(args.lower()):
+        raise ImportError(f"scipy's LAPACK export {name} has signature {text!r}, "
+                          f"not the argument types {args!r} it is called with")
+    routine = ctypes.CFUNCTYPE(None, *(_POINTER[a] for a in args))(
+        _capsule_pointer(capsule, signature))
+
+    def call(*values):
+        info = ctypes.c_int()
+        routine(*(ctypes.byref(_SCALAR[a](v)) if a in _SCALAR else v
+                  for a, v in zip(args, values)), ctypes.byref(info))
+        return info.value
+
+    return call
+
+
+# jobz range n d e vl vu il iu m w z ldz nzc isuppz tryrac work lwork iwork liwork info
+_dstemr = _lapack_export("dstemr", "cciDDddiiiDDiiIiDiIii")
+# side uplo trans m n a lda tau c ldc work lwork info
+_dormtr = _lapack_export("dormtr", "ccciiDiDDiDii")
+
+
+def _lapack_check(name, info):
+    if info != 0:
+        raise EigensolverError(f"LAPACK {name} failed with info={info}")
+
+
+def _tridiagonal_lowest(diag, off, n_pairs):
+    """Pairs 1..n_pairs of the symmetric tridiagonal matrix with diagonal
+    ``diag`` and off-diagonal ``off``: ascending values and a column-major
+    n x n_pairs vector array.
+
+    MRRR (``dstemr``) first. It can fail inside ``dlarrv`` (info 2X) on an
+    index range that splits a cluster of repeated eigenvalues; then
+    bisection and inverse iteration (``dstebz`` + ``dstein``) solve the same
+    matrix, as ``dsyevr`` does on that failure.
+    """
+    n = diag.size
+    values = np.empty(n)
+    vectors = np.empty((n, n_pairs), order="F")
+    info = _dstemr(b"V", b"I", n, diag.copy(), np.append(off, 0.0), 0.0, 0.0, 1, n_pairs,
+                   0, values, vectors, n, n_pairs,
+                   np.empty(2 * n_pairs, dtype=np.intc), 1,
+                   np.empty(18 * n), 18 * n, np.empty(10 * n, dtype=np.intc), 10 * n)
+    if info == 0:
+        return values[:n_pairs], vectors
+    if not 20 <= info < 30:
+        _lapack_check("dstemr", info)
+    del vectors
+    _, values, block, split, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, n_pairs,
+                                                  0.0, b"B")
+    _lapack_check("dstebz", info)
+    vectors, info = lapack.dstein(diag, off, values[:n_pairs], block, split)
+    _lapack_check("dstein", info)
+    return values[:n_pairs], vectors
+
+
+def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
+    """Lowest ``n_pairs`` eigenpairs of the dense matrix, by MRRR on exactly
+    that index range.
+
+    ``dsytrd`` reduces the column-major matrix to tridiagonal form in place,
+    :func:`_tridiagonal_lowest` solves pairs 1..n_pairs of it, and
+    ``dormtr`` back-transforms only those vectors, in place. This is the
+    path ``dsyevr`` takes for a full request; for a partial one ``dsyevr``
+    uses bisection and inverse iteration, whose reorthogonalization is
+    quadratic in the count of close pairs. scipy's f2py ``dstemr`` wrapper
+    allocates an n x n output whatever the range, so ``dstemr`` and
+    ``dormtr`` are called through scipy's Cython LAPACK exports into an
+    n x l array. The matrix is dropped before finalizing, so the peak is it
+    plus the n x l output. Operators over ``DENSE_SIZE_LIMIT`` nodes are
+    refused before that allocation, which keeps dense O(n^3) work at desk
+    scale.
     """
     n = operator.node_count
     if n > DENSE_SIZE_LIMIT:
@@ -210,9 +307,18 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
             "ask for fewer eigenpairs than nodes for a partial basis"
         )
     dense = operator.matrix.toarray(order="F")
-    subset = None if n_pairs == n else [0, n_pairs - 1]
-    values, vectors = scipy.linalg.eigh(dense, subset_by_index=subset, overwrite_a=True)
-    del dense
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _lapack_check("dsytrd_lwork", info)
+    dense, diag, off, tau, info = lapack.dsytrd(dense, lower=1, lwork=int(lwork),
+                                                overwrite_a=1)
+    _lapack_check("dsytrd", info)
+    values, vectors = _tridiagonal_lowest(diag, off, n_pairs)
+    query = np.empty(1)
+    reflect = (b"L", b"L", b"N", n, n_pairs, dense, n, tau, vectors, n)
+    _lapack_check("dormtr", _dormtr(*reflect, query, -1))
+    work = np.empty(int(query[0]))
+    _lapack_check("dormtr", _dormtr(*reflect, work, work.size))
+    del dense, reflect
     return _finalize(
         values, vectors, n, operator.kind,
         norm_bound=_gershgorin(operator.matrix),

@@ -83,15 +83,15 @@ class TestEigen:
         assert s1["eigenpairs"] == 6
         assert s1["laplacian"] == "sym_normalized"
         assert s1["cache_hit"] is False
-        assert s1["lambda_min"] == 0.0
+        lap = build_laplacian(g, "sym_normalized").matrix
+        bound = 1e-8 * max(1.0, float(abs(lap).sum(axis=1).max()))
+        assert 0.0 <= s1["lambda_min"] <= bound
         assert s1["lambda_max"] <= 2.0 + 1e-9
         assert "eigen: n=20 pairs=6" in capsys.readouterr().out
 
         assert main(argv + ["--out", str(out2)]) == 0
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s2["cache_hit"] is True
-        lap = build_laplacian(g, "sym_normalized").matrix
-        bound = 1e-8 * max(1.0, float(abs(lap).sum(axis=1).max()))
         for summary in (s1, s2):
             assert 0.0 <= summary["max_residual"] <= bound
         for key in ("nodes", "edges", "eigenpairs", "lambda_min", "lambda_max", "cache_file"):
@@ -578,6 +578,15 @@ class TestRefusedBeforeTheEigensolve:
                                      "snapshot field 'noise2'"),
         "snapshot_whitened_a_string": ("predict", ["--model", "whitened_text.json"],
                                        "snapshot field 'whitened'"),
+        "snapshot_more_eigenpairs_than_nodes": (
+            "predict", ["--model", "eigenpairs_30.json"],
+            "snapshot expects 30 eigenpairs but basis holds 12"),
+        "snapshot_train_node_past_the_graph": (
+            "predict", ["--model", "train_node_40.json"],
+            "training node out of range [0, 12)"),
+        "snapshot_inducing_node_past_the_graph": (
+            "predict", ["--model", "inducing_node_12.json"],
+            "inducing node out of range [0, 12)"),
     }
     # Complete snapshots of each kind, which the files below break one field of.
     REGRESSION = {"schema_version": 1, "kind": "regression", "eigenpairs": 12,
@@ -601,6 +610,9 @@ class TestRefusedBeforeTheEigensolve:
             {k: v for k, v in REGRESSION.items() if k != "eigenpairs"}),
         "noise2_text.json": json.dumps(dict(REGRESSION, noise2="x")),
         "whitened_text.json": json.dumps(dict(CLASSIFIER, whitened="false")),
+        "eigenpairs_30.json": json.dumps(dict(REGRESSION, eigenpairs=30)),
+        "train_node_40.json": json.dumps(dict(REGRESSION, train_nodes=[0, 40])),
+        "inducing_node_12.json": json.dumps(dict(CLASSIFIER, inducing_nodes=[0, 12])),
     }
 
     @pytest.mark.parametrize("snapshot", ["REGRESSION", "CLASSIFIER"])

@@ -42,6 +42,7 @@ from helpers import (
     path_graph,
     random_connected_graph,
     random_graph,
+    star_graph,
 )
 
 
@@ -254,18 +255,21 @@ class TestTruncatedDecomposition:
         assert err.value.residual_norms is None
 
     def test_partial_dense_request_solves_only_the_subset(self, monkeypatch):
+        """The tridiagonal solver is asked for the wanted index range only."""
         seen = []
-        real = scipy.linalg.eigh
+        real = spectral._dstemr
 
-        def recording(*args, **kwargs):
-            seen.append(kwargs.get("subset_by_index"))
-            return real(*args, **kwargs)
+        def recording(*args):
+            seen.append([args[7], args[8]])
+            return real(*args)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        monkeypatch.setattr(spectral, "_dstemr", recording)
         op = build_laplacian(random_connected_graph(np.random.default_rng(34), 40), "unnormalized")
-        cached_eigendecomposition(op, 12)
-        eigendecompose_full(op)
-        assert seen == [[0, 11], None]
+        partial = cached_eigendecomposition(op, 12)[0]
+        full = eigendecompose_full(op)
+        assert seen == [[1, 12], [1, 40]]
+        assert partial.eigenvectors.shape == (40, 12)
+        assert_allclose(partial.eigenvalues, full.eigenvalues[:12], rtol=0, atol=1e-12)
 
     def test_partial_solve_judges_negatives_against_the_operator_norm(self):
         # One edge of weight 1e10 puts lambda_max near 2e10, and rounding
@@ -330,6 +334,63 @@ class TestTruncatedDecomposition:
         for k in (0, -2):
             with pytest.raises(ValueError, match="out of range"):
                 cached_eigendecomposition(op, k)
+
+
+def _assert_accurate_lowest(op, basis, n_pairs):
+    """Values within 1e-10 ||L|| of ``eigvalsh``, residuals within
+    1e-10 ||L||, and orthonormal columns to 1e-10."""
+    reference = np.linalg.eigvalsh(op.matrix.toarray())
+    scale = max(1.0, np.abs(reference).max())
+    u, lam = basis.eigenvectors, basis.eigenvalues
+    assert basis.n_retained == n_pairs and u.shape == (op.node_count, n_pairs)
+    assert np.abs(lam - reference[:n_pairs]).max() <= 1e-10 * scale
+    assert np.linalg.norm(op.matrix @ u - u * lam, axis=0).max() <= 1e-10 * scale
+    assert np.abs(u.T @ u - np.eye(n_pairs)).max() <= 1e-10
+
+
+class TestDenseLowest:
+    """The dense path: MRRR on the wanted index range, with bisection and
+    inverse iteration when MRRR fails inside dlarrv."""
+
+    GRAPHS = {
+        "lattice_12": lattice_graph(12),
+        "lattice_6_diagonals": lattice_graph(6, diagonals=True),
+        "complete_30": complete_graph(30),
+        "star_30": star_graph(30),
+    }
+
+    @pytest.mark.parametrize("kind", ["unnormalized", "sym_normalized"])
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_every_pair_count(self, name, kind):
+        """Symmetric graphs repeat eigenvalues, so some index ranges split
+        a cluster; every count is accurate whichever solver finishes it."""
+        op = build_laplacian(self.GRAPHS[name], kind)
+        for n_pairs in range(1, op.node_count + 1):
+            _assert_accurate_lowest(op, spectral._dense_lowest(op, n_pairs), n_pairs)
+
+    @pytest.mark.parametrize("n_pairs", [1, 12, 40])
+    def test_dlarrv_failure_falls_back_to_inverse_iteration(self, n_pairs, monkeypatch):
+        monkeypatch.setattr(spectral, "_dstemr", lambda *args: 22)
+        op = build_laplacian(random_connected_graph(np.random.default_rng(35), 40),
+                             "unnormalized")
+        _assert_accurate_lowest(op, spectral._dense_lowest(op, n_pairs), n_pairs)
+
+    def test_fallback_sorts_pairs_across_split_blocks(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_dstemr", lambda *args: 22)
+        op = build_laplacian(_disjoint(path_graph(7), complete_graph(5), path_graph(4)),
+                             "sym_normalized")
+        for n_pairs in (3, 9, 16):
+            _assert_accurate_lowest(op, spectral._dense_lowest(op, n_pairs), n_pairs)
+
+    def test_other_failures_raise_by_routine(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_dstemr", lambda *args: 13)
+        op = build_laplacian(path_graph(10), "unnormalized")
+        with pytest.raises(EigensolverError, match=r"^LAPACK dstemr failed with info=13$"):
+            spectral._dense_lowest(op, 4)
+
+    def test_binding_refuses_a_signature_it_does_not_pass(self):
+        with pytest.raises(ImportError, match="dormtr"):
+            spectral._lapack_export("dormtr", "cciiDiDDiDii")
 
 
 class TestApplySpectralFunction:
@@ -560,17 +621,20 @@ class TestMemoryFloor:
         assert_array_equal(loaded.eigenvectors, basis.eigenvectors)
 
     def test_residual_check_goes_by_column_blocks(self, solved):
-        """The ``eigen`` command's residual check keeps the bits of one
-        whole-basis pass in a fraction of its memory."""
+        """The ``eigen`` command's residual check keeps the bits of each
+        column's own norm in a fraction of a whole-basis pass's memory."""
         op, basis, _, copy = solved
         u, lam = basis.eigenvectors, basis.eigenvalues
         with PeakMemory() as mem:
             residuals = _residual_norms(op.matrix, lam, u)
         assert mem.peak <= 0.5 * copy
+        alone = [_residual_norms(op.matrix, lam[j:j + 1], u[:, j:j + 1])[0]
+                 for j in range(lam.size)]
+        assert_array_equal(residuals, alone)
+        for k in (2, 33, 65):
+            assert_array_equal(_residual_norms(op.matrix, lam[:k], u[:, :k]), residuals[:k])
         whole = np.linalg.norm(op.matrix @ u - u * lam, axis=0)
-        assert_array_equal(residuals, whole)
-        for k in (1, 2, 33, 65):
-            assert_array_equal(_residual_norms(op.matrix, lam[:k], u[:, :k]), whole[:k])
+        assert_allclose(residuals, whole, rtol=1e-12, atol=0)
 
 
 class TestLaplacianHash:
