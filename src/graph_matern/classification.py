@@ -24,9 +24,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtri
 from scipy.special import log_ndtr
 
 from .kernels import (
@@ -45,6 +43,8 @@ from .regression import (
     _read_node_csv,
     _read_snapshot,
     _snapshot_spec,
+    _spd_factor,
+    _tri_inverse,
     _write_snapshot,
 )
 from .spectral import SpectralBasis
@@ -101,8 +101,8 @@ def kl_gaussian(q_mean, q_cov, p_cov=None) -> float:
         p = np.asarray(p_cov, dtype=float)
         if p.ndim == 1:
             p = np.diag(p)
-    lq = scipy.linalg.cholesky(q, lower=True)
-    lp = scipy.linalg.cholesky(p, lower=True)
+    lq = _spd_factor(np.array(q, order="F"), "q_cov")
+    lp = _spd_factor(np.array(p, order="F"), "p_cov")
     half = solve_triangular(lp, lq, lower=True)
     w = solve_triangular(lp, mu, lower=True)
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(lq))))
@@ -210,12 +210,12 @@ def _chol_backward(chol, inv_chol, chol_bar):
 def _kernel_blocks(model: VariationalClassifier, batch):
     """K_zz+jitter Cholesky L and L^-1, K_zb, diag K_bb, plus backprop pieces.
 
-    One ``dtrtri`` gives L^-1, so every triangular operation of a step
-    (marginals, their backward pass, the unwhitened KL) is a matrix product
-    with L^-1 or L^-T. The inducing rows Phi_z are memoized in the model
-    cache, which ``fit_classifier`` carries from step to step; the blocks
-    are not, as a fit builds a new model every step and prediction asks
-    once. When the batch is the inducing set, as on a full-batch step,
+    One triangular inverse gives L^-1, so every triangular operation of a
+    step (marginals, their backward pass, the unwhitened KL) is a matrix
+    product with L^-1 or L^-T. The inducing rows Phi_z are memoized in the
+    model cache, which ``fit_classifier`` carries from step to step; the
+    blocks are not, as a fit builds a new model every step and prediction
+    asks once. When the batch is the inducing set, as on a full-batch step,
     Phi_b is Phi_z and the one product (Phi_z D) Phi_z^T is K_zb and,
     symmetrized, K_zz.
     """
@@ -230,13 +230,9 @@ def _kernel_blocks(model: VariationalClassifier, batch):
     prod = (phi_z * d) @ phi_z.T
     k_zz = (prod + prod.T) / 2.0
     k_zz[np.arange(k_zz.shape[0]), np.arange(k_zz.shape[0])] += model.jitter
-    try:
-        chol = scipy.linalg.cholesky(k_zz, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise scipy.linalg.LinAlgError(
-            f"inducing covariance not positive definite with jitter {model.jitter:g}"
-        ) from exc
-    inv_chol, _ = dtrtri(chol, lower=1)
+    # Symmetric, so the transpose is the column-major matrix.
+    chol = _spd_factor(k_zz.T, f"inducing covariance with jitter {model.jitter:g}")
+    inv_chol = _tri_inverse(chol.copy(order="F"))
     k_zb = prod if shared else (phi_z * d) @ phi_b.T
     k_bb = np.einsum("ij,j->i", phi_b**2, d)
     return {
@@ -391,7 +387,7 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
                 smm = kinv * r2_c[None, :]
             else:
                 grads.setdefault("q_scale_tril", np.zeros_like(model.q_scale_tril))
-                rinv, _ = dtrtri(r_c, lower=1)
+                rinv = _tri_inverse(np.array(r_c, order="F"))
                 grads["q_scale_tril"][c] = np.tril(kinv @ r_c - rinv.T)
                 smm = kinv @ (r_c @ r_c.T)
             kmu = kinv @ mu[c]

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import cython_lapack, lapack
+from scipy.linalg.blas import idamax
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spilu, splu
 
 from .graphs import LaplacianOperator
@@ -140,15 +141,20 @@ def _residual_norms(matrix, values, vectors) -> np.ndarray:
 
 
 def _canonical_signs(vectors: np.ndarray):
-    """Flip columns in place so the first entry of non-negligible size is > 0."""
-    for j in range(vectors.shape[1]):
+    """Flip columns in place so the first entry of non-negligible size
+    (above 1e-8 of the column's largest magnitude) is > 0.
+
+    Each column's largest magnitude comes from BLAS ``idamax``. The lead
+    entry is row 0 except in the rare column where that entry is
+    negligible, which alone is searched; no n x l temporary is made.
+    """
+    peaks = np.array([abs(vectors[idamax(vectors[:, j]), j])
+                      for j in range(vectors.shape[1])])
+    lead = vectors[0].copy()
+    for j in np.flatnonzero(np.abs(lead) <= 1e-8 * peaks):
         col = vectors[:, j]
-        peak = np.max(np.abs(col))
-        if peak == 0.0:
-            continue
-        lead = np.argmax(np.abs(col) > 1e-8 * peak)
-        if col[lead] < 0:
-            np.negative(col, out=col)
+        lead[j] = col[np.argmax(np.abs(col) > 1e-8 * peaks[j])]
+    np.negative(vectors, out=vectors, where=lead < 0)
 
 
 def _gershgorin(matrix) -> float:

@@ -76,6 +76,23 @@ def test_sparse_factorizations_share_the_minimum_degree_helper():
     assert sorted(seen) == ["eigsh", "spilu", "splu", "splu"]
 
 
+def test_dense_spd_blocks_share_one_factor_and_one_inverse():
+    """Every dense SPD block of the fits is factored by ``dpotrf`` in
+    ``regression._spd_factor`` and its factor inverted by ``dtrtri`` only in
+    ``regression._tri_inverse``; no other Cholesky entry point is called."""
+    package = Path(graph_matern.__file__).parent
+    homes = {"dpotrf": "_spd_factor", "dtrtri": "_tri_inverse"}
+    seen = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, name, call in _calls(tree, {"dpotrf", "dtrtri", "cholesky", "cho_factor"}):
+            seen.append(name)
+            assert (path.name, func) == ("regression.py", homes.get(name)), (
+                f"{name} at {path.name}:{call.lineno}"
+            )
+    assert sorted(seen) == ["dpotrf", "dtrtri"]
+
+
 def test_every_benchmark_wrapped_name_resolves():
     """The traced benchmark replaces the names in ``bench/tracing.py``'s
     ``WRAPPED`` where they are looked up, so each must exist there, and each

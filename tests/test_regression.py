@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.stats
+from scipy.linalg import lapack
 from scipy.linalg.lapack import dtrtri
 from scipy.sparse.linalg import splu
 from numpy.testing import assert_allclose, assert_array_equal
@@ -41,6 +42,7 @@ from graph_matern.kernels import (
 from graph_matern import regression, spectral
 from graph_matern.spectral import _factor_spd
 from helpers import (
+    PeakMemory,
     conditional_gaussian,
     lattice_graph,
     leading_pairs,
@@ -236,18 +238,46 @@ class TestWoodburyPosterior:
 
     def test_one_factor_per_model(self, monkeypatch):
         calls = []
-        real = scipy.linalg.cholesky
+        real = regression._spd_factor
 
         def counted(*args, **kwargs):
             calls.append(None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cholesky", counted)
+        monkeypatch.setattr(regression, "_spd_factor", counted)
         model = _spectral_problem(57)
         log_marginal_likelihood(model)
         woodbury_posterior(model)
         woodbury_posterior(model, np.array([0, 3]), diag=True)
         assert len(calls) == 1
+
+
+class TestDenseCovarianceBudget:
+    """A dense |q| x |q| covariance over ``DENSE_ELEMENT_LIMIT`` elements
+    is refused by its shape before any product is formed."""
+
+    @staticmethod
+    def _wide_model():
+        # 12000 nodes, 3 pairs: every product is small but the full query
+        # covariance would be 12000^2 = 1.44e8 elements (1.15 GB).
+        rng = np.random.default_rng(31)
+        vectors = np.linalg.qr(rng.standard_normal((12000, 3)))[0]
+        basis = SpectralBasis(np.array([0.0, 0.5, 1.0]), vectors, 12000, "unnormalized")
+        return GPRegressionModel(MATERN, basis, np.arange(0, 12000, 40),
+                                 rng.standard_normal(300), noise2=0.1)
+
+    @pytest.mark.parametrize("route", [posterior, woodbury_posterior])
+    def test_over_budget_refused_before_any_product(self, route):
+        model = self._wide_model()
+        assert 12000**2 > regression.DENSE_ELEMENT_LIMIT
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match="dense 12000 x 12000 query covariance"):
+                route(model)
+        assert mem.peak < 16 * 2**20
+        assert model._cache == {}
+        out = route(model, np.arange(5))
+        assert out.covariance.shape == (5, 5)
+        assert route(model, diag=True).variance.shape == (12000,)
 
 
 class TestLogMarginalLikelihood:
@@ -449,6 +479,73 @@ class TestLogMarginalLikelihood:
         assert regression._lml_route(dense) == "dense"
         with pytest.raises(AssertionError, match="dense route taken"):
             log_marginal_likelihood(dense)
+
+
+class TestDenseFactorHelpers:
+    """``_spd_factor`` and ``_tri_inverse``: the one factor and triangular
+    inverse of every dense SPD block of the fits."""
+
+    def test_every_size_to_two_recursion_levels(self):
+        # n <= _TRI_CUT goes straight to dtrtri; up to 260, odd splits and
+        # blocks split twice (260 -> 130 -> 65).
+        rng = np.random.default_rng(211)
+        assert regression._TRI_CUT < 130 < 2 * regression._TRI_CUT
+        for n in range(1, 261):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = (q * np.geomspace(1.0, 1e3, n)) @ q.T  # condition 1e3
+            a = (a + a.T) / 2.0
+            reference, info = lapack.dpotrf(a, lower=1, clean=1)
+            assert info == 0
+            low = regression._spd_factor(np.array(a, order="F"), "a")
+            assert_array_equal(low.view(np.int64), reference.view(np.int64), err_msg=n)
+            inv = regression._tri_inverse(low.copy(order="F"))
+            assert not np.any(np.triu(low, 1)) and not np.any(np.triu(inv, 1)), n
+            assert np.max(np.abs(inv @ low - np.eye(n))) <= 1e-12, n
+
+    def test_factor_and_inverse_work_in_place(self):
+        a = np.asfortranarray(np.eye(200) * 4.0 + 1.0)
+        low = regression._spd_factor(a, "a")
+        assert low is a
+        assert regression._tri_inverse(low) is low
+
+    def test_not_positive_definite_raises_by_name(self):
+        a = np.asfortranarray([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(scipy.linalg.LinAlgError,
+                           match="widget is not positive definite: pivot 2 of 2"):
+            regression._spd_factor(a, "widget")
+        with pytest.raises(ValueError, match="widget has a non-finite entry"):
+            regression._spd_factor(np.asfortranarray([[1.0, np.nan], [np.nan, 1.0]]),
+                                   "widget")
+
+    def test_zero_diagonal_raises(self):
+        low = np.asfortranarray(np.eye(200))
+        low[150, 150] = 0.0
+        with pytest.raises(scipy.linalg.LinAlgError, match="zero diagonal"):
+            regression._tri_inverse(low)
+
+    def test_jitter_ladder_records_the_rung_that_factors(self):
+        # More training nodes than eigenpairs makes K_xx rank 4 of 20, and a
+        # noise of 1e-300 leaves C = K_xx + noise I singular in floating point.
+        rng = np.random.default_rng(212)
+        full = eigendecompose_full(build_laplacian(random_connected_graph(rng, 30),
+                                                   "unnormalized"))
+        model = GPRegressionModel(MATERN, leading_pairs(full, 4), np.arange(20),
+                                  rng.standard_normal(20), noise2=1e-300)
+        chol, used = model._train_chol()
+        rung = regression._JITTERS.index(used)
+        assert rung > 0
+        d, _ = model._weights()
+        phi = model._phi_train()
+        k_xx = (phi * d) @ phi.T
+        c = (k_xx + k_xx.T) / 2.0 + model.noise2 * np.eye(20)
+        scale = float(np.mean(np.diag(c)))
+        for j in regression._JITTERS[:rung]:
+            with pytest.raises(scipy.linalg.LinAlgError, match="train covariance"):
+                regression._spd_factor(
+                    np.array(c + j * scale * np.eye(20), order="F"), "train covariance"
+                )
+        assert_allclose(chol @ chol.T, c + used * scale * np.eye(20),
+                        atol=1e-12 * scale)
 
 
 class TestFit:

@@ -28,6 +28,7 @@ from graph_matern import (
 )
 from graph_matern.spectral import (
     DENSE_SIZE_LIMIT,
+    _canonical_signs,
     _factor_spd,
     _finalize,
     _gershgorin,
@@ -133,6 +134,44 @@ class TestFullDecomposition:
         assert basis.laplacian_kind == "sym_normalized"
         with pytest.raises(ValueError):
             basis.eigenvalues[0] = 5.0
+
+
+def _loop_signs(vectors):
+    """Reference sign rule, one column at a time."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        peak = np.max(np.abs(col))
+        if peak == 0.0:
+            continue
+        lead = np.argmax(np.abs(col) > 1e-8 * peak)
+        if col[lead] < 0:
+            np.negative(col, out=col)
+
+
+class TestCanonicalSigns:
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_matches_the_column_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        vectors = np.asfortranarray(rng.standard_normal((n, 9)))
+        vectors[:, 0] = 0.0                  # zero column: left as it is
+        vectors[0, 1] = -0.0                 # signed zero in row 0 of a positive column
+        if n > 1:
+            vectors[0, 2] = -1e-9 * np.abs(vectors[1:, 2]).max()  # negligible lead...
+            vectors[1, 2] = -abs(vectors[1, 2])                  # ...so row 1 decides
+            vectors[:, 3] = np.abs(vectors[:, 3])
+            vectors[0, 3] = 1e-8 * vectors[1:, 3].max()          # at the threshold
+            vectors[1, 3] = -vectors[1, 3]
+            vectors[:-1, 4] = 0.0            # only the last entry is non-zero
+            vectors[-1, 4] = -2.0
+        vectors[0, 5] = -abs(vectors[0, 5])  # negative lead: flipped
+        vectors[0, 6] = abs(vectors[0, 6])   # positive lead: kept
+        expected = vectors.copy(order="F")
+        _loop_signs(expected)
+        _canonical_signs(vectors)
+        assert_array_equal(vectors.view(np.int64), expected.view(np.int64))
+        assert vectors[0, 5] > 0 and vectors[0, 6] > 0
+        if n > 1:
+            assert vectors[1, 2] > 0 and vectors[1, 3] > 0 and vectors[-1, 4] > 0
 
 
 class TestTruncatedDecomposition:
