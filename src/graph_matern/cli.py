@@ -49,7 +49,7 @@ from .regression import (
     save_model,
     woodbury_posterior,
 )
-from .spectral import _residual_norms, cached_eigendecomposition
+from .spectral import _eigensolver, _residual_norms, cached_eigendecomposition
 
 _SCHEMA_VERSION = 1
 
@@ -157,15 +157,20 @@ def _timed(timings, name, fn, *args, **kwargs):
 
 
 def _basis_for(graph, kind, eigenpairs, cache_dir, timings):
-    """Laplacian and (cached) eigenpairs; records ``laplacian_s`` and either
-    ``eigensolve_s`` (cache miss) or ``cache_load_s`` (hit) in ``timings``."""
+    """Laplacian, (cached) eigenpairs and the eigen-cache record: hit, file,
+    and the solver that ran (None on a hit). Records ``laplacian_s`` and
+    ``eigensolve_s`` (miss) or ``cache_load_s`` (hit) in ``timings``."""
     operator = _timed(timings, "laplacian_s", build_laplacian, graph, kind)
     start = time.perf_counter()
     basis, hit, path = cached_eigendecomposition(
         operator, min(eigenpairs, graph.node_count), cache_dir=cache_dir
     )
     timings["cache_load_s" if hit else "eigensolve_s"] = time.perf_counter() - start
-    return operator, basis, hit, path
+    return operator, basis, {
+        "eigen_cache_hit": hit,
+        "eigen_cache_file": str(path) if path is not None else None,
+        "eigensolver": None if hit else _eigensolver(operator, basis.n_retained),
+    }
 
 
 def _write_fit_metrics(out, command, payload, predicted, truth, train_idx, test_idx):
@@ -217,14 +222,9 @@ def _blas_threads() -> int | None:
     return max(counts, default=None)
 
 
-def _run_record(hit, path, timings) -> dict:
+def _run_record(eigen, timings) -> dict:
     """A command's eigen-cache outcome, stage timings (seconds) and BLAS threads."""
-    return {
-        "eigen_cache_hit": hit,
-        "eigen_cache_file": str(path) if path is not None else None,
-        "timings": timings,
-        "blas_threads": _blas_threads(),
-    }
+    return {**eigen, "timings": timings, "blas_threads": _blas_threads()}
 
 
 def _default_spec(task, family="matern", kind=None, rw_p=None) -> KernelSpec:
@@ -246,7 +246,7 @@ def _default_spec(task, family="matern", kind=None, rw_p=None) -> KernelSpec:
 def cmd_eigen(args) -> int:
     timings = {}
     graph = _timed(timings, "parse_s", read_edge_list, args.graph)
-    operator, basis, hit, path = _basis_for(
+    operator, basis, eigen = _basis_for(
         graph, args.laplacian, args.eigenpairs, args.cache_dir, timings
     )
     residuals = _residual_norms(operator.matrix, basis.eigenvalues, basis.eigenvectors)
@@ -261,8 +261,9 @@ def cmd_eigen(args) -> int:
         "lambda_min": float(basis.eigenvalues[0]),
         "lambda_max": float(basis.eigenvalues[-1]),
         "max_residual": float(residuals.max()),
-        "cache_file": str(path) if path is not None else None,
-        "cache_hit": hit,
+        "cache_file": eigen["eigen_cache_file"],
+        "cache_hit": eigen["eigen_cache_hit"],
+        "eigensolver": eigen["eigensolver"],
         "timings": timings,
         "blas_threads": _blas_threads(),
     }
@@ -270,7 +271,7 @@ def cmd_eigen(args) -> int:
     print(
         f"eigen: n={graph.node_count} pairs={basis.n_retained} "
         f"lambda_min={_fmt(basis.eigenvalues[0])} "
-        f"lambda_max={_fmt(basis.eigenvalues[-1])} cache_hit={hit}"
+        f"lambda_max={_fmt(basis.eigenvalues[-1])} cache_hit={eigen['eigen_cache_hit']}"
     )
     return 0
 
@@ -284,7 +285,7 @@ def cmd_fit_regression(args) -> int:
         raise ValueError("targets file is empty")
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     train_idx, test_idx = _split(nodes.size, args.train_size, None, args.seed)
-    _, basis, hit, path = _basis_for(
+    _, basis, eigen = _basis_for(
         graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
     )
 
@@ -310,7 +311,7 @@ def cmd_fit_regression(args) -> int:
         "best_loss": float(np.min(trace)),
         "lml_route": route,
         "jitter": model._train_chol()[1] if route == "dense" else None,
-        **_run_record(hit, path, timings),
+        **_run_record(eigen, timings),
     }, summary.mean[nodes], values, train_idx, test_idx)
     return 0
 
@@ -327,7 +328,7 @@ def cmd_fit_classify(args) -> int:
     train_idx, test_idx = _split(
         nodes.size, args.train_size, args.test_size, args.seed
     )
-    _, basis, hit, path = _basis_for(
+    _, basis, eigen = _basis_for(
         graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
     )
 
@@ -362,7 +363,7 @@ def cmd_fit_classify(args) -> int:
         "classes": n_classes,
         "iterations": args.iterations,
         "final_elbo": float(trace[-1]) if trace.size else None,
-        **_run_record(hit, path, timings),
+        **_run_record(eigen, timings),
     }, pred[nodes], labels, train_idx, test_idx)
     return 0
 
@@ -387,7 +388,7 @@ def cmd_predict(args) -> int:
     snapshot = _read_snapshot(args.model)
     kind = snapshot["kind"]
     _check_snapshot_fits(snapshot, graph.node_count)
-    _, basis, hit, path = _basis_for(
+    _, basis, eigen = _basis_for(
         graph, snapshot["kernel"].laplacian_kind, snapshot["eigenpairs"],
         args.cache_dir, timings,
     )
@@ -408,7 +409,7 @@ def cmd_predict(args) -> int:
         "schema_version": _SCHEMA_VERSION,
         "timestamp": _timestamp(),
         "kind": kind,
-        **_run_record(hit, path, timings),
+        **_run_record(eigen, timings),
     })
     rows = "regression" if kind == "regression" else "classification"
     print(f"predict: wrote {basis.total_dim} {rows} rows")
@@ -439,8 +440,8 @@ def cmd_compare_kernels(args) -> int:
     bases = {}
     for kind in ("unnormalized", "sym_normalized"):
         stage = timings[kind] = {}
-        _, bases[kind], stage["eigen_cache_hit"], _ = _basis_for(
-            graph, kind, args.eigenpairs, args.cache_dir, stage)
+        _, bases[kind], eigen = _basis_for(graph, kind, args.eigenpairs, args.cache_dir, stage)
+        stage["eigen_cache_hit"] = eigen["eigen_cache_hit"]
 
     start = time.perf_counter()
     rows = []

@@ -29,8 +29,10 @@ __all__ = [
 
 LAPLACIAN_KINDS = ("unnormalized", "sym_normalized")
 
-# Largest n with n * n - 1 in int64, so that every edge key lo * n + hi fits.
-_MAX_NODE_COUNT = 3_037_000_499
+# Most elements of one dense float64 array (1 GiB): an n-length array of a
+# graph's nodes, or a dense block that the fits form. It also keeps every
+# edge key lo * n + hi far inside int64.
+DENSE_ELEMENT_LIMIT = 2**27
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -108,8 +110,8 @@ class WeightedGraph:
     def _from_arrays(cls, u, v, w, node_count=None) -> "WeightedGraph":
         """Canonicalize int64 endpoint arrays ``u``, ``v`` and float64 weights.
 
-        The merge and sort key ``lo * n + hi`` stays inside int64 for node
-        counts up to ``_MAX_NODE_COUNT``; larger counts are refused.
+        A node count whose n-length float64 arrays would exceed
+        ``DENSE_ELEMENT_LIMIT`` elements is refused before any is allocated.
         """
         loops = np.flatnonzero(u == v)
         if loops.size:
@@ -117,9 +119,10 @@ class WeightedGraph:
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         max_node = int(hi.max(initial=-1))
         n = (max_node + 1) if node_count is None else int(node_count)
-        if n > _MAX_NODE_COUNT:
+        if n > DENSE_ELEMENT_LIMIT:
             raise ValueError(
-                f"node count {n} exceeds the largest supported, {_MAX_NODE_COUNT}"
+                f"node count {n} exceeds the {DENSE_ELEMENT_LIMIT}-element limit "
+                "of an n-length node array"
             )
         if max_node >= n:
             raise ValueError(

@@ -32,6 +32,7 @@ from scipy.linalg import cho_solve, lapack, solve_triangular
 from scipy.linalg.blas import dtrmm
 import scipy.sparse as sp
 
+from .graphs import DENSE_ELEMENT_LIMIT
 from .kernels import (
     KernelSpec,
     _as_query,
@@ -63,11 +64,6 @@ __all__ = [
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _CONDITION_WARN = 1e12
-
-# Most elements of the |query| x |query| covariance a posterior returns
-# (1 GiB of float64). gmrf_posterior's k^3 inversion of the k distinct query
-# nodes is bounded apart, by the dense eigensolver's node limit.
-DENSE_ELEMENT_LIMIT = 2**27
 
 # Diagonal blocks of at most this many rows go to LAPACK's dtrtri. Timed at
 # 1 OpenBLAS thread on Cholesky factors of random SPD matrices, two runs:

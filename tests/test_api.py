@@ -93,6 +93,28 @@ def test_dense_spd_blocks_share_one_factor_and_one_inverse():
     assert sorted(seen) == ["dpotrf", "dtrtri"]
 
 
+def test_one_site_chooses_the_eigensolver():
+    """``eigsh`` is called only in ``spectral.eigendecompose_truncated``, and
+    ``_dense_lowest`` only there and in ``eigendecompose_full``, whose
+    request is always full. ``_eigensolver``, the rule, is read only there
+    and by the CLI's run record, so the choice cannot grow a second site."""
+    package = Path(graph_matern.__file__).parent
+    homes = {
+        "eigsh": {("spectral.py", "eigendecompose_truncated")},
+        "_dense_lowest": {("spectral.py", "eigendecompose_truncated"),
+                          ("spectral.py", "eigendecompose_full")},
+        "_eigensolver": {("spectral.py", "eigendecompose_truncated"),
+                         ("cli.py", "_basis_for")},
+    }
+    seen = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, name, call in _calls(tree, set(homes)):
+            seen.append((name, path.name, func))
+            assert (path.name, func) in homes[name], f"{name} at {path.name}:{call.lineno}"
+    assert sorted(seen) == sorted((name, *home) for name in homes for home in homes[name])
+
+
 def test_every_benchmark_wrapped_name_resolves():
     """The traced benchmark replaces the names in ``bench/tracing.py``'s
     ``WRAPPED`` where they are looked up, so each must exist there, and each

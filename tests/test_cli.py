@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from graph_matern import build_laplacian, cli, eigendecompose_full
 from graph_matern.cli import main
 from graph_matern.spectral import DENSE_SIZE_LIMIT
-from helpers import random_connected_graph, two_cliques
+from helpers import lattice_graph, random_connected_graph, two_cliques
 
 
 def _write_graph(path, graph):
@@ -83,6 +83,7 @@ class TestEigen:
         assert s1["eigenpairs"] == 6
         assert s1["laplacian"] == "sym_normalized"
         assert s1["cache_hit"] is False
+        assert s1["eigensolver"] == "dense"  # 20 nodes
         lap = build_laplacian(g, "sym_normalized").matrix
         bound = 1e-8 * max(1.0, float(abs(lap).sum(axis=1).max()))
         assert 0.0 <= s1["lambda_min"] <= bound
@@ -92,12 +93,32 @@ class TestEigen:
         assert main(argv + ["--out", str(out2)]) == 0
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s2["cache_hit"] is True
+        assert s2["eigensolver"] is None
         for summary in (s1, s2):
             assert 0.0 <= summary["max_residual"] <= bound
         for key in ("nodes", "edges", "eigenpairs", "lambda_min", "lambda_max", "cache_file"):
             assert s1[key] == s2[key]
         assert_timings(s1["timings"], ("parse_s", "laplacian_s", "eigensolve_s"))
         assert_timings(s2["timings"], ("parse_s", "laplacian_s", "cache_load_s"))
+
+    def test_summary_names_the_lanczos_solver(self, tmp_path):
+        """Ten pairs of a sparse 900-node lattice go to Lanczos, and the
+        summary names it."""
+        graph_path = tmp_path / "g.txt"
+        _write_graph(graph_path, lattice_graph(30))
+        out = tmp_path / "out"
+        assert main(["eigen", "--graph", str(graph_path), "--eigenpairs", "10",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["eigensolver"] == "lanczos" and summary["cache_hit"] is False
+        assert summary["max_residual"] <= 1e-10
+
+    def test_huge_declared_node_count_fails_by_name(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text("nodes 3000000000\n0 1\n")
+        code = main(["eigen", "--graph", str(graph_path), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: node count 3000000000 exceeds the" in capsys.readouterr().err
 
     def test_eigenpairs_clamped_to_node_count(self, tmp_path):
         rng = np.random.default_rng(211)
@@ -165,6 +186,7 @@ class TestFitRegression:
         assert metrics["jitter"] == 0.0
         assert metrics["eigen_cache_hit"] is False
         assert metrics["eigen_cache_file"] is None  # no cache directory
+        assert metrics["eigensolver"] == "dense"
         assert_timings(metrics["timings"], (
             "parse_s", "laplacian_s", "eigensolve_s", "fit_s", "predict_s"))
 
@@ -315,6 +337,7 @@ class TestFitClassify:
             runs.append(json.loads((tmp_path / name / "metrics.json").read_text()))
         miss, hit = runs
         assert miss["eigen_cache_hit"] is False and hit["eigen_cache_hit"] is True
+        assert miss["eigensolver"] == "dense" and hit["eigensolver"] is None
         assert miss["eigen_cache_file"] == hit["eigen_cache_file"]
         assert Path(hit["eigen_cache_file"]).is_file()
         stages = ("parse_s", "laplacian_s", "fit_s", "predict_s")
@@ -388,6 +411,7 @@ class TestPredict:
             assert summary["schema_version"] == 1 and summary["kind"] == "regression"
             assert isinstance(summary["timestamp"], str)
         assert miss["eigen_cache_hit"] is False and hit["eigen_cache_hit"] is True
+        assert miss["eigensolver"] == "dense" and hit["eigensolver"] is None
         assert miss["eigen_cache_file"] == hit["eigen_cache_file"]
         assert Path(hit["eigen_cache_file"]).is_file()
         stages = ("parse_s", "laplacian_s", "predict_s")

@@ -15,8 +15,8 @@ from graph_matern import (
     read_edge_list,
 )
 from graph_matern import graphs
-from graph_matern.graphs import _parse_fast, _parse_lines
-from helpers import lattice_graph, loop_laplacian, random_graph
+from graph_matern.graphs import DENSE_ELEMENT_LIMIT, _parse_fast, _parse_lines
+from helpers import PeakMemory, lattice_graph, loop_laplacian, random_graph
 
 
 def assert_edges(graph, u, v, w):
@@ -298,12 +298,22 @@ class TestWeightedGraph:
         assert g.edge_count == 2
 
     def test_from_edges_node_count_bound(self):
-        top = 3_037_000_499
+        top = DENSE_ELEMENT_LIMIT
         g = WeightedGraph.from_edges([(top - 1, 0, 1.0), (1, top - 1)])
         assert g.node_count == top
         assert_edges(g, [0, 1], [top - 1, top - 1], [1.0, 1.0])
-        with pytest.raises(ValueError, match=f"node count {top + 1} exceeds"):
+        with pytest.raises(ValueError, match=f"node count {top + 1} exceeds the {top}-element"):
             WeightedGraph.from_edges([(0, 1)], node_count=top + 1)
+
+    @pytest.mark.parametrize("text", ["nodes 3000000000\n0 1\n", "0 1\n1 3000000000\n"])
+    def test_huge_node_count_refused_before_any_node_array(self, text):
+        """A file that declares or implies 3e9 nodes is refused by name
+        before the n-length degree array (24 GB) is asked for."""
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match=(
+                    f"node count 300000000[01] exceeds the {DENSE_ELEMENT_LIMIT}-element limit")):
+                parse_edge_list(text)
+        assert mem.peak < 64 * 1024
 
     def test_from_edges_negative_index_rejected(self):
         with pytest.raises(ValueError, match=r"edge \(-2, 1\) out of range"):

@@ -1,6 +1,7 @@
 """Eigendecomposition, functional calculus, heat flow and the basis cache."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -177,9 +178,10 @@ class TestCanonicalSigns:
 class TestTruncatedDecomposition:
     def test_matches_dense_on_lowest_pairs(self):
         rng = np.random.default_rng(31)
-        g = random_connected_graph(rng, 60, extra=0.05)
+        g = random_connected_graph(rng, 400, extra=0.005)
         for kind in ("unnormalized", "sym_normalized"):
             op = build_laplacian(g, kind)
+            assert spectral._eigensolver(op, 10) == "lanczos"
             dense = eigendecompose_full(op)
             part = eigendecompose_truncated(op, 10)
             assert part.n_retained == 10
@@ -198,8 +200,8 @@ class TestTruncatedDecomposition:
     def test_dense_subset_matches_full_then_truncated(self):
         rng = np.random.default_rng(33)
         cases = [
-            # the dense branch of the cached path, and the dense fallback of
-            # the Lanczos path below 8 nodes
+            # past the rule's share of n, through the cache, and below the
+            # 1 / share nodes that any Lanczos request needs
             (random_connected_graph(rng, 120, extra=0.05), 30,
              lambda op, k: cached_eigendecomposition(op, k)[0]),
             (random_connected_graph(rng, 7), 3, eigendecompose_truncated),
@@ -246,9 +248,22 @@ class TestTruncatedDecomposition:
         g = _disjoint(lattice_graph(30), lattice_graph(20))
         for kind in ("unnormalized", "sym_normalized"):
             op = build_laplacian(g, kind)
+            assert spectral._eigensolver(op, 7) == "lanczos"
             values, vectors = _dense_pairs(op, 7)
             assert values[1] < 1e-12 < values[2]
             _assert_lowest_pairs(op, eigendecompose_truncated(op, 7), values, vectors)
+
+    def test_missed_zero_eigenvalues_are_refused_by_name(self):
+        """300 isolated nodes beside a lattice repeat eigenvalue 0 in blocks
+        that the shifted solve never couples, so Lanczos finds few of its
+        copies and returns higher pairs in their place; that basis is
+        refused rather than returned."""
+        g = lattice_graph(20)
+        for kind in ("unnormalized", "sym_normalized"):
+            op = build_laplacian(WeightedGraph(node_count=700, u=g.u, v=g.v, w=g.w), kind)
+            assert spectral._eigensolver(op, 10) == "lanczos"
+            with pytest.raises(EigensolverError, match="missed some of the 10 zero eigenvalues"):
+                eigendecompose_truncated(op, 10)
 
     def test_lanczos_factors_once_without_an_ordering_pass(self, monkeypatch):
         """Without ``last``, ``_factor_spd`` is one ``splu`` call that orders
@@ -262,7 +277,8 @@ class TestTruncatedDecomposition:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(spectral, name, counted)
-        op = build_laplacian(lattice_graph(12, diagonals=True), "unnormalized")
+        op = build_laplacian(lattice_graph(20, diagonals=True), "unnormalized")
+        assert spectral._eigensolver(op, 5) == "lanczos"
         shifted = sp.csc_array(op.matrix + 0.1 * sp.eye_array(op.node_count))
         lu, order = _factor_spd(shifted, "shifted laplacian")
         assert calls == [("splu", "MMD_AT_PLUS_A")]
@@ -274,7 +290,8 @@ class TestTruncatedDecomposition:
         assert calls == [("splu", "MMD_AT_PLUS_A")]
 
     def test_no_convergence_names_converged_pairs(self, monkeypatch):
-        op = build_laplacian(lattice_graph(6), "unnormalized")
+        op = build_laplacian(lattice_graph(20), "unnormalized")
+        assert spectral._eigensolver(op, 5) == "lanczos"
         full = eigendecompose_full(op)
 
         def failing(values, vectors):
@@ -288,7 +305,7 @@ class TestTruncatedDecomposition:
             eigendecompose_truncated(op, 5)
         assert err.value.residual_norms.shape == (2,)
         assert err.value.residual_norms.max() <= 1e-12
-        monkeypatch.setattr(spectral, "eigsh", failing(np.empty(0), np.empty((36, 0))))
+        monkeypatch.setattr(spectral, "eigsh", failing(np.empty(0), np.empty((400, 0))))
         with pytest.raises(EigensolverError, match=r"^ARPACK converged 0/5 pairs$") as err:
             eigendecompose_truncated(op, 5)
         assert err.value.residual_norms is None
@@ -430,6 +447,118 @@ class TestDenseLowest:
     def test_binding_refuses_a_signature_it_does_not_pass(self):
         with pytest.raises(ImportError, match="dormtr"):
             spectral._lapack_export("dormtr", "cciiDiDDiDii")
+
+
+def _routed(op, n_pairs, solver):
+    """Solve through ``eigendecompose_truncated``, with the solver that the
+    rule must not pick patched to raise."""
+    other = {"dense": "eigsh", "lanczos": "_dense_lowest"}[solver]
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{other} reached")
+
+    assert spectral._eigensolver(op, n_pairs) == solver
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, other, refused)
+        return eigendecompose_truncated(op, n_pairs)
+
+
+def _rule_terms(op):
+    """The three shares of n that the rule takes the least of."""
+    n, d = op.node_count, op.matrix.nnz / op.node_count
+    return {"share": spectral._LANCZOS_SHARE,
+            "shrink": spectral._LANCZOS_SHRINK / n**0.25,
+            "fill": spectral._LANCZOS_FILL / d**3}
+
+
+class TestEigensolverRule:
+    """``eigendecompose_truncated`` picks the solver from n, l and nnz(L):
+    Lanczos for l <= n min(share, shrink n^(-1/4), fill / d^3) with
+    d = nnz(L) / n, and for every partial request past ``DENSE_SIZE_LIMIT``
+    nodes; dense otherwise. On both sides of each constant the routed basis
+    meets the bounds of ``TestDenseLowest``."""
+
+    @pytest.mark.parametrize("term, graph", [
+        ("share", lambda: lattice_graph(20)),
+        ("shrink", lambda: lattice_graph(32)),
+        ("fill", lambda: random_graph(np.random.default_rng(37), 400, p=0.03)),
+    ])
+    def test_both_sides_of_each_term(self, term, graph):
+        op = build_laplacian(graph(), "unnormalized")
+        terms = _rule_terms(op)
+        assert min(terms, key=terms.get) == term
+        top = int(terms[term] * op.node_count)
+        assert top >= 1
+        for n_pairs, solver in ((top, "lanczos"), (top + 1, "dense")):
+            _assert_accurate_lowest(op, _routed(op, n_pairs, solver), n_pairs)
+
+    def test_too_few_nodes_for_any_lanczos_request(self):
+        """One pair needs n >= 1 / share nodes; this replaces the old
+        n < 8 case."""
+        smallest = math.ceil(1 / spectral._LANCZOS_SHARE)
+        for n, solver in ((smallest - 1, "dense"), (smallest, "lanczos")):
+            op = build_laplacian(path_graph(n), "sym_normalized")
+            _assert_accurate_lowest(op, _routed(op, 1, solver), 1)
+
+    def test_every_partial_request_past_the_dense_limit(self, monkeypatch):
+        """Past ``DENSE_SIZE_LIMIT`` nodes the share no longer applies; a
+        full request there is refused by name, as
+        ``test_full_request_past_dense_limit_fails_by_name`` checks."""
+        op = build_laplacian(lattice_graph(20), "unnormalized")
+        n_pairs = int(min(_rule_terms(op).values()) * op.node_count) + 1
+        for limit, solver in ((op.node_count, "dense"), (op.node_count - 1, "lanczos")):
+            monkeypatch.setattr(spectral, "DENSE_SIZE_LIMIT", limit)
+            _assert_accurate_lowest(op, _routed(op, n_pairs, solver), n_pairs)
+        monkeypatch.undo()
+        big = build_laplacian(path_graph(DENSE_SIZE_LIMIT + 1), "unnormalized")
+        assert spectral._eigensolver(big, DENSE_SIZE_LIMIT + 1) == "dense"
+
+    def test_few_pairs_of_a_large_sparse_lattice_take_lanczos(self, tmp_path, monkeypatch):
+        """Ten pairs of a 64 x 64 lattice, through the cache: once a dense
+        O(n^3) solve, now Lanczos."""
+        side = 64
+        op = build_laplacian(lattice_graph(side), "unnormalized")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dense eigensolve reached")
+
+        monkeypatch.setattr(spectral, "_dense_lowest", refused)
+        basis, hit, _ = cached_eigendecomposition(op, 10, cache_dir=tmp_path)
+        assert not hit and basis.n_retained == 10
+        axis = 2.0 - 2.0 * np.cos(np.pi * np.arange(side) / side)
+        expected = np.sort((axis[:, None] + axis[None, :]).ravel())[:10]
+        scale = max(1.0, _gershgorin(op.matrix))
+        u, lam = basis.eigenvectors, basis.eigenvalues
+        assert np.abs(lam - expected).max() <= 1e-10 * scale
+        assert np.linalg.norm(op.matrix @ u - u * lam, axis=0).max() <= 1e-10 * scale
+        assert np.abs(u.T @ u - np.eye(10)).max() <= 1e-10
+
+    def test_few_pairs_of_a_dense_random_graph_stay_dense(self):
+        op = build_laplacian(random_graph(np.random.default_rng(38), 300, p=0.1),
+                             "unnormalized")
+        assert op.matrix.nnz / op.node_count > 25
+        _assert_accurate_lowest(op, _routed(op, 3, "dense"), 3)
+
+    def test_cache_miss_solves_once_and_a_hit_solves_nothing(self, tmp_path, monkeypatch):
+        op = build_laplacian(lattice_graph(20), "unnormalized")
+        calls = []
+        real = spectral.eigendecompose_truncated
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("solver reached on a cache hit")
+
+        monkeypatch.setattr(spectral, "eigendecompose_truncated", counted)
+        miss, hit, _ = cached_eigendecomposition(op, 12, cache_dir=tmp_path)
+        assert not hit and calls == [(12,)]
+        for name in ("eigendecompose_truncated", "_dense_lowest", "eigsh"):
+            monkeypatch.setattr(spectral, name, refused)
+        again, hit, _ = cached_eigendecomposition(op, 12, cache_dir=tmp_path)
+        assert hit
+        assert_array_equal(again.eigenvectors, miss.eigenvectors)
 
 
 class TestApplySpectralFunction:
@@ -611,10 +740,12 @@ class TestCacheFormat:
         """Downstream BLAS products round by the vectors' layout, so every
         producer hands over one layout."""
         op = build_laplacian(lattice_graph(6), "unnormalized")
+        sparse = build_laplacian(lattice_graph(20), "unnormalized")
+        assert spectral._eigensolver(sparse, 10) == "lanczos"
         partial = cached_eigendecomposition(op, 10, cache_dir=tmp_path)[0]
         bases = {
             "full": eigendecompose_full(op),
-            "lanczos": eigendecompose_truncated(op, 10),
+            "lanczos": eigendecompose_truncated(sparse, 10),
             "dense partial": partial,
             "cache load": cached_eigendecomposition(op, 10, cache_dir=tmp_path)[0],
         }
