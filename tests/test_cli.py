@@ -102,10 +102,12 @@ class TestEigen:
         assert_timings(s2["timings"], ("parse_s", "laplacian_s", "cache_load_s"))
 
     def test_summary_names_the_lanczos_solver(self, tmp_path):
-        """Ten pairs of a sparse 900-node lattice go to Lanczos, and the
-        summary names it."""
+        """Ten pairs of a lattice past ``DENSE_SIZE_LIMIT`` nodes go to
+        Lanczos, and the summary names it."""
+        graph = lattice_graph(65)
+        assert graph.node_count > DENSE_SIZE_LIMIT
         graph_path = tmp_path / "g.txt"
-        _write_graph(graph_path, lattice_graph(30))
+        _write_graph(graph_path, graph)
         out = tmp_path / "out"
         assert main(["eigen", "--graph", str(graph_path), "--eigenpairs", "10",
                      "--out", str(out)]) == 0

@@ -1,7 +1,6 @@
 """Eigendecomposition, functional calculus, heat flow and the basis cache."""
 
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -76,6 +75,14 @@ def _disjoint(*graphs):
     edges = np.vstack([np.column_stack([g.u + off, g.v + off, g.w])
                        for g, off in zip(graphs, offsets)])
     return WeightedGraph.from_edges(edges, node_count=int(offsets[-1]))
+
+
+def _lanczos(op, n_pairs):
+    """``eigendecompose_truncated`` with its rule patched to pick Lanczos,
+    which it picks itself only past ``DENSE_SIZE_LIMIT`` nodes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_eigensolver", lambda operator, n_pairs: "lanczos")
+        return eigendecompose_truncated(op, n_pairs)
 
 
 class TestFullDecomposition:
@@ -178,12 +185,11 @@ class TestCanonicalSigns:
 class TestTruncatedDecomposition:
     def test_matches_dense_on_lowest_pairs(self):
         rng = np.random.default_rng(31)
-        g = random_connected_graph(rng, 400, extra=0.005)
+        g = random_connected_graph(rng, 60, extra=0.05)
         for kind in ("unnormalized", "sym_normalized"):
             op = build_laplacian(g, kind)
-            assert spectral._eigensolver(op, 10) == "lanczos"
             dense = eigendecompose_full(op)
-            part = eigendecompose_truncated(op, 10)
+            part = _lanczos(op, 10)
             assert part.n_retained == 10
             assert part.n_retained != part.total_dim
             assert_allclose(
@@ -200,8 +206,8 @@ class TestTruncatedDecomposition:
     def test_dense_subset_matches_full_then_truncated(self):
         rng = np.random.default_rng(33)
         cases = [
-            # past the rule's share of n, through the cache, and below the
-            # 1 / share nodes that any Lanczos request needs
+            # at most DENSE_SIZE_LIMIT nodes, so dense through the cache and
+            # through eigendecompose_truncated alike
             (random_connected_graph(rng, 120, extra=0.05), 30,
              lambda op, k: cached_eigendecomposition(op, k)[0]),
             (random_connected_graph(rng, 7), 3, eigendecompose_truncated),
@@ -236,7 +242,7 @@ class TestTruncatedDecomposition:
             op = build_laplacian(lattice_graph(40), kind)
             values, vectors = _dense_pairs(op, 8)
             assert 1e-3 * max(_gershgorin(op.matrix), 1.0) > values[1]
-            basis = eigendecompose_truncated(op, 8)
+            basis = _lanczos(op, 8)
             assert len(shifts) == 1
             sigma = shifts.pop()
             assert sigma < 0 and abs(sigma) < values[1]
@@ -248,22 +254,9 @@ class TestTruncatedDecomposition:
         g = _disjoint(lattice_graph(30), lattice_graph(20))
         for kind in ("unnormalized", "sym_normalized"):
             op = build_laplacian(g, kind)
-            assert spectral._eigensolver(op, 7) == "lanczos"
             values, vectors = _dense_pairs(op, 7)
             assert values[1] < 1e-12 < values[2]
-            _assert_lowest_pairs(op, eigendecompose_truncated(op, 7), values, vectors)
-
-    def test_missed_zero_eigenvalues_are_refused_by_name(self):
-        """300 isolated nodes beside a lattice repeat eigenvalue 0 in blocks
-        that the shifted solve never couples, so Lanczos finds few of its
-        copies and returns higher pairs in their place; that basis is
-        refused rather than returned."""
-        g = lattice_graph(20)
-        for kind in ("unnormalized", "sym_normalized"):
-            op = build_laplacian(WeightedGraph(node_count=700, u=g.u, v=g.v, w=g.w), kind)
-            assert spectral._eigensolver(op, 10) == "lanczos"
-            with pytest.raises(EigensolverError, match="missed some of the 10 zero eigenvalues"):
-                eigendecompose_truncated(op, 10)
+            _assert_lowest_pairs(op, _lanczos(op, 7), values, vectors)
 
     def test_lanczos_factors_once_without_an_ordering_pass(self, monkeypatch):
         """Without ``last``, ``_factor_spd`` is one ``splu`` call that orders
@@ -277,8 +270,7 @@ class TestTruncatedDecomposition:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(spectral, name, counted)
-        op = build_laplacian(lattice_graph(20, diagonals=True), "unnormalized")
-        assert spectral._eigensolver(op, 5) == "lanczos"
+        op = build_laplacian(lattice_graph(12, diagonals=True), "unnormalized")
         shifted = sp.csc_array(op.matrix + 0.1 * sp.eye_array(op.node_count))
         lu, order = _factor_spd(shifted, "shifted laplacian")
         assert calls == [("splu", "MMD_AT_PLUS_A")]
@@ -286,12 +278,11 @@ class TestTruncatedDecomposition:
         b = np.random.default_rng(36).standard_normal(op.node_count)
         assert_allclose(shifted @ lu.solve(b), b, rtol=0, atol=1e-12)
         calls.clear()
-        eigendecompose_truncated(op, 5)
+        _lanczos(op, 5)
         assert calls == [("splu", "MMD_AT_PLUS_A")]
 
     def test_no_convergence_names_converged_pairs(self, monkeypatch):
-        op = build_laplacian(lattice_graph(20), "unnormalized")
-        assert spectral._eigensolver(op, 5) == "lanczos"
+        op = build_laplacian(lattice_graph(6), "unnormalized")
         full = eigendecompose_full(op)
 
         def failing(values, vectors):
@@ -302,12 +293,12 @@ class TestTruncatedDecomposition:
         pairs = (full.eigenvalues[:2], full.eigenvectors[:, :2])
         monkeypatch.setattr(spectral, "eigsh", failing(*pairs))
         with pytest.raises(EigensolverError, match=r"converged 2/5 pairs; residual norms") as err:
-            eigendecompose_truncated(op, 5)
+            _lanczos(op, 5)
         assert err.value.residual_norms.shape == (2,)
         assert err.value.residual_norms.max() <= 1e-12
-        monkeypatch.setattr(spectral, "eigsh", failing(np.empty(0), np.empty((400, 0))))
+        monkeypatch.setattr(spectral, "eigsh", failing(np.empty(0), np.empty((36, 0))))
         with pytest.raises(EigensolverError, match=r"^ARPACK converged 0/5 pairs$") as err:
-            eigendecompose_truncated(op, 5)
+            _lanczos(op, 5)
         assert err.value.residual_norms is None
 
     def test_partial_dense_request_solves_only_the_subset(self, monkeypatch):
@@ -463,80 +454,33 @@ def _routed(op, n_pairs, solver):
         return eigendecompose_truncated(op, n_pairs)
 
 
-def _rule_terms(op):
-    """The three shares of n that the rule takes the least of."""
-    n, d = op.node_count, op.matrix.nnz / op.node_count
-    return {"share": spectral._LANCZOS_SHARE,
-            "shrink": spectral._LANCZOS_SHRINK / n**0.25,
-            "fill": spectral._LANCZOS_FILL / d**3}
-
-
 class TestEigensolverRule:
-    """``eigendecompose_truncated`` picks the solver from n, l and nnz(L):
-    Lanczos for l <= n min(share, shrink n^(-1/4), fill / d^3) with
-    d = nnz(L) / n, and for every partial request past ``DENSE_SIZE_LIMIT``
-    nodes; dense otherwise. On both sides of each constant the routed basis
-    meets the bounds of ``TestDenseLowest``."""
+    """``eigendecompose_truncated`` picks the solver by one rule: dense for a
+    full request or an operator of at most ``DENSE_SIZE_LIMIT`` nodes,
+    Lanczos for a partial request past that. Each routed basis meets the
+    bounds of ``TestDenseLowest``."""
 
-    @pytest.mark.parametrize("term, graph", [
-        ("share", lambda: lattice_graph(20)),
-        ("shrink", lambda: lattice_graph(32)),
-        ("fill", lambda: random_graph(np.random.default_rng(37), 400, p=0.03)),
-    ])
-    def test_both_sides_of_each_term(self, term, graph):
-        op = build_laplacian(graph(), "unnormalized")
-        terms = _rule_terms(op)
-        assert min(terms, key=terms.get) == term
-        top = int(terms[term] * op.node_count)
-        assert top >= 1
-        for n_pairs, solver in ((top, "lanczos"), (top + 1, "dense")):
-            _assert_accurate_lowest(op, _routed(op, n_pairs, solver), n_pairs)
-
-    def test_too_few_nodes_for_any_lanczos_request(self):
-        """One pair needs n >= 1 / share nodes; this replaces the old
-        n < 8 case."""
-        smallest = math.ceil(1 / spectral._LANCZOS_SHARE)
-        for n, solver in ((smallest - 1, "dense"), (smallest, "lanczos")):
-            op = build_laplacian(path_graph(n), "sym_normalized")
-            _assert_accurate_lowest(op, _routed(op, 1, solver), 1)
-
-    def test_every_partial_request_past_the_dense_limit(self, monkeypatch):
-        """Past ``DENSE_SIZE_LIMIT`` nodes the share no longer applies; a
-        full request there is refused by name, as
-        ``test_full_request_past_dense_limit_fails_by_name`` checks."""
+    def test_both_sides_of_the_dense_limit(self, monkeypatch):
+        """The limit patched to n and to n - 1 on one 400-node lattice."""
         op = build_laplacian(lattice_graph(20), "unnormalized")
-        n_pairs = int(min(_rule_terms(op).values()) * op.node_count) + 1
         for limit, solver in ((op.node_count, "dense"), (op.node_count - 1, "lanczos")):
             monkeypatch.setattr(spectral, "DENSE_SIZE_LIMIT", limit)
-            _assert_accurate_lowest(op, _routed(op, n_pairs, solver), n_pairs)
-        monkeypatch.undo()
-        big = build_laplacian(path_graph(DENSE_SIZE_LIMIT + 1), "unnormalized")
-        assert spectral._eigensolver(big, DENSE_SIZE_LIMIT + 1) == "dense"
+            _assert_accurate_lowest(op, _routed(op, 10, solver), 10)
 
-    def test_few_pairs_of_a_large_sparse_lattice_take_lanczos(self, tmp_path, monkeypatch):
-        """Ten pairs of a 64 x 64 lattice, through the cache: once a dense
-        O(n^3) solve, now Lanczos."""
-        side = 64
-        op = build_laplacian(lattice_graph(side), "unnormalized")
+    def test_only_a_full_request_past_the_limit_is_dense(self):
+        """That one is refused by name, as
+        ``test_full_request_past_dense_limit_fails_by_name`` checks."""
+        n = DENSE_SIZE_LIMIT + 1
+        op = build_laplacian(path_graph(n), "unnormalized")
+        assert [spectral._eigensolver(op, k) for k in (1, n - 1, n)] == [
+            "lanczos", "lanczos", "dense"]
 
-        def refused(*args, **kwargs):
-            raise AssertionError("dense eigensolve reached")
-
-        monkeypatch.setattr(spectral, "_dense_lowest", refused)
-        basis, hit, _ = cached_eigendecomposition(op, 10, cache_dir=tmp_path)
-        assert not hit and basis.n_retained == 10
-        axis = 2.0 - 2.0 * np.cos(np.pi * np.arange(side) / side)
-        expected = np.sort((axis[:, None] + axis[None, :]).ravel())[:10]
-        scale = max(1.0, _gershgorin(op.matrix))
-        u, lam = basis.eigenvectors, basis.eigenvalues
-        assert np.abs(lam - expected).max() <= 1e-10 * scale
-        assert np.linalg.norm(op.matrix @ u - u * lam, axis=0).max() <= 1e-10 * scale
-        assert np.abs(u.T @ u - np.eye(10)).max() <= 1e-10
-
-    def test_few_pairs_of_a_dense_random_graph_stay_dense(self):
-        op = build_laplacian(random_graph(np.random.default_rng(38), 300, p=0.1),
-                             "unnormalized")
-        assert op.matrix.nnz / op.node_count > 25
+    @pytest.mark.parametrize("graph", [
+        lambda: lattice_graph(20),
+        lambda: random_graph(np.random.default_rng(38), 300, p=0.1),
+    ], ids=["sparse_lattice", "dense_random"])
+    def test_few_pairs_at_most_the_limit_stay_dense(self, graph):
+        op = build_laplacian(graph(), "unnormalized")
         _assert_accurate_lowest(op, _routed(op, 3, "dense"), 3)
 
     def test_cache_miss_solves_once_and_a_hit_solves_nothing(self, tmp_path, monkeypatch):
@@ -740,12 +684,10 @@ class TestCacheFormat:
         """Downstream BLAS products round by the vectors' layout, so every
         producer hands over one layout."""
         op = build_laplacian(lattice_graph(6), "unnormalized")
-        sparse = build_laplacian(lattice_graph(20), "unnormalized")
-        assert spectral._eigensolver(sparse, 10) == "lanczos"
         partial = cached_eigendecomposition(op, 10, cache_dir=tmp_path)[0]
         bases = {
             "full": eigendecompose_full(op),
-            "lanczos": eigendecompose_truncated(sparse, 10),
+            "lanczos": _lanczos(op, 10),
             "dense partial": partial,
             "cache load": cached_eigendecomposition(op, 10, cache_dir=tmp_path)[0],
         }
