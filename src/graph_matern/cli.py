@@ -40,6 +40,7 @@ from .kernels import KernelSpec
 from .optim import AdamConfig, metrics, random_split
 from .regression import (
     GPRegressionModel,
+    PosteriorSummary,
     _lml_route,
     _model_from_snapshot,
     _read_snapshot,
@@ -84,14 +85,16 @@ def _write_csv(path, header, rows):
         fh.writelines(",".join(cells) + "\n" for cells in rows)
 
 
-def _write_regression_csv(path, summary):
-    rows = zip(summary.mean, summary.stddev)
-    _write_csv(path, "node_index,mean,std", (
-        (str(i), _fmt(mean), _fmt(std)) for i, (mean, std) in enumerate(rows)
-    ))
-
-
-def _write_classification_csv(path, probs, pred):
+def _write_predictions(path, result):
+    """predictions.csv of a ``_predict`` result, one row per node: the
+    posterior mean and std, or the label and every class probability."""
+    if isinstance(result, PosteriorSummary):
+        rows = zip(result.mean, result.stddev)
+        _write_csv(path, "node_index,mean,std", (
+            (str(i), _fmt(mean), _fmt(std)) for i, (mean, std) in enumerate(rows)
+        ))
+        return
+    probs, pred = result
     header = ",".join(f"p{c}" for c in range(probs.shape[1]))
     _write_csv(path, f"node_index,label,{header}", (
         (str(i), str(int(label)), *map(_fmt, row))
@@ -173,25 +176,47 @@ def _basis_for(graph, kind, eigenpairs, cache_dir, timings):
     }
 
 
-def _write_fit_metrics(out, command, payload, predicted, truth, train_idx, test_idx):
-    """Score a fit on its train and test rows, write metrics.json and print.
+def _read_rows(args):
+    """``(nodes, values, classes)`` from ``args.task``'s rows file: float
+    targets and no class count for regression, integer labels and their
+    ``_class_count`` for classification. A file not given or empty is
+    refused, before any eigenpair is computed."""
+    regression = args.task == "regression"
+    name = "targets" if regression else "labels"
+    path = getattr(args, name)
+    if path is None:
+        raise ValueError(f"--{name} is required for the {args.task} task")
+    nodes, values = read_targets_csv(path) if regression else read_labels_csv(path)
+    if nodes.size == 0:
+        raise ValueError(f"{name} file is empty")
+    return nodes, values, None if regression else _class_count(args, values)
 
-    ``predicted`` and ``truth`` run over the rows of the targets or labels
-    file; a score is left out when its split is empty.
-    """
-    task = payload["task"]
-    name = "mse" if task == "regression" else "accuracy"
-    payload.update(
-        schema_version=_SCHEMA_VERSION, timestamp=_timestamp(),
-        train_count=int(train_idx.size), test_count=int(test_idx.size),
-    )
-    line = f"{command}:"
-    for split, idx in (("train", train_idx), ("test", test_idx)):
-        if idx.size:
-            score = payload[f"{split}_{name}"] = metrics(predicted[idx], truth[idx], task)
-            line += f" {split}_{name}={_fmt(score)}"
-    _write_json(out / "metrics.json", payload)
-    print(line)
+
+def _fit(args, spec, basis, nodes, values, classes, config, seed, timings):
+    """``(model, trace)`` of ``args.task``'s model fitted to ``values`` at
+    ``nodes``: GP regression, or the variational classifier with its inducing
+    points there. The fit is timed as ``fit_s``."""
+    if args.task == "regression":
+        model = GPRegressionModel(spec=spec, basis=basis, train_nodes=nodes,
+                                  targets=values, noise2=args.noise2)
+        return _timed(timings, "fit_s", fit, model, config)
+    model = VariationalClassifier.create(spec=spec, basis=basis, n_classes=classes,
+                                         inducing_nodes=nodes)
+    return _timed(timings, "fit_s", fit_classifier, model, nodes, values, config,
+                  seed=seed, mc_samples=args.mc_samples)
+
+
+def _predict(model, query, args, seed, timings):
+    """``(point, result)`` at ``query`` (every node when None), timed as
+    ``predict_s``: the posterior mean and its summary, or the labels and
+    ``(probs, labels)``. ``result`` is what ``_write_predictions`` takes."""
+    if isinstance(model, GPRegressionModel):
+        summary = _timed(timings, "predict_s", woodbury_posterior, model,
+                         query=query, diag=True)
+        return summary.mean, summary
+    probs, pred = _timed(timings, "predict_s", predict_classes, model, query=query,
+                         mc_samples=args.predict_samples, seed=seed)
+    return pred, (probs, pred)
 
 
 def _blas_threads() -> int | None:
@@ -276,95 +301,57 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-def cmd_fit_regression(args) -> int:
+def cmd_fit(args) -> int:
+    """fit-regression and fit-classify: fit on the train rows, predict every
+    node, score the train and test rows, and write the outputs."""
     timings = {}
     graph = _timed(timings, "parse_s", read_edge_list, args.graph)
-    spec = _load_kernel_spec(args.kernel, _default_spec("regression"))
-    nodes, values = read_targets_csv(args.targets)
-    if nodes.size == 0:
-        raise ValueError("targets file is empty")
-    config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
-    train_idx, test_idx = _split(nodes.size, args.train_size, None, args.seed)
-    _, basis, eigen = _basis_for(
-        graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
-    )
-
-    model, trace = _timed(timings, "fit_s", fit, GPRegressionModel(
-        spec=spec, basis=basis, train_nodes=nodes[train_idx],
-        targets=values[train_idx], noise2=args.noise2,
-    ), config)
-
-    summary = _timed(timings, "predict_s", woodbury_posterior, model,
-                     query=None, diag=True)
-    out = _out_dir(args)
-    _write_regression_csv(out / "predictions.csv", summary)
-    _write_trace_csv(out / "trace.csv", "loss", trace)
-    save_model(model, out / "model.json")
-
-    route = _lml_route(model)
-    _write_fit_metrics(out, "fit-regression", {
-        "task": "regression",
-        "kernel": model.spec.to_dict(),
-        "noise2": model.noise2,
-        "iterations": args.iterations,
-        "final_loss": float(trace[-1]),
-        "best_loss": float(np.min(trace)),
-        "lml_route": route,
-        "jitter": model._train_chol()[1] if route == "dense" else None,
-        **_run_record(eigen, timings),
-    }, summary.mean[nodes], values, train_idx, test_idx)
-    return 0
-
-
-def cmd_fit_classify(args) -> int:
-    timings = {}
-    graph = _timed(timings, "parse_s", read_edge_list, args.graph)
-    spec = _load_kernel_spec(args.kernel, _default_spec("classification"))
-    nodes, labels = read_labels_csv(args.labels)
-    if nodes.size == 0:
-        raise ValueError("labels file is empty")
-    n_classes = _class_count(args, labels)
+    spec = _load_kernel_spec(args.kernel, _default_spec(args.task))
+    nodes, values, classes = _read_rows(args)
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     train_idx, test_idx = _split(
-        nodes.size, args.train_size, args.test_size, args.seed
+        nodes.size, args.train_size, getattr(args, "test_size", None), args.seed
     )
     _, basis, eigen = _basis_for(
         graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
     )
+    model, trace = _fit(args, spec, basis, nodes[train_idx], values[train_idx],
+                        classes, config, args.seed, timings)
+    predicted, result = _predict(model, None, args, args.seed, timings)
 
-    model = VariationalClassifier.create(
-        spec=spec,
-        basis=basis,
-        n_classes=n_classes,
-        inducing_nodes=nodes[train_idx],
-    )
-    model, trace = _timed(
-        timings, "fit_s", fit_classifier,
-        model,
-        nodes[train_idx],
-        labels[train_idx],
-        config,
-        seed=args.seed,
-        mc_samples=args.mc_samples,
-    )
-
-    probs, pred = _timed(
-        timings, "predict_s", predict_classes,
-        model, query=None, mc_samples=args.predict_samples, seed=args.seed,
-    )
     out = _out_dir(args)
-    _write_classification_csv(out / "predictions.csv", probs, pred)
-    _write_trace_csv(out / "trace.csv", "elbo", trace)
-    save_classifier(model, out / "model.json")
-
-    _write_fit_metrics(out, "fit-classify", {
-        "task": "classification",
-        "kernel": model.spec.to_dict(),
-        "classes": n_classes,
-        "iterations": args.iterations,
-        "final_elbo": float(trace[-1]) if trace.size else None,
-        **_run_record(eigen, timings),
-    }, pred[nodes], labels, train_idx, test_idx)
+    _write_predictions(out / "predictions.csv", result)
+    record = {"task": args.task, "kernel": model.spec.to_dict()}
+    if args.task == "regression":
+        _write_trace_csv(out / "trace.csv", "loss", trace)
+        save_model(model, out / "model.json")
+        route = _lml_route(model)
+        record.update(
+            noise2=model.noise2, iterations=args.iterations, final_loss=float(trace[-1]),
+            best_loss=float(np.min(trace)), lml_route=route,
+            jitter=model._train_chol()[1] if route == "dense" else None,
+        )
+        score = "mse"
+    else:
+        _write_trace_csv(out / "trace.csv", "elbo", trace)
+        save_classifier(model, out / "model.json")
+        record.update(classes=classes, iterations=args.iterations,
+                      final_elbo=float(trace[-1]) if trace.size else None)
+        score = "accuracy"
+    record.update(
+        _run_record(eigen, timings), schema_version=_SCHEMA_VERSION,
+        timestamp=_timestamp(), train_count=int(train_idx.size),
+        test_count=int(test_idx.size),
+    )
+    # Scored over the rows of the targets or labels file; a score is left
+    # out when its split is empty.
+    predicted, line = predicted[nodes], f"{args.command}:"
+    for split, idx in (("train", train_idx), ("test", test_idx)):
+        if idx.size:
+            value = record[f"{split}_{score}"] = metrics(predicted[idx], values[idx], args.task)
+            line += f" {split}_{score}={_fmt(value)}"
+    _write_json(out / "metrics.json", record)
+    print(line)
     return 0
 
 
@@ -392,19 +379,13 @@ def cmd_predict(args) -> int:
         graph, snapshot["kernel"].laplacian_kind, snapshot["eigenpairs"],
         args.cache_dir, timings,
     )
-    out = _out_dir(args)
     if kind == "regression":
         model = _model_from_snapshot(snapshot, basis)
-        summary = _timed(timings, "predict_s", woodbury_posterior, model,
-                         query=None, diag=True)
-        _write_regression_csv(out / "predictions.csv", summary)
     else:
         model = _classifier_from_snapshot(snapshot, basis)
-        probs, pred = _timed(
-            timings, "predict_s", predict_classes,
-            model, query=None, mc_samples=args.predict_samples, seed=args.seed,
-        )
-        _write_classification_csv(out / "predictions.csv", probs, pred)
+    _, result = _predict(model, None, args, args.seed, timings)
+    out = _out_dir(args)
+    _write_predictions(out / "predictions.csv", result)
     _write_json(out / "summary.json", {
         "schema_version": _SCHEMA_VERSION,
         "timestamp": _timestamp(),
@@ -419,62 +400,31 @@ def cmd_predict(args) -> int:
 def cmd_compare_kernels(args) -> int:
     timings = {}
     graph = _timed(timings, "parse_s", read_edge_list, args.graph)
-    if args.task == "regression":
-        if args.targets is None:
-            raise ValueError("--targets is required for the regression task")
-        nodes, values = read_targets_csv(args.targets)
-        metric_name = "test_mse"
-    else:
-        if args.labels is None:
-            raise ValueError("--labels is required for the classification task")
-        nodes, labels = read_labels_csv(args.labels)
-        n_classes = _class_count(args, labels)
-        metric_name = "test_accuracy"
-    if nodes.size == 0:
-        raise ValueError("no labeled/targeted nodes")
-    train_size = args.train_size
-    if train_size is None:
+    nodes, values, classes = _read_rows(args)
+    if args.train_size is None:
         raise ValueError("--train-size is required for compare-kernels")
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
+    metric_name = "test_mse" if args.task == "regression" else "test_accuracy"
 
     bases = {}
     for kind in ("unnormalized", "sym_normalized"):
         stage = timings[kind] = {}
         _, bases[kind], eigen = _basis_for(graph, kind, args.eigenpairs, args.cache_dir, stage)
-        stage["eigen_cache_hit"] = eigen["eigen_cache_hit"]
+        stage.update(eigen)
 
     start = time.perf_counter()
     rows = []
     for family, kind in _COMPARE_ROWS:
         spec = _default_spec(args.task, family, kind, args.rw_p)
         scores = []
-        for k in range(args.repeats):
-            seed = args.seed + k
-            train_idx, test_idx = _split(nodes.size, train_size, args.test_size, seed)
+        for seed in range(args.seed, args.seed + args.repeats):
+            train_idx, test_idx = _split(nodes.size, args.train_size, args.test_size, seed)
             if test_idx.size == 0:
                 raise ValueError("empty test split; lower --train-size")
-            basis = bases[kind]
-            if args.task == "regression":
-                model, _ = fit(GPRegressionModel(
-                    spec=spec, basis=basis, train_nodes=nodes[train_idx],
-                    targets=values[train_idx], noise2=args.noise2,
-                ), config)
-                summary = woodbury_posterior(model, query=nodes[test_idx], diag=True)
-                scores.append(metrics(summary.mean, values[test_idx], "regression"))
-            else:
-                model = VariationalClassifier.create(
-                    spec=spec, basis=basis, n_classes=n_classes,
-                    inducing_nodes=nodes[train_idx],
-                )
-                model, _ = fit_classifier(
-                    model, nodes[train_idx], labels[train_idx], config,
-                    seed=seed, mc_samples=args.mc_samples,
-                )
-                _, pred = predict_classes(
-                    model, query=nodes[test_idx],
-                    mc_samples=args.predict_samples, seed=seed,
-                )
-                scores.append(metrics(pred, labels[test_idx], "classification"))
+            model, _ = _fit(args, spec, bases[kind], nodes[train_idx], values[train_idx],
+                            classes, config, seed, {})
+            predicted, _ = _predict(model, nodes[test_idx], args, seed, {})
+            scores.append(metrics(predicted, values[test_idx], args.task))
         scores = np.asarray(scores)
         rows.append({
             "kernel": family,
@@ -502,7 +452,7 @@ def cmd_compare_kernels(args) -> int:
         "task": args.task,
         "metric": metric_name,
         "repeats": args.repeats,
-        "train_size": train_size,
+        "train_size": args.train_size,
         "test_size": args.test_size,
         "iterations": args.iterations,
         "rows": rows,
@@ -526,6 +476,23 @@ def _add_common(p, kernel=True, seed=True):
                        help="kernel spec as inline JSON or a path to a JSON file")
 
 
+def _add_fit(p, *tasks):
+    """The fit options of commands that fit ``tasks``: the shared four, plus
+    the noise for regression and the classes, test split and Monte Carlo
+    sample counts for classification."""
+    p.add_argument("--train-size", type=int, default=None)
+    p.add_argument("--iterations", type=int, default=20000)
+    p.add_argument("--lr", type=float, default=0.001)
+    if "regression" in tasks:
+        p.add_argument("--noise2", type=float, default=0.01,
+                       help="initial observation noise variance")
+    if "classification" in tasks:
+        p.add_argument("--classes", type=int, default=None)
+        p.add_argument("--test-size", type=int, default=None)
+        p.add_argument("--mc-samples", type=int, default=20)
+        p.add_argument("--predict-samples", type=int, default=200)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graph-matern",
@@ -543,24 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-regression", help="GP regression on node targets")
     _add_common(p)
     p.add_argument("--targets", required=True, help="node_index,value CSV")
-    p.add_argument("--train-size", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=20000)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--noise2", type=float, default=0.01,
-                   help="initial observation noise variance")
-    p.set_defaults(func=cmd_fit_regression)
+    _add_fit(p, "regression")
+    p.set_defaults(func=cmd_fit, task="regression")
 
     p = sub.add_parser("fit-classify", help="variational classification on labels")
     _add_common(p)
     p.add_argument("--labels", required=True, help="node_index,class_index CSV")
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--train-size", type=int, default=None)
-    p.add_argument("--test-size", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=20000)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--mc-samples", type=int, default=20)
-    p.add_argument("--predict-samples", type=int, default=200)
-    p.set_defaults(func=cmd_fit_classify)
+    _add_fit(p, "classification")
+    p.set_defaults(func=cmd_fit, task="classification")
 
     p = sub.add_parser("predict", help="evaluate a saved model snapshot")
     p.add_argument("--graph", required=True)
@@ -576,15 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("regression", "classification"), required=True)
     p.add_argument("--targets", default=None)
     p.add_argument("--labels", default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--train-size", type=int, default=None)
-    p.add_argument("--test-size", type=int, default=None)
     p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--iterations", type=int, default=20000)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--noise2", type=float, default=0.01)
-    p.add_argument("--mc-samples", type=int, default=20)
-    p.add_argument("--predict-samples", type=int, default=200)
+    _add_fit(p, "regression", "classification")
     p.add_argument("--rw-p", type=int, default=3,
                    help="fixed power for the random walk kernel row")
     p.set_defaults(func=cmd_compare_kernels)

@@ -36,6 +36,17 @@ DENSE_ELEMENT_LIMIT = 2**27
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _check_dense_size(caller, array, shape, remedy, verb="return"):
+    """Refuse a dense ``shape`` float64 ``array`` over ``DENSE_ELEMENT_LIMIT``
+    elements by name and shape, before anything is computed."""
+    rows, cols = shape
+    if rows * cols > DENSE_ELEMENT_LIMIT:
+        raise ValueError(
+            f"{caller} would {verb} a dense {rows} x {cols} {array}, over the "
+            f"{DENSE_ELEMENT_LIMIT}-element limit; {remedy}"
+        )
+
+
 def _interleave(a, b):
     """a[0], b[0], a[1], b[1], ...: both endpoints, edge by edge."""
     return np.stack([a, b], axis=1).ravel()
@@ -184,12 +195,17 @@ def parse_edge_list(text: str) -> WeightedGraph:
     data line ``nodes N`` declares the node count (otherwise it is one past
     the largest index seen). Duplicate edges are merged by summing weights;
     self-loops are dropped with a warning. Errors carry 1-based line numbers.
+    Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as in a file that
+    :func:`read_edge_list` opens in text mode, so a file and its text parse
+    alike.
 
     A valid file is read in one vectorized pass (``_parse_fast``). Whenever
     that pass declines, the line loop (``_parse_lines``) reads the file
     instead and names the first bad line; the two give identical edges on
     every file the fast pass accepts.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     parsed = _parse_fast(text)
     if parsed is None:
         parsed = _parse_lines(text)
@@ -243,7 +259,7 @@ def _parse_fast(text):
     int with a warning), a negative index or a weight that is not positive
     and finite.
     """
-    if text.count("\r") != text.count("\r\n"):
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
         return None
     first = _next_data_line(text, 0)
     if first is None:

@@ -30,7 +30,7 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import LAPLACIAN_KINDS, LaplacianOperator
+from .graphs import LAPLACIAN_KINDS, LaplacianOperator, _check_dense_size
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -330,12 +330,18 @@ def kernel_matrix(basis: SpectralBasis, spec: KernelSpec, rows=None, cols=None):
     """Cross-covariance block K[rows, cols] (full matrix by default).
 
     The basis must come from the Laplacian kind the spec declares. With a
-    truncated basis this is the rank-l kernel on the retained modes.
+    truncated basis this is the rank-l kernel on the retained modes. A block
+    over ``DENSE_ELEMENT_LIMIT`` elements (the full matrix of a graph past
+    11585 nodes) raises ``ValueError`` naming its shape, before any product.
     """
     check_laplacian_kind(spec, basis)
-    d, _ = spectral_weights(spec, basis.eigenvalues, basis.total_dim)
-    ridx = None if rows is None else _as_query(rows, basis.total_dim)
-    cidx = None if cols is None else _as_query(cols, basis.total_dim)
+    n = basis.total_dim
+    ridx = None if rows is None else _as_query(rows, n)
+    cidx = None if cols is None else _as_query(cols, n)
+    _check_dense_size("kernel_matrix", "kernel block",
+                      (n if ridx is None else ridx.size, n if cidx is None else cidx.size),
+                      "pass fewer rows or cols")
+    d, _ = spectral_weights(spec, basis.eigenvalues, n)
     same = (rows is None and cols is None) or (
         ridx is not None and cidx is not None and np.array_equal(ridx, cidx)
     )

@@ -32,7 +32,7 @@ from scipy.linalg import cho_solve, lapack, solve_triangular
 from scipy.linalg.blas import dtrmm
 import scipy.sparse as sp
 
-from .graphs import DENSE_ELEMENT_LIMIT
+from .graphs import _check_dense_size
 from .kernels import (
     KernelSpec,
     _as_query,
@@ -202,9 +202,15 @@ class GPRegressionModel:
         return self._cache["weights"]
 
     def _train_chol(self):
-        """Cholesky of K_xx + noise2 I with an escalating jitter ladder."""
+        """Cholesky of K_xx + noise2 I with an escalating jitter ladder.
+
+        An m x m covariance over ``DENSE_ELEMENT_LIMIT`` elements raises
+        ``ValueError`` before it is formed."""
         if "chol" in self._cache:
             return self._cache["chol"]
+        m = self.train_nodes.size
+        _check_dense_size("GPRegressionModel", "train covariance", (m, m),
+                          "use fewer training nodes", verb="factor")
         d, _ = self._weights()
         phi = self._phi_train()
         k_xx = (phi * d) @ phi.T
@@ -272,28 +278,20 @@ def _as_observations(train_nodes, targets, n):
     return x, y
 
 
-def _check_covariance_size(caller, q):
-    """Refuse a |q| x |q| covariance over ``DENSE_ELEMENT_LIMIT`` elements
-    by its shape, before anything is computed."""
-    if q.size**2 > DENSE_ELEMENT_LIMIT:
-        raise ValueError(
-            f"{caller} would return a dense {q.size} x {q.size} query "
-            f"covariance, over the {DENSE_ELEMENT_LIMIT}-element limit; "
-            "pass a smaller query"
-        )
-
-
 def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSummary:
     """Exact posterior at the query nodes by dense conditioning.
 
     With ``diag`` only the marginal variances are formed. Without it, a
     query covariance over ``DENSE_ELEMENT_LIMIT`` elements raises
-    ``ValueError`` naming its shape. Warns when the train covariance is
-    severely ill-conditioned instead of failing.
+    ``ValueError`` naming its shape, and so does an m x m train covariance
+    over that limit, with or without ``diag``; both before any product.
+    Warns when the train covariance is severely ill-conditioned instead of
+    failing.
     """
     q = _as_query(query, model.basis.total_dim)
     if not diag:
-        _check_covariance_size("posterior", q)
+        _check_dense_size("posterior", "query covariance", (q.size, q.size),
+                          "pass a smaller query")
     d, _ = model._weights()
     chol, _ = model._train_chol()
     phi_x = model._phi_train()
@@ -337,7 +335,8 @@ def woodbury_posterior(model: GPRegressionModel, query=None, diag=False) -> Post
     """
     q = _as_query(query, model.basis.total_dim)
     if not diag:
-        _check_covariance_size("woodbury_posterior", q)
+        _check_dense_size("woodbury_posterior", "query covariance", (q.size, q.size),
+                          "pass a smaller query")
     _, inv_chol_b, root, _, coef = model._b_factor()
     phi_q = model.basis.eigenvectors[q]
     mean = phi_q @ coef
@@ -554,7 +553,8 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
         raise ValueError(f"noise2 must be positive, got {noise2!r}")
     x, y = _as_observations(train_nodes, targets, n)
     q = _as_query(query, n)
-    _check_covariance_size("gmrf_posterior", q)
+    _check_dense_size("gmrf_posterior", "query covariance", (q.size, q.size),
+                      "pass a smaller query")
     nodes, inverse = np.unique(q, return_inverse=True)
     k = nodes.size
     if k > DENSE_SIZE_LIMIT:

@@ -25,7 +25,7 @@ from scipy.linalg import cython_lapack, lapack
 from scipy.linalg.blas import idamax
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spilu, splu
 
-from .graphs import LaplacianOperator
+from .graphs import LaplacianOperator, _check_dense_size
 
 __all__ = [
     "SpectralBasis",
@@ -45,6 +45,10 @@ __all__ = [
 # that the dense path's LAPACK bindings pass.
 DENSE_SIZE_LIMIT = 4096
 CACHE_ENV_VAR = "GRAPH_MATERN_CACHE_DIR"
+
+# Eigenvalues within _ZERO_TOL * max(bound on lambda, 1) of 0 are 0 up to
+# rounding.
+_ZERO_TOL = 1e-8
 
 _MAGIC = b"GMEIG\x00\x00\x00"
 _FORMAT_VERSION = 1
@@ -168,7 +172,7 @@ def _finalize(values, vectors, total_dim, kind, norm_bound=None) -> SpectralBasi
     ``vectors`` is copied only if unsorted or not column-major; signs flip
     in place and the result is read-only.
 
-    Eigenvalues below -1e-8 * max(norm_bound, 1) raise. Rounding in the
+    Eigenvalues below -``_ZERO_TOL`` * max(norm_bound, 1) raise. Rounding in the
     smallest eigenvalue scales with lambda_max, which a partial solve does
     not see among its own values, so solvers pass an operator bound (the
     Gershgorin value); a loaded basis falls back to its largest value.
@@ -181,7 +185,7 @@ def _finalize(values, vectors, total_dim, kind, norm_bound=None) -> SpectralBasi
     if norm_bound is None:
         norm_bound = float(values[-1]) if values.size else 1.0
     scale = max(norm_bound, 1.0)
-    if values.size and values[0] < -1e-8 * scale:
+    if values.size and values[0] < -_ZERO_TOL * scale:
         raise EigensolverError(
             f"laplacian eigenvalue {values[0]:.3e} is negative beyond tolerance"
         )
@@ -351,6 +355,12 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
     than the wanted spectrum is wide squeezes them together and costs ARPACK
     restarts: at -1e-3 of the bound, 127 solves instead of 100 for the 32
     lowest pairs of a 50k-node mesh.
+
+    Each connected component gives eigenvalue 0 once, and ARPACK can miss
+    copies of a repeated eigenvalue while every pair it returns has a tiny
+    residual. So Lanczos raises ``EigensolverError`` when fewer than
+    min(components, ``n_pairs``) of its eigenvalues are zero (within
+    ``_finalize``'s tolerance).
     """
     n = operator.node_count
     if not 1 <= n_pairs <= n:
@@ -376,7 +386,19 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
                   + np.array2string(residuals, precision=2))
         raise EigensolverError(f"ARPACK converged {converged}/{n_pairs} pairs{detail}",
                                residual_norms=residuals) from exc
-    return _finalize(values, vectors, n, operator.kind, norm_bound=gershgorin)
+    basis = _finalize(values, vectors, n, operator.kind, norm_bound=gershgorin)
+    # Imported here: the dense path, which most runs take, never loads it.
+    from scipy.sparse.csgraph import connected_components
+
+    components, _ = connected_components(mat, directed=False)
+    zeros = int(np.count_nonzero(basis.eigenvalues <= _ZERO_TOL * max(gershgorin, 1.0)))
+    if zeros < min(components, n_pairs):
+        raise EigensolverError(
+            f"Lanczos found {zeros} zero eigenvalues among the {n_pairs} lowest pairs, "
+            f"but the graph has {components} connected components, each giving one; "
+            "ARPACK missed copies of the repeated eigenvalue 0"
+        )
+    return basis
 
 
 def apply_spectral_function(basis: SpectralBasis, fn) -> np.ndarray:
@@ -384,8 +406,13 @@ def apply_spectral_function(basis: SpectralBasis, fn) -> np.ndarray:
 
     ``fn`` maps eigenvalues to spectral values, either vectorized over an
     array or entrywise. Non-finite spectral values are rejected with the
-    offending eigenvalue named.
+    offending eigenvalue named. The n x n result over ``DENSE_ELEMENT_LIMIT``
+    elements (a graph past 11585 nodes) raises ``ValueError`` naming its
+    shape, before ``fn`` runs.
     """
+    n = basis.total_dim
+    _check_dense_size("apply_spectral_function", "operator", (n, n),
+                      "apply it to vectors through the eigenvectors instead")
     lam = basis.eigenvalues
     try:
         values = np.asarray(fn(lam), dtype=float)

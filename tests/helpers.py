@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from graph_matern import LaplacianOperator, WeightedGraph, build_laplacian
+from graph_matern import LaplacianOperator, SpectralBasis, WeightedGraph, build_laplacian
 
 
 class PeakMemory:
@@ -26,6 +26,14 @@ class PeakMemory:
     def __exit__(self, *exc):
         self.peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+
+
+def wide_basis(kind="unnormalized"):
+    """12000 nodes, 3 orthonormal pairs: every product with it is small, but
+    a dense 12000 x 12000 array would hold 1.44e8 elements (1.15 GB), over
+    ``DENSE_ELEMENT_LIMIT``."""
+    vectors = np.linalg.qr(np.random.default_rng(31).standard_normal((12000, 3)))[0]
+    return SpectralBasis(np.array([0.0, 0.5, 1.0]), vectors, 12000, kind)
 
 
 def random_graph(rng, n, p=0.3, wmin=0.2, wmax=2.0):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import graph_matern
+from graph_matern import cli
 
 MODULES = ("graphs", "spectral", "kernels", "regression", "classification", "optim")
 
@@ -115,17 +116,94 @@ def test_one_site_chooses_the_eigensolver():
     assert sorted(seen) == sorted((name, *home) for name in homes for home in homes[name])
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_tree(name):
+    """The parsed ``bench/<name>``; the benchmark files are read, not run."""
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def _wrapped():
+    """``WRAPPED`` of ``bench/tracing.py``: (module, name, layer) triples."""
+    (wrapped,) = [ast.literal_eval(node.value) for node in _bench_tree("tracing.py").body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    return wrapped
+
+
+def _patched():
+    """(module, name) of every ``monkeypatch.setattr`` in ``bench/test_smoke.py``.
+    The target is ``modules["cli"]`` or a local named after its module."""
+    found = set()
+    for _, _, call in _calls(_bench_tree("test_smoke.py"), {"setattr"}):
+        target, name = call.args[:2]
+        module = target.slice.value if isinstance(target, ast.Subscript) else target.id
+        found.add((module, name.value))
+    return found
+
+
 def test_every_benchmark_wrapped_name_resolves():
     """The traced benchmark replaces the names in ``bench/tracing.py``'s
     ``WRAPPED`` where they are looked up, so each must exist there, and each
     layer must be a module of the package. The file is parsed, not run."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    (wrapped,) = [ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    wrapped = _wrapped()
     assert wrapped
     for module, attr, layer in wrapped:
         namespace = importlib.import_module(f"graph_matern.{module}")
         assert callable(getattr(namespace, attr, None)), f"graph_matern.{module}.{attr}"
         importlib.import_module(f"graph_matern.{layer}")
+
+
+def test_benchmark_hooks_resolve_and_cli_looks_them_up_by_bare_name():
+    """Every name the benchmark wraps or its smoke test patches is a callable
+    of its module. A ``cli`` one only takes effect if ``cli.py`` looks it up
+    in its own globals when it runs: by bare name inside a function, never
+    as a module attribute and never bound at import time."""
+    hooks = {(module, attr) for module, attr, _ in _wrapped()} | _patched()
+    assert {("cli", "cmd_predict"), ("cli", "fit"), ("regression", "gmrf_posterior"),
+            ("kernels", "matern_precision_sparse"), ("spectral", "save_basis")} <= hooks
+    for module, attr in sorted(hooks):
+        namespace = importlib.import_module(f"graph_matern.{module}")
+        assert callable(getattr(namespace, attr, None)), f"graph_matern.{module}.{attr}"
+    names = {attr for module, attr in hooks if module == "cli"}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert names & attributes == set()
+    loads = {name: set() for name in names}
+    for func, name in _loads(tree, names):
+        loads[name].add(func)
+    for name, funcs in loads.items():
+        assert funcs and None not in funcs, f"cli.{name} looked up in {funcs or 'no function'}"
+
+
+def _loads(tree, names):
+    """(enclosing function, name) for every bare-name read of ``names``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                    and child.id in names):
+                found.append((func, child.id))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_each_task_fits_and_predicts_in_one_cli_function():
+    """Every CLI command that fits or predicts goes through one reader, one
+    fit and one predict: each library entry point is named in exactly one
+    function of ``cli.py``, so no command keeps its own copy."""
+    homes = {"read_targets_csv": "_read_rows", "read_labels_csv": "_read_rows",
+             "fit": "_fit", "fit_classifier": "_fit",
+             "woodbury_posterior": "_predict", "predict_classes": "_predict"}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    found = {}
+    for func, name in _loads(tree, set(homes)):
+        found.setdefault(name, set()).add(func)
+    assert found == {name: {home} for name, home in homes.items()}

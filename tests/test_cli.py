@@ -463,7 +463,8 @@ class TestCompareKernels:
 
     def test_results_record_timings_and_eigen_cache(self, classify_case, tmp_path):
         """``results.json`` times the parse, each Laplacian kind's basis (with
-        its cache outcome) and the comparison loop; the CSV does not change
+        its eigen record: cache outcome, file and solver, as the other
+        commands give it) and the comparison loop; the CSV does not change
         between a cold and a warm cache."""
         graph_path, labels_path = classify_case
         cache = tmp_path / "cache"
@@ -485,6 +486,8 @@ class TestCompareKernels:
                            ("parse_s", "compare_s"))
             for kind in kinds:
                 assert timings[kind].pop("eigen_cache_hit") is hit
+                assert Path(timings[kind].pop("eigen_cache_file")).parent == cache
+                assert timings[kind].pop("eigensolver") == (None if hit else "dense")
                 assert_timings(timings[kind], ("laplacian_s", stage))
         assert ((tmp_path / "miss" / "results.csv").read_bytes()
                 == (tmp_path / "hit" / "results.csv").read_bytes())
@@ -593,6 +596,10 @@ class TestRefusedBeforeTheEigensolve:
                                             "snapshot field 'eigenpairs'"),
         "one_class_labels": ("fit-classify", ["--labels", "one_class.csv"],
                              "need at least two classes"),
+        "compare_one_class_labels": ("compare-kernels", ["--labels", "one_class.csv"],
+                                     "need at least two classes"),
+        "compare_empty_labels": ("compare-kernels", ["--labels", "empty.csv"],
+                                 "labels file is empty"),
         "kernel_nu_not_a_number": (
             "fit-regression", ["--kernel", '{"family":"matern","nu":"abc","kappa":1}'],
             "nu must be a number, got 'abc'"),
@@ -630,6 +637,7 @@ class TestRefusedBeforeTheEigensolve:
         "kernel_list.json": json.dumps({"kind": "regression", "kernel": ["matern"]}),
         "eigenpairs_all.json": json.dumps({"kind": "regression", "eigenpairs": "all"}),
         "one_class.csv": "node,class\n0,0\n5,0\n7,0\n",
+        "empty.csv": "node,class\n",
         "no_train_nodes.json": json.dumps(
             {k: v for k, v in REGRESSION.items() if k != "train_nodes"}),
         "no_eigenpairs.json": json.dumps(

@@ -1,5 +1,6 @@
 """Edge-list parsing, graph canonicalization and Laplacian assembly."""
 
+import io
 import re
 import warnings
 
@@ -197,7 +198,9 @@ class TestParsePasses:
             assert message is None, message
             assert_same_parse(fast, loop)
             return
-        # Declined: the public parser is the loop, errors and all.
+        # Declined: the public parser is the loop on the text as text mode
+        # reads it (universal newlines), errors and all.
+        loop, message = _outcome(_parse_lines, io.StringIO(text, newline=None).read())
         if message is not None:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 parse_edge_list(text)
@@ -230,6 +233,25 @@ class TestParsePasses:
         assert_same_parse(fast, _parse_lines(text))
         g = parse_edge_list(text)
         assert g.edge_count == keep.sum()
+
+    @pytest.mark.parametrize("text", [text for text, _ in PARSE_CORPUS] + [
+        "nodes 4\n0 1 1.0\r1 2 2.0\n2 3 1.5\n", "0\r1 2.0\n", "nodes 3\r0 1\r\n1 2\r"])
+    def test_file_and_text_parse_alike(self, text, tmp_path):
+        """A file read in text mode turns ``\\r\\n`` and a lone ``\\r``
+        into line breaks; the parser does the same to a string, so a file
+        and its text give the same graph or the same error."""
+        path = tmp_path / "graph.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+        def outcome(parse, source):
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                graph, message = _outcome(parse, source)
+            return message if graph is None else (
+                graph.node_count, graph.u.tobytes(), graph.v.tobytes(), graph.w.tobytes())
+
+        assert outcome(read_edge_list, path) == outcome(parse_edge_list, text)
 
     def test_valid_files_never_reach_the_loop(self, monkeypatch):
         def loop(text):

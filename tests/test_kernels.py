@@ -17,6 +17,7 @@ from graph_matern import (
 )
 from graph_matern import kernels
 from helpers import (
+    PeakMemory,
     dense_laplacian,
     dense_spectral_kernel,
     diffusion_profile,
@@ -24,6 +25,7 @@ from helpers import (
     matern_profile,
     path_graph,
     random_connected_graph,
+    wide_basis,
 )
 
 MATERN = KernelSpec(family="matern", nu=1.5, kappa=2.0)
@@ -296,6 +298,18 @@ class TestKernelMatrix:
         basis = eigendecompose_full(build_laplacian(g, "unnormalized"))
         with pytest.raises(ValueError, match="sym_normalized"):
             kernel_matrix(basis, DIFFUSION)
+
+    def test_over_budget_block_refused_before_any_product(self):
+        """The full kernel of a 12000-node basis would be 1.15 GB; it is
+        refused by its shape while a block of a few rows still runs."""
+        basis = wide_basis()
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match="kernel_matrix would return a dense "
+                               "12000 x 12000 kernel block, over the 134217728-element"):
+                kernel_matrix(basis, MATERN)
+        assert mem.peak < 16 * 2**20
+        assert kernel_matrix(basis, MATERN, rows=np.arange(5)).shape == (5, 12000)
+        assert kernel_matrix(basis, MATERN, np.arange(5), np.arange(7)).shape == (5, 7)
 
     def test_bad_selection_rejected(self):
         basis = eigendecompose_full(build_laplacian(path_graph(5), "unnormalized"))

@@ -40,6 +40,7 @@ from graph_matern.kernels import (
     unconstrained_name,
 )
 from graph_matern import regression, spectral
+from graph_matern.graphs import DENSE_ELEMENT_LIMIT
 from graph_matern.spectral import _factor_spd
 from helpers import (
     PeakMemory,
@@ -48,6 +49,7 @@ from helpers import (
     leading_pairs,
     path_graph,
     random_connected_graph,
+    wide_basis,
 )
 
 MATERN = KernelSpec(family="matern", nu=1.5, kappa=2.0)
@@ -257,19 +259,16 @@ class TestDenseCovarianceBudget:
     is refused by its shape before any product is formed."""
 
     @staticmethod
-    def _wide_model():
-        # 12000 nodes, 3 pairs: every product is small but the full query
-        # covariance would be 12000^2 = 1.44e8 elements (1.15 GB).
-        rng = np.random.default_rng(31)
-        vectors = np.linalg.qr(rng.standard_normal((12000, 3)))[0]
-        basis = SpectralBasis(np.array([0.0, 0.5, 1.0]), vectors, 12000, "unnormalized")
-        return GPRegressionModel(MATERN, basis, np.arange(0, 12000, 40),
-                                 rng.standard_normal(300), noise2=0.1)
+    def _wide_model(step=40):
+        # The full query covariance would be 12000^2 elements (1.15 GB).
+        train_nodes = np.arange(0, 12000, step)
+        targets = np.random.default_rng(32).standard_normal(train_nodes.size)
+        return GPRegressionModel(MATERN, wide_basis(), train_nodes, targets, noise2=0.1)
 
     @pytest.mark.parametrize("route", [posterior, woodbury_posterior])
     def test_over_budget_refused_before_any_product(self, route):
         model = self._wide_model()
-        assert 12000**2 > regression.DENSE_ELEMENT_LIMIT
+        assert 12000**2 > DENSE_ELEMENT_LIMIT
         with PeakMemory() as mem:
             with pytest.raises(ValueError, match="dense 12000 x 12000 query covariance"):
                 route(model)
@@ -278,6 +277,23 @@ class TestDenseCovarianceBudget:
         out = route(model, np.arange(5))
         assert out.covariance.shape == (5, 5)
         assert route(model, diag=True).variance.shape == (12000,)
+
+    def test_train_covariance_over_budget_refused_before_any_product(self):
+        """``posterior``, ``pathwise_sample`` and the dense LML all factor the
+        m x m train covariance; with m = 12000 it is refused unformed, and
+        ``woodbury_posterior``, which never forms it, still runs."""
+        model = self._wide_model(step=1)
+        message = "GPRegressionModel would factor a dense 12000 x 12000 train covariance"
+        for call in (lambda: posterior(model, np.arange(5), diag=True),
+                     lambda: pathwise_sample(model, np.arange(5)),
+                     lambda: regression._lml_dense(model)):
+            with PeakMemory() as mem:
+                with pytest.raises(ValueError, match=message):
+                    call()
+            assert mem.peak < 16 * 2**20
+        assert woodbury_posterior(model, np.arange(5), diag=True).variance.shape == (5,)
+        small = self._wide_model()
+        assert posterior(small, np.arange(5), diag=True).variance.shape == (5,)
 
 
 class TestLogMarginalLikelihood:

@@ -44,6 +44,7 @@ from helpers import (
     random_connected_graph,
     random_graph,
     star_graph,
+    wide_basis,
 )
 
 
@@ -257,6 +258,25 @@ class TestTruncatedDecomposition:
             values, vectors = _dense_pairs(op, 7)
             assert values[1] < 1e-12 < values[2]
             _assert_lowest_pairs(op, _lanczos(op, 7), values, vectors)
+
+    def test_missed_zero_eigenvalues_are_refused(self, tmp_path):
+        """Beside a 65x65 lattice, 300 isolated nodes make eigenvalue 0
+        repeat 301 times; ARPACK returns only 7 of the 10 wanted, with tiny
+        residuals. Past ``DENSE_SIZE_LIMIT`` nodes the solve is Lanczos, and
+        it refuses, so the cache stores nothing."""
+        lattice = lattice_graph(65)
+        g = WeightedGraph.from_edges(np.column_stack([lattice.u, lattice.v, lattice.w]),
+                                     node_count=lattice.node_count + 300)
+        assert g.node_count > DENSE_SIZE_LIMIT
+        message = ("Lanczos found 7 zero eigenvalues among the 10 lowest pairs, but the "
+                   "graph has 301 connected components")
+        for kind in ("unnormalized", "sym_normalized"):
+            op = build_laplacian(g, kind)
+            with pytest.raises(EigensolverError, match=message):
+                eigendecompose_truncated(op, 10)
+            with pytest.raises(EigensolverError, match=message):
+                cached_eigendecomposition(op, 10, cache_dir=tmp_path)
+            assert list(tmp_path.iterdir()) == []
 
     def test_lanczos_factors_once_without_an_ordering_pass(self, monkeypatch):
         """Without ``last``, ``_factor_spd`` is one ``splu`` call that orders
@@ -545,6 +565,18 @@ class TestApplySpectralFunction:
         basis = _basis(random_graph(rng, 14))
         out = apply_spectral_function(basis, lambda lam: np.exp(-lam))
         assert_array_equal(out, out.T)
+
+    def test_over_budget_result_refused_before_any_product(self):
+        """The n x n result for 12000 nodes would be 1.15 GB; it is refused
+        by its shape before ``fn`` runs, while a small basis still works."""
+        calls = []
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match="apply_spectral_function would return a "
+                               "dense 12000 x 12000 operator"):
+                apply_spectral_function(wide_basis(), calls.append)
+        assert mem.peak < 16 * 2**20 and calls == []
+        out = apply_spectral_function(_basis(path_graph(5)), np.exp)
+        assert out.shape == (5, 5)
 
     def test_nonfinite_value_rejected_with_eigenvalue(self):
         basis = _basis(path_graph(4))
