@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import log_ndtr
 
+from .graphs import _check_dense_size
 from .kernels import (
     KernelSpec,
     _as_query,
@@ -590,10 +591,19 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
     rows sum to one up to rounding. Samples are drawn in chunks from the
     one generator, which gives the same stream as a single draw. Returns
     (probs (k, C), labels (k,)).
+
+    With m inducing nodes and l eigenpairs, an m x k inducing-query
+    covariance or a k x l block of query eigenvector rows over
+    ``DENSE_ELEMENT_LIMIT`` elements raises ``ValueError`` naming it and
+    its shape, before any product.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    mean, var, _ = _marginals(model, _as_query(query, model.basis.total_dim))
+    q = _as_query(query, model.basis.total_dim)
+    for block, shape in (("inducing-query covariance", (model.inducing_nodes.size, q.size)),
+                         ("query eigenvector block", (q.size, model.basis.n_retained))):
+        _check_dense_size("predict_classes", block, shape, "pass a smaller query", verb="form")
+    mean, var, _ = _marginals(model, q)
     sd = np.sqrt(np.maximum(var, _VAR_FLOOR))
     rng = np.random.default_rng(seed)
     k, c = mean.shape

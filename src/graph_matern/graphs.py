@@ -196,14 +196,16 @@ def parse_edge_list(text: str) -> WeightedGraph:
     the largest index seen). Duplicate edges are merged by summing weights;
     self-loops are dropped with a warning. Errors carry 1-based line numbers.
     Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as in a file that
-    :func:`read_edge_list` opens in text mode, so a file and its text parse
-    alike.
+    :func:`read_edge_list` opens in text mode, and a leading UTF-8
+    byte-order mark is dropped, as that function drops it, so a file and
+    its text parse alike.
 
     A valid file is read in one vectorized pass (``_parse_fast``). Whenever
     that pass declines, the line loop (``_parse_lines``) reads the file
     instead and names the first bad line; the two give identical edges on
     every file the fast pass accepts.
     """
+    text = text.removeprefix("\ufeff")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     parsed = _parse_fast(text)
@@ -339,7 +341,8 @@ def _parse_lines(text):
 
 
 def read_edge_list(path) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    """:func:`parse_edge_list` of a UTF-8 file, with or without a byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_edge_list(fh.read())
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 from scipy.linalg.blas import dtrmm
 import scipy.sparse as sp
 
@@ -121,6 +121,15 @@ def _tri_inverse(low):
     return low
 
 
+def _factor_solve_invert(a, rhs, name):
+    """``(log|a| / 2, L^-1, a^-1 rhs)`` for L the Cholesky factor of the SPD
+    ``a``; L, then L^-1, is written over ``a`` when ``a`` is column-major."""
+    low = _spd_factor(a, name)
+    solution, _ = lapack.dpotrs(low, rhs, lower=1)
+    half_logdet = float(np.sum(np.log(np.diag(low))))
+    return half_logdet, _tri_inverse(low), solution
+
+
 @dataclass(frozen=True)
 class PosteriorSummary:
     """Posterior marginals at the query nodes.
@@ -201,40 +210,38 @@ class GPRegressionModel:
             )
         return self._cache["weights"]
 
-    def _train_chol(self):
-        """Cholesky of K_xx + noise2 I with an escalating jitter ladder.
-
-        An m x m covariance over ``DENSE_ELEMENT_LIMIT`` elements raises
-        ``ValueError`` before it is formed."""
-        if "chol" in self._cache:
-            return self._cache["chol"]
+    def _c_factor(self):
+        """``(half_logdet, inv_chol, alpha, jitter)`` for the dense LML,
+        ``posterior`` and ``pathwise_sample``: log|C| / 2 and L^-1 for L the
+        Cholesky factor of C = K_xx + noise2 I (all three in one m x m array),
+        alpha = C^-1 y and the first jitter rung that factors; a failed rung
+        rebuilds the array. A C over ``DENSE_ELEMENT_LIMIT`` raises ``ValueError``."""
+        if "c_factor" in self._cache:
+            return self._cache["c_factor"]
         m = self.train_nodes.size
         _check_dense_size("GPRegressionModel", "train covariance", (m, m),
                           "use fewer training nodes", verb="factor")
         d, _ = self._weights()
         phi = self._phi_train()
-        k_xx = (phi * d) @ phi.T
-        k_xx = (k_xx + k_xx.T) / 2.0
-        c = k_xx + self.noise2 * np.eye(k_xx.shape[0])
-        scale = float(np.mean(np.diag(c)))
-        chol = None
-        used = None
-        for j in _JITTERS:
+        for jitter in _JITTERS:
+            c = (phi * d) @ phi.T
+            # (K + K^T) / 2 in the upper triangle, which dpotrf reads of the
+            # column-major c.T, by row blocks: c += c.T would buffer a copy.
+            for r in range(0, m, 256):
+                c[r:r + 256, r:] = (c[r:r + 256, r:] + c[r:, r:r + 256].T) / 2.0
+            c += 0.0  # -0.0 becomes +0.0, as adding noise2 I out of place gives
+            c.flat[:: m + 1] += self.noise2
+            scale = float(np.mean(np.diag(c)))
+            c.flat[:: m + 1] += jitter * scale
             try:
-                # Symmetric, so the transpose is the column-major matrix.
-                chol = _spd_factor((c + (j * scale) * np.eye(c.shape[0])).T,
-                                   "train covariance")
-                used = j
-                break
+                factor = _factor_solve_invert(c.T, self.targets, "train covariance")
             except scipy.linalg.LinAlgError:
+                del c  # a partial factor: free it before the rebuild
                 continue
-        if chol is None:
-            raise scipy.linalg.LinAlgError(
-                "train covariance is not positive definite even with jitter "
-                f"up to {_JITTERS[-1]:g} * mean(diag)"
-            )
-        self._cache["chol"] = (chol, used)
-        return self._cache["chol"]
+            self._cache["c_factor"] = (*factor, jitter)
+            return self._cache["c_factor"]
+        raise scipy.linalg.LinAlgError("train covariance is not positive definite even "
+                                       f"with jitter up to {_JITTERS[-1]:g} * mean(diag)")
 
     def _b_factor(self):
         """``(half_logdet, inv_chol_b, root, t, coef)`` for the spectral LML
@@ -252,11 +259,9 @@ class GPRegressionModel:
             b /= self.noise2
             b += 0.0  # I's zeros: -0.0 (zero weight, negative E entry) becomes +0.0
             b.flat[:: d.size + 1] += 1.0
-            chol_b = _spd_factor(b, "B = I + D^1/2 E D^1/2 / noise2")
-            coef, _ = lapack.dpotrs(chol_b, root * t, lower=1)
+            half_logdet, inv_chol_b, coef = _factor_solve_invert(
+                b, root * t, "B = I + D^1/2 E D^1/2 / noise2")
             coef = root * coef / self.noise2
-            half_logdet = float(np.sum(np.log(np.diag(chol_b))))
-            inv_chol_b = _tri_inverse(chol_b)
             self._cache["b_factor"] = (half_logdet, inv_chol_b, root, t, coef)
         return self._cache["b_factor"]
 
@@ -283,32 +288,35 @@ def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSumm
 
     With ``diag`` only the marginal variances are formed. Without it, a
     query covariance over ``DENSE_ELEMENT_LIMIT`` elements raises
-    ``ValueError`` naming its shape, and so does an m x m train covariance
-    over that limit, with or without ``diag``; both before any product.
-    Warns when the train covariance is severely ill-conditioned instead of
-    failing.
+    ``ValueError`` naming its shape; with or without ``diag``, so does an
+    m x m train covariance, a |q| x m query-train covariance or a |q| x l
+    block of query eigenvector rows over that limit, all before any
+    product. Warns when the train covariance is severely ill-conditioned
+    instead of failing.
     """
     q = _as_query(query, model.basis.total_dim)
     if not diag:
         _check_dense_size("posterior", "query covariance", (q.size, q.size),
                           "pass a smaller query")
+    for block, shape in (("query-train covariance", (q.size, model.train_nodes.size)),
+                         ("query eigenvector block", (q.size, model.basis.n_retained))):
+        _check_dense_size("posterior", block, shape, "pass a smaller query", verb="form")
     d, _ = model._weights()
-    chol, _ = model._train_chol()
+    _, inv_chol, alpha, _ = model._c_factor()
     phi_x = model._phi_train()
     phi_q = model.basis.eigenvectors[q]
     k_qx = (phi_q * d) @ phi_x.T
 
-    diag_c = np.diag(chol)
-    cond = (np.max(diag_c) / np.min(diag_c)) ** 2
+    diag_inv = np.diag(inv_chol)  # 1 / diag(L): the same ratio
+    cond = (np.max(diag_inv) / np.min(diag_inv)) ** 2
     if cond > _CONDITION_WARN:
         warnings.warn(
             f"train covariance condition number ~{cond:.2e}; posterior may be inaccurate",
             stacklevel=2,
         )
 
-    alpha = cho_solve((chol, True), model.targets)
     mean = k_qx @ alpha
-    half = solve_triangular(chol, k_qx.T, lower=True)
+    half = dtrmm(1.0, inv_chol, k_qx.T, lower=1)  # L^-1 K_xq
     if diag:
         var = np.einsum("ij,j->i", phi_q**2, d) - np.einsum("ji,ji->i", half, half)
         return PosteriorSummary(mean=mean, variance=np.maximum(var, 0.0))
@@ -395,20 +403,14 @@ def _lml_grads(model, proj, trace_cols, alpha_sq, trace_cinv):
 
 
 def _lml_dense(model: GPRegressionModel):
-    """LML through the Cholesky factor of the m x m train covariance C."""
+    """LML through the memoized factor of the m x m train covariance C."""
     phi = model._phi_train()
-    chol, _ = model._train_chol()
+    half_logdet, inv_chol, alpha, _ = model._c_factor()
     y = model.targets
     n = y.shape[0]
 
-    alpha = cho_solve((chol, True), y)
-    value = (
-        -0.5 * float(y @ alpha)
-        - float(np.sum(np.log(np.diag(chol))))
-        - 0.5 * n * np.log(2.0 * np.pi)
-    )
+    value = -0.5 * float(y @ alpha) - half_logdet - 0.5 * n * np.log(2.0 * np.pi)
     proj = phi.T @ alpha
-    inv_chol = _tri_inverse(chol.copy(order="F"))
     half = dtrmm(1.0, inv_chol, phi, lower=1)  # L^-1 P: C^-1 = L^-T L^-1
     trace_cols = np.einsum("ij,ij->j", half, half)
     trace_cinv = float(np.sum(inv_chol**2))
@@ -502,23 +504,37 @@ def pathwise_sample(model: GPRegressionModel, query=None, n_samples=1, seed=0):
     A prior path is drawn exactly from the spectral features (f = P sqrt(D) xi)
     at the query and train nodes with shared coefficients, then corrected by
     K_.x (K_xx + noise2 I)^{-1} (y - f_x - eps). Returns (n_samples, n_query).
+
+    With l eigenpairs, m training nodes and S = ``n_samples``, a |q| x l
+    block of query eigenvector rows, an l x S coefficient draw or a |q| x S
+    or m x S block of path values over ``DENSE_ELEMENT_LIMIT`` elements
+    raises ``ValueError`` naming it and its shape, and so does an m x m
+    train covariance over that limit; all before any product.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     q = _as_query(query, model.basis.total_dim)
+    m, l = model.train_nodes.size, model.basis.n_retained
+    for block, shape in (("query eigenvector block", (q.size, l)),
+                         ("coefficient draw", (l, n_samples)),
+                         ("query sample block", (q.size, n_samples)),
+                         ("train sample block", (m, n_samples))):
+        _check_dense_size("pathwise_sample", block, shape,
+                          "pass a smaller query or fewer samples", verb="form")
     rng = np.random.default_rng(seed)
     d, _ = model._weights()
     root = np.sqrt(d)
     phi_x = model._phi_train()
     phi_q = model.basis.eigenvectors[q]
-    chol, _ = model._train_chol()
+    _, inv_chol, _, _ = model._c_factor()
 
     xi = rng.standard_normal((d.shape[0], n_samples))
     f_x = phi_x @ (root[:, None] * xi)
     f_q = phi_q @ (root[:, None] * xi)
     eps = np.sqrt(model.noise2) * rng.standard_normal(f_x.shape)
     resid = model.targets[:, None] - f_x - eps
-    alpha = cho_solve((chol, True), resid)
+    half = dtrmm(1.0, inv_chol, resid, lower=1, overwrite_b=1)  # C^-1 = L^-T L^-1
+    alpha = dtrmm(1.0, inv_chol, half, lower=1, trans_a=1, overwrite_b=1)
     paths = f_q + (phi_q * d) @ (phi_x.T @ alpha)
     return paths.T
 
@@ -596,10 +612,11 @@ def _read_node_csv(path, value_name, parse):
 
     The first non-blank line is a header only when its node field is an
     identifier such as ``node_index``; every other line must parse as data.
+    A leading UTF-8 byte-order mark is dropped.
     """
     nodes, values = [], []
     first = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -469,14 +469,25 @@ def save_basis(path, basis: SpectralBasis):
     Layout: header (magic, version, n, l) then eigenvalues as float64 and
     eigenvectors as float64 in column-major order, written from the basis's
     own memory when it is column-major, as every producer returns it.
+
+    The write is atomic: the bytes go to a temporary file beside ``path``
+    (named ``.<name>.<pid>.<hex>.tmp``), which replaces ``path`` only once
+    complete and is removed if the write stops, so an interrupted save
+    leaves no truncated file for a later run to trip on.
     """
     n, l = basis.total_dim, basis.n_retained
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, n, l))
-        fh.write(np.ascontiguousarray(basis.eigenvalues, dtype="<f8"))
-        fh.write(np.asfortranarray(basis.eigenvectors, dtype="<f8").T)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, n, l))
+            fh.write(np.ascontiguousarray(basis.eigenvalues, dtype="<f8"))
+            fh.write(np.asfortranarray(basis.eigenvectors, dtype="<f8").T)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_basis(path, laplacian_kind: str) -> SpectralBasis:

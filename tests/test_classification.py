@@ -36,7 +36,8 @@ from graph_matern.classification import (
     _marginals,
 )
 from graph_matern.kernels import from_unconstrained, to_unconstrained, unconstrained_name
-from helpers import random_connected_graph, two_cliques
+from graph_matern.graphs import DENSE_ELEMENT_LIMIT
+from helpers import PeakMemory, random_connected_graph, two_cliques, wide_basis
 
 SYM_MATERN = KernelSpec(
     family="matern", nu=3.0, kappa=5.0, laplacian_kind="sym_normalized"
@@ -665,6 +666,22 @@ class TestPredictClasses:
         assert np.all(probs >= low - 1e-15)
         assert np.all(probs <= 1.0 - model.epsilon + 1e-15)
 
+    def test_query_blocks_over_budget_refused_before_any_product(self):
+        """An m x |q| inducing-query covariance past the limit is refused by
+        name before any product; a small query still runs."""
+        model = VariationalClassifier(
+            KernelSpec(family="matern", nu=1.5, kappa=2.0), wide_basis(), 2,
+            np.arange(0, 12000, 40), np.zeros((2, 300)), q_log_scale=np.zeros((2, 300)))
+        query = np.zeros(450_000, dtype=np.int64)  # a node asked for 450000 times
+        assert 300 * query.size > DENSE_ELEMENT_LIMIT
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match="predict_classes would form a dense "
+                               "300 x 450000 inducing-query covariance"):
+                predict_classes(model, query)
+        assert mem.peak < 16 * 2**20
+        probs, labels = predict_classes(model, np.arange(5), mc_samples=4)
+        assert probs.shape == (5, 2) and labels.shape == (5,)
+
     def test_labels_are_argmax_of_probs(self):
         rng, model = _classifier(31)
         probs, labels = predict_classes(model, np.array([0, 5, 9]), mc_samples=32)
@@ -781,8 +798,9 @@ class TestSnapshotAndCsv:
 
     def test_read_labels_csv(self, tmp_path):
         path = tmp_path / "labels.csv"
-        for text in ("node,class\n4,2\n0,1\n", "\n\nnode_index,class_index\n4,2\n0,1\n"):
-            path.write_text(text)
+        for text in ("node,class\n4,2\n0,1\n", "\n\nnode_index,class_index\n4,2\n0,1\n",
+                     "\ufeffnode_index,class_index\n4,2\n0,1\n", "\ufeff4,2\n0,1\n"):
+            path.write_text(text, encoding="utf-8")
             nodes, labels = read_labels_csv(path)
             assert_array_equal(nodes, [4, 0])
             assert_array_equal(labels, [2, 1])

@@ -122,6 +122,10 @@ class TestParseEdgeList:
 # Each entry: text, and whether the fast pass must accept it (None: either
 # way, as numpy's reader allows). Declining is always safe; the differential
 # test checks that accepting never changes the result.
+# Files as Excel and PowerShell 5 write them, byte-order mark first.
+BOM_TEXTS = ["\ufeffnodes 3\n0 1\n1 2\n", "\ufeff0 1 2.0\r\n1 2 0.5\r\n",
+             "\ufeff# comment\n0 1\n"]
+
 PARSE_CORPUS = [
     ("nodes 4\n0 1 2.0\n1 2 0.5\n", True),
     ("nodes 4\r\n0 1 2.0\r\n1 2 0.5\r\n", True),
@@ -235,7 +239,8 @@ class TestParsePasses:
         assert g.edge_count == keep.sum()
 
     @pytest.mark.parametrize("text", [text for text, _ in PARSE_CORPUS] + [
-        "nodes 4\n0 1 1.0\r1 2 2.0\n2 3 1.5\n", "0\r1 2.0\n", "nodes 3\r0 1\r\n1 2\r"])
+        "nodes 4\n0 1 1.0\r1 2 2.0\n2 3 1.5\n", "0\r1 2.0\n", "nodes 3\r0 1\r\n1 2\r",
+        *BOM_TEXTS])
     def test_file_and_text_parse_alike(self, text, tmp_path):
         """A file read in text mode turns ``\\r\\n`` and a lone ``\\r``
         into line breaks; the parser does the same to a string, so a file
@@ -252,6 +257,17 @@ class TestParsePasses:
                 graph.node_count, graph.u.tobytes(), graph.v.tobytes(), graph.w.tobytes())
 
         assert outcome(read_edge_list, path) == outcome(parse_edge_list, text)
+
+    @pytest.mark.parametrize("text", BOM_TEXTS)
+    def test_byte_order_mark_is_dropped(self, text, tmp_path):
+        """Excel's "CSV UTF-8" and PowerShell 5's ``Out-File`` start a file
+        with a UTF-8 byte-order mark; the graph is the one without it."""
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = parse_edge_list(text[1:])
+        for graph in (parse_edge_list(text), read_edge_list(path)):
+            assert graph.node_count == expected.node_count
+            assert_edges(graph, expected.u, expected.v, expected.w)
 
     def test_valid_files_never_reach_the_loop(self, monkeypatch):
         def loop(text):

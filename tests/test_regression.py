@@ -177,6 +177,25 @@ class TestPosterior:
             posterior(model, np.array([[0, 1]]))
 
 
+    def test_one_factor_and_inverse_per_dense_model(self, monkeypatch):
+        """The dense LML, ``posterior`` and ``pathwise_sample`` all read the
+        model's one memoized factor of C and its one inverse."""
+        _, model = _problem(18)
+        m = model.train_nodes.size
+        assert regression._lml_route(model) == "dense"
+        calls = {"_spd_factor": 0, "_tri_inverse": 0}
+        for name in calls:
+            def counted(a, *args, _real=getattr(regression, name), _name=name):
+                calls[_name] += a.shape == (m, m)
+                return _real(a, *args)
+            monkeypatch.setattr(regression, name, counted)
+        log_marginal_likelihood(model)
+        log_marginal_likelihood(model)
+        posterior(model)
+        pathwise_sample(model, n_samples=3)
+        assert calls == {"_spd_factor": 1, "_tri_inverse": 1}
+
+
 class TestWoodburyPosterior:
     def test_full_basis_matches_dense_path(self):
         for seed in (30, 31, 32):
@@ -294,6 +313,29 @@ class TestDenseCovarianceBudget:
         assert woodbury_posterior(model, np.arange(5), diag=True).variance.shape == (5,)
         small = self._wide_model()
         assert posterior(small, np.arange(5), diag=True).variance.shape == (5,)
+
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda model, q: posterior(model, q, diag=True),
+         "posterior would form a dense 450000 x 300 query-train covariance"),
+        (lambda model, q: pathwise_sample(model, q[:5], n_samples=450_000),
+         "pathwise_sample would form a dense 300 x 450000 train sample block"),
+        (lambda model, q: pathwise_sample(model, q[:12000], n_samples=12000),
+         "pathwise_sample would form a dense 12000 x 12000 query sample block"),
+    ], ids=["posterior_query_train", "pathwise_train_samples", "pathwise_query_samples"])
+    def test_query_blocks_over_budget_refused_before_any_product(self, call, message):
+        """|q| x m and |q| x S blocks past the limit are refused by name
+        before the train covariance or any product is formed."""
+        model = self._wide_model()
+        query = np.zeros(450_000, dtype=np.int64)  # a node asked for 450000 times
+        query[:12000] = np.arange(12000)
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match=message):
+                call(model, query)
+        assert mem.peak < 16 * 2**20
+        assert "c_factor" not in model._cache
+        assert posterior(model, np.arange(5), diag=True).variance.shape == (5,)
+        assert pathwise_sample(model, np.arange(5), n_samples=2).shape == (2, 5)
 
 
 class TestLogMarginalLikelihood:
@@ -488,7 +530,7 @@ class TestLogMarginalLikelihood:
         def refuse(self):
             raise AssertionError("dense route taken")
 
-        monkeypatch.setattr(GPRegressionModel, "_train_chol", refuse)
+        monkeypatch.setattr(GPRegressionModel, "_c_factor", refuse)
         value, grads = log_marginal_likelihood(_spectral_problem(170))
         assert np.isfinite(value) and all(np.isfinite(g) for g in grads.values())
         _, dense = _problem(171)
@@ -547,7 +589,8 @@ class TestDenseFactorHelpers:
                                                    "unnormalized"))
         model = GPRegressionModel(MATERN, leading_pairs(full, 4), np.arange(20),
                                   rng.standard_normal(20), noise2=1e-300)
-        chol, used = model._train_chol()
+        _, inv_chol, _, used = model._c_factor()
+        chol = dtrtri(inv_chol, lower=1)[0]  # L from the stored L^-1
         rung = regression._JITTERS.index(used)
         assert rung > 0
         d, _ = model._weights()
@@ -562,6 +605,42 @@ class TestDenseFactorHelpers:
                 )
         assert_allclose(chol @ chol.T, c + used * scale * np.eye(20),
                         atol=1e-12 * scale)
+
+
+    @pytest.mark.parametrize("spec", [MATERN, KernelSpec(family="diffusion", kappa=60.0)])
+    def test_c_factor_keeps_the_bits_of_the_formula(self, spec):
+        """C, its factor and the factor's inverse share one array; they keep
+        the bits of (K_xx + K_xx^T) / 2 + noise2 I factored, solved and
+        inverted out of place, with underflowed weights too."""
+        _, model = _problem(213, spec=spec)
+        d, _ = model._weights()
+        phi = model._phi_train()
+        k_xx = (phi * d) @ phi.T
+        c = (k_xx + k_xx.T) / 2.0 + model.noise2 * np.eye(phi.shape[0])
+        chol, info = lapack.dpotrf(c, lower=1, clean=1)
+        assert info == 0
+        half_logdet, inv_chol, alpha, jitter = model._c_factor()
+        assert jitter == 0.0
+        assert half_logdet == float(np.sum(np.log(np.diag(chol))))
+        assert_array_equal(inv_chol.view(np.int64),
+                           dtrtri(chol, lower=1)[0].view(np.int64))
+        assert_array_equal(alpha.view(np.int64),
+                           scipy.linalg.cho_solve((chol, True), model.targets).view(np.int64))
+
+    def test_train_covariance_factored_in_one_array(self):
+        """C is built, symmetrized, factored and inverted in one m x m array:
+        the peak stays under 1.6 arrays (the out-of-place build held 3)."""
+        m, l = 2000, 500
+        rng = np.random.default_rng(214)
+        vectors = np.linalg.qr(rng.standard_normal((m, l)))[0]
+        basis = SpectralBasis(np.linspace(0.0, 2.0, l), vectors, m, "unnormalized")
+        model = GPRegressionModel(MATERN, basis, np.arange(m), rng.standard_normal(m),
+                                  noise2=0.1)
+        model._phi_train(), model._weights()
+        with PeakMemory() as mem:
+            _, inv_chol, alpha, _ = model._c_factor()
+        assert mem.peak < 1.6 * 8 * m * m
+        assert inv_chol.shape == (m, m) and np.all(np.isfinite(alpha))
 
 
 class TestFit:
@@ -896,8 +975,9 @@ class TestSnapshotAndCsv:
 
     def test_read_targets_csv(self, tmp_path):
         path = tmp_path / "y.csv"
-        for text in ("node,value\n3,0.5\n1,-2.0\n", "\nnode_index,value\n3,0.5\n1,-2.0\n"):
-            path.write_text(text)
+        for text in ("node,value\n3,0.5\n1,-2.0\n", "\nnode_index,value\n3,0.5\n1,-2.0\n",
+                     "\ufeffnode_index,value\n3,0.5\n1,-2.0\n", "\ufeff3,0.5\r\n1,-2.0\r\n"):
+            path.write_text(text, encoding="utf-8")
             nodes, values = read_targets_csv(path)
             assert_array_equal(nodes, [3, 1])
             assert_allclose(values, [0.5, -2.0])

@@ -809,6 +809,35 @@ class TestCachedEigendecomposition:
         assert_array_equal(b1.eigenvalues, b2.eigenvalues)
         assert_array_equal(b1.eigenvectors, b2.eigenvectors)
 
+    def test_interrupted_save_leaves_no_file_and_the_next_run_recomputes(
+            self, tmp_path, monkeypatch):
+        """A save stopped after the header and eigenvalues (Ctrl-C here) leaves
+        nothing at the cache path and no temporary file, so the next call
+        solves again and caches a whole file."""
+        op = build_laplacian(path_graph(9), "unnormalized")
+        real = spectral.save_basis
+
+        class Interrupted:
+            def __init__(self, basis):
+                self.basis = basis
+
+            def __getattr__(self, name):
+                if name == "eigenvectors":
+                    raise KeyboardInterrupt
+                return getattr(self.basis, name)
+
+        monkeypatch.setattr(spectral, "save_basis",
+                            lambda path, basis: real(path, Interrupted(basis)))
+        with pytest.raises(KeyboardInterrupt):
+            cached_eigendecomposition(op, 4, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(spectral, "save_basis", real)
+        basis, hit, path = cached_eigendecomposition(op, 4, cache_dir=tmp_path)
+        assert not hit and list(tmp_path.iterdir()) == [path]
+        again, hit, _ = cached_eigendecomposition(op, 4, cache_dir=tmp_path)
+        assert hit
+        assert_array_equal(again.eigenvectors, basis.eigenvectors)
+
     def test_key_separates_pair_counts(self, tmp_path):
         op = build_laplacian(path_graph(9), "unnormalized")
         _, _, p4 = cached_eigendecomposition(op, 4, cache_dir=tmp_path)
