@@ -27,10 +27,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import log_ndtr
 
-from .graphs import _check_dense_size
+from .graphs import _check_dense_size, _node_indices
 from .kernels import (
     KernelSpec,
-    _as_query,
     check_laplacian_kind,
     check_trainable,
     from_unconstrained,
@@ -134,33 +133,8 @@ class VariationalClassifier:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        z = np.asarray(self.inducing_nodes, dtype=np.int64)
-        if z.ndim != 1 or z.size == 0:
-            raise ValueError("inducing_nodes must be a nonempty 1-d index array")
-        if np.unique(z).size != z.size:
-            raise ValueError("inducing nodes must be distinct")
-        if z.min() < 0 or z.max() >= self.basis.total_dim:
-            raise ValueError(f"inducing node out of range [0, {self.basis.total_dim})")
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        c, m = self.n_classes, z.size
-        mu = np.asarray(self.q_mu, dtype=float)
-        if mu.shape != (c, m):
-            raise ValueError(f"q_mu must have shape {(c, m)}, got {mu.shape}")
-        if (self.q_log_scale is None) == (self.q_scale_tril is None):
-            raise ValueError("exactly one of q_log_scale / q_scale_tril must be set")
-        name, shape = (
-            ("q_log_scale", (c, m)) if self.diag_cov else ("q_scale_tril", (c, m, m))
-        )
-        scale = np.asarray(getattr(self, name), dtype=float)
-        if scale.shape != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {scale.shape}")
-        object.__setattr__(self, name, scale if self.diag_cov else np.tril(scale))
+        vars(self).update(_check_variational(self.basis.total_dim, vars(self)))
         check_laplacian_kind(self.spec, self.basis)
-        object.__setattr__(self, "inducing_nodes", z)
-        object.__setattr__(self, "q_mu", mu)
 
     @property
     def diag_cov(self) -> bool:
@@ -179,20 +153,52 @@ class VariationalClassifier:
         jitter: float = 1e-6,
     ) -> "VariationalClassifier":
         """Identity-covariance, zero-mean initialization."""
-        z = np.asarray(inducing_nodes, dtype=np.int64)
-        m = z.shape[0]
-        if diag_cov:
-            scale = {"q_log_scale": np.zeros((n_classes, m))}
-        else:
-            scale = {"q_scale_tril": np.broadcast_to(np.eye(m), (n_classes, m, m)).copy()}
-        return cls(
-            spec=spec, basis=basis, n_classes=n_classes, inducing_nodes=z,
-            q_mu=np.zeros((n_classes, m)),
-            whitened=whitened, epsilon=epsilon, jitter=jitter, **scale,
-        )
+        return cls(spec=spec, basis=basis, whitened=whitened, epsilon=epsilon, jitter=jitter,
+                   **_initial_fields(n_classes, inducing_nodes, diag_cov))
 
     def with_updates(self, **kwargs) -> "VariationalClassifier":
         return dataclasses.replace(self, **kwargs)
+
+
+def _initial_fields(n_classes, inducing_nodes, diag_cov=True):
+    """``create``'s fields: zero means and identity covariances."""
+    m = len(inducing_nodes)
+    if diag_cov:
+        scale = {"q_log_scale": np.zeros((n_classes, m))}
+    else:
+        scale = {"q_scale_tril": np.broadcast_to(np.eye(m), (n_classes, m, m)).copy()}
+    return {"n_classes": n_classes, "inducing_nodes": inducing_nodes,
+            "q_mu": np.zeros((n_classes, m)), **scale}
+
+
+def _check_variational(n, fields):
+    """The inducing nodes, ``q_mu`` and scale (a lower triangle in full mode)
+    of a ``VariationalClassifier``'s ``fields`` as arrays, after every check
+    that needs only the node count ``n``: two or more classes, distinct
+    inducing nodes in [0, n), ``epsilon`` (the default if not given) in
+    (0, 1), and the shapes of ``q_mu`` and the one scale set."""
+    z = _node_indices(fields["inducing_nodes"], n, "inducing")
+    if z.size == 0:
+        raise ValueError("inducing_nodes must be a nonempty 1-d index array")
+    if np.unique(z).size != z.size:
+        raise ValueError("inducing nodes must be distinct")
+    c, m = fields["n_classes"], z.size
+    if c < 2:
+        raise ValueError("need at least two classes")
+    epsilon = fields.get("epsilon", VariationalClassifier.epsilon)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    mu = np.asarray(fields["q_mu"], dtype=float)
+    if mu.shape != (c, m):
+        raise ValueError(f"q_mu must have shape {(c, m)}, got {mu.shape}")
+    diag = fields.get("q_log_scale") is not None
+    if diag == (fields.get("q_scale_tril") is not None):
+        raise ValueError("exactly one of q_log_scale / q_scale_tril must be set")
+    name, shape = ("q_log_scale", (c, m)) if diag else ("q_scale_tril", (c, m, m))
+    scale = np.asarray(fields[name], dtype=float)
+    if scale.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {scale.shape}")
+    return {"inducing_nodes": z, "q_mu": mu, name: scale if diag else np.tril(scale)}
 
 
 def _tril_halfdiag(x):
@@ -218,8 +224,15 @@ def _kernel_blocks(model: VariationalClassifier, batch):
     blocks are not, as a fit builds a new model every step and prediction
     asks once. When the batch is the inducing set, as on a full-batch step,
     Phi_b is Phi_z and the one product (Phi_z D) Phi_z^T is K_zb and,
-    symmetrized, K_zz.
+    symmetrized, K_zz. An m x m K_zz or an m x b K_zb over
+    ``DENSE_ELEMENT_LIMIT`` elements raises ``ValueError`` naming it and its
+    shape, before any product.
     """
+    m = model.inducing_nodes.size
+    _check_dense_size("VariationalClassifier", "inducing covariance", (m, m),
+                      "use fewer inducing nodes", verb="factor")
+    _check_dense_size("VariationalClassifier", "inducing-batch covariance", (m, batch.size),
+                      "use a smaller batch", verb="form")
     d, d_grads = spectral_weights(
         model.spec, model.basis.eigenvalues, model.basis.total_dim, with_grads=True
     )
@@ -402,8 +415,6 @@ def _elbo_core(model, batch, labels, xi, n_total, with_grads):
     When the batch is the inducing set, the K_zb and K_zz sensitivities are
     summed first, so the kernel gradients take one m x m x l product.
     """
-    batch = np.asarray(batch, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
     mean, var, ctx = _marginals(model, batch)
     scale = n_total / batch.shape[0]
     ll, gmean, gvar = _log_lik_forward(model, mean, var, labels, xi, scale)
@@ -475,12 +486,14 @@ def elbo(model: VariationalClassifier, batch, labels, mc_samples=20, seed=0, n_t
     """Doubly stochastic evidence lower bound on a labeled batch.
 
     ``n_total`` rescales the likelihood term to the full dataset size (N/b);
-    by default the batch is taken to be the dataset.
+    by default the batch is taken to be the dataset. An empty batch, or
+    (``mc_samples``, b, C-1) likelihood arrays over ``DENSE_ELEMENT_LIMIT``
+    elements, raise ``ValueError`` before any draw.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    batch = np.asarray(batch, dtype=np.int64)
-    labels = _check_labels(model, batch, labels)
+    batch, labels = _check_labels(model, batch, labels)
+    _check_draws("elbo", model, mc_samples, batch.size)
     if n_total is None:
         n_total = batch.shape[0]
     xi = np.random.default_rng(seed).standard_normal((mc_samples, batch.shape[0]))
@@ -489,16 +502,26 @@ def elbo(model: VariationalClassifier, batch, labels, mc_samples=20, seed=0, n_t
 
 
 def _check_labels(model, batch, labels):
+    """``(batch, labels)`` as int64 arrays, one label in [0, C) per node."""
+    batch = _node_indices(batch, model.basis.total_dim, "batch")
+    if batch.size == 0:
+        raise ValueError("the batch is empty; give at least one labeled node")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != batch.shape:
         raise ValueError("labels must align with the batch nodes")
-    if batch.size and (batch.min() < 0 or batch.max() >= model.basis.total_dim):
-        raise ValueError(f"batch node out of range [0, {model.basis.total_dim})")
-    if labels.size and (labels.min() < 0 or labels.max() >= model.n_classes):
+    if labels.min() < 0 or labels.max() >= model.n_classes:
         raise ValueError(
             f"label out of range [0, {model.n_classes}); check the class count"
         )
-    return labels
+    return batch, labels
+
+
+def _check_draws(caller, model, mc_samples, b):
+    """Refuse the (S, b, C-1) arrays of the bound over ``DENSE_ELEMENT_LIMIT``
+    elements; the (S, b) draw is no larger."""
+    _check_dense_size(caller, "Monte Carlo likelihood array",
+                      (mc_samples, b, model.n_classes - 1),
+                      "use fewer Monte Carlo samples or a smaller batch", verb="form")
 
 
 _VARIATIONAL_PARAMS = ("q_mu", "q_scale")
@@ -532,16 +555,20 @@ def fit_classifier(
     hyperparameters; restrict it with ``config.trainable`` using names from
     {"q_mu", "q_scale"} and the kernel's raw parameter names. Minibatches
     (``batch_size``) and the Monte Carlo draws both consume the seed stream,
-    so runs are reproducible.
+    so runs are reproducible. No nodes, a ``batch_size`` below 1, or
+    (``mc_samples``, batch, C-1) likelihood arrays over
+    ``DENSE_ELEMENT_LIMIT`` elements raise ``ValueError`` before any draw.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     config = config or AdamConfig()
-    nodes = np.asarray(nodes, dtype=np.int64)
-    labels = _check_labels(model, nodes, labels)
+    nodes, labels = _check_labels(model, nodes, labels)
     n_total = nodes.shape[0]
     if batch_size is None or batch_size >= n_total:
         batch_size = n_total
+    _check_draws("fit_classifier", model, mc_samples, batch_size)
 
     names = check_trainable(model.spec, config.trainable, _VARIATIONAL_PARAMS)
     kernel_names = [name for name in names if name not in _VARIATIONAL_PARAMS]
@@ -599,7 +626,7 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    q = _as_query(query, model.basis.total_dim)
+    q = _node_indices(query, model.basis.total_dim, "query")
     for block, shape in (("inducing-query covariance", (model.inducing_nodes.size, q.size)),
                          ("query eigenvector block", (q.size, model.basis.n_retained))):
         _check_dense_size("predict_classes", block, shape, "pass a smaller query", verb="form")
@@ -650,16 +677,14 @@ def load_classifier(path, basis: SpectralBasis) -> VariationalClassifier:
     return _classifier_from_snapshot(_read_snapshot(path, "classifier"), basis)
 
 
-def _classifier_from_snapshot(snapshot, basis: SpectralBasis) -> VariationalClassifier:
+def _classifier_fields(snapshot) -> dict:
+    """A classifier snapshot's fields besides its kernel and basis."""
     scale = "q_log_scale" if snapshot["diag_cov"] else "q_scale_tril"
-    return VariationalClassifier(
-        spec=_snapshot_spec(snapshot, basis),
-        basis=basis,
-        n_classes=snapshot["n_classes"],
-        inducing_nodes=np.asarray(snapshot["inducing_nodes"], dtype=np.int64),
-        q_mu=np.asarray(snapshot["q_mu"], dtype=float),
-        whitened=snapshot["whitened"],
-        epsilon=float(snapshot["epsilon"]),
-        jitter=float(snapshot["jitter"]),
-        **{scale: np.asarray(snapshot["q_scale"], dtype=float)},
-    )
+    fields = {k: snapshot[k] for k in ("n_classes", "inducing_nodes", "q_mu", "whitened")}
+    return {**fields, "epsilon": float(snapshot["epsilon"]),
+            "jitter": float(snapshot["jitter"]), scale: snapshot["q_scale"]}
+
+
+def _classifier_from_snapshot(snapshot, basis: SpectralBasis) -> VariationalClassifier:
+    spec = _snapshot_spec(snapshot, basis.n_retained)
+    return VariationalClassifier(spec=spec, basis=basis, **_classifier_fields(snapshot))

@@ -29,7 +29,10 @@ import numpy as np
 from . import __version__
 from .classification import (
     VariationalClassifier,
+    _check_variational,
+    _classifier_fields,
     _classifier_from_snapshot,
+    _initial_fields,
     fit_classifier,
     predict_classes,
     read_labels_csv,
@@ -41,9 +44,11 @@ from .optim import AdamConfig, metrics, random_split
 from .regression import (
     GPRegressionModel,
     PosteriorSummary,
+    _check_observations,
     _lml_route,
     _model_from_snapshot,
     _read_snapshot,
+    _snapshot_spec,
     _write_json,
     fit,
     read_targets_csv,
@@ -142,12 +147,10 @@ def _load_kernel_spec(text, default: KernelSpec) -> KernelSpec:
 
 
 def _class_count(args, labels) -> int:
-    """``--classes`` or one more than the top label: above every label, and >= 2."""
+    """``--classes`` or one more than the top label: above every label."""
     n_classes = args.classes if args.classes is not None else int(labels.max()) + 1
     if labels.max() >= n_classes:
         raise ValueError(f"label {labels.max()} out of range for {n_classes} declared classes")
-    if n_classes < 2:
-        raise ValueError(f"need at least two classes, got {n_classes}")
     return n_classes
 
 
@@ -176,11 +179,12 @@ def _basis_for(graph, kind, eigenpairs, cache_dir, timings):
     }
 
 
-def _read_rows(args):
+def _read_rows(args, n):
     """``(nodes, values, classes)`` from ``args.task``'s rows file: float
     targets and no class count for regression, integer labels and their
-    ``_class_count`` for classification. A file not given or empty is
-    refused, before any eigenpair is computed."""
+    ``_class_count`` for classification. A file not given or empty, or any
+    row the task's model refuses on an ``n``-node graph, train or test, is
+    refused before any eigenpair is computed."""
     regression = args.task == "regression"
     name = "targets" if regression else "labels"
     path = getattr(args, name)
@@ -189,7 +193,12 @@ def _read_rows(args):
     nodes, values = read_targets_csv(path) if regression else read_labels_csv(path)
     if nodes.size == 0:
         raise ValueError(f"{name} file is empty")
-    return nodes, values, None if regression else _class_count(args, values)
+    if regression:
+        _check_observations(n, nodes, values, args.noise2)
+        return nodes, values, None
+    classes = _class_count(args, values)
+    _check_variational(n, _initial_fields(classes, nodes))
+    return nodes, values, classes
 
 
 def _fit(args, spec, basis, nodes, values, classes, config, seed, timings):
@@ -307,7 +316,7 @@ def cmd_fit(args) -> int:
     timings = {}
     graph = _timed(timings, "parse_s", read_edge_list, args.graph)
     spec = _load_kernel_spec(args.kernel, _default_spec(args.task))
-    nodes, values, classes = _read_rows(args)
+    nodes, values, classes = _read_rows(args, graph.node_count)
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     train_idx, test_idx = _split(
         nodes.size, args.train_size, getattr(args, "test_size", None), args.seed
@@ -355,26 +364,18 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _check_snapshot_fits(snapshot, n):
-    """Refuse a snapshot that cannot match an ``n``-node graph, with the
-    messages its model would give, before any eigenpair is computed."""
-    if snapshot["eigenpairs"] > n:
-        raise ValueError(
-            f"snapshot expects {snapshot['eigenpairs']} eigenpairs but basis holds {n}"
-        )
-    field, role = (("train_nodes", "training") if snapshot["kind"] == "regression"
-                   else ("inducing_nodes", "inducing"))
-    nodes = np.asarray(snapshot[field], dtype=np.int64)
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
-        raise ValueError(f"{role} node out of range [0, {n})")
-
-
 def cmd_predict(args) -> int:
     timings = {}
     graph = _timed(timings, "parse_s", read_edge_list, args.graph)
     snapshot = _read_snapshot(args.model)
     kind = snapshot["kind"]
-    _check_snapshot_fits(snapshot, graph.node_count)
+    # The model's checks that need only the node count, before the eigensolve.
+    n = graph.node_count
+    _snapshot_spec(snapshot, min(snapshot["eigenpairs"], n))
+    if kind == "regression":
+        _check_observations(n, snapshot["train_nodes"], snapshot["targets"], snapshot["noise2"])
+    else:
+        _check_variational(n, _classifier_fields(snapshot))
     _, basis, eigen = _basis_for(
         graph, snapshot["kernel"].laplacian_kind, snapshot["eigenpairs"],
         args.cache_dir, timings,
@@ -400,11 +401,15 @@ def cmd_predict(args) -> int:
 def cmd_compare_kernels(args) -> int:
     timings = {}
     graph = _timed(timings, "parse_s", read_edge_list, args.graph)
-    nodes, values, classes = _read_rows(args)
+    nodes, values, classes = _read_rows(args, graph.node_count)
     if args.train_size is None:
         raise ValueError("--train-size is required for compare-kernels")
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     metric_name = "test_mse" if args.task == "regression" else "test_accuracy"
+    seeds = range(args.seed, args.seed + args.repeats)
+    splits = [_split(nodes.size, args.train_size, args.test_size, seed) for seed in seeds]
+    if any(test_idx.size == 0 for _, test_idx in splits):
+        raise ValueError("empty test split; lower --train-size")
 
     bases = {}
     for kind in ("unnormalized", "sym_normalized"):
@@ -417,10 +422,7 @@ def cmd_compare_kernels(args) -> int:
     for family, kind in _COMPARE_ROWS:
         spec = _default_spec(args.task, family, kind, args.rw_p)
         scores = []
-        for seed in range(args.seed, args.seed + args.repeats):
-            train_idx, test_idx = _split(nodes.size, args.train_size, args.test_size, seed)
-            if test_idx.size == 0:
-                raise ValueError("empty test split; lower --train-size")
+        for seed, (train_idx, test_idx) in zip(seeds, splits):
             model, _ = _fit(args, spec, bases[kind], nodes[train_idx], values[train_idx],
                             classes, config, seed, {})
             predicted, _ = _predict(model, nodes[test_idx], args, seed, {})

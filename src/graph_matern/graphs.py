@@ -13,6 +13,7 @@ symmetrically, so L != L.T has zero stored entries).
 """
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,12 +40,24 @@ _INT64_MAX = np.iinfo(np.int64).max
 def _check_dense_size(caller, array, shape, remedy, verb="return"):
     """Refuse a dense ``shape`` float64 ``array`` over ``DENSE_ELEMENT_LIMIT``
     elements by name and shape, before anything is computed."""
-    rows, cols = shape
-    if rows * cols > DENSE_ELEMENT_LIMIT:
+    if math.prod(int(s) for s in shape) > DENSE_ELEMENT_LIMIT:
         raise ValueError(
-            f"{caller} would {verb} a dense {rows} x {cols} {array}, over the "
-            f"{DENSE_ELEMENT_LIMIT}-element limit; {remedy}"
+            f"{caller} would {verb} a dense {' x '.join(map(str, shape))} {array}, "
+            f"over the {DENSE_ELEMENT_LIMIT}-element limit; {remedy}"
         )
+
+
+def _node_indices(nodes, n, role):
+    """``nodes`` as a 1-d int64 array of nodes in [0, n), all n when None;
+    another shape or a node outside raises ``ValueError`` naming ``role``."""
+    if nodes is None:
+        return np.arange(n, dtype=np.int64)
+    x = np.asarray(nodes, dtype=np.int64)
+    if x.ndim != 1:
+        raise ValueError(f"{role} nodes must be a 1-d node index array")
+    if x.size and (x.min() < 0 or x.max() >= n):
+        raise ValueError(f"{role} node out of range [0, {n})")
+    return x
 
 
 def _interleave(a, b):

@@ -30,7 +30,7 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import LAPLACIAN_KINDS, LaplacianOperator, _check_dense_size
+from .graphs import LAPLACIAN_KINDS, LaplacianOperator, _check_dense_size, _node_indices
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -314,18 +314,6 @@ def spectral_weights(spec: KernelSpec, eigenvalues, total_dim=None, with_grads=F
     raise ValueError(f"unknown kernel family {spec.family!r}")
 
 
-def _as_query(query, n):
-    """Query node indices into [0, n); all nodes when ``query`` is None."""
-    if query is None:
-        return np.arange(n, dtype=np.int64)
-    q = np.asarray(query, dtype=np.int64)
-    if q.ndim != 1:
-        raise ValueError("query must be a 1-d node index array")
-    if q.size and (q.min() < 0 or q.max() >= n):
-        raise ValueError(f"query node out of range [0, {n})")
-    return q
-
-
 def kernel_matrix(basis: SpectralBasis, spec: KernelSpec, rows=None, cols=None):
     """Cross-covariance block K[rows, cols] (full matrix by default).
 
@@ -336,8 +324,8 @@ def kernel_matrix(basis: SpectralBasis, spec: KernelSpec, rows=None, cols=None):
     """
     check_laplacian_kind(spec, basis)
     n = basis.total_dim
-    ridx = None if rows is None else _as_query(rows, n)
-    cidx = None if cols is None else _as_query(cols, n)
+    ridx = None if rows is None else _node_indices(rows, n, "query")
+    cidx = None if cols is None else _node_indices(cols, n, "query")
     _check_dense_size("kernel_matrix", "kernel block",
                       (n if ridx is None else ridx.size, n if cidx is None else cidx.size),
                       "pass fewer rows or cols")

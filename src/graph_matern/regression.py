@@ -32,10 +32,9 @@ from scipy.linalg import lapack, solve_triangular
 from scipy.linalg.blas import dtrmm
 import scipy.sparse as sp
 
-from .graphs import _check_dense_size
+from .graphs import _check_dense_size, _node_indices
 from .kernels import (
     KernelSpec,
-    _as_query,
     check_laplacian_kind,
     check_trainable,
     from_unconstrained,
@@ -159,18 +158,9 @@ class GPRegressionModel:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes, targets = _as_observations(
-            self.train_nodes, self.targets, self.basis.total_dim
-        )
-        if nodes.size == 0:
-            raise ValueError("regression needs at least one training node")
-        if not np.all(np.isfinite(targets)):
-            raise ValueError("targets must be finite")
-        if not (np.isfinite(self.noise2) and self.noise2 > 0):
-            raise ValueError(f"noise2 must be positive, got {self.noise2!r}")
+        self.train_nodes, self.targets = _check_observations(
+            self.basis.total_dim, self.train_nodes, self.targets, self.noise2)
         check_laplacian_kind(self.spec, self.basis)
-        object.__setattr__(self, "train_nodes", nodes)
-        object.__setattr__(self, "targets", targets)
 
     def with_raw_params(self, raw: dict) -> "GPRegressionModel":
         """New model with raw kernel parameters / noise2 replaced."""
@@ -273,13 +263,20 @@ def _carry_cache(old, new, keys):
     return new
 
 
-def _as_observations(train_nodes, targets, n):
-    x = np.asarray(train_nodes, dtype=np.int64)
+def _check_observations(n, train_nodes, targets, noise2):
+    """``(train_nodes, targets)`` as arrays after every check that needs only
+    the node count ``n``: at least one training node, each in [0, n) with a
+    finite target (repeats allowed), and a positive ``noise2``."""
+    x = _node_indices(train_nodes, n, "training")
     y = np.asarray(targets, dtype=float)
-    if x.ndim != 1 or y.shape != x.shape:
+    if y.shape != x.shape:
         raise ValueError("train_nodes and targets must be matching 1-d arrays")
-    if x.size and (x.min() < 0 or x.max() >= n):
-        raise ValueError(f"training node out of range [0, {n})")
+    if x.size == 0:
+        raise ValueError("regression needs at least one training node")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("targets must be finite")
+    if not (np.isfinite(noise2) and noise2 > 0):
+        raise ValueError(f"noise2 must be positive, got {noise2!r}")
     return x, y
 
 
@@ -294,7 +291,7 @@ def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSumm
     product. Warns when the train covariance is severely ill-conditioned
     instead of failing.
     """
-    q = _as_query(query, model.basis.total_dim)
+    q = _node_indices(query, model.basis.total_dim, "query")
     if not diag:
         _check_dense_size("posterior", "query covariance", (q.size, q.size),
                           "pass a smaller query")
@@ -339,12 +336,17 @@ def woodbury_posterior(model: GPRegressionModel, query=None, diag=False) -> Post
     in; an all-zero prior gives zero mean and covariance. After the LML
     the factor is memoized, and the cost is one triangular product,
     l^2 |q| flops. Without ``diag``, a query covariance over
-    ``DENSE_ELEMENT_LIMIT`` elements raises ``ValueError`` naming its shape.
+    ``DENSE_ELEMENT_LIMIT`` elements raises ``ValueError`` naming its shape;
+    with or without it, so does a |q| x l block of query eigenvector rows,
+    which also bounds the l x |q| W. Both are refused before the factor or
+    any product.
     """
-    q = _as_query(query, model.basis.total_dim)
+    q = _node_indices(query, model.basis.total_dim, "query")
     if not diag:
         _check_dense_size("woodbury_posterior", "query covariance", (q.size, q.size),
                           "pass a smaller query")
+    _check_dense_size("woodbury_posterior", "query eigenvector block",
+                      (q.size, model.basis.n_retained), "pass a smaller query", verb="form")
     _, inv_chol_b, root, _, coef = model._b_factor()
     phi_q = model.basis.eigenvectors[q]
     mean = phi_q @ coef
@@ -513,7 +515,7 @@ def pathwise_sample(model: GPRegressionModel, query=None, n_samples=1, seed=0):
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    q = _as_query(query, model.basis.total_dim)
+    q = _node_indices(query, model.basis.total_dim, "query")
     m, l = model.train_nodes.size, model.basis.n_retained
     for block, shape in (("query eigenvector block", (q.size, l)),
                          ("coefficient draw", (l, n_samples)),
@@ -553,8 +555,8 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
     output over ``DENSE_ELEMENT_LIMIT`` elements, or k over
     ``spectral.DENSE_SIZE_LIMIT`` nodes for the k^3 inversion, raises
     ``ValueError`` naming the refused shape. A non-symmetric precision
-    raises ``ValueError``; a singular or indefinite one raises
-    ``scipy.linalg.LinAlgError``.
+    raises ``ValueError``, as do observations ``GPRegressionModel`` refuses;
+    a singular or indefinite one raises ``scipy.linalg.LinAlgError``.
     """
     q_post = sp.csc_array(precision)
     n = q_post.shape[0]
@@ -565,10 +567,8 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
         raise ValueError(
             f"precision must be symmetric; |Q - Q^T| reaches {asymmetry:.3e}"
         )
-    if not (np.isfinite(noise2) and noise2 > 0):
-        raise ValueError(f"noise2 must be positive, got {noise2!r}")
-    x, y = _as_observations(train_nodes, targets, n)
-    q = _as_query(query, n)
+    x, y = _check_observations(n, train_nodes, targets, noise2)
+    q = _node_indices(query, n, "query")
     _check_dense_size("gmrf_posterior", "query covariance", (q.size, q.size),
                       "pass a smaller query")
     nodes, inverse = np.unique(q, return_inverse=True)
@@ -708,12 +708,12 @@ def _read_snapshot(path, kind=None) -> dict:
     return {**payload, "kernel": KernelSpec.from_dict(payload["kernel"])}
 
 
-def _snapshot_spec(snapshot, basis: SpectralBasis) -> KernelSpec:
-    """The snapshot's kernel, once its basis size matches ``basis``."""
-    if snapshot["eigenpairs"] != basis.n_retained:
+def _snapshot_spec(snapshot, n_retained: int) -> KernelSpec:
+    """The snapshot's kernel, once its basis size matches ``n_retained``."""
+    if snapshot["eigenpairs"] != n_retained:
         raise ValueError(
             f"snapshot expects {snapshot['eigenpairs']} eigenpairs but basis "
-            f"holds {basis.n_retained}"
+            f"holds {n_retained}"
         )
     return snapshot["kernel"]
 
@@ -735,7 +735,7 @@ def load_model(path, basis: SpectralBasis) -> GPRegressionModel:
 
 def _model_from_snapshot(snapshot, basis: SpectralBasis) -> GPRegressionModel:
     return GPRegressionModel(
-        spec=_snapshot_spec(snapshot, basis),
+        spec=_snapshot_spec(snapshot, basis.n_retained),
         basis=basis,
         train_nodes=np.asarray(snapshot["train_nodes"], dtype=np.int64),
         targets=np.asarray(snapshot["targets"], dtype=float),

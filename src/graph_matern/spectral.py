@@ -360,13 +360,18 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
     copies of a repeated eigenvalue while every pair it returns has a tiny
     residual. So Lanczos raises ``EigensolverError`` when fewer than
     min(components, ``n_pairs``) of its eigenvalues are zero (within
-    ``_finalize``'s tolerance).
+    ``_finalize``'s tolerance). ARPACK's n x max(2 ``n_pairs`` + 1, 20)
+    Lanczos basis over ``DENSE_ELEMENT_LIMIT`` elements raises
+    ``ValueError`` naming its shape, before the factorization.
     """
     n = operator.node_count
     if not 1 <= n_pairs <= n:
         raise ValueError(f"n_pairs={n_pairs} out of range for n={n}")
     if _eigensolver(operator, n_pairs) == "dense":
         return _dense_lowest(operator, n_pairs)
+    _check_dense_size("eigendecompose_truncated", "Lanczos basis",
+                      (n, max(2 * n_pairs + 1, 20)), "ask for fewer eigenpairs",
+                      verb="allocate")
 
     mat = operator.matrix.tocsc()
     gershgorin = _gershgorin(mat)

@@ -116,6 +116,36 @@ def test_one_site_chooses_the_eigensolver():
     assert sorted(seen) == sorted((name, *home) for name in homes for home in homes[name])
 
 
+def test_one_function_forms_the_node_range_message():
+    """The rule "a node index lies in [0, n)" and its message live in
+    ``graphs._node_indices`` alone, and the CLI keeps no copy of a model's
+    checks: it calls the models' own before the eigensolve."""
+    package = Path(graph_matern.__file__).parent
+    sites = []
+
+    def visit(node, func, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, path)
+                continue
+            if isinstance(child, ast.JoinedStr):
+                text = "".join(part.value for part in child.values
+                               if isinstance(part, ast.Constant))
+                if "node out of range [0," in text:
+                    sites.append((path.name, func))
+                continue
+            if isinstance(child, ast.Constant) and "node out of range [0," in str(child.value):
+                sites.append((path.name, func))
+            visit(child, func, path)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None, path)
+    assert sites == [("graphs.py", "_node_indices")]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_check_snapshot_fits" not in defined
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 

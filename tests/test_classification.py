@@ -183,6 +183,25 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="align"):
             elbo(model, np.array([0, 1]), np.array([0]))
 
+    def test_empty_batch_fails_by_name(self):
+        _, model = _classifier(5)
+        nodes, labels = np.array([0, 1, 2]), np.array([0, 1, 2])
+        with pytest.raises(ValueError, match="the batch is empty"):
+            elbo(model, [], [])
+        with pytest.raises(ValueError, match="the batch is empty"):
+            fit_classifier(model, [], [])
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            fit_classifier(model, nodes, labels, batch_size=0)
+
+    def test_two_d_nodes_and_labels_fail_by_name(self):
+        _, model = _classifier(6)
+        nodes, labels = np.array([[0, 1], [2, 3]]), np.array([[0, 1], [2, 0]])
+        for call in (elbo, fit_classifier):
+            with pytest.raises(ValueError, match="batch nodes must be a 1-d node index array"):
+                call(model, nodes, labels)
+            with pytest.raises(ValueError, match="labels must align with the batch nodes"):
+                call(model, nodes.ravel(), labels)
+
 
 class TestMarginals:
     def _oracle(self, model, batch):
@@ -681,6 +700,43 @@ class TestPredictClasses:
         assert mem.peak < 16 * 2**20
         probs, labels = predict_classes(model, np.arange(5), mc_samples=4)
         assert probs.shape == (5, 2) and labels.shape == (5,)
+
+    @staticmethod
+    def _wide_classifier(inducing, n_classes=2):
+        m = inducing.size
+        return VariationalClassifier(
+            KernelSpec(family="matern", nu=1.5, kappa=2.0), wide_basis(), n_classes,
+            inducing, np.zeros((n_classes, m)), q_log_scale=np.zeros((n_classes, m)))
+
+    @pytest.mark.parametrize("site", ["inducing", "inducing_batch", "fit_draws",
+                                      "elbo_draws"])
+    def test_step_blocks_over_budget_refused_before_any_product(self, site):
+        """The m x m K_zz, the m x b K_zb and the (S, b, C-1) likelihood
+        arrays past the limit are refused by name before any product, and
+        the last before any draw; a small call still runs."""
+        if site == "inducing":  # m = 12000 inducing nodes
+            model = self._wide_classifier(np.arange(12000))
+            nodes, labels, samples = np.arange(5), np.zeros(5, dtype=np.int64), 20
+            call, message = fit_classifier, ("VariationalClassifier would factor a dense "
+                                              "12000 x 12000 inducing covariance")
+        elif site == "inducing_batch":  # a batch naming one node 450000 times
+            model = self._wide_classifier(np.arange(0, 12000, 40))
+            nodes, labels, samples = (np.zeros(450_000, dtype=np.int64),
+                                      np.zeros(450_000, dtype=np.int64), 1)
+            call, message = elbo, ("VariationalClassifier would form a dense "
+                                   "300 x 450000 inducing-batch covariance")
+        else:  # cora's b = 140 and C = 7, with S = 200000
+            model = self._wide_classifier(np.arange(0, 12000, 40), n_classes=7)
+            nodes, labels, samples = np.arange(140), np.arange(140) % 7, 200_000
+            call = fit_classifier if site == "fit_draws" else elbo
+            message = (f"{call.__name__} would form a dense 200000 x 140 x 6 "
+                       "Monte Carlo likelihood array")
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match=message):
+                call(model, nodes, labels, mc_samples=samples)
+        assert mem.peak < 16 * 2**20
+        if site != "inducing":
+            assert np.isfinite(elbo(model, nodes[:5], labels[:5], mc_samples=2))
 
     def test_labels_are_argmax_of_probs(self):
         rng, model = _classifier(31)

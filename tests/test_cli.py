@@ -576,6 +576,7 @@ class TestRefusedBeforeTheEigensolve:
     """Settings that cannot work fail by name with exit code 1, before any
     eigenpair is computed."""
 
+    TEST_SPLIT = ["--train-size", "2", "--seed", "1"]
     CASES = {
         "negative_iterations": ("fit-regression", ["--iterations", "-1"],
                                 "iterations must be >= 0, got -1"),
@@ -620,6 +621,46 @@ class TestRefusedBeforeTheEigensolve:
         "snapshot_inducing_node_past_the_graph": (
             "predict", ["--model", "inducing_node_12.json"],
             "inducing node out of range [0, 12)"),
+        # Every row of a targets or labels file is checked against the graph
+        # by the model's own checks; a test-split row too (the row at file
+        # index 3 is in the test split of --train-size 2 --seed 1).
+        "negative_noise2": ("fit-regression", ["--noise2", "-1"],
+                            "noise2 must be positive, got -1.0"),
+        "nan_target": ("fit-regression", ["--targets", "nan_target.csv"],
+                       "targets must be finite"),
+        "target_node_past_the_graph": ("fit-regression", ["--targets", "target_40.csv"],
+                                       "training node out of range [0, 12)"),
+        "test_target_node_past_the_graph": (
+            "fit-regression", ["--targets", "test_target_40.csv", *TEST_SPLIT],
+            "training node out of range [0, 12)"),
+        "test_target_node_below_zero": (
+            "fit-regression", ["--targets", "test_target_minus_1.csv", *TEST_SPLIT],
+            "training node out of range [0, 12)"),
+        "test_target_nan": ("fit-regression", ["--targets", "test_target_nan.csv", *TEST_SPLIT],
+                            "targets must be finite"),
+        "labels_name_a_node_twice": ("fit-classify", ["--labels", "node_twice.csv"],
+                                     "inducing nodes must be distinct"),
+        "label_node_past_the_graph": ("fit-classify", ["--labels", "label_40.csv"],
+                                      "inducing node out of range [0, 12)"),
+        "test_label_node_past_the_graph": (
+            "fit-classify", ["--labels", "test_label_40.csv", *TEST_SPLIT],
+            "inducing node out of range [0, 12)"),
+        "snapshot_negative_noise2": ("predict", ["--model", "noise2_negative.json"],
+                                     "noise2 must be positive, got -0.01"),
+        "snapshot_q_mu_shape": ("predict", ["--model", "q_mu_2x3.json"],
+                                "q_mu must have shape (2, 2), got (2, 3)"),
+        "snapshot_inducing_node_twice": ("predict", ["--model", "inducing_3_3.json"],
+                                         "inducing nodes must be distinct"),
+        "snapshot_epsilon_past_one": ("predict", ["--model", "epsilon_1.5.json"],
+                                      "epsilon must lie in (0, 1), got 1.5"),
+        "compare_train_size_all_rows": ("compare-kernels", ["--train-size", "12"],
+                                        "empty test split; lower --train-size"),
+        "compare_train_size_past_the_rows": ("compare-kernels", ["--train-size", "13"],
+                                             "n_train=13 out of range for 12 nodes"),
+        "compare_target_node_past_the_graph": (
+            "compare-kernels", ["--task", "regression", "--targets", "target_40.csv",
+                                "--train-size", "1"],
+            "training node out of range [0, 12)"),
     }
     # Complete snapshots of each kind, which the files below break one field of.
     REGRESSION = {"schema_version": 1, "kind": "regression", "eigenpairs": 12,
@@ -647,6 +688,18 @@ class TestRefusedBeforeTheEigensolve:
         "eigenpairs_30.json": json.dumps(dict(REGRESSION, eigenpairs=30)),
         "train_node_40.json": json.dumps(dict(REGRESSION, train_nodes=[0, 40])),
         "inducing_node_12.json": json.dumps(dict(CLASSIFIER, inducing_nodes=[0, 12])),
+        "nan_target.csv": "node,value\n0,1.0\n5,nan\n",
+        "target_40.csv": "node,value\n0,1.0\n40,2.0\n",
+        "test_target_40.csv": "node,value\n0,1.0\n5,-1.0\n7,0.5\n40,2.0\n",
+        "test_target_minus_1.csv": "node,value\n0,1.0\n5,-1.0\n7,0.5\n-1,2.0\n",
+        "test_target_nan.csv": "node,value\n0,1.0\n5,-1.0\n7,0.5\n9,nan\n",
+        "node_twice.csv": "node,class\n0,0\n0,1\n7,1\n",
+        "label_40.csv": "node,class\n0,0\n40,1\n",
+        "test_label_40.csv": "node,class\n0,0\n7,1\n5,0\n40,1\n",
+        "noise2_negative.json": json.dumps(dict(REGRESSION, noise2=-0.01)),
+        "q_mu_2x3.json": json.dumps(dict(CLASSIFIER, q_mu=[[0.0] * 3, [0.0] * 3])),
+        "inducing_3_3.json": json.dumps(dict(CLASSIFIER, inducing_nodes=[3, 3])),
+        "epsilon_1.5.json": json.dumps(dict(CLASSIFIER, epsilon=1.5)),
     }
 
     @pytest.mark.parametrize("snapshot", ["REGRESSION", "CLASSIFIER"])
@@ -660,6 +713,12 @@ class TestRefusedBeforeTheEigensolve:
         with pytest.raises(AssertionError, match="eigensolve reached"):
             main(["predict", "--graph", str(graph_path), "--model", str(path),
                   "--out", str(tmp_path / "x")])
+
+    def test_the_test_split_cases_put_their_bad_row_in_the_test_split(self):
+        """Rows 0-3 of the test-split cases' files, split by ``TEST_SPLIT``:
+        the bad row, the last, is a test row."""
+        _, test_idx = cli._split(4, 2, None, 1)
+        assert 3 in test_idx
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_fails_by_name(self, case, classify_case, tmp_path, capsys, monkeypatch,

@@ -337,6 +337,23 @@ class TestDenseCovarianceBudget:
         assert posterior(model, np.arange(5), diag=True).variance.shape == (5,)
         assert pathwise_sample(model, np.arange(5), n_samples=2).shape == (2, 5)
 
+    def test_woodbury_query_rows_over_budget_refused_before_any_product(self):
+        """``woodbury_posterior``'s |q| x l query rows and its l x |q| W are
+        refused by name, with ``diag`` too, before the factor of B or any
+        product; a small query still runs."""
+        vectors = np.linalg.qr(np.random.default_rng(33).standard_normal((450, 450)))[0]
+        basis = SpectralBasis(np.linspace(0.0, 2.0, 450), vectors, 450, "unnormalized")
+        model = GPRegressionModel(MATERN, basis, np.arange(0, 450, 3), np.ones(150))
+        query = np.zeros(320_000, dtype=np.int64)  # a node asked for 320000 times
+        assert query.size * 450 > DENSE_ELEMENT_LIMIT
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match="woodbury_posterior would form a dense "
+                               "320000 x 450 query eigenvector block"):
+                woodbury_posterior(model, query, diag=True)
+        assert mem.peak < 16 * 2**20
+        assert model._cache == {}
+        assert woodbury_posterior(model, query[:5], diag=True).variance.shape == (5,)
+
 
 class TestLogMarginalLikelihood:
     def test_value_matches_multivariate_normal(self):

@@ -34,6 +34,7 @@ from graph_matern.spectral import (
     _gershgorin,
     _residual_norms,
 )
+from graph_matern.graphs import DENSE_ELEMENT_LIMIT
 from helpers import (
     PeakMemory,
     complete_graph,
@@ -391,6 +392,25 @@ class TestTruncatedDecomposition:
                 with pytest.raises(ValueError, match=f"{n} exceeds dense limit"):
                     call()
             assert mem.peak < n * n * 8 // 100
+
+    def test_lanczos_basis_over_budget_refused_before_the_factorization(self, monkeypatch):
+        """ARPACK's n x max(2l + 1, 20) basis past the limit is refused by
+        name before the shifted Laplacian is factored; a small request on
+        the same graph still runs."""
+        op = build_laplacian(path_graph(12000), "unnormalized")
+        assert 12000 * (2 * 5600 + 1) > DENSE_ELEMENT_LIMIT
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorization reached")
+
+        monkeypatch.setattr(spectral, "_factor_spd", refuse)
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match="eigendecompose_truncated would allocate a "
+                               "dense 12000 x 11201 Lanczos basis"):
+                eigendecompose_truncated(op, 5600)
+        assert mem.peak < 16 * 2**20
+        monkeypatch.undo()
+        assert eigendecompose_truncated(op, 3).n_retained == 3
 
     def test_out_of_range_request(self):
         op = build_laplacian(path_graph(5), "unnormalized")
