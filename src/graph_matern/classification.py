@@ -338,12 +338,19 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
     """Sum of per-class KL(q(u_c) || p(u_c)) and gradients.
 
     Whitened: closed forms against N(0, I), no kernel dependence.
-    Unwhitened: against N(0, K_zz + jitter I), with the kernel sensitivity
-    accumulated into kzz_bar.
+    Unwhitened: against N(0, K), K = K_zz + jitter I, summed over the
+    classes in closed form with one K^-1; kzz_bar is the kernel sensitivity
+    (C K^-1 - K^-1 (sum_c S_c) K^-1 - K^-1 M^T M K^-1) / 2.
     """
     mu = model.q_mu
+    c, m = mu.shape
     grads = {}
-    kzz_bar = None
+    if not model.diag_cov:
+        tril = model.q_scale_tril
+        idx = np.arange(m)
+        diag = tril[:, idx, idx]
+        if np.any(diag == 0):
+            raise ValueError("q_scale_tril has a zero diagonal entry")
     if model.whitened:
         if model.diag_cov:
             r2 = np.exp(2.0 * model.q_log_scale)
@@ -354,11 +361,6 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
                 grads["q_mu"] = mu.copy()
                 grads["q_log_scale"] = r2 - 1.0
         else:
-            tril = model.q_scale_tril
-            idx = np.arange(tril.shape[1])
-            diag = tril[:, idx, idx]
-            if np.any(diag == 0):
-                raise ValueError("q_scale_tril has a zero diagonal entry")
             value = 0.5 * float(
                 np.sum(tril**2) + np.sum(mu**2)
                 - mu.size - 2.0 * np.sum(np.log(np.abs(diag)))
@@ -368,45 +370,33 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
                 g[:, idx, idx] -= 1.0 / diag
                 grads["q_mu"] = mu.copy()
                 grads["q_scale_tril"] = g
-        return value, grads, kzz_bar
+        return value, grads, None
 
     chol, inv_chol = blocks["chol"], blocks["inv_chol"]
-    m = chol.shape[0]
     kinv = inv_chol.T @ inv_chol
     logdet_k = 2.0 * float(np.sum(np.log(np.diag(chol))))
     w_mu = inv_chol @ mu.T
-    value = 0.0
-    if with_grads:
-        kzz_bar = np.zeros((m, m))
-        grads["q_mu"] = (kinv @ mu.T).T
-    for c in range(model.n_classes):
-        if model.diag_cov:
-            r2_c = np.exp(2.0 * model.q_log_scale[c])
-            trace = float(np.dot(np.diag(kinv), r2_c))
-            logdet_q = float(np.sum(2.0 * model.q_log_scale[c]))
-        else:
-            r_c = model.q_scale_tril[c]
-            diag = np.diag(r_c)
-            if np.any(diag == 0):
-                raise ValueError("q_scale_tril has a zero diagonal entry")
-            w_r = inv_chol @ r_c
-            trace = float(np.sum(w_r**2))
-            logdet_q = 2.0 * float(np.sum(np.log(np.abs(diag))))
-        quad = float(np.sum(w_mu[:, c] ** 2))
-        value += 0.5 * (trace + quad - m + logdet_k - logdet_q)
-        if with_grads:
-            if model.diag_cov:
-                grads.setdefault("q_log_scale", np.zeros_like(model.q_log_scale))
-                grads["q_log_scale"][c] = np.diag(kinv) * r2_c - 1.0
-                smm = kinv * r2_c[None, :]
-            else:
-                grads.setdefault("q_scale_tril", np.zeros_like(model.q_scale_tril))
-                rinv = _tri_inverse(np.array(r_c, order="F"))
-                grads["q_scale_tril"][c] = np.tril(kinv @ r_c - rinv.T)
-                smm = kinv @ (r_c @ r_c.T)
-            kmu = kinv @ mu[c]
-            kzz_bar += 0.5 * (kinv - smm @ kinv - np.outer(kmu, kmu))
-    return value, grads, kzz_bar
+    if model.diag_cov:
+        r2 = np.exp(2.0 * model.q_log_scale)
+        trace = float(np.sum(r2 @ np.diag(kinv)))
+        logdet_q = 2.0 * float(np.sum(model.q_log_scale))
+    else:
+        trace = float(np.sum((inv_chol @ tril) ** 2))
+        logdet_q = 2.0 * float(np.sum(np.log(np.abs(diag))))
+    value = 0.5 * (trace + float(np.sum(w_mu**2)) - c * m + c * logdet_k - logdet_q)
+    if not with_grads:
+        return value, grads, None
+    kmu = kinv @ mu.T
+    grads["q_mu"] = kmu.T
+    if model.diag_cov:
+        grads["q_log_scale"] = np.diag(kinv) * r2 - 1.0
+        ks_k = (kinv * np.sum(r2, axis=0)) @ kinv
+    else:
+        g = np.tril(kinv @ tril)
+        g[:, idx, idx] -= 1.0 / diag
+        grads["q_scale_tril"] = g
+        ks_k = kinv @ np.tensordot(tril, tril, axes=([0, 2], [0, 2])) @ kinv
+    return value, grads, 0.5 * (c * kinv - ks_k - kmu @ kmu.T)
 
 
 def _elbo_core(model, batch, labels, xi, n_total, with_grads):
@@ -492,7 +482,7 @@ def elbo(model: VariationalClassifier, batch, labels, mc_samples=20, seed=0, n_t
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    batch, labels = _check_labels(model, batch, labels)
+    batch, labels = _check_labels(model.basis.total_dim, model.n_classes, batch, labels)
     _check_draws("elbo", model, mc_samples, batch.size)
     if n_total is None:
         n_total = batch.shape[0]
@@ -501,17 +491,18 @@ def elbo(model: VariationalClassifier, batch, labels, mc_samples=20, seed=0, n_t
     return value
 
 
-def _check_labels(model, batch, labels):
-    """``(batch, labels)`` as int64 arrays, one label in [0, C) per node."""
-    batch = _node_indices(batch, model.basis.total_dim, "batch")
+def _check_labels(n, n_classes, batch, labels):
+    """``(batch, labels)`` as int64 arrays, one label in [0, ``n_classes``)
+    per node of an ``n``-node graph: the one label rule, the CLI's too."""
+    batch = _node_indices(batch, n, "batch")
     if batch.size == 0:
         raise ValueError("the batch is empty; give at least one labeled node")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != batch.shape:
         raise ValueError("labels must align with the batch nodes")
-    if labels.min() < 0 or labels.max() >= model.n_classes:
+    if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(
-            f"label out of range [0, {model.n_classes}); check the class count"
+            f"label out of range [0, {n_classes}); check the class count"
         )
     return batch, labels
 
@@ -564,7 +555,7 @@ def fit_classifier(
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     config = config or AdamConfig()
-    nodes, labels = _check_labels(model, nodes, labels)
+    nodes, labels = _check_labels(model.basis.total_dim, model.n_classes, nodes, labels)
     n_total = nodes.shape[0]
     if batch_size is None or batch_size >= n_total:
         batch_size = n_total
@@ -646,12 +637,10 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
 
 
 def read_labels_csv(path):
-    """Read ``node_index,class_index`` rows (optional header)."""
+    """Read ``node_index,class_index`` rows (optional header) into index/label
+    arrays; ``_check_labels`` checks the labels against a class count."""
     nodes, labels = _read_node_csv(path, "class_index", int)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and labels.min() < 0:
-        raise ValueError("negative class index in labels file")
-    return nodes, labels
+    return nodes, np.asarray(labels, dtype=np.int64)
 
 
 def save_classifier(model: VariationalClassifier, path):

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .classification import (
     VariationalClassifier,
+    _check_labels,
     _check_variational,
     _classifier_fields,
     _classifier_from_snapshot,
@@ -147,11 +148,8 @@ def _load_kernel_spec(text, default: KernelSpec) -> KernelSpec:
 
 
 def _class_count(args, labels) -> int:
-    """``--classes`` or one more than the top label: above every label."""
-    n_classes = args.classes if args.classes is not None else int(labels.max()) + 1
-    if labels.max() >= n_classes:
-        raise ValueError(f"label {labels.max()} out of range for {n_classes} declared classes")
-    return n_classes
+    """``--classes``, or one more than the largest label."""
+    return args.classes if args.classes is not None else int(labels.max()) + 1
 
 
 def _timed(timings, name, fn, *args, **kwargs):
@@ -193,12 +191,19 @@ def _read_rows(args, n):
     nodes, values = read_targets_csv(path) if regression else read_labels_csv(path)
     if nodes.size == 0:
         raise ValueError(f"{name} file is empty")
-    if regression:
-        _check_observations(n, nodes, values, args.noise2)
-        return nodes, values, None
-    classes = _class_count(args, values)
-    _check_variational(n, _initial_fields(classes, nodes))
+    classes = None if regression else _class_count(args, values)
+    _check_rows(args, n, nodes, values, classes)
     return nodes, values, classes
+
+
+def _check_rows(args, n, nodes, values, classes):
+    """``args.task``'s model checks on rows ``nodes`` and ``values`` of an
+    ``n``-node graph, all or a train split (an empty one fails)."""
+    if args.task == "regression":
+        _check_observations(n, nodes, values, args.noise2)
+    else:
+        _check_variational(n, _initial_fields(classes, nodes))
+        _check_labels(n, classes, nodes, values)
 
 
 def _fit(args, spec, basis, nodes, values, classes, config, seed, timings):
@@ -321,6 +326,7 @@ def cmd_fit(args) -> int:
     train_idx, test_idx = _split(
         nodes.size, args.train_size, getattr(args, "test_size", None), args.seed
     )
+    _check_rows(args, graph.node_count, nodes[train_idx], values[train_idx], classes)
     _, basis, eigen = _basis_for(
         graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
     )
@@ -410,6 +416,9 @@ def cmd_compare_kernels(args) -> int:
     splits = [_split(nodes.size, args.train_size, args.test_size, seed) for seed in seeds]
     if any(test_idx.size == 0 for _, test_idx in splits):
         raise ValueError("empty test split; lower --train-size")
+    for train_idx, _ in splits:
+        _check_rows(args, graph.node_count, nodes[train_idx], values[train_idx], classes)
+    specs = [_default_spec(args.task, family, kind, args.rw_p) for family, kind in _COMPARE_ROWS]
 
     bases = {}
     for kind in ("unnormalized", "sym_normalized"):
@@ -419,8 +428,7 @@ def cmd_compare_kernels(args) -> int:
 
     start = time.perf_counter()
     rows = []
-    for family, kind in _COMPARE_ROWS:
-        spec = _default_spec(args.task, family, kind, args.rw_p)
+    for (family, kind), spec in zip(_COMPARE_ROWS, specs):
         scores = []
         for seed, (train_idx, test_idx) in zip(seeds, splits):
             model, _ = _fit(args, spec, bases[kind], nodes[train_idx], values[train_idx],
@@ -547,10 +555,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("mc_samples", "predict_samples", "repeats"):
-            if getattr(args, name, 1) < 1:
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"{flag} must be >= 1, got {getattr(args, name)}")
+        for name, low in (("mc_samples", 1), ("predict_samples", 1), ("repeats", 1),
+                          ("test_size", 0)):
+            value = getattr(args, name, None)
+            if value is not None and value < low:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -116,10 +117,15 @@ def test_one_site_chooses_the_eigensolver():
     assert sorted(seen) == sorted((name, *home) for name in homes for home in homes[name])
 
 
-def test_one_function_forms_the_node_range_message():
-    """The rule "a node index lies in [0, n)" and its message live in
-    ``graphs._node_indices`` alone, and the CLI keeps no copy of a model's
-    checks: it calls the models' own before the eigensolve."""
+@pytest.mark.parametrize("pattern, home", [
+    (r"node out of range \[0,", ("graphs.py", "_node_indices")),
+    (r"label.* out of range", ("classification.py", "_check_labels")),
+], ids=["node", "label"])
+def test_one_function_forms_each_range_message(pattern, home):
+    """Each range rule ("a node index lies in [0, n)", "a label lies in
+    [0, C)") and its message live in one function alone, and the CLI keeps
+    no copy of a model's checks: it calls the models' own before the
+    eigensolve. A message is matched on its literal text."""
     package = Path(graph_matern.__file__).parent
     sites = []
 
@@ -131,16 +137,16 @@ def test_one_function_forms_the_node_range_message():
             if isinstance(child, ast.JoinedStr):
                 text = "".join(part.value for part in child.values
                                if isinstance(part, ast.Constant))
-                if "node out of range [0," in text:
+                if re.search(pattern, text):
                     sites.append((path.name, func))
                 continue
-            if isinstance(child, ast.Constant) and "node out of range [0," in str(child.value):
+            if isinstance(child, ast.Constant) and re.search(pattern, str(child.value)):
                 sites.append((path.name, func))
             visit(child, func, path)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), None, path)
-    assert sites == [("graphs.py", "_node_indices")]
+    assert sites == [home]
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "_check_snapshot_fits" not in defined

@@ -32,11 +32,13 @@ from graph_matern.classification import (
     _VAR_FLOOR,
     _elbo_core,
     _kernel_blocks,
+    _kl_terms,
     _log_lik_forward,
     _marginals,
 )
 from graph_matern.kernels import from_unconstrained, to_unconstrained, unconstrained_name
 from graph_matern.graphs import DENSE_ELEMENT_LIMIT
+from graph_matern.regression import _tri_inverse
 from helpers import PeakMemory, random_connected_graph, two_cliques, wide_basis
 
 SYM_MATERN = KernelSpec(
@@ -144,6 +146,27 @@ class TestKlGaussian:
         with pytest.raises(scipy.linalg.LinAlgError):
             kl_gaussian(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("diag_cov", [True, False])
+    @pytest.mark.parametrize("whitened", [True, False])
+    def test_classifier_kl_is_the_sum_over_classes(self, diag_cov, whitened):
+        """The classifier's KL, summed over classes in closed form, is the
+        sum of per-class ``kl_gaussian`` against N(0, I) or N(0, K_zz + jitter I)."""
+        _, model = _classifier(46, m=5, n_classes=4, diag_cov=diag_cov, whitened=whitened)
+        z = model.inducing_nodes
+        prior = None
+        if not whitened:
+            prior = kernel_matrix(model.basis, model.spec, z, z) + model.jitter * np.eye(z.size)
+        if diag_cov:
+            covs = np.exp(2.0 * model.q_log_scale)
+        else:
+            covs = model.q_scale_tril @ np.transpose(model.q_scale_tril, (0, 2, 1))
+        expected = sum(kl_gaussian(model.q_mu[c], covs[c], prior)
+                       for c in range(model.n_classes))
+        blocks = _kernel_blocks(model, z)
+        for with_grads in (False, True):
+            value, _, _ = _kl_terms(model, blocks, with_grads)
+            assert_allclose(value, expected, rtol=1e-10)
+
 
 class TestModelValidation:
     def test_inducing_constraints(self):
@@ -175,6 +198,14 @@ class TestModelValidation:
         raw = np.ones((3, 4, 4))
         again = model.with_updates(q_scale_tril=raw)
         assert_array_equal(again.q_scale_tril[0], np.tril(np.ones((4, 4))))
+
+    @pytest.mark.parametrize("whitened", [True, False])
+    def test_zero_scale_diagonal_fails_by_name(self, whitened):
+        _, model = _classifier(8, diag_cov=False, whitened=whitened)
+        tril = model.q_scale_tril.copy()
+        tril[1, 2, 2] = 0.0
+        with pytest.raises(ValueError, match="q_scale_tril has a zero diagonal entry"):
+            elbo(model.with_updates(q_scale_tril=tril), np.array([0, 1]), np.array([0, 1]))
 
     def test_label_range_checked(self):
         _, model = _classifier(4)
@@ -521,6 +552,24 @@ class TestOneTriangularInverse:
         probs, _ = predict_classes(model, mc_samples=8, seed=1)
         assert probs.shape == (12, model.n_classes)
 
+    @pytest.mark.parametrize("diag_cov", [True, False])
+    @pytest.mark.parametrize("whitened", [True, False])
+    def test_one_inverse_per_step(self, monkeypatch, diag_cov, whitened):
+        """A fit step inverts the Cholesky factor of K_zz and nothing else: the
+        KL's full-covariance gradient needs only the scale factors' diagonals."""
+        calls = []
+
+        def counted(low):
+            calls.append(low.shape)
+            return _tri_inverse(low)
+
+        monkeypatch.setattr(classification, "_tri_inverse", counted)
+        rng, model = _classifier(44, diag_cov=diag_cov, whitened=whitened)
+        nodes = np.array([1, 3, 6, 8, 11])
+        labels = rng.integers(0, model.n_classes, size=nodes.size)
+        fit_classifier(model, nodes, labels, AdamConfig(iterations=3), mc_samples=4)
+        assert len(calls) == 3
+
 
 class TestMinibatchUnbiased:
     @pytest.mark.parametrize("diag_cov", [True, False])
@@ -866,9 +915,13 @@ class TestSnapshotAndCsv:
         path.write_text("0,1,2\n")
         with pytest.raises(ValueError, match="node_index,class_index"):
             read_labels_csv(path)
+        # The reader parses; the model checks the label range.
         path.write_text("0,-1\n")
-        with pytest.raises(ValueError, match="negative class"):
-            read_labels_csv(path)
+        nodes, labels = read_labels_csv(path)
+        assert_array_equal(labels, [-1])
+        _, model = _classifier(7)
+        with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
+            fit_classifier(model, nodes, labels)
         path.write_text("1a,2\n0,1\n")
         with pytest.raises(ValueError, match="malformed row at line 1"):
             read_labels_csv(path)

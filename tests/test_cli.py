@@ -348,13 +348,14 @@ class TestFitClassify:
 
     def test_declared_class_count_validated(self, classify_case, tmp_path, capsys):
         graph_path, labels_path = classify_case
+        labels_path.write_text(labels_path.read_text().replace("11,1", "11,2"))
         code = main([
             "fit-classify", "--graph", str(graph_path),
             "--labels", str(labels_path), "--out", str(tmp_path / "x"),
-            "--classes", "1", "--iterations", "1",
+            "--classes", "2", "--iterations", "1",
         ])
         assert code == 1
-        assert "out of range for 1 declared classes" in capsys.readouterr().err
+        assert "label out of range [0, 2); check the class count" in capsys.readouterr().err
 
     def test_empty_labels_rejected(self, classify_case, tmp_path, capsys):
         graph_path, _ = classify_case
@@ -661,6 +662,38 @@ class TestRefusedBeforeTheEigensolve:
             "compare-kernels", ["--task", "regression", "--targets", "target_40.csv",
                                 "--train-size", "1"],
             "training node out of range [0, 12)"),
+        # Labels are checked by the classifier's one label rule, train and
+        # test rows alike; then the train split, the test size and every
+        # compare-kernels row's kernel.
+        "label_below_zero": ("fit-classify", ["--labels", "label_minus_1.csv"],
+                             "label out of range [0, 2); check the class count"),
+        "test_label_below_zero": (
+            "fit-classify", ["--labels", "test_label_minus_1.csv", *TEST_SPLIT],
+            "label out of range [0, 2); check the class count"),
+        "label_past_the_declared_classes": (
+            "fit-classify", ["--labels", "label_2.csv", "--classes", "2"],
+            "label out of range [0, 2); check the class count"),
+        "compare_label_below_zero": (
+            "compare-kernels", ["--labels", "label_minus_1.csv", "--train-size", "1"],
+            "label out of range [0, 2); check the class count"),
+        "regression_train_size_zero": ("fit-regression", ["--train-size", "0"],
+                                       "regression needs at least one training node"),
+        "classify_train_size_zero": ("fit-classify", ["--train-size", "0"],
+                                     "inducing_nodes must be a nonempty 1-d index array"),
+        "compare_train_size_zero": ("compare-kernels", ["--train-size", "0"],
+                                    "inducing_nodes must be a nonempty 1-d index array"),
+        "compare_regression_train_size_zero": (
+            "compare-kernels", ["--task", "regression", "--targets", "targets.csv",
+                                "--train-size", "0"],
+            "regression needs at least one training node"),
+        "negative_test_size": ("fit-classify", ["--test-size", "-1"],
+                               "--test-size must be >= 0, got -1"),
+        "compare_negative_test_size": ("compare-kernels", ["--test-size", "-1"],
+                                       "--test-size must be >= 0, got -1"),
+        "compare_rw_p_zero": ("compare-kernels", ["--rw-p", "0"],
+                              "p must be a positive integer, got 0"),
+        "compare_rw_p_below_zero": ("compare-kernels", ["--rw-p", "-1"],
+                                    "p must be a positive integer, got -1"),
     }
     # Complete snapshots of each kind, which the files below break one field of.
     REGRESSION = {"schema_version": 1, "kind": "regression", "eigenpairs": 12,
@@ -696,6 +729,9 @@ class TestRefusedBeforeTheEigensolve:
         "node_twice.csv": "node,class\n0,0\n0,1\n7,1\n",
         "label_40.csv": "node,class\n0,0\n40,1\n",
         "test_label_40.csv": "node,class\n0,0\n7,1\n5,0\n40,1\n",
+        "label_minus_1.csv": "node,class\n0,0\n7,1\n5,-1\n",
+        "test_label_minus_1.csv": "node,class\n0,0\n7,1\n5,0\n9,-1\n",
+        "label_2.csv": "node,class\n0,0\n7,1\n5,2\n",
         "noise2_negative.json": json.dumps(dict(REGRESSION, noise2=-0.01)),
         "q_mu_2x3.json": json.dumps(dict(CLASSIFIER, q_mu=[[0.0] * 3, [0.0] * 3])),
         "inducing_3_3.json": json.dumps(dict(CLASSIFIER, inducing_nodes=[3, 3])),
