@@ -171,18 +171,22 @@ def _initial_fields(n_classes, inducing_nodes, diag_cov=True):
             "q_mu": np.zeros((n_classes, m)), **scale}
 
 
-def _check_variational(n, fields):
+def _check_variational(n, fields, labels=None):
     """The inducing nodes, ``q_mu`` and scale (a lower triangle in full mode)
     of a ``VariationalClassifier``'s ``fields`` as arrays, after every check
-    that needs only the node count ``n``: two or more classes, distinct
-    inducing nodes in [0, n), ``epsilon`` (the default if not given) in
-    (0, 1), and the shapes of ``q_mu`` and the one scale set."""
+    that needs only the node count ``n``: distinct inducing nodes in [0, n),
+    two or more classes, ``epsilon`` (the default if not given) in (0, 1),
+    and the shapes of ``q_mu`` and the one scale set. ``labels``, one per
+    inducing node, are held to the label rule before the class count, which
+    a negative label would otherwise be blamed on."""
     z = _node_indices(fields["inducing_nodes"], n, "inducing")
     if z.size == 0:
         raise ValueError("inducing_nodes must be a nonempty 1-d index array")
     if np.unique(z).size != z.size:
         raise ValueError("inducing nodes must be distinct")
     c, m = fields["n_classes"], z.size
+    if labels is not None:
+        _check_labels(n, c, z, labels)
     if c < 2:
         raise ValueError("need at least two classes")
     epsilon = fields.get("epsilon", VariationalClassifier.epsilon)

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .classification import (
     VariationalClassifier,
-    _check_labels,
     _check_variational,
     _classifier_fields,
     _classifier_from_snapshot,
@@ -202,8 +201,7 @@ def _check_rows(args, n, nodes, values, classes):
     if args.task == "regression":
         _check_observations(n, nodes, values, args.noise2)
     else:
-        _check_variational(n, _initial_fields(classes, nodes))
-        _check_labels(n, classes, nodes, values)
+        _check_variational(n, _initial_fields(classes, nodes), values)
 
 
 def _fit(args, spec, basis, nodes, values, classes, config, seed, timings):
@@ -410,6 +408,8 @@ def cmd_compare_kernels(args) -> int:
     nodes, values, classes = _read_rows(args, graph.node_count)
     if args.train_size is None:
         raise ValueError("--train-size is required for compare-kernels")
+    if args.test_size == 0:
+        raise ValueError("--test-size must be >= 1 for compare-kernels, got 0")
     config = AdamConfig(iterations=args.iterations, learning_rate=args.lr)
     metric_name = "test_mse" if args.task == "regression" else "test_accuracy"
     seeds = range(args.seed, args.seed + args.repeats)

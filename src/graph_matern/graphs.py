@@ -14,6 +14,7 @@ symmetrically, so L != L.T has zero stored entries).
 
 import io
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -60,6 +61,13 @@ def _node_indices(nodes, n, role):
     return x
 
 
+def _node_count(declared, u, v):
+    """``declared``, or one past the largest node index in ``u`` and ``v``."""
+    if declared is not None:
+        return declared
+    return int(max(u.max(initial=-1), v.max(initial=-1))) + 1
+
+
 def _interleave(a, b):
     """a[0], b[0], a[1], b[1], ...: both endpoints, edge by edge."""
     return np.stack([a, b], axis=1).ravel()
@@ -69,9 +77,11 @@ def _interleave(a, b):
 class WeightedGraph:
     """Undirected graph with positive edge weights.
 
-    Edges are held as read-only arrays ``u``, ``v`` (int64) and ``w``
-    (float64) with u < v, at most one entry per unordered pair, sorted by
-    (u, v). Nodes are 0..node_count-1; isolated nodes are allowed.
+    The constructor takes any edge arrays, checks them, and stores them
+    canonical: read-only arrays ``u``, ``v`` (int64) and ``w`` (float64)
+    with u < v, one entry per unordered pair, sorted by (u, v), the weights
+    of a repeated pair summed in input order. Nodes are 0..node_count-1;
+    isolated nodes are allowed, self-loops are not.
     """
 
     node_count: int
@@ -80,43 +90,40 @@ class WeightedGraph:
     w: np.ndarray
 
     def __post_init__(self):
-        if self.node_count < 0:
+        n = operator.index(self.node_count)
+        if n < 0:
             raise ValueError("node_count must be nonnegative")
-        u = np.array(self.u, dtype=np.int64)
-        v = np.array(self.v, dtype=np.int64)
-        w = np.array(self.w, dtype=float)
+        if n > DENSE_ELEMENT_LIMIT:
+            raise ValueError(f"node count {n} exceeds the {DENSE_ELEMENT_LIMIT}-element "
+                             "limit of an n-length node array")
+        u = np.asarray(self.u, dtype=np.int64)
+        v = np.asarray(self.v, dtype=np.int64)
+        w = np.asarray(self.w, dtype=float)
         if not (u.ndim == 1 and u.shape == v.shape == w.shape):
             raise ValueError("u, v and w must be matching 1-d arrays")
-        for name, arr in (("u", u), ("v", v), ("w", w)):
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if hi.max(initial=-1) >= n:
+            raise ValueError(f"node index {hi.max()} exceeds declared node count {n}")
+        for bad, message in (
+            (u == v, "self-loop at node {lo}"),
+            (lo < 0, "edge ({lo}, {hi}) out of range"),
+            (~((w > 0) & np.isfinite(w)), "non-positive weight on edge ({lo}, {hi})"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(message.format(lo=lo[i], hi=hi[i]))
+        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+        w = np.bincount(inverse, weights=w, minlength=keys.size).astype(float, copy=False)
+        for name, arr in zip("uvw", (keys // n, keys % n, w)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        out_of_range = ~((0 <= u) & (u < v) & (v < self.node_count))
-        # Each pair against the one before it: sorted by (u, v), a repeat
-        # is a duplicate and a step back is out of order.
-        same_u = u[1:] == u[:-1]
-        duplicate = np.zeros(u.shape, dtype=bool)
-        duplicate[1:] = same_u & (v[1:] == v[:-1])
-        unordered = np.zeros(u.shape, dtype=bool)
-        unordered[1:] = (u[1:] < u[:-1]) | (same_u & (v[1:] < v[:-1]))
-        bad_weight = ~((w > 0) & np.isfinite(w))
-        bad = out_of_range | duplicate | unordered | bad_weight
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            edge = f"({u[i]}, {v[i]})"
-            if out_of_range[i]:
-                raise ValueError(f"edge {edge} out of range or not canonical")
-            if duplicate[i]:
-                raise ValueError(f"duplicate edge {edge}")
-            if unordered[i]:
-                raise ValueError(f"edge {edge} out of (u, v) order: not canonical")
-            raise ValueError(f"non-positive weight on edge {edge}")
 
     @classmethod
     def from_edges(cls, edges, node_count=None) -> "WeightedGraph":
         """Build from (u, v[, w]) rows: an iterable of tuples or an (m, 3) array.
 
-        Parallel/duplicate entries for the same unordered pair are merged by
-        summing their weights in input order. Self-loops are rejected.
+        Node indices must be integers; the node count defaults to one past
+        the largest. The constructor checks the edges and merges repeats.
         """
         if not isinstance(edges, np.ndarray):
             edges = [e if len(e) == 3 else (*e, 1.0) for e in edges]
@@ -125,45 +132,13 @@ class WeightedGraph:
             rows = rows.reshape(0, 3)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"expected (u, v[, w]) edge rows, got shape {rows.shape}")
-        return cls._from_arrays(
-            rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2],
-            node_count,
-        )
-
-    @classmethod
-    def _from_arrays(cls, u, v, w, node_count=None) -> "WeightedGraph":
-        """Canonicalize int64 endpoint arrays ``u``, ``v`` and float64 weights.
-
-        A node count whose n-length float64 arrays would exceed
-        ``DENSE_ELEMENT_LIMIT`` elements is refused before any is allocated.
-        """
-        loops = np.flatnonzero(u == v)
-        if loops.size:
-            raise ValueError(f"self-loop at node {u[loops[0]]}")
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        max_node = int(hi.max(initial=-1))
-        n = (max_node + 1) if node_count is None else int(node_count)
-        if n > DENSE_ELEMENT_LIMIT:
-            raise ValueError(
-                f"node count {n} exceeds the {DENSE_ELEMENT_LIMIT}-element limit "
-                "of an n-length node array"
-            )
-        if max_node >= n:
-            raise ValueError(
-                f"node index {max_node} exceeds declared node count {n}"
-            )
-        if lo.size and lo.min() < 0:
-            first = np.lexsort((hi, lo))[0]
-            raise ValueError(
-                f"edge ({lo[first]}, {hi[first]}) out of range or not canonical"
-            )
-        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
-        return cls(
-            node_count=n,
-            u=keys // n,
-            v=keys % n,
-            w=np.bincount(inverse, weights=w, minlength=keys.size),
-        )
+        ends = rows[:, :2]
+        # An integer past int64 cannot be cast; it is past the node budget too.
+        bad = ~((ends == np.floor(ends)) & (np.abs(ends) < 2.0**63))
+        if bad.any():
+            raise ValueError(f"node index {ends[bad][0]} is not an int64 integer")
+        u, v = ends.astype(np.int64).T
+        return cls(_node_count(node_count, u, v), u, v, rows[:, 2])
 
     @property
     def edge_count(self) -> int:
@@ -227,7 +202,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
     u, v, w, declared, self_loops = parsed
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=2)
-    return WeightedGraph._from_arrays(u, v, w, node_count=declared)
+    return WeightedGraph(_node_count(declared, u, v), u, v, w)
 
 
 _ROWS = {

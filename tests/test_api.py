@@ -120,12 +120,17 @@ def test_one_site_chooses_the_eigensolver():
 @pytest.mark.parametrize("pattern, home", [
     (r"node out of range \[0,", ("graphs.py", "_node_indices")),
     (r"label.* out of range", ("classification.py", "_check_labels")),
-], ids=["node", "label"])
+    (r"non-positive weight on edge", ("graphs.py", "__post_init__")),
+    (r"self-loop at node", ("graphs.py", "__post_init__")),
+    (r"element limit of an n-length node array", ("graphs.py", "__post_init__")),
+], ids=["node", "label", "weight", "self_loop", "node_budget"])
 def test_one_function_forms_each_range_message(pattern, home):
     """Each range rule ("a node index lies in [0, n)", "a label lies in
-    [0, C)") and its message live in one function alone, and the CLI keeps
-    no copy of a model's checks: it calls the models' own before the
-    eigensolve. A message is matched on its literal text."""
+    [0, C)", "an edge weight is positive and finite", "no edge is a
+    self-loop", "a graph's node count fits the n-length array budget") and
+    its message live in one function alone, and the CLI keeps no copy of a
+    model's checks: it calls the models' own before the eigensolve. A
+    message is matched on its literal text."""
     package = Path(graph_matern.__file__).parent
     sites = []
 

@@ -676,6 +676,13 @@ class TestRefusedBeforeTheEigensolve:
         "compare_label_below_zero": (
             "compare-kernels", ["--labels", "label_minus_1.csv", "--train-size", "1"],
             "label out of range [0, 2); check the class count"),
+        # With no --classes, a negative label and no label above 0 imply
+        # one class; the label rule names the label, not the class count.
+        "only_label_below_zero": ("fit-classify", ["--labels", "only_minus_1.csv"],
+                                  "label out of range [0, 1); check the class count"),
+        "compare_only_label_below_zero": (
+            "compare-kernels", ["--labels", "only_minus_1.csv"],
+            "label out of range [0, 1); check the class count"),
         "regression_train_size_zero": ("fit-regression", ["--train-size", "0"],
                                        "regression needs at least one training node"),
         "classify_train_size_zero": ("fit-classify", ["--train-size", "0"],
@@ -690,6 +697,8 @@ class TestRefusedBeforeTheEigensolve:
                                "--test-size must be >= 0, got -1"),
         "compare_negative_test_size": ("compare-kernels", ["--test-size", "-1"],
                                        "--test-size must be >= 0, got -1"),
+        "compare_test_size_zero": ("compare-kernels", ["--test-size", "0"],
+                                   "--test-size must be >= 1 for compare-kernels, got 0"),
         "compare_rw_p_zero": ("compare-kernels", ["--rw-p", "0"],
                               "p must be a positive integer, got 0"),
         "compare_rw_p_below_zero": ("compare-kernels", ["--rw-p", "-1"],
@@ -732,6 +741,7 @@ class TestRefusedBeforeTheEigensolve:
         "label_minus_1.csv": "node,class\n0,0\n7,1\n5,-1\n",
         "test_label_minus_1.csv": "node,class\n0,0\n7,1\n5,0\n9,-1\n",
         "label_2.csv": "node,class\n0,0\n7,1\n5,2\n",
+        "only_minus_1.csv": "node,class\n0,0\n7,-1\n5,0\n",
         "noise2_negative.json": json.dumps(dict(REGRESSION, noise2=-0.01)),
         "q_mu_2x3.json": json.dumps(dict(CLASSIFIER, q_mu=[[0.0] * 3, [0.0] * 3])),
         "inducing_3_3.json": json.dumps(dict(CLASSIFIER, inducing_nodes=[3, 3])),

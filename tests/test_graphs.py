@@ -314,26 +314,73 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="matching 1-d arrays"):
             WeightedGraph(node_count=3, u=[0], v=[1, 2], w=[1.0])
 
-    def test_constructor_rejects_duplicates(self):
-        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
-            WeightedGraph(node_count=3, u=[0, 0], v=[1, 1], w=[1.0, 2.0])
+    @pytest.mark.parametrize("u, v, w", [
+        ([0, 0], [1, 1], [1.0, 2.0]),
+        ([1], [0], [1.0]),
+        ([1, 0], [2, 3], [1.0, 1.0]),
+        ([0, 0], [2, 1], [1.0, 1.0]),
+        ([2, 0, 1, 0], [0, 3, 0, 2], [0.1, 1.0, 0.5, 0.2]),
+    ], ids=["duplicate", "reversed", "unsorted_u", "unsorted_v", "all_three"])
+    def test_constructor_stores_any_edge_arrays_canonical(self, u, v, w):
+        """Repeated, reversed and unsorted pairs are stored as ``from_edges``
+        stores the same rows: merged in input order, oriented and sorted."""
+        g = WeightedGraph(node_count=4, u=u, v=v, w=w)
+        expected = WeightedGraph.from_edges(list(zip(u, v, w)), node_count=4)
+        assert g.node_count == expected.node_count
+        for got, want in ((g.u, expected.u), (g.v, expected.v), (g.w, expected.w)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert np.all(g.u < g.v)
+        keys = g.u * 4 + g.v
+        assert np.all(keys[1:] > keys[:-1])
 
-    def test_constructor_rejects_noncanonical(self):
-        with pytest.raises(ValueError, match="not canonical"):
-            WeightedGraph(node_count=3, u=[1], v=[0], w=[1.0])
+    def test_constructor_refuses_node_count_past_budget(self):
+        """The budget keeps every key lo * n + hi below 2**54. A node count of
+        2**33, whose degree array would take 64 GiB, is refused by name
+        before any array is built."""
+        with PeakMemory() as mem:
+            with pytest.raises(ValueError, match=(
+                    f"node count {2**33} exceeds the {DENSE_ELEMENT_LIMIT}-element limit "
+                    "of an n-length node array")):
+                WeightedGraph(node_count=2**33, u=[0, 2**31], v=[2**31 + 5] * 2,
+                              w=[1.0, 2.0])
+        assert mem.peak < 64 * 1024
 
-    def test_constructor_rejects_out_of_order_pairs(self):
-        with pytest.raises(ValueError, match=r"edge \(0, 3\) .*not canonical"):
-            WeightedGraph(node_count=4, u=[1, 0], v=[2, 3], w=[1.0, 1.0])
-        with pytest.raises(ValueError, match=r"edge \(0, 1\) .*not canonical"):
-            WeightedGraph(node_count=4, u=[0, 0], v=[2, 1], w=[1.0, 1.0])
+    def test_constructor_refuses_each_bad_edge_by_name(self):
+        cases = [
+            ([0, 2], [1, 2], [1.0, 1.0], "self-loop at node 2"),
+            ([0, 1], [1, 5], [1.0, 1.0], "node index 5 exceeds declared node count 3"),
+            ([0, 1], [1, -2], [1.0, 1.0], r"edge \(-2, 1\) out of range"),
+            ([0, 2], [1, 1], [1.0, -1.0], r"non-positive weight on edge \(1, 2\)"),
+        ]
+        for u, v, w, message in cases:
+            with pytest.raises(ValueError, match=message):
+                WeightedGraph(node_count=3, u=u, v=v, w=w)
+        with pytest.raises(ValueError, match="node_count must be nonnegative"):
+            WeightedGraph(node_count=-1, u=[], v=[], w=[])
+        with pytest.raises(TypeError, match="integer"):
+            WeightedGraph(node_count=3.5, u=[0], v=[2], w=[1.0])
+        with pytest.raises(TypeError, match="integer"):
+            WeightedGraph.from_edges([(0, 2)], node_count=3.5)
 
-    def test_constructor_checks_duplicates_past_int64_keys(self):
-        # With n = 2**33, the pair keys u * n + v of these two distinct
-        # edges are equal modulo 2**64; adjacent pairs are compared instead.
-        g = WeightedGraph(node_count=2**33, u=[0, 2**31], v=[2**31 + 5] * 2,
-                          w=[1.0, 2.0])
-        assert g.edge_count == 2
+    def test_from_edges_refuses_a_negative_weight_before_merging(self):
+        """A negative weight is refused, not summed away with its pair's
+        other entries (-1 + 2 would give a positive weight of 1)."""
+        with pytest.raises(ValueError, match=r"non-positive weight on edge \(0, 1\)"):
+            WeightedGraph.from_edges([(0, 1, -1.0), (0, 1, 2.0), (1, 2, 1.0)])
+
+    @pytest.mark.parametrize("edges, value", [
+        ([(0.5, 1.7), (1, 2.2, 3.0)], "0.5"),
+        ([(0, 1), (1, 2.2, 3.0)], "2.2"),
+        (np.array([[0.0, 1.0, 1.0], [np.nan, 2.0, 1.0]]), "nan"),
+        ([(0, 1), (1, np.inf)], "inf"),
+        ([(0, 1e30)], "1e+30"),
+    ], ids=["half", "second_row", "nan", "inf", "past_int64"])
+    def test_from_edges_refuses_non_integer_indices(self, edges, value):
+        """Rows are read as floats; an index that is not an int64 integer is
+        named, not truncated into another edge."""
+        with pytest.raises(ValueError, match=f"node index {re.escape(value)} is not an int64"):
+            WeightedGraph.from_edges(edges)
 
     def test_from_edges_node_count_bound(self):
         top = DENSE_ELEMENT_LIMIT
@@ -373,6 +420,7 @@ class TestWeightedGraph:
 
     def test_adjacency_of_empty_graph(self):
         g = WeightedGraph(node_count=3, u=[], v=[], w=[])
+        assert g.w.dtype == np.float64
         assert build_laplacian(g, "unnormalized").matrix.toarray().sum() == 0.0
         assert_array_equal(g.degrees(), [0.0, 0.0, 0.0])
         assert g.degrees().dtype == np.float64
