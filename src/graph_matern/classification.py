@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import log_ndtr
 
-from .graphs import _check_dense_size, _node_indices
+from .graphs import _check_dense_size, _int64, _int64_token, _node_indices
 from .kernels import (
     KernelSpec,
     check_laplacian_kind,
@@ -501,7 +501,7 @@ def _check_labels(n, n_classes, batch, labels):
     batch = _node_indices(batch, n, "batch")
     if batch.size == 0:
         raise ValueError("the batch is empty; give at least one labeled node")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int64(labels, "label")
     if labels.shape != batch.shape:
         raise ValueError("labels must align with the batch nodes")
     if labels.min() < 0 or labels.max() >= n_classes:
@@ -643,26 +643,14 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
 def read_labels_csv(path):
     """Read ``node_index,class_index`` rows (optional header) into index/label
     arrays; ``_check_labels`` checks the labels against a class count."""
-    nodes, labels = _read_node_csv(path, "class_index", int)
+    nodes, labels = _read_node_csv(path, "class_index", _int64_token)
     return nodes, np.asarray(labels, dtype=np.int64)
 
 
 def save_classifier(model: VariationalClassifier, path):
     """Snapshot spec, inducing set and variational state as schema 1 JSON."""
-    _write_snapshot(
-        path, "classifier", model,
-        n_classes=model.n_classes,
-        inducing_nodes=[int(i) for i in model.inducing_nodes],
-        whitened=model.whitened,
-        diag_cov=model.diag_cov,
-        epsilon=model.epsilon,
-        jitter=model.jitter,
-        q_mu=model.q_mu.tolist(),
-        q_scale=(
-            model.q_log_scale.tolist() if model.diag_cov
-            else model.q_scale_tril.tolist()
-        ),
-    )
+    _write_snapshot(path, "classifier", model, q_scale=(
+        model.q_log_scale if model.diag_cov else model.q_scale_tril))
 
 
 def load_classifier(path, basis: SpectralBasis) -> VariationalClassifier:

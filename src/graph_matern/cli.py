@@ -38,7 +38,7 @@ from .classification import (
     read_labels_csv,
     save_classifier,
 )
-from .graphs import build_laplacian, read_edge_list
+from .graphs import LAPLACIAN_KINDS, build_laplacian, read_edge_list
 from .kernels import KernelSpec
 from .optim import AdamConfig, metrics, random_split
 from .regression import (
@@ -421,7 +421,7 @@ def cmd_compare_kernels(args) -> int:
     specs = [_default_spec(args.task, family, kind, args.rw_p) for family, kind in _COMPARE_ROWS]
 
     bases = {}
-    for kind in ("unnormalized", "sym_normalized"):
+    for kind in LAPLACIAN_KINDS:
         stage = timings[kind] = {}
         _, bases[kind], eigen = _basis_for(graph, kind, args.eigenpairs, args.cache_dir, stage)
         stage.update(eigen)
@@ -513,8 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigen", help="eigendecompose a graph Laplacian")
     _add_common(p, kernel=False, seed=False)
-    p.add_argument("--laplacian", choices=("unnormalized", "sym_normalized"),
-                   default="unnormalized")
+    p.add_argument("--laplacian", choices=LAPLACIAN_KINDS, default="unnormalized")
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("fit-regression", help="GP regression on node targets")

@@ -35,7 +35,6 @@ LAPLACIAN_KINDS = ("unnormalized", "sym_normalized")
 # graph's nodes, or a dense block that the fits form. It also keeps every
 # edge key lo * n + hi far inside int64.
 DENSE_ELEMENT_LIMIT = 2**27
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _check_dense_size(caller, array, shape, remedy, verb="return"):
@@ -48,24 +47,50 @@ def _check_dense_size(caller, array, shape, remedy, verb="return"):
         )
 
 
+def _is_int64(value) -> bool:
+    """Whether ``value`` is an integer within int64; it never raises."""
+    try:
+        return int(value) == value and -(2**63) <= value < 2**63
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _int64(values, what="node index"):
+    """``values`` as an int64 array, the one integer rule of every index the
+    program takes: an int64 array passes through uncopied, and a value that is
+    not an integer within int64 raises ``ValueError`` by value, not cast."""
+    x = np.asarray(values)
+    if x.dtype == np.int64:
+        return x
+    if x.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):  # nan, inf and |x| >= 2**63 cast to -2**63
+            exact = x.astype(np.int64) == x
+    else:
+        exact = np.array([_is_int64(value) for value in x.flat], dtype=bool).reshape(x.shape)
+    if not exact.all():
+        raise ValueError(f"{what} {x[~exact][0]} is not an int64 integer")
+    return x.astype(np.int64)
+
+
+def _int64_token(text) -> int:
+    """``int(text)``, which refuses a value past int64 as it does a non-integer."""
+    value = int(text)
+    if not _is_int64(value):
+        raise ValueError(f"{text} is not an int64 integer")
+    return value
+
+
 def _node_indices(nodes, n, role):
     """``nodes`` as a 1-d int64 array of nodes in [0, n), all n when None;
     another shape or a node outside raises ``ValueError`` naming ``role``."""
     if nodes is None:
         return np.arange(n, dtype=np.int64)
-    x = np.asarray(nodes, dtype=np.int64)
+    x = _int64(nodes)
     if x.ndim != 1:
         raise ValueError(f"{role} nodes must be a 1-d node index array")
     if x.size and (x.min() < 0 or x.max() >= n):
         raise ValueError(f"{role} node out of range [0, {n})")
     return x
-
-
-def _node_count(declared, u, v):
-    """``declared``, or one past the largest node index in ``u`` and ``v``."""
-    if declared is not None:
-        return declared
-    return int(max(u.max(initial=-1), v.max(initial=-1))) + 1
 
 
 def _interleave(a, b):
@@ -81,23 +106,27 @@ class WeightedGraph:
     canonical: read-only arrays ``u``, ``v`` (int64) and ``w`` (float64)
     with u < v, one entry per unordered pair, sorted by (u, v), the weights
     of a repeated pair summed in input order. Nodes are 0..node_count-1;
-    isolated nodes are allowed, self-loops are not.
+    isolated nodes are allowed, self-loops are not. A node count of None
+    is one past the largest node index.
     """
 
-    node_count: int
+    node_count: int | None
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
-        n = operator.index(self.node_count)
+        u, v = _int64(self.u), _int64(self.v)
+        if self.node_count is None:
+            n = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
+        else:
+            n = operator.index(self.node_count)
         if n < 0:
             raise ValueError("node_count must be nonnegative")
         if n > DENSE_ELEMENT_LIMIT:
             raise ValueError(f"node count {n} exceeds the {DENSE_ELEMENT_LIMIT}-element "
                              "limit of an n-length node array")
-        u = np.asarray(self.u, dtype=np.int64)
-        v = np.asarray(self.v, dtype=np.int64)
+        object.__setattr__(self, "node_count", n)
         w = np.asarray(self.w, dtype=float)
         if not (u.ndim == 1 and u.shape == v.shape == w.shape):
             raise ValueError("u, v and w must be matching 1-d arrays")
@@ -132,13 +161,7 @@ class WeightedGraph:
             rows = rows.reshape(0, 3)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"expected (u, v[, w]) edge rows, got shape {rows.shape}")
-        ends = rows[:, :2]
-        # An integer past int64 cannot be cast; it is past the node budget too.
-        bad = ~((ends == np.floor(ends)) & (np.abs(ends) < 2.0**63))
-        if bad.any():
-            raise ValueError(f"node index {ends[bad][0]} is not an int64 integer")
-        u, v = ends.astype(np.int64).T
-        return cls(_node_count(node_count, u, v), u, v, rows[:, 2])
+        return cls(node_count, *rows.T)
 
     @property
     def edge_count(self) -> int:
@@ -202,7 +225,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
     u, v, w, declared, self_loops = parsed
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=2)
-    return WeightedGraph(_node_count(declared, u, v), u, v, w)
+    return WeightedGraph(declared, u, v, w)
 
 
 _ROWS = {
@@ -303,11 +326,9 @@ def _parse_lines(text):
         if len(tokens) not in (2, 3):
             raise ValueError(f"expected 'u v [w]' at line {lineno}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _int64_token(tokens[0]), _int64_token(tokens[1])
         except ValueError:
             raise ValueError(f"invalid node index at line {lineno}") from None
-        if max(u, v) > _INT64_MAX:
-            raise ValueError(f"invalid node index at line {lineno}")
         if u < 0 or v < 0:
             raise ValueError(f"negative node index at line {lineno}")
         w = 1.0

@@ -42,14 +42,15 @@ __all__ = [
     "matern_precision_sparse",
 ]
 
-FAMILIES = ("matern", "diffusion", "random_walk", "inverse_cosine")
-
-_TRAINABLE = {
-    "matern": ("kappa", "nu", "sigma2"),
-    "diffusion": ("kappa", "sigma2"),
-    "random_walk": ("alpha", "sigma2"),
-    "inverse_cosine": ("sigma2",),
+# Each family's shape parameters, in the order their checks run, and
+# whether it needs the sym_normalized laplacian; every family takes sigma2.
+_FAMILY_TABLE = {
+    "matern": (("nu", "kappa"), False),
+    "diffusion": (("kappa",), False),
+    "random_walk": (("alpha", "p"), True),
+    "inverse_cosine": ((), True),
 }
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 # The JSON key of each KernelSpec field.
@@ -92,27 +93,21 @@ class KernelSpec:
         if self.laplacian_kind not in LAPLACIAN_KINDS:
             raise ValueError(f"unknown laplacian kind {self.laplacian_kind!r}")
         _positive("sigma2", self.sigma2)
-        unused = {"nu", "kappa", "alpha", "p"}
-        if self.family == "matern":
-            _positive("nu", self.nu)
-            _positive("kappa", self.kappa)
-            unused -= {"nu", "kappa"}
-        elif self.family == "diffusion":
-            _positive("kappa", self.kappa)
-            unused -= {"kappa"}
-        elif self.family == "random_walk":
-            if self.alpha is None or not (0.0 <= self.alpha < 1.0):
-                raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
-            if self.p is None or self.p != int(self.p) or int(self.p) < 1:
-                raise ValueError(f"p must be a positive integer, got {self.p!r}")
-            object.__setattr__(self, "p", int(self.p))
-            unused -= {"alpha", "p"}
-        if self.family in ("random_walk", "inverse_cosine"):
-            if self.laplacian_kind != "sym_normalized":
-                raise ValueError(
-                    f"{self.family} kernel requires the sym_normalized laplacian"
-                )
-        for name in sorted(unused):
+        shape, sym_only = _FAMILY_TABLE[self.family]
+        for name in shape:
+            value = getattr(self, name)
+            if name == "alpha":
+                if value is None or not (0.0 <= value < 1.0):
+                    raise ValueError(f"alpha must lie in [0, 1), got {value!r}")
+            elif name == "p":
+                if value is None or not (1 <= value < 2**63 and value == int(value)):
+                    raise ValueError(f"p must be a positive integer, got {value!r}")
+                object.__setattr__(self, "p", int(value))
+            else:
+                _positive(name, value)
+        if sym_only and self.laplacian_kind != "sym_normalized":
+            raise ValueError(f"{self.family} kernel requires the sym_normalized laplacian")
+        for name in sorted({"nu", "kappa", "alpha", "p"} - set(shape)):
             if getattr(self, name) is not None:
                 raise ValueError(
                     f"{self.family} kernel does not take parameter {name!r}"
@@ -127,6 +122,8 @@ class KernelSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "KernelSpec":
         """Spec from JSON keys; an absent key takes the field's default."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"kernel spec must be a JSON object, got {obj!r}")
         extra = set(obj) - set(_JSON_KEYS.values())
         if extra:
             raise ValueError(f"unknown kernel spec fields: {sorted(extra)}")
@@ -138,8 +135,10 @@ class KernelSpec:
 
 
 def trainable_params(spec: KernelSpec) -> tuple:
-    """Raw kernel parameter names the fit loops may optimize."""
-    return _TRAINABLE[spec.family]
+    """Raw kernel parameter names the fit loops may optimize: the family's
+    shape parameters but the integer ``p``, in name order, then ``sigma2``."""
+    shape, _ = _FAMILY_TABLE[spec.family]
+    return tuple(sorted(name for name in shape if name != "p")) + ("sigma2",)
 
 
 def check_trainable(spec: KernelSpec, requested, model_params) -> tuple:

@@ -32,7 +32,7 @@ from scipy.linalg import lapack, solve_triangular
 from scipy.linalg.blas import dtrmm
 import scipy.sparse as sp
 
-from .graphs import _check_dense_size, _node_indices
+from .graphs import _check_dense_size, _int64_token, _node_indices
 from .kernels import (
     KernelSpec,
     check_laplacian_kind,
@@ -611,8 +611,9 @@ def _read_node_csv(path, value_name, parse):
     """Read ``node_index,<value_name>`` rows (optional header) into two lists.
 
     The first non-blank line is a header only when its node field is an
-    identifier such as ``node_index``; every other line must parse as data.
-    A leading UTF-8 byte-order mark is dropped.
+    identifier such as ``node_index``; every other line must parse as data,
+    its node index an integer within int64. A leading UTF-8 byte-order
+    mark is dropped.
     """
     nodes, values = [], []
     first = True
@@ -628,7 +629,7 @@ def _read_node_csv(path, value_name, parse):
             if header:
                 continue
             try:
-                nodes.append(int(parts[0]))
+                nodes.append(_int64_token(parts[0]))
                 values.append(parse(parts[1]))
             except ValueError:
                 raise ValueError(f"malformed row at line {lineno}") from None
@@ -648,14 +649,14 @@ def _write_json(path, payload):
 
 
 def _write_snapshot(path, kind, model, **fields):
-    """Schema version 1 JSON: kind, kernel and basis size plus ``fields``."""
-    _write_json(path, {
-        "schema_version": 1,
-        "kind": kind,
-        "kernel": model.spec.to_dict(),
-        "eigenpairs": model.basis.n_retained,
-        **fields,
-    })
+    """Schema version 1 JSON: kind, kernel and basis size, then every field of
+    the kind's schema, from ``fields`` or else the model attribute of that
+    name; arrays and numpy scalars are written through ``.tolist()``."""
+    for name in _SNAPSHOT_FIELDS[kind]:
+        value = fields[name] if name in fields else getattr(model, name)
+        fields[name] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    _write_json(path, {"schema_version": 1, "kind": kind, "kernel": model.spec.to_dict(),
+                       "eigenpairs": model.basis.n_retained, **fields})
 
 
 # JSON type of every snapshot field, shared and per kind: [t] is an array
@@ -720,12 +721,7 @@ def _snapshot_spec(snapshot, n_retained: int) -> KernelSpec:
 
 def save_model(model: GPRegressionModel, path):
     """Snapshot kernel, noise and training data as schema version 1 JSON."""
-    _write_snapshot(
-        path, "regression", model,
-        noise2=model.noise2,
-        train_nodes=[int(i) for i in model.train_nodes],
-        targets=[float(v) for v in model.targets],
-    )
+    _write_snapshot(path, "regression", model)
 
 
 def load_model(path, basis: SpectralBasis) -> GPRegressionModel:
@@ -737,7 +733,7 @@ def _model_from_snapshot(snapshot, basis: SpectralBasis) -> GPRegressionModel:
     return GPRegressionModel(
         spec=_snapshot_spec(snapshot, basis.n_retained),
         basis=basis,
-        train_nodes=np.asarray(snapshot["train_nodes"], dtype=np.int64),
+        train_nodes=snapshot["train_nodes"],
         targets=np.asarray(snapshot["targets"], dtype=float),
         noise2=float(snapshot["noise2"]),
     )

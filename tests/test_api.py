@@ -2,13 +2,16 @@
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graph_matern
-from graph_matern import cli
+from graph_matern import cli, kernels
+from graph_matern.regression import _SNAPSHOT_FIELDS
 
 MODULES = ("graphs", "spectral", "kernels", "regression", "classification", "optim")
 
@@ -29,6 +32,66 @@ def test_package_exports_come_from_module_all():
     public = {attr for attr, value in vars(graph_matern).items()
               if not attr.startswith("_") and not isinstance(value, type(graph_matern))}
     assert public - listed == set()
+
+
+def test_package_init_only_republishes_each_module_all():
+    """``__init__.py`` names no public symbol itself: it star-imports each
+    library module, which republishes that module's ``__all__``, and sets
+    ``__version__``, so no list of names is kept twice."""
+    tree = ast.parse(Path(graph_matern.__file__).read_text(encoding="utf-8"))
+    docstring, *body = tree.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    imports = [(node.level, node.module, [alias.name for alias in node.names])
+               for node in body if isinstance(node, ast.ImportFrom)]
+    assert imports == [(1, name, ["*"]) for name in MODULES]
+    (version,) = [node for node in body if not isinstance(node, ast.ImportFrom)]
+    assert [target.id for target in version.targets] == ["__version__"]
+
+
+# One spec of each family; a new family needs one here.
+_SPECS = {
+    "matern": kernels.KernelSpec("matern", nu=1.5, kappa=2.0),
+    "diffusion": kernels.KernelSpec("diffusion", kappa=1.2),
+    "random_walk": kernels.KernelSpec("random_walk", alpha=0.6, p=3,
+                                      laplacian_kind="sym_normalized"),
+    "inverse_cosine": kernels.KernelSpec("inverse_cosine", laplacian_kind="sym_normalized"),
+}
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("family", kernels.FAMILIES)
+def test_trainable_params_are_the_gradient_keys(family, normalize):
+    """The family table gives ``trainable_params``; ``spectral_weights``
+    writes each family's gradients out by hand. The two must name the same
+    parameters in the same order, which is the order a fit steps them in."""
+    assert set(_SPECS) == set(kernels.FAMILIES)
+    spec = _SPECS[family].with_params(normalize_variance=normalize)
+    _, grads = kernels.spectral_weights(spec, np.linspace(0.0, 1.5, 7), with_grads=True)
+    assert tuple(grads) == kernels.trainable_params(spec)
+
+
+@pytest.mark.parametrize("kind, diag_cov", [("regression", None), ("classifier", True),
+                                            ("classifier", False)])
+def test_a_saved_snapshot_has_exactly_its_schema_fields(kind, diag_cov, tmp_path):
+    """The writer reads its fields from ``_SNAPSHOT_FIELDS``, the schema the
+    reader checks, so a saved snapshot holds the base fields, its kind and
+    that kind's fields, each of its JSON type, and nothing else."""
+    gm = graph_matern
+    graph = gm.WeightedGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
+    spec = _SPECS["matern" if kind == "regression" else "random_walk"]
+    basis = gm.eigendecompose_full(gm.build_laplacian(graph, spec.laplacian_kind))
+    if kind == "regression":
+        model = gm.GPRegressionModel(spec, basis, np.array([0, 3]), np.array([1.0, -1.0]))
+        gm.save_model(model, tmp_path / "model.json")
+    else:
+        model = gm.VariationalClassifier.create(spec, basis, 3, np.array([1, 4]),
+                                                diag_cov=diag_cov)
+        gm.save_classifier(model, tmp_path / "model.json")
+    payload = json.loads((tmp_path / "model.json").read_text())
+    assert set(payload) == {"kind", *_SNAPSHOT_FIELDS[None], *_SNAPSHOT_FIELDS[kind]}
+    assert payload["kind"] == kind
+    loaded = gm.regression._read_snapshot(tmp_path / "model.json", kind)
+    assert loaded["kernel"] == spec
 
 
 def _calls(tree, names):

@@ -234,6 +234,15 @@ class TestModelValidation:
                 call(model, nodes.ravel(), labels)
 
 
+    @pytest.mark.parametrize("labels, value", [([0, 0.5], "0.5"), ([0, 10**30], str(10**30))],
+                             ids=["half", "past_int64"])
+    def test_non_integer_labels_fail_by_value(self, labels, value):
+        """A label of 0.5 is not read as class 0."""
+        _, model = _classifier(8)
+        with pytest.raises(ValueError, match=f"^label {value} is not an int64 integer$"):
+            elbo(model, np.array([0, 1]), labels)
+
+
 class TestMarginals:
     def _oracle(self, model, batch):
         z = model.inducing_nodes
@@ -909,6 +918,14 @@ class TestSnapshotAndCsv:
             nodes, labels = read_labels_csv(path)
             assert_array_equal(nodes, [4, 0])
             assert_array_equal(labels, [2, 1])
+
+    def test_read_labels_csv_refuses_values_past_int64(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        for text in ("node,class\n0,1\n5,99999999999999999999\n",
+                     "node,class\n0,1\n99999999999999999999,1\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="^malformed row at line 3$"):
+                read_labels_csv(path)
 
     def test_read_labels_csv_errors(self, tmp_path):
         path = tmp_path / "labels.csv"

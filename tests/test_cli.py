@@ -578,6 +578,7 @@ class TestRefusedBeforeTheEigensolve:
     eigenpair is computed."""
 
     TEST_SPLIT = ["--train-size", "2", "--seed", "1"]
+    RW_P = '{"family": "random_walk", "alpha": 0.5, "laplacian": "sym_normalized", "p": %s}'
     CASES = {
         "negative_iterations": ("fit-regression", ["--iterations", "-1"],
                                 "iterations must be >= 0, got -1"),
@@ -699,6 +700,27 @@ class TestRefusedBeforeTheEigensolve:
                                        "--test-size must be >= 0, got -1"),
         "compare_test_size_zero": ("compare-kernels", ["--test-size", "0"],
                                    "--test-size must be >= 1 for compare-kernels, got 0"),
+        # Every index a row or a snapshot gives is held to one integer rule,
+        # and a kernel spec is a JSON object whose p is an int64 integer.
+        "target_node_past_int64": ("fit-regression", ["--targets", "target_past_int64.csv"],
+                                   "error: malformed row at line 3"),
+        "label_past_int64": ("fit-classify", ["--labels", "label_past_int64.csv"],
+                             "error: malformed row at line 3"),
+        "snapshot_train_node_past_int64": (
+            "predict", ["--model", "train_node_1e30.json"],
+            f"node index {10**30} is not an int64 integer"),
+        "kernel_a_number": ("fit-regression", ["--kernel", "1"],
+                            "kernel spec must be a JSON object, got 1"),
+        "kernel_null": ("fit-regression", ["--kernel", "null"],
+                        "kernel spec must be a JSON object, got None"),
+        "kernel_a_list": ("fit-regression", ["--kernel", "[1]"],
+                          "kernel spec must be a JSON object, got [1]"),
+        "kernel_p_inf": ("fit-classify", ["--kernel", RW_P % "Infinity"],
+                         "p must be a positive integer, got inf"),
+        "kernel_p_nan": ("fit-classify", ["--kernel", RW_P % "NaN"],
+                         "p must be a positive integer, got nan"),
+        "kernel_p_past_int64": ("fit-classify", ["--kernel", RW_P % 10**30],
+                                f"p must be a positive integer, got {10**30}"),
         "compare_rw_p_zero": ("compare-kernels", ["--rw-p", "0"],
                               "p must be a positive integer, got 0"),
         "compare_rw_p_below_zero": ("compare-kernels", ["--rw-p", "-1"],
@@ -746,6 +768,9 @@ class TestRefusedBeforeTheEigensolve:
         "q_mu_2x3.json": json.dumps(dict(CLASSIFIER, q_mu=[[0.0] * 3, [0.0] * 3])),
         "inducing_3_3.json": json.dumps(dict(CLASSIFIER, inducing_nodes=[3, 3])),
         "epsilon_1.5.json": json.dumps(dict(CLASSIFIER, epsilon=1.5)),
+        "target_past_int64.csv": "node,value\n0,1.0\n99999999999999999999,2.0\n",
+        "label_past_int64.csv": "node,class\n0,0\n7,99999999999999999999\n",
+        "train_node_1e30.json": json.dumps(dict(REGRESSION, train_nodes=[0, 10**30])),
     }
 
     @pytest.mark.parametrize("snapshot", ["REGRESSION", "CLASSIFIER"])

@@ -382,6 +382,27 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match=f"node index {re.escape(value)} is not an int64"):
             WeightedGraph.from_edges(edges)
 
+    @pytest.mark.parametrize("u, v, value", [
+        ([0.5], [1.7], "0.5"),
+        ([2.0**63], [1], "9.223372036854776e+18"),
+        ([0, 1], [1, 10**30], str(10**30)),
+    ], ids=["half", "float_past_int64", "int_past_int64"])
+    def test_constructor_refuses_non_integer_indices(self, u, v, value):
+        """A direct call holds u and v to the rule that from_edges rows meet:
+        0.5 and 1.7 are not truncated into the edge (0, 1), and an index
+        past int64 is named, not wrapped to -2**63 or overflowed."""
+        with pytest.raises(ValueError,
+                           match=f"^node index {re.escape(value)} is not an int64 integer$"):
+            WeightedGraph(3, u, v, [1.0] * len(u))
+
+    def test_constructor_infers_the_node_count(self):
+        """A node count of None is one past the largest index, found after
+        the indices pass the integer rule, as from_edges finds it."""
+        g = WeightedGraph(None, [3, 0], [1, 1], [1.0, 2.0])
+        assert g.node_count == 4 and type(g.node_count) is int
+        assert_edges(g, [0, 1], [1, 3], [2.0, 1.0])
+        assert WeightedGraph(None, [], [], []).node_count == 0
+
     def test_from_edges_node_count_bound(self):
         top = DENSE_ELEMENT_LIMIT
         g = WeightedGraph.from_edges([(top - 1, 0, 1.0), (1, top - 1)])
@@ -498,3 +519,24 @@ class TestBuildLaplacian:
         g = WeightedGraph.from_edges([(0, 1)])
         with pytest.raises(ValueError, match="unknown laplacian kind"):
             build_laplacian(g, "rw_normalized")
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("nodes, value", [
+        ([1.5], "1.5"),
+        ([10**30], str(10**30)),
+        (np.array([2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
+        ([0, None], "None"),
+    ], ids=["half", "int_past_int64", "uint64_past_int64", "none"])
+    def test_node_indices_refuse_non_integers_by_value(self, nodes, value):
+        """Queries, training and inducing nodes are not cast: 1.5 is not
+        read as node 1, and 10**30 is refused by value, not by an
+        ``OverflowError``."""
+        with pytest.raises(ValueError,
+                           match=f"^node index {re.escape(value)} is not an int64 integer$"):
+            graphs._node_indices(nodes, 5, "query")
+
+    def test_int64_arrays_pass_through_uncopied(self):
+        nodes = np.array([4, 0, 2])
+        assert graphs._node_indices(nodes, 5, "query") is nodes
+        assert_array_equal(graphs._node_indices([4.0, True], 5, "query"), [4, 1])

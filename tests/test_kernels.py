@@ -77,6 +77,30 @@ class TestKernelSpec:
         )
         assert spec.p == 2 and isinstance(spec.p, int)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan, 10**30, 2**63, np.float64(2.0**63)],
+                             ids=["inf", "nan", "1e30", "2**63", "float_2**63"])
+    def test_random_walk_p_stays_a_positive_int64_integer(self, p):
+        """p = inf or nan used to escape as an OverflowError or numpy's own
+        message, and 10**30 reached ``np.power``."""
+        with pytest.raises(ValueError, match="^p must be a positive integer, got "):
+            RANDOM_WALK.with_params(p=p)
+        assert RANDOM_WALK.with_params(p=2**63 - 1).p == 2**63 - 1
+
+    def test_checks_fire_in_field_order(self):
+        """Shape parameters are checked in field order (nu, kappa, alpha, p),
+        then the laplacian a family needs, then the unused parameters."""
+        for kwargs, message in [
+            (dict(family="matern"), "^nu must be positive"),
+            (dict(family="matern", nu=1.0, alpha=2.0), "^kappa must be positive"),
+            (dict(family="random_walk", p=0), r"^alpha must lie in \[0, 1\)"),
+            (dict(family="random_walk", alpha=0.5, p=0), "^p must be a positive integer"),
+            (dict(family="random_walk", alpha=0.5, p=1, nu=1.0), "^random_walk kernel requires"),
+            (dict(family="diffusion", kappa=1.0, p=2, nu=1.0), "^diffusion kernel does not take "
+                                                              "parameter 'nu'"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                KernelSpec(**kwargs)
+
     def test_step_families_need_sym_normalized(self):
         with pytest.raises(ValueError, match="sym_normalized"):
             KernelSpec(family="random_walk", alpha=0.5, p=2)
@@ -101,6 +125,11 @@ class TestKernelSpec:
             KernelSpec.from_dict({"family": "matern", "nu": 1, "kappa": 1, "tau": 2})
         with pytest.raises(ValueError, match="missing 'family'"):
             KernelSpec.from_dict({"nu": 1.0})
+
+    @pytest.mark.parametrize("obj", [1, None, [1], "matern"])
+    def test_from_dict_refuses_a_non_object(self, obj):
+        with pytest.raises(ValueError, match=r"^kernel spec must be a JSON object, got "):
+            KernelSpec.from_dict(obj)
 
     @pytest.mark.parametrize("value", ["abc", "1.5", [1.0], {"v": 1}, True])
     @pytest.mark.parametrize("field, base", [

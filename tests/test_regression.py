@@ -974,6 +974,7 @@ class TestSnapshotAndCsv:
         ("noise2", True, "field 'noise2' in .* is not a JSON number$"),
         ("targets", [1.0, "2"], "field 'targets' in .* is not a JSON number array$"),
         ("train_nodes", [0.0], "field 'train_nodes' in .* is not a JSON integer array$"),
+        ("train_nodes", [0, 10**30], f"^node index {10**30} is not an int64 integer$"),
         ("eigenpairs", 0, "'eigenpairs' is 0, not positive"),
         ("kernel", {"family": "matern", "nu": "abc", "kappa": 1.0}, "nu must be a number"),
     ])
@@ -998,6 +999,12 @@ class TestSnapshotAndCsv:
             nodes, values = read_targets_csv(path)
             assert_array_equal(nodes, [3, 1])
             assert_allclose(values, [0.5, -2.0])
+
+    def test_read_targets_csv_refuses_a_node_past_int64(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("node,value\n0,1.0\n99999999999999999999,2.0\n")
+        with pytest.raises(ValueError, match="^malformed row at line 3$"):
+            read_targets_csv(path)
 
     def test_read_targets_csv_errors(self, tmp_path):
         path = tmp_path / "y.csv"
