@@ -37,7 +37,7 @@ from .kernels import (
     to_unconstrained,
     unconstrained_grads,
 )
-from .optim import AdamConfig, AdamState, adam_step
+from .optim import AdamConfig, _maximize, adam_step
 from .regression import (
     _carry_cache,
     _read_node_csv,
@@ -519,19 +519,16 @@ def _check_draws(caller, model, mc_samples, b):
                       "use fewer Monte Carlo samples or a smaller batch", verb="form")
 
 
-_VARIATIONAL_PARAMS = ("q_mu", "q_scale")
-
-
-def _variational_state(model: VariationalClassifier) -> str:
-    """max |q_mu| and the range of the log scales or scale diagonals."""
+def _fit_state(model: VariationalClassifier) -> str:
+    """Kernel, max |q_mu| and the range of the log scales or scale diagonals."""
     if model.diag_cov:
         name, scale = "q_log_scale", model.q_log_scale
     else:
         name = "q_scale_tril diagonal"
         scale = np.diagonal(model.q_scale_tril, axis1=1, axis2=2)
     return (
-        f"max |q_mu| {np.max(np.abs(model.q_mu)):.6g}, {name} in "
-        f"[{np.min(scale):.6g}, {np.max(scale):.6g}]"
+        f"kernel {model.spec.to_dict()}; max |q_mu| {np.max(np.abs(model.q_mu)):.6g}, "
+        f"{name} in [{np.min(scale):.6g}, {np.max(scale):.6g}]"
     )
 
 
@@ -544,7 +541,8 @@ def fit_classifier(
     mc_samples: int = 20,
     batch_size: int | None = None,
 ):
-    """Maximize the ELBO with Adam; returns (model, elbo_trace).
+    """Maximize the ELBO with Adam; returns (model, elbo_trace), the last
+    iterate and the ELBO at each step, from ``optim._maximize``.
 
     The default trainable set is the variational parameters plus the kernel
     hyperparameters; restrict it with ``config.trainable`` using names from
@@ -565,45 +563,31 @@ def fit_classifier(
         batch_size = n_total
     _check_draws("fit_classifier", model, mc_samples, batch_size)
 
-    names = check_trainable(model.spec, config.trainable, _VARIATIONAL_PARAMS)
-    kernel_names = [name for name in names if name not in _VARIATIONAL_PARAMS]
-
-    scale_key = "q_log_scale" if model.diag_cov else "q_scale_tril"
-    params = {}
-    if "q_mu" in names:
-        params["q_mu"] = model.q_mu.copy()
-    if "q_scale" in names:
-        params[scale_key] = getattr(model, scale_key).copy()
+    # The model field that each trainable variational name steps.
+    fields = {"q_mu": "q_mu", "q_scale": "q_log_scale" if model.diag_cov else "q_scale_tril"}
+    names = check_trainable(model.spec, config.trainable, tuple(fields))
+    kernel_names = [name for name in names if name not in fields]
+    params = {fields[n]: getattr(model, fields[n]) for n in fields if n in names}
     params.update(to_unconstrained({n: getattr(model.spec, n) for n in kernel_names}))
 
     rng = np.random.default_rng(seed)
-    state = AdamState(config)
-    current = model
-    trace = []
-    for step in range(config.iterations):
-        if batch_size == n_total:
-            bn, bl = nodes, labels
-        else:
-            pick = rng.choice(n_total, size=batch_size, replace=False)
-            bn, bl = nodes[pick], labels[pick]
+
+    def objective(current):
+        pick = (slice(None) if batch_size == n_total
+                else rng.choice(n_total, size=batch_size, replace=False))
         xi = rng.standard_normal((mc_samples, batch_size))
-        value, grads = _elbo_core(current, bn, bl, xi, n_total, with_grads=True)
-        if not np.isfinite(value):
-            raise RuntimeError(
-                f"non-finite ELBO during fit at step {step}; kernel "
-                f"{current.spec.to_dict()}; {_variational_state(current)}"
-            )
-        trace.append(value)
-        step_grads = {k: -np.asarray(grads[k]) for k in params}
-        state, new_params = adam_step(state, params, step_grads)
-        params = new_params
-        # The model keeps only the lower triangle of q_scale_tril.
-        updates = {k: params[k] for k in ("q_mu", scale_key) if k in params}
+        return _elbo_core(current, nodes[pick], labels[pick], xi, n_total, with_grads=True)
+
+    def advance(current, params):
+        # q_scale_tril's gradients are lower triangular: its upper triangle stays 0.
+        updates = {k: params[k] for k in fields.values() if k in params}
         raw = from_unconstrained(params, kernel_names)
         if raw:
             updates["spec"] = current.spec.with_params(**raw)
-        current = _carry_cache(current, current.with_updates(**updates), ("phi_z",))
-    return current, np.asarray(trace)
+        return _carry_cache(current, current.with_updates(**updates), ("phi_z",))
+
+    return _maximize(objective, advance, model, params, config, _fit_state,
+                     keep_best=False, step=adam_step)
 
 
 def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, seed=0):

@@ -68,7 +68,11 @@ def _int64(values, what="node index"):
     else:
         exact = np.array([_is_int64(value) for value in x.flat], dtype=bool).reshape(x.shape)
     if not exact.all():
-        raise ValueError(f"{what} {x[~exact][0]} is not an int64 integer")
+        bad = x[~exact][0]
+        if isinstance(values, (list, tuple)) and x.ndim == 1:
+            # numpy holds a list's int past int64 as a rounded float: name the int.
+            bad = next((value for value in values if not _is_int64(value)), bad)
+        raise ValueError(f"{what} {bad} is not an int64 integer")
     return x.astype(np.int64)
 
 

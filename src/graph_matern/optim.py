@@ -1,4 +1,5 @@
-"""Training utilities: Adam on named parameter dicts, splits, metrics.
+"""Training utilities: Adam on named parameter dicts, the one Adam loop
+both fits run, splits, metrics.
 
 Parameters are carried as ``{name: ndarray}`` dicts so optimizer errors can
 say which parameter went bad. All updates are functional: callers get back
@@ -6,9 +7,12 @@ fresh dicts and the inputs are never mutated.
 """
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .graphs import _int64
 
 __all__ = [
     "AdamConfig",
@@ -21,8 +25,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdamConfig:
-    """Settings shared by the regression and classification fit loops.
+    """Settings of the Adam loop that ``fit`` and ``fit_classifier`` share.
 
+    ``iterations`` is the number of Adam steps: ``fit`` returns the best of
+    the ``iterations + 1`` points it evaluates (the start and each step's
+    result), ``fit_classifier`` the point after its last step, with one
+    ELBO value per step. A non-finite objective value, or gradient that a
+    step would use, stops either fit with ``RuntimeError`` naming the step
+    and the model's state.
     ``trainable`` is a tuple of parameter names, or None for the model's
     default trainable set. Settings no fit can run with raise ValueError
     naming the field.
@@ -36,6 +46,11 @@ class AdamConfig:
     trainable: tuple | None = None
 
     def __post_init__(self):
+        try:
+            operator.index(self.iterations)
+        except TypeError:
+            raise ValueError(
+                f"iterations must be an integer, got {self.iterations!r}") from None
         if not self.iterations >= 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations!r}")
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
@@ -99,12 +114,45 @@ def adam_step(state: AdamState, params: dict, grads: dict):
     return new_state, new_params
 
 
+def _maximize(objective, advance, point, params, config, describe, keep_best, step):
+    """Adam ascent of ``objective(point) -> (value, grads)``: the one fit loop.
+
+    ``advance(point, params)`` builds the point of the stepped coordinates
+    ``params``. Returns ``(point, values)``: with ``keep_best`` the best of the
+    start and each step's result, else the point after the last step and one
+    value per step. A non-finite value or stepped gradient raises
+    ``RuntimeError`` naming the step and ``describe(point)``. ``step`` is the
+    calling module's ``adam_step``, read per fit so that a wrapper set on it
+    (bench/tracing.py sets one) sees every step.
+    """
+    state = AdamState(config)
+    best = (-np.inf, point)
+    values = []
+    for t in range(config.iterations + keep_best):
+        value, grads = objective(point)
+        bad = None if np.isfinite(value) else "objective value"
+        if bad is None and t < config.iterations:
+            bad = next((f"gradient for {k!r}" for k in params
+                        if not np.all(np.isfinite(grads[k]))), None)
+        if bad:
+            raise RuntimeError(f"fit stopped at step {t} on a non-finite {bad}; "
+                               f"{describe(point)}")
+        values.append(value)
+        if keep_best and value > best[0]:
+            best = (value, point)
+        if t < config.iterations:
+            state, params = step(state, params, {k: -np.asarray(grads[k]) for k in params})
+            point = advance(point, params)
+    return (best[1] if keep_best else point), np.asarray(values)
+
+
 def random_split(nodes, n_train: int, seed: int):
     """Split ``nodes`` into disjoint (train, test) index arrays.
 
-    Both halves are returned sorted; their union is the input set.
+    Both halves are returned sorted; their union is the input set. A node
+    that is not an int64 integer raises ``ValueError`` naming it.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = _int64(nodes)
     if nodes.ndim != 1:
         raise ValueError("nodes must be a 1-d index array")
     if not 0 <= n_train <= nodes.size:

@@ -42,7 +42,7 @@ from .kernels import (
     to_unconstrained,
     unconstrained_grads,
 )
-from .optim import AdamConfig, AdamState, adam_step
+from .optim import AdamConfig, _maximize, adam_step
 from .spectral import DENSE_SIZE_LIMIT, SpectralBasis, _factor_spd
 
 __all__ = [
@@ -459,45 +459,23 @@ def _lml_spectral(model: GPRegressionModel):
 def fit(model: GPRegressionModel, config: AdamConfig | None = None):
     """Maximize the log marginal likelihood with Adam in log coordinates.
 
-    Returns ``(model, loss_trace)`` where the model is the best iterate seen
-    (the negative log marginal likelihood trace includes the initial point
-    and the post-update endpoint).
+    Returns ``(model, loss_trace)``, the best iterate and the negative log
+    marginal likelihood of each evaluated one, from ``optim._maximize``.
     """
     config = config or AdamConfig()
     names = check_trainable(model.spec, config.trainable, ("noise2",))
+    params = to_unconstrained(
+        {n: model.noise2 if n == "noise2" else getattr(model.spec, n) for n in names})
 
-    def raw_of(m):
-        return {n: m.noise2 if n == "noise2" else getattr(m.spec, n) for n in names}
-
-    params = to_unconstrained(raw_of(model))
-    state = AdamState(config)
-    current = model
-    best = (np.inf, model)
-    trace = []
-    for step in range(config.iterations + 1):
-        value, grads = log_marginal_likelihood(current)
-        loss = -value
-        if not np.isfinite(loss):
-            raise RuntimeError(
-                f"non-finite loss during fit at step {step}, parameters "
-                f"{raw_of(current)}"
-            )
-        trace.append(loss)
-        if loss < best[0]:
-            best = (loss, current)
-        if len(trace) == config.iterations + 1:
-            break
-        step_grads = {k: np.asarray(-grads[k]) for k in params}
-        try:
-            state, params = adam_step(state, params, step_grads)
-        except ValueError as exc:
-            raise RuntimeError(
-                f"optimization aborted at step {step}, parameters "
-                f"{raw_of(current)}: {exc}"
-            ) from exc
+    def advance(current, params):
         raw = from_unconstrained(params, names)
-        current = _carry_cache(current, current.with_raw_params(raw), ("phi_x", "gram"))
-    return best[1], np.asarray(trace)
+        return _carry_cache(current, current.with_raw_params(raw), ("phi_x", "gram"))
+
+    best, values = _maximize(
+        log_marginal_likelihood, advance, model, params, config,
+        lambda m: f"kernel {m.spec.to_dict()}; noise2 {m.noise2!r}", keep_best=True,
+        step=adam_step)
+    return best, -values
 
 
 def pathwise_sample(model: GPRegressionModel, query=None, n_samples=1, seed=0):

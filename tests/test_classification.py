@@ -700,8 +700,30 @@ class TestFitClassifier:
         model, train, labels = self._clique_setup(diag_cov=diag_cov)
         scale = r"q_log_scale in \[" if diag_cov else r"q_scale_tril diagonal in \["
         with pytest.raises(
-            RuntimeError, match=r"non-finite ELBO during fit at step 5;.*max \|q_mu\| "
-            + r"[0-9.e+-]+, " + scale,
+            RuntimeError, match=r"^fit stopped at step 5 on a non-finite objective value; "
+            + r"kernel \{.*\}; max \|q_mu\| [0-9.e+-]+, " + scale,
+        ):
+            fit_classifier(model, train, labels, AdamConfig(iterations=10, learning_rate=0.05))
+
+    @pytest.mark.parametrize("diag_cov", (True, False))
+    def test_non_finite_gradient_names_step_and_state(self, monkeypatch, diag_cov):
+        """A bad gradient stops the fit as a bad ELBO does, not with
+        ``adam_step``'s own error and step count."""
+        real = classification._elbo_core
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            calls.append(None)
+            value, grads = real(*args, **kwargs)
+            return value, ({**grads, "q_mu": grads["q_mu"] * np.nan}
+                           if len(calls) == 5 else grads)
+
+        monkeypatch.setattr(classification, "_elbo_core", poisoned)
+        model, train, labels = self._clique_setup(diag_cov=diag_cov)
+        scale = r"q_log_scale in \[" if diag_cov else r"q_scale_tril diagonal in \["
+        with pytest.raises(
+            RuntimeError, match=r"^fit stopped at step 4 on a non-finite gradient for "
+            + r"'q_mu'; kernel \{.*\}; max \|q_mu\| [0-9.e+-]+, " + scale,
         ):
             fit_classifier(model, train, labels, AdamConfig(iterations=10, learning_rate=0.05))
 

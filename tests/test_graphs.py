@@ -527,11 +527,16 @@ class TestIntegerRule:
         ([10**30], str(10**30)),
         (np.array([2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
         ([0, None], "None"),
-    ], ids=["half", "int_past_int64", "uint64_past_int64", "none"])
+        ([0, 2**63], str(2**63)),
+        ([2**63 - 1, 2**63], str(2**63)),
+    ], ids=["half", "int_past_int64", "uint64_past_int64", "none", "int_at_2_63",
+            "int64_max_then_2_63"])
     def test_node_indices_refuse_non_integers_by_value(self, nodes, value):
         """Queries, training and inducing nodes are not cast: 1.5 is not
         read as node 1, and 10**30 is refused by value, not by an
-        ``OverflowError``."""
+        ``OverflowError``. A list's int in [2**63, 2**64), which numpy holds
+        as a rounded float, is named exactly, and a valid entry before it
+        is not blamed."""
         with pytest.raises(ValueError,
                            match=f"^node index {re.escape(value)} is not an int64 integer$"):
             graphs._node_indices(nodes, 5, "query")

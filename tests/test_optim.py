@@ -93,6 +93,8 @@ class TestAdamStep:
 class TestAdamConfig:
     @pytest.mark.parametrize("field, value", [
         ("iterations", -1),
+        ("iterations", 2.5),
+        ("iterations", np.float64(3)),
         ("learning_rate", 0.0),
         ("learning_rate", -0.001),
         ("learning_rate", np.inf),
@@ -136,6 +138,16 @@ class TestRandomSplit:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             random_split(np.arange(5), 6, seed=0)
+
+    @pytest.mark.parametrize("nodes, value", [
+        ([0.5, 1.5, 2.5], "0.5"),
+        ([0, 10**30], str(10**30)),
+    ], ids=["fractional", "past_int64"])
+    def test_refuses_non_integer_nodes_by_value(self, nodes, value):
+        """Nodes are not truncated to int64, and a huge one is refused by
+        value, not by an ``OverflowError``."""
+        with pytest.raises(ValueError, match=f"^node index {value} is not an int64 integer$"):
+            random_split(nodes, 1, seed=0)
 
 
 class TestMetrics:

@@ -703,7 +703,23 @@ class TestFit:
 
         monkeypatch.setattr(regression, "log_marginal_likelihood", poisoned)
         _, model = _problem(65)
-        with pytest.raises(RuntimeError, match=r"non-finite loss during fit at step 3,"):
+        with pytest.raises(RuntimeError, match=r"^fit stopped at step 3 on a non-finite "
+                           r"objective value; kernel \{.*\}; noise2 [0-9.e+-]+$"):
+            fit(model, AdamConfig(iterations=10, learning_rate=0.01))
+
+    def test_non_finite_gradient_names_the_step(self, monkeypatch):
+        real = regression.log_marginal_likelihood
+        calls = []
+
+        def poisoned(model):
+            calls.append(None)
+            value, grads = real(model)
+            return value, ({**grads, "log_noise2": np.nan} if len(calls) == 4 else grads)
+
+        monkeypatch.setattr(regression, "log_marginal_likelihood", poisoned)
+        _, model = _problem(65)
+        with pytest.raises(RuntimeError, match=r"^fit stopped at step 3 on a non-finite "
+                           r"gradient for 'log_noise2'; kernel \{.*\}; noise2 [0-9.e+-]+$"):
             fit(model, AdamConfig(iterations=10, learning_rate=0.01))
 
     def test_train_rows_and_gram_carried_across_steps(self):
