@@ -175,10 +175,11 @@ def _check_variational(n, fields, labels=None):
     """The inducing nodes, ``q_mu`` and scale (a lower triangle in full mode)
     of a ``VariationalClassifier``'s ``fields`` as arrays, after every check
     that needs only the node count ``n``: distinct inducing nodes in [0, n),
-    two or more classes, ``epsilon`` (the default if not given) in (0, 1),
-    and the shapes of ``q_mu`` and the one scale set. ``labels``, one per
-    inducing node, are held to the label rule before the class count, which
-    a negative label would otherwise be blamed on."""
+    two or more classes, ``epsilon`` in (0, 1) and ``jitter`` finite and
+    non-negative (each the class default if not given), and the shapes of
+    ``q_mu`` and the one scale set. ``labels``, one per inducing node, are
+    held to the label rule before the class count, which a negative label
+    would otherwise be blamed on."""
     z = _node_indices(fields["inducing_nodes"], n, "inducing")
     if z.size == 0:
         raise ValueError("inducing_nodes must be a nonempty 1-d index array")
@@ -192,6 +193,9 @@ def _check_variational(n, fields, labels=None):
     epsilon = fields.get("epsilon", VariationalClassifier.epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    jitter = fields.get("jitter", VariationalClassifier.jitter)
+    if not 0.0 <= jitter < np.inf:
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
     mu = np.asarray(fields["q_mu"], dtype=float)
     if mu.shape != (c, m):
         raise ValueError(f"q_mu must have shape {(c, m)}, got {mu.shape}")

@@ -8,9 +8,9 @@ Subcommands:
     predict          evaluate a saved model snapshot on all nodes
     compare-kernels  repeated-split comparison across kernel families
 
-All commands write into the ``--out`` directory: a JSON summary/metrics file
-with a ``timestamp`` field plus CSV outputs that are byte-identical across
-reruns with the same inputs. Seeds: repeat k of compare-kernels uses
+All commands write into the ``--out`` directory: one JSON run record
+(``_write_record``) plus CSV outputs that are byte-identical across reruns
+with the same inputs. Seeds: repeat k of compare-kernels uses
 ``seed + k``; within one run the same seed value drives the split and the
 fit (separate generators). The eigenpair cache directory comes from
 ``--cache-dir`` or the GRAPH_MATERN_CACHE_DIR environment variable.
@@ -57,7 +57,7 @@ from .regression import (
 )
 from .spectral import _eigensolver, _residual_norms, cached_eigendecomposition
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2  # of the run records; model.json snapshots stay at 1
 
 _COMPARE_ROWS = (
     ("matern", "unnormalized"),
@@ -67,10 +67,6 @@ _COMPARE_ROWS = (
     ("random_walk", "sym_normalized"),
     ("inverse_cosine", "sym_normalized"),
 )
-
-
-def _timestamp() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def _out_dir(args) -> Path:
@@ -170,8 +166,8 @@ def _basis_for(graph, kind, eigenpairs, cache_dir, timings):
     )
     timings["cache_load_s" if hit else "eigensolve_s"] = time.perf_counter() - start
     return operator, basis, {
-        "eigen_cache_hit": hit,
-        "eigen_cache_file": str(path) if path is not None else None,
+        "cache_hit": hit,
+        "cache_file": str(path) if path is not None else None,
         "eigensolver": None if hit else _eigensolver(operator, basis.n_retained),
     }
 
@@ -259,9 +255,15 @@ def _blas_threads() -> int | None:
     return max(counts, default=None)
 
 
-def _run_record(eigen, timings) -> dict:
-    """A command's eigen-cache outcome, stage timings (seconds) and BLAS threads."""
-    return {**eigen, "timings": timings, "blas_threads": _blas_threads()}
+def _write_record(path, timings, **fields):
+    """Write a command's JSON run record: the schema version, a UTC
+    timestamp, the command's own ``fields``, its stage ``timings`` (seconds)
+    and the BLAS thread count."""
+    _write_json(path, {
+        "schema_version": _SCHEMA_VERSION,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **fields, "timings": timings, "blas_threads": _blas_threads(),
+    })
 
 
 def _default_spec(task, family="matern", kind=None, rw_p=None) -> KernelSpec:
@@ -287,28 +289,16 @@ def cmd_eigen(args) -> int:
         graph, args.laplacian, args.eigenpairs, args.cache_dir, timings
     )
     residuals = _residual_norms(operator.matrix, basis.eigenvalues, basis.eigenvectors)
-    out = _out_dir(args)
-    summary = {
-        "schema_version": _SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-        "nodes": graph.node_count,
-        "edges": graph.edge_count,
-        "laplacian": args.laplacian,
-        "eigenpairs": basis.n_retained,
-        "lambda_min": float(basis.eigenvalues[0]),
-        "lambda_max": float(basis.eigenvalues[-1]),
-        "max_residual": float(residuals.max()),
-        "cache_file": eigen["eigen_cache_file"],
-        "cache_hit": eigen["eigen_cache_hit"],
-        "eigensolver": eigen["eigensolver"],
-        "timings": timings,
-        "blas_threads": _blas_threads(),
-    }
-    _write_json(out / "summary.json", summary)
+    _write_record(
+        _out_dir(args) / "summary.json", timings, nodes=graph.node_count,
+        edges=graph.edge_count, laplacian=args.laplacian, eigenpairs=basis.n_retained,
+        lambda_min=float(basis.eigenvalues[0]), lambda_max=float(basis.eigenvalues[-1]),
+        max_residual=float(residuals.max()), **eigen,
+    )
     print(
         f"eigen: n={graph.node_count} pairs={basis.n_retained} "
         f"lambda_min={_fmt(basis.eigenvalues[0])} "
-        f"lambda_max={_fmt(basis.eigenvalues[-1])} cache_hit={eigen['eigen_cache_hit']}"
+        f"lambda_max={_fmt(basis.eigenvalues[-1])} cache_hit={eigen['cache_hit']}"
     )
     return 0
 
@@ -351,11 +341,7 @@ def cmd_fit(args) -> int:
         record.update(classes=classes, iterations=args.iterations,
                       final_elbo=float(trace[-1]) if trace.size else None)
         score = "accuracy"
-    record.update(
-        _run_record(eigen, timings), schema_version=_SCHEMA_VERSION,
-        timestamp=_timestamp(), train_count=int(train_idx.size),
-        test_count=int(test_idx.size),
-    )
+    record.update(eigen, train_count=int(train_idx.size), test_count=int(test_idx.size))
     # Scored over the rows of the targets or labels file; a score is left
     # out when its split is empty.
     predicted, line = predicted[nodes], f"{args.command}:"
@@ -363,7 +349,7 @@ def cmd_fit(args) -> int:
         if idx.size:
             value = record[f"{split}_{score}"] = metrics(predicted[idx], values[idx], args.task)
             line += f" {split}_{score}={_fmt(value)}"
-    _write_json(out / "metrics.json", record)
+    _write_record(out / "metrics.json", timings, **record)
     print(line)
     return 0
 
@@ -391,12 +377,7 @@ def cmd_predict(args) -> int:
     _, result = _predict(model, None, args, args.seed, timings)
     out = _out_dir(args)
     _write_predictions(out / "predictions.csv", result)
-    _write_json(out / "summary.json", {
-        "schema_version": _SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-        "kind": kind,
-        **_run_record(eigen, timings),
-    })
+    _write_record(out / "summary.json", timings, kind=kind, **eigen)
     rows = "regression" if kind == "regression" else "classification"
     print(f"predict: wrote {basis.total_dim} {rows} rows")
     return 0
@@ -420,11 +401,11 @@ def cmd_compare_kernels(args) -> int:
         _check_rows(args, graph.node_count, nodes[train_idx], values[train_idx], classes)
     specs = [_default_spec(args.task, family, kind, args.rw_p) for family, kind in _COMPARE_ROWS]
 
-    bases = {}
+    bases, eigen = {}, {}
     for kind in LAPLACIAN_KINDS:
-        stage = timings[kind] = {}
-        _, bases[kind], eigen = _basis_for(graph, kind, args.eigenpairs, args.cache_dir, stage)
-        stage.update(eigen)
+        _, bases[kind], eigen[kind] = _basis_for(
+            graph, kind, args.eigenpairs, args.cache_dir, timings.setdefault(kind, {})
+        )
 
     start = time.perf_counter()
     rows = []
@@ -456,19 +437,11 @@ def cmd_compare_kernels(args) -> int:
         ((row["kernel"], row["laplacian"], _fmt(row["mean"]), _fmt(row["std"]),
           str(args.repeats)) for row in rows),
     )
-    _write_json(out / "results.json", {
-        "schema_version": _SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-        "task": args.task,
-        "metric": metric_name,
-        "repeats": args.repeats,
-        "train_size": args.train_size,
-        "test_size": args.test_size,
-        "iterations": args.iterations,
-        "rows": rows,
-        "timings": timings,
-        "blas_threads": _blas_threads(),
-    })
+    _write_record(
+        out / "results.json", timings, task=args.task, metric=metric_name,
+        repeats=args.repeats, train_size=args.train_size, test_size=args.test_size,
+        iterations=args.iterations, eigen=eigen, rows=rows,
+    )
     return 0
 
 
@@ -555,7 +528,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for name, low in (("mc_samples", 1), ("predict_samples", 1), ("repeats", 1),
-                          ("test_size", 0)):
+                          ("test_size", 0), ("seed", 0)):
             value = getattr(args, name, None)
             if value is not None and value < low:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")

@@ -60,6 +60,10 @@ def _int64(values, what="node index"):
     program takes: an int64 array passes through uncopied, and a value that is
     not an integer within int64 raises ``ValueError`` by value, not cast."""
     x = np.asarray(values)
+    if isinstance(values, (list, tuple)) and x.dtype.kind in "uf":
+        # numpy holds a list's int past int64, or its ints among floats, as a
+        # rounded number: each value is checked and converted as given.
+        x = np.asarray(values, dtype=object)
     if x.dtype == np.int64:
         return x
     if x.dtype.kind in "biuf":
@@ -68,11 +72,7 @@ def _int64(values, what="node index"):
     else:
         exact = np.array([_is_int64(value) for value in x.flat], dtype=bool).reshape(x.shape)
     if not exact.all():
-        bad = x[~exact][0]
-        if isinstance(values, (list, tuple)) and x.ndim == 1:
-            # numpy holds a list's int past int64 as a rounded float: name the int.
-            bad = next((value for value in values if not _is_int64(value)), bad)
-        raise ValueError(f"{what} {bad} is not an int64 integer")
+        raise ValueError(f"{what} {x[~exact][0]} is not an int64 integer")
     return x.astype(np.int64)
 
 

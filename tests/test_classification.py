@@ -190,6 +190,9 @@ class TestModelValidation:
             )
         with pytest.raises(ValueError, match="epsilon"):
             model.with_updates(epsilon=0.0)
+        for jitter in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="^jitter must be finite and >= 0, got "):
+                model.with_updates(jitter=jitter)
         with pytest.raises(ValueError, match="two classes"):
             VariationalClassifier.create(SYM_MATERN, model.basis, 1, np.array([0]))
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -186,8 +187,8 @@ class TestFitRegression:
         assert metrics["test_mse"] < float(np.var(y[:24]))
         assert metrics["lml_route"] == "dense"  # 16 train nodes, 30 eigenpairs
         assert metrics["jitter"] == 0.0
-        assert metrics["eigen_cache_hit"] is False
-        assert metrics["eigen_cache_file"] is None  # no cache directory
+        assert metrics["cache_hit"] is False
+        assert metrics["cache_file"] is None  # no cache directory
         assert metrics["eigensolver"] == "dense"
         assert_timings(metrics["timings"], (
             "parse_s", "laplacian_s", "eigensolve_s", "fit_s", "predict_s"))
@@ -338,10 +339,10 @@ class TestFitClassify:
             ]) == 0
             runs.append(json.loads((tmp_path / name / "metrics.json").read_text()))
         miss, hit = runs
-        assert miss["eigen_cache_hit"] is False and hit["eigen_cache_hit"] is True
+        assert miss["cache_hit"] is False and hit["cache_hit"] is True
         assert miss["eigensolver"] == "dense" and hit["eigensolver"] is None
-        assert miss["eigen_cache_file"] == hit["eigen_cache_file"]
-        assert Path(hit["eigen_cache_file"]).is_file()
+        assert miss["cache_file"] == hit["cache_file"]
+        assert Path(hit["cache_file"]).is_file()
         stages = ("parse_s", "laplacian_s", "fit_s", "predict_s")
         assert_timings(miss["timings"], stages + ("eigensolve_s",))
         assert_timings(hit["timings"], stages + ("cache_load_s",))
@@ -411,12 +412,12 @@ class TestPredict:
             runs.append(json.loads((tmp_path / name / "summary.json").read_text()))
         miss, hit = runs
         for summary in runs:
-            assert summary["schema_version"] == 1 and summary["kind"] == "regression"
+            assert summary["schema_version"] == 2 and summary["kind"] == "regression"
             assert isinstance(summary["timestamp"], str)
-        assert miss["eigen_cache_hit"] is False and hit["eigen_cache_hit"] is True
+        assert miss["cache_hit"] is False and hit["cache_hit"] is True
         assert miss["eigensolver"] == "dense" and hit["eigensolver"] is None
-        assert miss["eigen_cache_file"] == hit["eigen_cache_file"]
-        assert Path(hit["eigen_cache_file"]).is_file()
+        assert miss["cache_file"] == hit["cache_file"]
+        assert Path(hit["cache_file"]).is_file()
         stages = ("parse_s", "laplacian_s", "predict_s")
         assert_timings(miss["timings"], stages + ("eigensolve_s",))
         assert_timings(hit["timings"], stages + ("cache_load_s",))
@@ -463,10 +464,10 @@ class TestCompareKernels:
             assert_allclose(row["std"], runs.std(), rtol=1e-9, atol=1e-12)
 
     def test_results_record_timings_and_eigen_cache(self, classify_case, tmp_path):
-        """``results.json`` times the parse, each Laplacian kind's basis (with
-        its eigen record: cache outcome, file and solver, as the other
-        commands give it) and the comparison loop; the CSV does not change
-        between a cold and a warm cache."""
+        """``results.json`` times the parse, each Laplacian kind's basis and
+        the comparison loop, and holds each kind's eigen record (cache
+        outcome, file and solver, as the other commands give it) under
+        ``eigen``; the CSV does not change between a cold and a warm cache."""
         graph_path, labels_path = classify_case
         cache = tmp_path / "cache"
         runs = []
@@ -481,14 +482,16 @@ class TestCompareKernels:
             runs.append(json.loads((tmp_path / name / "results.json").read_text()))
         kinds = ("unnormalized", "sym_normalized")
         for run, hit, stage in zip(runs, (False, True), ("eigensolve_s", "cache_load_s")):
-            timings = run["timings"]
+            timings, eigen = run["timings"], run["eigen"]
             assert set(timings) == {"parse_s", "compare_s", *kinds}
+            assert set(eigen) == set(kinds)
             assert_timings({k: timings[k] for k in ("parse_s", "compare_s")},
                            ("parse_s", "compare_s"))
             for kind in kinds:
-                assert timings[kind].pop("eigen_cache_hit") is hit
-                assert Path(timings[kind].pop("eigen_cache_file")).parent == cache
-                assert timings[kind].pop("eigensolver") == (None if hit else "dense")
+                assert set(eigen[kind]) == {"cache_hit", "cache_file", "eigensolver"}
+                assert eigen[kind]["cache_hit"] is hit
+                assert Path(eigen[kind]["cache_file"]).parent == cache
+                assert eigen[kind]["eigensolver"] == (None if hit else "dense")
                 assert_timings(timings[kind], ("laplacian_s", stage))
         assert ((tmp_path / "miss" / "results.csv").read_bytes()
                 == (tmp_path / "hit" / "results.csv").read_bytes())
@@ -526,33 +529,76 @@ class TestCompareKernels:
         assert "--train-size is required" in capsys.readouterr().err
 
 
+@pytest.fixture
+def records(classify_case, tmp_path):
+    """Each command's JSON run record, from one run of each on the two-clique
+    graph: the fits with a test split, ``predict`` on the classifier that
+    ``fit-classify`` saved."""
+    graph_path, labels_path = classify_case
+    targets_path = tmp_path / "targets.csv"
+    targets_path.write_text("node,value\n0,1.0\n3,0.5\n7,-1.0\n")
+    common = ["--graph", str(graph_path), "--iterations", "2", "--mc-samples", "2",
+              "--predict-samples", "5"]
+    runs = {
+        "eigen": (["--graph", str(graph_path)], "summary.json"),
+        "fit-regression": (["--graph", str(graph_path), "--targets", str(targets_path),
+                            "--iterations", "2", "--train-size", "2"], "metrics.json"),
+        "fit-classify": (common + ["--labels", str(labels_path), "--train-size", "6"],
+                         "metrics.json"),
+        "predict": (["--graph", str(graph_path), "--predict-samples", "5",
+                     "--model", str(tmp_path / "fit-classify" / "model.json")],
+                    "summary.json"),
+        "compare-kernels": (common + ["--task", "classification", "--labels",
+                                      str(labels_path), "--train-size", "6",
+                                      "--repeats", "1"], "results.json"),
+    }
+    found = {}
+    for command, (args, record) in runs.items():
+        out = tmp_path / command
+        assert main([command, "--out", str(out), *args]) == 0, command
+        found[command] = json.loads((out / record).read_text())
+    return found
+
+
+def _readme_record_table():
+    """README's "Run records" table as ``{command: set of keys}``: a key
+    belongs to a command when its cell in that command's column is not
+    empty."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Run records\n", 1)[1].split("\n#", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    cells = [[c.strip().strip("`") for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+             for line in lines]
+    header, rows = cells[0], cells[2:]
+    commands = header[1:-1]
+    return {command: {row[0] for row in rows if row[1 + i]}
+            for i, command in enumerate(commands)}
+
+
 class TestBlasThreads:
-    def test_every_record_carries_the_pinned_thread_count(self, classify_case, tmp_path):
+    def test_every_record_carries_the_pinned_thread_count(self, records):
         """``tests/conftest.py`` pins OpenBLAS to 1 thread unless the caller
         set the variable; every command's JSON record reads it back."""
         pinned = int(os.environ["OPENBLAS_NUM_THREADS"])
-        graph_path, labels_path = classify_case
-        targets_path = tmp_path / "targets.csv"
-        targets_path.write_text("node,value\n0,1.0\n3,0.5\n7,-1.0\n")
-        common = ["--graph", str(graph_path), "--iterations", "2", "--mc-samples", "2",
-                  "--predict-samples", "5"]
-        runs = {
-            "eigen": (["--graph", str(graph_path)], "summary.json"),
-            "fit-regression": (["--graph", str(graph_path), "--targets", str(targets_path),
-                                "--iterations", "2"], "metrics.json"),
-            "fit-classify": (common + ["--labels", str(labels_path)], "metrics.json"),
-            "predict": (["--graph", str(graph_path), "--predict-samples", "5",
-                         "--model", str(tmp_path / "fit-classify" / "model.json")],
-                        "summary.json"),
-            "compare-kernels": (common + ["--task", "classification", "--labels",
-                                          str(labels_path), "--train-size", "6",
-                                          "--repeats", "1"], "results.json"),
-        }
-        for command, (args, record) in runs.items():
-            out = tmp_path / command
-            assert main([command, "--out", str(out), *args]) == 0, command
-            value = json.loads((out / record).read_text())["blas_threads"]
+        for command, record in records.items():
+            value = record["blas_threads"]
             assert value == pinned and type(value) is int, (command, value)
+
+
+class TestRunRecords:
+    def test_every_record_holds_the_readme_table_keys(self, records):
+        """Each command's record has exactly the top-level keys of its
+        column in README's "Run records" table, at schema version 2, and
+        ``compare-kernels`` holds each basis's eigen record under ``eigen``."""
+        table = _readme_record_table()
+        assert list(table) == list(records)
+        for command, record in records.items():
+            assert set(record) == table[command], command
+            assert record["schema_version"] == 2, command
+        eigen = records["compare-kernels"]["eigen"]
+        assert set(eigen) == {"unnormalized", "sym_normalized"}
+        for basis in eigen.values():
+            assert set(basis) == {"cache_hit", "cache_file", "eigensolver"}
 
 
 class TestParser:
@@ -725,6 +771,23 @@ class TestRefusedBeforeTheEigensolve:
                               "p must be a positive integer, got 0"),
         "compare_rw_p_below_zero": ("compare-kernels", ["--rw-p", "-1"],
                                     "p must be a positive integer, got -1"),
+        # A seed is refused by name by every command that takes one, whether
+        # or not the command draws a split with it.
+        "negative_seed_regression": ("fit-regression", ["--seed", "-1"],
+                                     "--seed must be >= 0, got -1"),
+        "negative_seed_classify": ("fit-classify", ["--seed", "-1"],
+                                   "--seed must be >= 0, got -1"),
+        "negative_seed_predict_classifier": (
+            "predict", ["--model", "classifier.json", "--seed", "-1"],
+            "--seed must be >= 0, got -1"),
+        "compare_negative_seed": ("compare-kernels", ["--seed", "-1"],
+                                  "--seed must be >= 0, got -1"),
+        "snapshot_jitter_nan": ("predict", ["--model", "jitter_nan.json"],
+                                "jitter must be finite and >= 0, got nan"),
+        "snapshot_jitter_inf": ("predict", ["--model", "jitter_inf.json"],
+                                "jitter must be finite and >= 0, got inf"),
+        "snapshot_jitter_negative": ("predict", ["--model", "jitter_minus_1.json"],
+                                     "jitter must be finite and >= 0, got -1.0"),
     }
     # Complete snapshots of each kind, which the files below break one field of.
     REGRESSION = {"schema_version": 1, "kind": "regression", "eigenpairs": 12,
@@ -771,6 +834,10 @@ class TestRefusedBeforeTheEigensolve:
         "target_past_int64.csv": "node,value\n0,1.0\n99999999999999999999,2.0\n",
         "label_past_int64.csv": "node,class\n0,0\n7,99999999999999999999\n",
         "train_node_1e30.json": json.dumps(dict(REGRESSION, train_nodes=[0, 10**30])),
+        "classifier.json": json.dumps(CLASSIFIER),
+        "jitter_nan.json": json.dumps(dict(CLASSIFIER, jitter=float("nan"))),
+        "jitter_inf.json": json.dumps(dict(CLASSIFIER, jitter=float("inf"))),
+        "jitter_minus_1.json": json.dumps(dict(CLASSIFIER, jitter=-1.0)),
     }
 
     @pytest.mark.parametrize("snapshot", ["REGRESSION", "CLASSIFIER"])

@@ -541,6 +541,14 @@ class TestIntegerRule:
                            match=f"^node index {re.escape(value)} is not an int64 integer$"):
             graphs._node_indices(nodes, 5, "query")
 
+    @pytest.mark.parametrize("values", [[2**62 + 1, 1.0], [2**63 - 1, 1.0]],
+                             ids=["2_62_plus_1", "int64_max"])
+    def test_int64_keeps_a_lists_ints_among_floats_exact(self, values):
+        """numpy would hold these lists as float64: 2**62 + 1 would become
+        2**62, and 2**63 - 1 would round to 2**63 and be refused."""
+        x = graphs._int64(values)
+        assert x.dtype == np.int64 and x.tolist() == [values[0], 1]
+
     def test_int64_arrays_pass_through_uncopied(self):
         nodes = np.array([4, 0, 2])
         assert graphs._node_indices(nodes, 5, "query") is nodes
