@@ -45,12 +45,13 @@ from .regression import (
     GPRegressionModel,
     PosteriorSummary,
     _check_observations,
-    _lml_route,
     _model_from_snapshot,
     _read_snapshot,
+    _route,
     _snapshot_spec,
     _write_json,
     fit,
+    posterior,
     read_targets_csv,
     save_model,
     woodbury_posterior,
@@ -219,8 +220,8 @@ def _predict(model, query, args, seed, timings):
     ``predict_s``: the posterior mean and its summary, or the labels and
     ``(probs, labels)``. ``result`` is what ``_write_predictions`` takes."""
     if isinstance(model, GPRegressionModel):
-        summary = _timed(timings, "predict_s", woodbury_posterior, model,
-                         query=query, diag=True)
+        route = woodbury_posterior if _route(model) == "spectral" else posterior
+        summary = _timed(timings, "predict_s", route, model, query=query, diag=True)
         return summary.mean, summary
     probs, pred = _timed(timings, "predict_s", predict_classes, model, query=query,
                          mc_samples=args.predict_samples, seed=seed)
@@ -328,7 +329,7 @@ def cmd_fit(args) -> int:
     if args.task == "regression":
         _write_trace_csv(out / "trace.csv", "loss", trace)
         save_model(model, out / "model.json")
-        route = _lml_route(model)
+        route = _route(model)
         record.update(
             noise2=model.noise2, iterations=args.iterations, final_loss=float(trace[-1]),
             best_loss=float(np.min(trace)), lml_route=route,
@@ -528,7 +529,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for name, low in (("mc_samples", 1), ("predict_samples", 1), ("repeats", 1),
-                          ("test_size", 0), ("seed", 0)):
+                          ("test_size", 0), ("seed", 0), ("eigenpairs", 1)):
             value = getattr(args, name, None)
             if value is not None and value < low:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")

@@ -1,12 +1,16 @@
 """Gaussian process regression on graph nodes.
 
-Three inference routes over the same prior:
+One rule, ``_route``, picks how every computation on a model conditions on
+its m training nodes: with l retained eigenpairs, m > 3l/4 works in the
+l x l spectral (Fourier feature) space through the one Cholesky factor of
+B = I + D^1/2 E D^1/2 / noise2, O(m l^2 + l^3) and no jitter; otherwise it
+factors the m x m train covariance K_xx + noise2 I with the jitter ladder,
+O(m^2 l + m^3). The log marginal likelihood, ``posterior`` and
+``pathwise_sample`` all follow it and read the one memoized factor it
+names. Two more entry points:
 
-* ``posterior``: dense conditioning on K_xx + noise2 I.
-* ``woodbury_posterior``: the identical posterior computed in the l x l
-  spectral (Fourier feature) space from the one Cholesky factor of
-  B = I + D^1/2 E D^1/2 / noise2 that the spectral LML also reads; exact
-  when the basis is full, rank-l otherwise, and zero-weight modes stay in.
+* ``woodbury_posterior``: the spectral route, forced; exact when the basis
+  is full, rank-l otherwise, and zero-weight modes stay in.
 * ``gmrf_posterior``: sparse-precision conditioning for integer smoothness,
   dual to the matern kernel with variance normalization off. One sparse
   factorization, with the query nodes eliminated last, gives the mean by
@@ -15,10 +19,6 @@ Three inference routes over the same prior:
 The log marginal likelihood carries hand-derived gradients with respect to
 the unconstrained (log, or logit for alpha) coordinates of the trainable
 parameters, including the trace-normalization constant's dependence on them.
-It picks its route from the shapes: with m training nodes and l retained
-eigenpairs, m > 3l/4 works in the l x l spectral feature space,
-O(m l^2 + l^3) and no jitter; otherwise it factors the m x m train
-covariance with the jitter ladder, O(m^2 l + m^3).
 """
 
 import dataclasses
@@ -201,11 +201,11 @@ class GPRegressionModel:
         return self._cache["weights"]
 
     def _c_factor(self):
-        """``(half_logdet, inv_chol, alpha, jitter)`` for the dense LML,
-        ``posterior`` and ``pathwise_sample``: log|C| / 2 and L^-1 for L the
-        Cholesky factor of C = K_xx + noise2 I (all three in one m x m array),
-        alpha = C^-1 y and the first jitter rung that factors; a failed rung
-        rebuilds the array. A C over ``DENSE_ELEMENT_LIMIT`` raises ``ValueError``."""
+        """``(half_logdet, inv_chol, alpha, jitter)`` for the dense route:
+        log|C| / 2 and L^-1 for L the Cholesky factor of C = K_xx + noise2 I
+        (all three in one m x m array), alpha = C^-1 y and the first jitter
+        rung that factors; a failed rung rebuilds the array. A C over
+        ``DENSE_ELEMENT_LIMIT`` raises ``ValueError``."""
         if "c_factor" in self._cache:
             return self._cache["c_factor"]
         m = self.train_nodes.size
@@ -234,12 +234,12 @@ class GPRegressionModel:
                                        f"with jitter up to {_JITTERS[-1]:g} * mean(diag)")
 
     def _b_factor(self):
-        """``(half_logdet, inv_chol_b, root, t, coef)`` for the spectral LML
-        and ``woodbury_posterior``: log|B| / 2 and L_B^-1 for L_B the Cholesky
-        factor of B = I + D^1/2 E D^1/2 / noise2 (all three in one l x l
-        array), root = sqrt(d), t = P^T y and coef = D^1/2 B^-1 D^1/2 t /
-        noise2. B's eigenvalues are >= 1, so it needs no jitter and
-        zero-weight modes stay in."""
+        """``(half_logdet, inv_chol_b, root, t, coef)`` for the spectral
+        route: log|B| / 2 and L_B^-1 for L_B the Cholesky factor of
+        B = I + D^1/2 E D^1/2 / noise2 (all three in one l x l array),
+        root = sqrt(d), t = P^T y and coef = D^1/2 B^-1 D^1/2 t / noise2.
+        B's eigenvalues are >= 1, so it needs no jitter and zero-weight
+        modes stay in."""
         if "b_factor" not in self._cache:
             d, _ = self._weights()
             root = np.sqrt(d)
@@ -281,16 +281,19 @@ def _check_observations(n, train_nodes, targets, noise2):
 
 
 def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSummary:
-    """Exact posterior at the query nodes by dense conditioning.
+    """Exact posterior at the query nodes, on the model's route (``_route``).
 
-    With ``diag`` only the marginal variances are formed. Without it, a
-    query covariance over ``DENSE_ELEMENT_LIMIT`` elements raises
-    ``ValueError`` naming its shape; with or without ``diag``, so does an
-    m x m train covariance, a |q| x m query-train covariance or a |q| x l
-    block of query eigenvector rows over that limit, all before any
-    product. Warns when the train covariance is severely ill-conditioned
-    instead of failing.
+    The spectral route returns ``woodbury_posterior``'s result. The dense
+    route conditions on K_xx + noise2 I, and with ``diag`` forms only the
+    marginal variances. Without it, a query covariance over
+    ``DENSE_ELEMENT_LIMIT`` elements raises ``ValueError`` naming its shape;
+    with or without ``diag``, so does an m x m train covariance, a |q| x m
+    query-train covariance or a |q| x l block of query eigenvector rows over
+    that limit, all before any product. Only the dense route warns, instead
+    of failing, when the train covariance is severely ill-conditioned.
     """
+    if _route(model) == "spectral":
+        return woodbury_posterior(model, query, diag)
     q = _node_indices(query, model.basis.total_dim, "query")
     if not diag:
         _check_dense_size("posterior", "query covariance", (q.size, q.size),
@@ -325,8 +328,9 @@ def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSumm
 
 
 def woodbury_posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSummary:
-    """Same posterior in the l-dimensional feature space, from the model's
-    one factor L_B of B = I + D^1/2 E D^1/2 / s2 (see ``_lml_spectral``).
+    """The posterior on the spectral route, whatever the shapes: in the
+    l-dimensional feature space, from the model's one factor L_B of
+    B = I + D^1/2 E D^1/2 / s2 (see ``_lml_spectral``).
 
     With P the train rows of the eigenvectors and D the spectral weights,
     the weight posterior has mean coef = D^1/2 B^-1 D^1/2 P^T y / s2
@@ -357,9 +361,10 @@ def woodbury_posterior(model: GPRegressionModel, query=None, diag=False) -> Post
     return PosteriorSummary(mean=mean, variance=var, covariance=w.T @ w)
 
 
-def _lml_route(model: GPRegressionModel) -> str:
+def _route(model: GPRegressionModel) -> str:
     """``"spectral"`` when the m training nodes exceed 3/4 of the l
-    eigenpairs, else ``"dense"``: whichever LML route is faster.
+    eigenpairs, else ``"dense"``: whichever LML route is faster, and the
+    route of every other computation on the model, so each reads one factor.
 
     Timed at one BLAS thread for l = 100 to 800, the two routes break even
     at m = 0.75 l. Below it the m x m Cholesky wins, 2x at m = l/2 and
@@ -377,14 +382,11 @@ def log_marginal_likelihood(model: GPRegressionModel):
     coordinates (log_kappa, log_nu, log_sigma2, logit_alpha as applicable,
     and log_noise2).
 
-    The route follows the model's shapes. With m training nodes and l
-    retained eigenpairs, m > 3l/4 takes the spectral route: the matrix
-    inversion and determinant lemmas in the l-dimensional feature space,
-    O(m l^2 + l^3), with no jitter. Otherwise the dense route factors the
-    m x m K_xx + noise2 I with the jitter ladder, O(m^2 l + m^3). The
-    3/4 is the measured break-even point of the two.
+    The route is ``_route``'s. The spectral one applies the matrix inversion
+    and determinant lemmas in the l-dimensional feature space; the dense one
+    factors the m x m K_xx + noise2 I.
     """
-    if _lml_route(model) == "spectral":
+    if _route(model) == "spectral":
         return _lml_spectral(model)
     return _lml_dense(model)
 
@@ -483,13 +485,17 @@ def pathwise_sample(model: GPRegressionModel, query=None, n_samples=1, seed=0):
 
     A prior path is drawn exactly from the spectral features (f = P sqrt(D) xi)
     at the query and train nodes with shared coefficients, then corrected by
-    K_.x (K_xx + noise2 I)^{-1} (y - f_x - eps). Returns (n_samples, n_query).
+    K_.x (K_xx + noise2 I)^{-1} r, r = y - f_x - eps. Returns (n_samples,
+    n_query). On the model's route (``_route``): the dense one solves with
+    the factor of the m x m train covariance, the spectral one applies
+    D P^T C^-1 r = D^1/2 B^-1 D^1/2 P^T r / noise2 (Wilson et al. 2020) with
+    the factor of B. The draws are the same either way.
 
     With l eigenpairs, m training nodes and S = ``n_samples``, a |q| x l
     block of query eigenvector rows, an l x S coefficient draw or a |q| x S
     or m x S block of path values over ``DENSE_ELEMENT_LIMIT`` elements
-    raises ``ValueError`` naming it and its shape, and so does an m x m
-    train covariance over that limit; all before any product.
+    raises ``ValueError`` naming it and its shape, and so does the dense
+    route's m x m train covariance over that limit; all before any product.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -506,17 +512,21 @@ def pathwise_sample(model: GPRegressionModel, query=None, n_samples=1, seed=0):
     root = np.sqrt(d)
     phi_x = model._phi_train()
     phi_q = model.basis.eigenvectors[q]
-    _, inv_chol, _, _ = model._c_factor()
+    spectral = _route(model) == "spectral"
+    inv_chol = model._b_factor()[1] if spectral else model._c_factor()[1]
 
     xi = rng.standard_normal((d.shape[0], n_samples))
     f_x = phi_x @ (root[:, None] * xi)
     f_q = phi_q @ (root[:, None] * xi)
     eps = np.sqrt(model.noise2) * rng.standard_normal(f_x.shape)
     resid = model.targets[:, None] - f_x - eps
-    half = dtrmm(1.0, inv_chol, resid, lower=1, overwrite_b=1)  # C^-1 = L^-T L^-1
-    alpha = dtrmm(1.0, inv_chol, half, lower=1, trans_a=1, overwrite_b=1)
-    paths = f_q + (phi_q * d) @ (phi_x.T @ alpha)
-    return paths.T
+    if spectral:
+        resid = root[:, None] * (phi_x.T @ resid)
+    half = dtrmm(1.0, inv_chol, resid, lower=1, overwrite_b=1)  # L^-T L^-1 = C^-1 or B^-1
+    solved = dtrmm(1.0, inv_chol, half, lower=1, trans_a=1, overwrite_b=1)
+    if spectral:
+        return (f_q + phi_q @ (root[:, None] * solved / model.noise2)).T
+    return (f_q + (phi_q * d) @ (phi_x.T @ solved)).T
 
 
 def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> PosteriorSummary:

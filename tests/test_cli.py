@@ -238,6 +238,33 @@ class TestFitRegression:
             assert (out / name).read_text().split("\n", 1)[0] == header
             assert np.all(np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1)))
 
+    @pytest.mark.parametrize("eigenpairs,route,other", [
+        ("30", "dense", "_b_factor"), ("5", "spectral", "_c_factor"),
+    ])
+    def test_fit_and_predict_build_only_their_routes_factor(
+        self, regression_case, tmp_path, monkeypatch, eigenpairs, route, other
+    ):
+        """16 train nodes on 30 eigenpairs take the dense route, on 5 the
+        spectral one; the fit's LML and the predictions of the fit and of
+        ``predict`` all read that route's factor, and the other is never built."""
+        def refuse(self):
+            raise AssertionError(f"{other} built")
+
+        monkeypatch.setattr(cli.GPRegressionModel, other, refuse)
+        graph_path, targets_path, _ = regression_case
+        out, again = tmp_path / "fit", tmp_path / "predict"
+        assert main([
+            "fit-regression", "--graph", str(graph_path),
+            "--targets", str(targets_path), "--out", str(out),
+            "--eigenpairs", eigenpairs, "--train-size", "16", "--iterations", "20",
+            "--lr", "0.05",
+        ]) == 0
+        assert json.loads((out / "metrics.json").read_text())["lml_route"] == route
+        assert main(["predict", "--graph", str(graph_path),
+                     "--model", str(out / "model.json"), "--out", str(again)]) == 0
+        assert (again / "predictions.csv").read_bytes() == (
+            out / "predictions.csv").read_bytes()
+
     def test_inline_kernel_json(self, regression_case, tmp_path):
         graph_path, targets_path, _ = regression_case
         out = tmp_path / "fit"
@@ -788,6 +815,13 @@ class TestRefusedBeforeTheEigensolve:
                                 "jitter must be finite and >= 0, got inf"),
         "snapshot_jitter_negative": ("predict", ["--model", "jitter_minus_1.json"],
                                      "jitter must be finite and >= 0, got -1.0"),
+        # An eigenpair count is refused by name before the graph is parsed.
+        "zero_eigenpairs_eigen": ("eigen", ["--eigenpairs", "0"],
+                                  "--eigenpairs must be >= 1, got 0"),
+        "negative_eigenpairs_regression": ("fit-regression", ["--eigenpairs", "-3"],
+                                           "--eigenpairs must be >= 1, got -3"),
+        "compare_zero_eigenpairs": ("compare-kernels", ["--eigenpairs", "0"],
+                                    "--eigenpairs must be >= 1, got 0"),
     }
     # Complete snapshots of each kind, which the files below break one field of.
     REGRESSION = {"schema_version": 1, "kind": "regression", "eigenpairs": 12,
@@ -871,6 +905,7 @@ class TestRefusedBeforeTheEigensolve:
         snapshot = tmp_path / "model.json"
         snapshot.write_text(json.dumps(["regression"]))
         inputs = {
+            "eigen": [],
             "fit-regression": ["--targets", str(targets_path)],
             "fit-classify": ["--labels", str(labels_path)],
             "compare-kernels": ["--task", "classification", "--labels", str(labels_path),

@@ -21,6 +21,7 @@ from graph_matern import (
     SpectralBasis,
     build_laplacian,
     eigendecompose_full,
+    eigendecompose_truncated,
     fit,
     gmrf_posterior,
     kernel_matrix,
@@ -31,6 +32,7 @@ from graph_matern import (
     posterior,
     read_targets_csv,
     save_model,
+    spectral_weights,
     woodbury_posterior,
 )
 from graph_matern.kernels import (
@@ -77,8 +79,30 @@ def _spectral_problem(seed, spec=MATERN, n=40, n_pairs=12, n_train=30, noise2=0.
         spec=spec, basis=leading_pairs(full, n_pairs), train_nodes=train,
         targets=rng.standard_normal(n_train), noise2=noise2,
     )
-    assert regression._lml_route(model) == "spectral"
+    assert regression._route(model) == "spectral"
     return model
+
+
+def _numpy_matheron(model, query, n_samples, seed, feature_space=False):
+    """Matheron's update by numpy on ``pathwise_sample``'s draws, made in its
+    order: f_q + K_qx C^-1 r, with C^-1 r by a solve with the m x m
+    C = K_xx + noise2 I or, with ``feature_space``, D P^T C^-1 r by a solve
+    with the l x l B = I + D^1/2 P^T P D^1/2 / noise2."""
+    rng = np.random.default_rng(seed)
+    d, _ = spectral_weights(model.spec, model.basis.eigenvalues, model.basis.total_dim)
+    phi_x = model.basis.eigenvectors[model.train_nodes]
+    phi_q = model.basis.eigenvectors[query]
+    coef = np.sqrt(d)[:, None] * rng.standard_normal((d.size, n_samples))
+    eps = np.sqrt(model.noise2) * rng.standard_normal((phi_x.shape[0], n_samples))
+    r = model.targets[:, None] - phi_x @ coef - eps
+    if feature_space:
+        root = np.sqrt(d)[:, None]
+        b = np.eye(d.size) + root * (phi_x.T @ phi_x) * root.T / model.noise2
+        coef += root * np.linalg.solve(b, root * (phi_x.T @ r)) / model.noise2
+    else:
+        c = (phi_x * d) @ phi_x.T + model.noise2 * np.eye(phi_x.shape[0])
+        coef += d[:, None] * (phi_x.T @ np.linalg.solve(c, r))
+    return (phi_q @ coef).T
 
 
 class TestModelValidation:
@@ -182,7 +206,7 @@ class TestPosterior:
         model's one memoized factor of C and its one inverse."""
         _, model = _problem(18)
         m = model.train_nodes.size
-        assert regression._lml_route(model) == "dense"
+        assert regression._route(model) == "dense"
         calls = {"_spd_factor": 0, "_tri_inverse": 0}
         for name in calls:
             def counted(a, *args, _real=getattr(regression, name), _name=name):
@@ -214,10 +238,15 @@ class TestWoodburyPosterior:
         small = GPRegressionModel(
             model.spec, part, model.train_nodes, model.targets, model.noise2
         )
-        a = posterior(small)
+        assert regression._route(small) == "spectral"  # m = 7 > 3l/4 = 4.5
+        mean, cov = conditional_gaussian(kernel_matrix(part, small.spec), small.train_nodes,
+                                         np.arange(18), small.targets, small.noise2)
         b = woodbury_posterior(small)
-        assert_allclose(b.mean, a.mean, atol=1e-10)
-        assert_allclose(b.covariance, a.covariance, atol=1e-10)
+        assert_allclose(b.mean, mean, atol=1e-10)
+        assert_allclose(b.covariance, cov, atol=1e-10)
+        routed = posterior(small)
+        assert_array_equal(routed.mean, b.mean)
+        assert_array_equal(routed.covariance, b.covariance)
 
     def test_underflowed_modes_kept(self):
         spec = KernelSpec(family="diffusion", kappa=60.0)
@@ -249,13 +278,15 @@ class TestWoodburyPosterior:
         model = GPRegressionModel(
             spec, basis, np.array([0, 1]), np.array([0.5, -0.5])
         )
+        assert regression._route(model) == "spectral"  # m = 2 > 3l/4 = 1.5
         with pytest.warns(UserWarning, match="clamped"):
             out = woodbury_posterior(model)
-        clean = posterior(model)
+            mean, cov = conditional_gaussian(kernel_matrix(basis, spec), model.train_nodes,
+                                             np.arange(4), model.targets, model.noise2)
         assert_array_equal(out.mean, np.zeros(4))
         assert_array_equal(out.covariance, np.zeros((4, 4)))
-        assert_allclose(out.mean, clean.mean, atol=1e-15)
-        assert_allclose(out.covariance, clean.covariance, atol=1e-15)
+        assert_allclose(out.mean, mean, atol=1e-15)
+        assert_allclose(out.covariance, cov, atol=1e-15)
 
     def test_one_factor_per_model(self, monkeypatch):
         calls = []
@@ -270,6 +301,8 @@ class TestWoodburyPosterior:
         log_marginal_likelihood(model)
         woodbury_posterior(model)
         woodbury_posterior(model, np.array([0, 3]), diag=True)
+        posterior(model)
+        pathwise_sample(model, n_samples=3)
         assert len(calls) == 1
 
 
@@ -284,9 +317,21 @@ class TestDenseCovarianceBudget:
         targets = np.random.default_rng(32).standard_normal(train_nodes.size)
         return GPRegressionModel(MATERN, wide_basis(), train_nodes, targets, noise2=0.1)
 
+    @staticmethod
+    def _wide_dense_model():
+        """300 of 12000 nodes observed on 400 orthonormal pairs, the
+        indicators of 30-node blocks: the dense route, as m <= 3l/4."""
+        vectors = np.kron(np.eye(400), np.full((30, 1), 30 ** -0.5))
+        basis = SpectralBasis(np.linspace(0.0, 2.0, 400), vectors, 12000, "unnormalized")
+        train_nodes = np.arange(0, 12000, 40)
+        targets = np.random.default_rng(32).standard_normal(train_nodes.size)
+        model = GPRegressionModel(MATERN, basis, train_nodes, targets, noise2=0.1)
+        assert regression._route(model) == "dense"
+        return model
+
     @pytest.mark.parametrize("route", [posterior, woodbury_posterior])
     def test_over_budget_refused_before_any_product(self, route):
-        model = self._wide_model()
+        model = self._wide_dense_model()
         assert 12000**2 > DENSE_ELEMENT_LIMIT
         with PeakMemory() as mem:
             with pytest.raises(ValueError, match="dense 12000 x 12000 query covariance"):
@@ -298,35 +343,38 @@ class TestDenseCovarianceBudget:
         assert route(model, diag=True).variance.shape == (12000,)
 
     def test_train_covariance_over_budget_refused_before_any_product(self):
-        """``posterior``, ``pathwise_sample`` and the dense LML all factor the
-        m x m train covariance; with m = 12000 it is refused unformed, and
-        ``woodbury_posterior``, which never forms it, still runs."""
+        """The dense route factors the m x m train covariance; with m = 12000
+        it is refused unformed. ``posterior`` and ``pathwise_sample`` take the
+        spectral route there (l = 3), as ``woodbury_posterior`` does, so they
+        never form it and run."""
         model = self._wide_model(step=1)
         message = "GPRegressionModel would factor a dense 12000 x 12000 train covariance"
-        for call in (lambda: posterior(model, np.arange(5), diag=True),
-                     lambda: pathwise_sample(model, np.arange(5)),
-                     lambda: regression._lml_dense(model)):
+        for call in (model._c_factor, lambda: regression._lml_dense(model)):
             with PeakMemory() as mem:
                 with pytest.raises(ValueError, match=message):
                     call()
             assert mem.peak < 16 * 2**20
+        assert posterior(model, np.arange(5), diag=True).variance.shape == (5,)
+        assert pathwise_sample(model, np.arange(5)).shape == (1, 5)
         assert woodbury_posterior(model, np.arange(5), diag=True).variance.shape == (5,)
-        small = self._wide_model()
+        assert "c_factor" not in model._cache
+        small = self._wide_dense_model()
         assert posterior(small, np.arange(5), diag=True).variance.shape == (5,)
 
 
-    @pytest.mark.parametrize("call,message", [
-        (lambda model, q: posterior(model, q, diag=True),
+    @pytest.mark.parametrize("make,call,message", [
+        ("_wide_dense_model", lambda model, q: posterior(model, q, diag=True),
          "posterior would form a dense 450000 x 300 query-train covariance"),
-        (lambda model, q: pathwise_sample(model, q[:5], n_samples=450_000),
+        ("_wide_model", lambda model, q: pathwise_sample(model, q[:5], n_samples=450_000),
          "pathwise_sample would form a dense 300 x 450000 train sample block"),
-        (lambda model, q: pathwise_sample(model, q[:12000], n_samples=12000),
+        ("_wide_model", lambda model, q: pathwise_sample(model, q[:12000], n_samples=12000),
          "pathwise_sample would form a dense 12000 x 12000 query sample block"),
     ], ids=["posterior_query_train", "pathwise_train_samples", "pathwise_query_samples"])
-    def test_query_blocks_over_budget_refused_before_any_product(self, call, message):
+    def test_query_blocks_over_budget_refused_before_any_product(self, make, call, message):
         """|q| x m and |q| x S blocks past the limit are refused by name
-        before the train covariance or any product is formed."""
-        model = self._wide_model()
+        before the train covariance or any product is formed; the dense
+        route's posterior is the one that forms a |q| x m block."""
+        model = getattr(self, make)()
         query = np.zeros(450_000, dtype=np.int64)  # a node asked for 450000 times
         query[:12000] = np.arange(12000)
         with PeakMemory() as mem:
@@ -542,7 +590,7 @@ class TestLogMarginalLikelihood:
             model = dataclasses.replace(
                 base, train_nodes=base.train_nodes[:m], targets=base.targets[:m]
             )
-            assert regression._lml_route(model) == route
+            assert regression._route(model) == route
 
         def refuse(self):
             raise AssertionError("dense route taken")
@@ -551,7 +599,7 @@ class TestLogMarginalLikelihood:
         value, grads = log_marginal_likelihood(_spectral_problem(170))
         assert np.isfinite(value) and all(np.isfinite(g) for g in grads.values())
         _, dense = _problem(171)
-        assert regression._lml_route(dense) == "dense"
+        assert regression._route(dense) == "dense"
         with pytest.raises(AssertionError, match="dense route taken"):
             log_marginal_likelihood(dense)
 
@@ -765,6 +813,34 @@ class TestPathwiseSample:
         _, model = _problem(72)
         with pytest.raises(ValueError, match="n_samples"):
             pathwise_sample(model, n_samples=0)
+
+    @pytest.mark.parametrize("route", ["dense", "spectral"])
+    def test_route_matches_a_numpy_matheron_update(self, route):
+        """Either route's samples are numpy's m x m Matheron update of the
+        same draws, at the same seed."""
+        model = _spectral_problem(73) if route == "spectral" else _problem(74)[1]
+        assert regression._route(model) == route
+        query = np.array([1, 4, 4, 9, 17])
+        samples = pathwise_sample(model, query, n_samples=6, seed=5)
+        expected = _numpy_matheron(model, query, 6, 5)
+        assert_allclose(samples, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
+
+    def test_spectral_route_past_the_train_covariance_limit(self):
+        """11600 of 12100 lattice nodes on 8 Lanczos pairs: the m x m train
+        covariance is over ``DENSE_ELEMENT_LIMIT``, but the spectral route
+        samples through the l x l factor of B without forming it."""
+        basis = eigendecompose_truncated(build_laplacian(lattice_graph(110), "unnormalized"), 8)
+        rng = np.random.default_rng(75)
+        train = np.sort(rng.choice(12100, size=11600, replace=False))
+        model = GPRegressionModel(MATERN, basis, train, rng.standard_normal(11600), noise2=0.1)
+        assert 11600**2 > DENSE_ELEMENT_LIMIT and regression._route(model) == "spectral"
+        query = np.arange(0, 12100, 7)
+        with PeakMemory() as mem:
+            samples = pathwise_sample(model, query, n_samples=3, seed=4)
+        assert mem.peak < 16 * 2**20
+        assert "c_factor" not in model._cache
+        expected = _numpy_matheron(model, query, 3, 4, feature_space=True)
+        assert_allclose(samples, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
 
 
 class TestGmrfPosterior:
