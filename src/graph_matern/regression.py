@@ -283,17 +283,18 @@ def _check_observations(n, train_nodes, targets, noise2):
 def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSummary:
     """Exact posterior at the query nodes, on the model's route (``_route``).
 
-    The spectral route returns ``woodbury_posterior``'s result. The dense
-    route conditions on K_xx + noise2 I, and with ``diag`` forms only the
-    marginal variances. Without it, a query covariance over
-    ``DENSE_ELEMENT_LIMIT`` elements raises ``ValueError`` naming its shape;
-    with or without ``diag``, so does an m x m train covariance, a |q| x m
-    query-train covariance or a |q| x l block of query eigenvector rows over
-    that limit, all before any product. Only the dense route warns, instead
-    of failing, when the train covariance is severely ill-conditioned.
+    The spectral route returns ``woodbury_posterior``'s result, with its
+    size refusals naming ``posterior``. The dense route conditions on
+    K_xx + noise2 I, and with ``diag`` forms only the marginal variances.
+    Without it, a query covariance over ``DENSE_ELEMENT_LIMIT`` elements
+    raises ``ValueError`` naming its shape; with or without ``diag``, so
+    does an m x m train covariance, a |q| x m query-train covariance or a
+    |q| x l block of query eigenvector rows over that limit, all before any
+    product. Only the dense route warns, instead of failing, when the train
+    covariance is severely ill-conditioned.
     """
     if _route(model) == "spectral":
-        return woodbury_posterior(model, query, diag)
+        return _woodbury(model, query, diag, "posterior")
     q = _node_indices(query, model.basis.total_dim, "query")
     if not diag:
         _check_dense_size("posterior", "query covariance", (q.size, q.size),
@@ -345,11 +346,16 @@ def woodbury_posterior(model: GPRegressionModel, query=None, diag=False) -> Post
     which also bounds the l x |q| W. Both are refused before the factor or
     any product.
     """
+    return _woodbury(model, query, diag, "woodbury_posterior")
+
+
+def _woodbury(model, query, diag, caller):
+    """``woodbury_posterior``, with its size refusals naming ``caller``."""
     q = _node_indices(query, model.basis.total_dim, "query")
     if not diag:
-        _check_dense_size("woodbury_posterior", "query covariance", (q.size, q.size),
+        _check_dense_size(caller, "query covariance", (q.size, q.size),
                           "pass a smaller query")
-    _check_dense_size("woodbury_posterior", "query eigenvector block",
+    _check_dense_size(caller, "query eigenvector block",
                       (q.size, model.basis.n_retained), "pass a smaller query", verb="form")
     _, inv_chol_b, root, _, coef = model._b_factor()
     phi_q = model.basis.eigenvectors[q]

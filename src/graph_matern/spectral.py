@@ -12,6 +12,7 @@ of the Laplacian, so repeated runs skip the eigensolve.
 
 import ctypes
 import hashlib
+import mmap
 import os
 import struct
 import warnings
@@ -201,10 +202,17 @@ def _finalize(values, vectors, total_dim, kind, norm_bound=None) -> SpectralBasi
     )
 
 
+def _check_nodes(operator: LaplacianOperator):
+    if operator.node_count == 0:
+        raise ValueError("the graph has no nodes, so its Laplacian has no eigenpairs")
+
+
 def eigendecompose_full(operator: LaplacianOperator) -> SpectralBasis:
     """Dense symmetric eigendecomposition (all n pairs), for n up to
     ``DENSE_SIZE_LIMIT``; larger operators go through
-    :func:`eigendecompose_truncated` for a partial basis."""
+    :func:`eigendecompose_truncated` for a partial basis. A graph with no
+    nodes raises ``ValueError``."""
+    _check_nodes(operator)
     return _dense_lowest(operator, operator.node_count)
 
 
@@ -305,10 +313,13 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
     quadratic in the count of close pairs. scipy's f2py ``dstemr`` wrapper
     allocates an n x n output whatever the range, so ``dstemr`` and
     ``dormtr`` are called through scipy's Cython LAPACK exports into an
-    n x l array. The matrix is dropped before finalizing, so the peak is it
-    plus the n x l output. Operators over ``DENSE_SIZE_LIMIT`` nodes are
-    refused before that allocation, which keeps dense O(n^3) work at desk
-    scale.
+    n x l array. With UPLO='L' neither routine reads above the diagonal, so
+    only the lower triangle is written, into an anonymous mapping: unlike a
+    numpy array this size, advised for huge pages, it leaves the pages above
+    the diagonal unmapped. It is dropped before finalizing, so the peak is
+    the lower triangle, in whole 4 KiB pages, plus the n x l output.
+    Operators over ``DENSE_SIZE_LIMIT`` nodes are refused before that
+    allocation, which keeps dense O(n^3) work at desk scale.
     """
     n = operator.node_count
     if n > DENSE_SIZE_LIMIT:
@@ -316,7 +327,12 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
             f"node count {n} exceeds dense limit {DENSE_SIZE_LIMIT}; "
             "ask for fewer eigenpairs than nodes for a partial basis"
         )
-    dense = operator.matrix.toarray(order="F")
+    buffer = mmap.mmap(-1, 8 * n * n)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    dense = np.ndarray((n, n), buffer=buffer, order="F")
+    lower = sp.tril(operator.matrix, format="coo")
+    np.add.at(dense, (lower.row, lower.col), lower.data)
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     _lapack_check("dsytrd_lwork", info)
     dense, diag, off, tau, info = lapack.dsytrd(dense, lower=1, lwork=int(lwork),
@@ -328,7 +344,7 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
     _lapack_check("dormtr", _dormtr(*reflect, query, -1))
     work = np.empty(int(query[0]))
     _lapack_check("dormtr", _dormtr(*reflect, work, work.size))
-    del dense, reflect
+    del dense, reflect, buffer
     return _finalize(
         values, vectors, n, operator.kind,
         norm_bound=_gershgorin(operator.matrix),
@@ -362,8 +378,10 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
     min(components, ``n_pairs``) of its eigenvalues are zero (within
     ``_finalize``'s tolerance). ARPACK's n x max(2 ``n_pairs`` + 1, 20)
     Lanczos basis over ``DENSE_ELEMENT_LIMIT`` elements raises
-    ``ValueError`` naming its shape, before the factorization.
+    ``ValueError`` naming its shape, before the factorization. A graph with
+    no nodes raises ``ValueError`` before the pair count is checked.
     """
+    _check_nodes(operator)
     n = operator.node_count
     if not 1 <= n_pairs <= n:
         raise ValueError(f"n_pairs={n_pairs} out of range for n={n}")
@@ -532,8 +550,10 @@ def cached_eigendecomposition(
     :func:`laplacian_hash` and the pair count. ``cache_dir`` defaults to the
     ``GRAPH_MATERN_CACHE_DIR`` environment variable; with neither set the
     decomposition is computed fresh and ``path`` is None. ``n_pairs`` larger
-    than n is clamped with a warning; below 1 it raises ``ValueError``.
+    than n is clamped with a warning; below 1 it raises ``ValueError``, as
+    does a graph with no nodes, before either check.
     """
+    _check_nodes(operator)
     n = operator.node_count
     if n_pairs < 1:
         raise ValueError(f"n_pairs={n_pairs} out of range for n={n}")

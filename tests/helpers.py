@@ -11,8 +11,15 @@ import tracemalloc
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
-from graph_matern import LaplacianOperator, SpectralBasis, WeightedGraph, build_laplacian
+from graph_matern import (
+    LaplacianOperator,
+    SpectralBasis,
+    WeightedGraph,
+    build_laplacian,
+    spectral,
+)
 
 
 class PeakMemory:
@@ -146,6 +153,29 @@ def loop_laplacian(edges, n, kind):
     mat.sum_duplicates()
     mat.sort_indices()
     return LaplacianOperator(kind=kind, matrix=mat, degrees=deg)
+
+
+def dense_lowest_oracle(operator, n_pairs):
+    """The dense path's LAPACK sequence on the whole matrix from
+    ``toarray(order="F")``: ``dsytrd``, ``spectral._tridiagonal_lowest``,
+    ``dormtr``, then ``spectral._finalize``. Not independent of the library,
+    unlike the oracles above: it pins the bits of a dense basis, not its
+    accuracy, so a change to how the matrix is filled must match it exactly.
+    """
+    n = operator.node_count
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    assert info == 0
+    dense, diag, off, tau, info = lapack.dsytrd(operator.matrix.toarray(order="F"), lower=1,
+                                                lwork=int(lwork), overwrite_a=1)
+    assert info == 0
+    values, vectors = spectral._tridiagonal_lowest(diag, off, n_pairs)
+    query = np.empty(1)
+    reflect = (b"L", b"L", b"N", n, n_pairs, dense, n, tau, vectors, n)
+    assert spectral._dormtr(*reflect, query, -1) == 0
+    work = np.empty(int(query[0]))
+    assert spectral._dormtr(*reflect, work, work.size) == 0
+    return spectral._finalize(values, vectors, n, operator.kind,
+                              norm_bound=spectral._gershgorin(operator.matrix))
 
 
 def dense_laplacian(graph, kind):

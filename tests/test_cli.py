@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,18 @@ class TestEigen:
         code = main(["eigen", "--graph", str(graph_path), "--out", str(tmp_path)])
         assert code == 1
         assert "error: invalid node index at line 2" in capsys.readouterr().err
+
+    def test_empty_graph_fails_by_name_without_a_clamp(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text("# no edges\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eigen", "--graph", str(graph_path), "--eigenpairs", "3",
+                         "--out", str(out)])
+        assert code == 1
+        assert "error: the graph has no nodes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_basis_past_dense_limit_fails_by_name(self, tmp_path, capsys,
                                                        monkeypatch):

@@ -342,6 +342,17 @@ class TestDenseCovarianceBudget:
         assert out.covariance.shape == (5, 5)
         assert route(model, diag=True).variance.shape == (12000,)
 
+    @pytest.mark.parametrize("route", [posterior, woodbury_posterior])
+    def test_spectral_route_refusal_names_the_function_called(self, route):
+        """m = 300 > 3l/4: ``posterior`` takes the spectral route and still
+        names itself, not ``woodbury_posterior``, in its refusals."""
+        model = self._wide_model()
+        assert regression._route(model) == "spectral"
+        with pytest.raises(ValueError, match=f"^{route.__name__} would return a dense "
+                                             "12000 x 12000 query covariance"):
+            route(model)
+        assert model._cache == {}
+
     def test_train_covariance_over_budget_refused_before_any_product(self):
         """The dense route factors the m x m train covariance; with m = 12000
         it is refused unformed. ``posterior`` and ``pathwise_sample`` take the

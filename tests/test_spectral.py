@@ -1,7 +1,11 @@
 """Eigendecomposition, functional calculus, heat flow and the basis cache."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from helpers import (
     PeakMemory,
     complete_graph,
     dense_laplacian,
+    dense_lowest_oracle,
     lattice_graph,
     leading_pairs,
     path_graph,
@@ -480,6 +485,74 @@ class TestDenseLowest:
             spectral._lapack_export("dormtr", "cciiDiDDiDii")
 
 
+def _cycle_graph(n):
+    nodes = np.arange(n)
+    return WeightedGraph.from_edges(
+        np.column_stack([nodes, (nodes + 1) % n, np.ones(n)]), node_count=n)
+
+
+# A cold dense solve on this lattice, in a fresh process: after the imports,
+# the peak RSS grows by the filled part of the n x n matrix and the small
+# outputs. The peak is VmHWM, the process's own high-water mark in KiB:
+# ru_maxrss would carry over the pytest process's peak across fork and exec.
+_LATTICE_SOLVE = """
+import numpy as np
+from graph_matern import WeightedGraph, build_laplacian, eigendecompose_truncated
+from helpers import lattice_graph
+
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+g = lattice_graph(55)
+w = np.random.default_rng(55).uniform(0.5, 2.0, g.w.size)
+op = build_laplacian(WeightedGraph(g.node_count, g.u, g.v, w), "unnormalized")
+before = peak_kib()
+basis = eigendecompose_truncated(op, 50)
+after = peak_kib()
+assert basis.n_retained == 50
+print((after - before) * 1024 / (8 * op.node_count**2))
+"""
+
+
+class TestLowerTriangleFill:
+    """The dense path fills only the lower triangle that ``dsytrd`` and
+    ``dormtr`` read, into an anonymous mapping: its bases have the bits of
+    the same LAPACK sequence on the whole matrix, and the untouched pages
+    above the diagonal never become resident."""
+
+    GRAPHS = {
+        "random_weighted": random_connected_graph(np.random.default_rng(291), 60),
+        "path": path_graph(25),
+        "cycle": _cycle_graph(24),  # every nonzero eigenvalue but one is doubled
+    }
+
+    @pytest.mark.parametrize("kind", ["unnormalized", "sym_normalized"])
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_bits_match_the_whole_matrix(self, name, kind):
+        op = build_laplacian(self.GRAPHS[name], kind)
+        n = op.node_count
+        solves = [(n, eigendecompose_full(op))]
+        solves += [(k, _routed(op, k, "dense")) for k in (1, n // 3, n // 2 + 1, n - 1)]
+        for n_pairs, basis in solves:
+            oracle = dense_lowest_oracle(op, n_pairs)
+            assert np.array_equal(basis.eigenvalues, oracle.eigenvalues)
+            assert np.array_equal(basis.eigenvectors, oracle.eigenvectors)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the peak RSS from /proc/self/status")
+    def test_cold_solve_grows_the_peak_by_less_than_the_matrix(self):
+        """n = 3025, 50 pairs: the whole matrix alone would be 8 n^2 bytes."""
+        tests = Path(__file__).resolve().parent
+        src = Path(spectral.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+        run = subprocess.run([sys.executable, "-c", _LATTICE_SOLVE], env=env,
+                             capture_output=True, text=True, check=True, timeout=600)
+        assert float(run.stdout) < 0.85
+
+
 def _routed(op, n_pairs, solver):
     """Solve through ``eigendecompose_truncated``, with the solver that the
     rule must not pick patched to raise."""
@@ -814,6 +887,31 @@ class TestLaplacianHash:
         h = lambda g, kind: laplacian_hash(build_laplacian(g, kind))
         assert h(g1, "unnormalized") != h(g2, "unnormalized")
         assert h(g1, "unnormalized") != h(g1, "sym_normalized")
+
+
+class TestNodelessGraph:
+    """A graph with no nodes has no eigenpairs: each entry point refuses it
+    by name, before a pair count is clamped or checked."""
+
+    OP = build_laplacian(WeightedGraph.from_edges(np.empty((0, 3)), node_count=0),
+                         "unnormalized")
+
+    def test_full(self):
+        with pytest.raises(ValueError, match="^the graph has no nodes"):
+            eigendecompose_full(self.OP)
+
+    @pytest.mark.parametrize("n_pairs", [0, 3])
+    def test_truncated(self, n_pairs):
+        with pytest.raises(ValueError, match="^the graph has no nodes"):
+            eigendecompose_truncated(self.OP, n_pairs)
+
+    @pytest.mark.parametrize("n_pairs", [0, 3])
+    def test_cached_without_a_clamp_warning(self, n_pairs, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the graph has no nodes"):
+                cached_eigendecomposition(self.OP, n_pairs, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCachedEigendecomposition:
