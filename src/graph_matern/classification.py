@@ -21,13 +21,14 @@ inverse) are hand-derived and checked against finite differences in the tests.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import log_ndtr
 
-from .graphs import _check_dense_size, _int64, _int64_token, _node_indices
+from .graphs import _check_dense_size, _finite, _int64, _int64_token, _node_indices
 from .kernels import (
     KernelSpec,
     check_laplacian_kind,
@@ -39,7 +40,6 @@ from .kernels import (
 )
 from .optim import AdamConfig, _maximize, adam_step
 from .regression import (
-    _carry_cache,
     _read_node_csv,
     _read_snapshot,
     _snapshot_spec,
@@ -130,7 +130,6 @@ class VariationalClassifier:
     whitened: bool = True
     epsilon: float = 1e-3
     jitter: float = 1e-6
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vars(self).update(_check_variational(self.basis.total_dim, vars(self)))
@@ -157,7 +156,16 @@ class VariationalClassifier:
                    **_initial_fields(n_classes, inducing_nodes, diag_cov))
 
     def with_updates(self, **kwargs) -> "VariationalClassifier":
-        return dataclasses.replace(self, **kwargs)
+        """New model with ``kwargs`` replaced, holding this one's ``_phi_z``
+        if computed, unless ``kwargs`` replace the basis or inducing nodes."""
+        new = dataclasses.replace(self, **kwargs)
+        if "_phi_z" in vars(self) and not {"basis", "inducing_nodes"} & kwargs.keys():
+            new._phi_z = self._phi_z
+        return new
+
+    @cached_property
+    def _phi_z(self) -> np.ndarray:
+        return self.basis.eigenvectors[self.inducing_nodes]
 
 
 def _initial_fields(n_classes, inducing_nodes, diag_cov=True):
@@ -194,7 +202,7 @@ def _check_variational(n, fields, labels=None):
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     jitter = fields.get("jitter", VariationalClassifier.jitter)
-    if not 0.0 <= jitter < np.inf:
+    if not (_finite(jitter) and jitter >= 0.0):
         raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
     mu = np.asarray(fields["q_mu"], dtype=float)
     if mu.shape != (c, m):
@@ -227,10 +235,10 @@ def _kernel_blocks(model: VariationalClassifier, batch):
 
     One triangular inverse gives L^-1, so every triangular operation of a
     step (marginals, their backward pass, the unwhitened KL) is a matrix
-    product with L^-1 or L^-T. The inducing rows Phi_z are memoized in the
-    model cache, which ``fit_classifier`` carries from step to step; the
-    blocks are not, as a fit builds a new model every step and prediction
-    asks once. When the batch is the inducing set, as on a full-batch step,
+    product with L^-1 or L^-T. The inducing rows Phi_z are the model's
+    ``_phi_z``, which ``with_updates`` carries from step to step; the blocks
+    are not kept, as a fit builds a new model every step and prediction asks
+    once. When the batch is the inducing set, as on a full-batch step,
     Phi_b is Phi_z and the one product (Phi_z D) Phi_z^T is K_zb and,
     symmetrized, K_zz. An m x m K_zz or an m x b K_zb over
     ``DENSE_ELEMENT_LIMIT`` elements raises ``ValueError`` naming it and its
@@ -244,9 +252,7 @@ def _kernel_blocks(model: VariationalClassifier, batch):
     d, d_grads = spectral_weights(
         model.spec, model.basis.eigenvalues, model.basis.total_dim, with_grads=True
     )
-    if "phi_z" not in model._cache:
-        model._cache["phi_z"] = model.basis.eigenvectors[model.inducing_nodes]
-    phi_z = model._cache["phi_z"]
+    phi_z = model._phi_z
     shared = np.array_equal(batch, model.inducing_nodes)
     phi_b = phi_z if shared else model.basis.eigenvectors[batch]
     prod = (phi_z * d) @ phi_z.T
@@ -588,7 +594,7 @@ def fit_classifier(
         raw = from_unconstrained(params, kernel_names)
         if raw:
             updates["spec"] = current.spec.with_params(**raw)
-        return _carry_cache(current, current.with_updates(**updates), ("phi_z",))
+        return current.with_updates(**updates)
 
     return _maximize(objective, advance, model, params, config, _fit_state,
                      keep_best=False, step=adam_step)

@@ -333,7 +333,7 @@ def cmd_fit(args) -> int:
         record.update(
             noise2=model.noise2, iterations=args.iterations, final_loss=float(trace[-1]),
             best_loss=float(np.min(trace)), lml_route=route,
-            jitter=model._c_factor()[3] if route == "dense" else None,
+            jitter=model._c_factor[3] if route == "dense" else None,
         )
         score = "mse"
     else:

@@ -15,6 +15,7 @@ symmetrically, so L != L.T has zero stored entries).
 import io
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -45,6 +46,13 @@ def _check_dense_size(caller, array, shape, remedy, verb="return"):
             f"{caller} would {verb} a dense {' x '.join(map(str, shape))} {array}, "
             f"over the {DENSE_ELEMENT_LIMIT}-element limit; {remedy}"
         )
+
+
+def _finite(value) -> bool:
+    """Whether the real ``value`` is at most float64's largest in magnitude:
+    false for NaN, infinities and integers past float64's range, on which
+    numpy's ``isfinite`` raises ``TypeError``."""
+    return abs(value) <= sys.float_info.max
 
 
 def _is_int64(value) -> bool:

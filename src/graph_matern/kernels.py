@@ -30,7 +30,7 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import LAPLACIAN_KINDS, LaplacianOperator, _check_dense_size, _node_indices
+from .graphs import LAPLACIAN_KINDS, LaplacianOperator, _check_dense_size, _finite, _node_indices
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -62,7 +62,7 @@ _JSON_KEYS = {
 
 
 def _positive(name, value):
-    if value is None or not (np.isfinite(value) and value > 0):
+    if value is None or not (_finite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import _int64
+from .graphs import _finite, _int64
 
 __all__ = [
     "AdamConfig",
@@ -53,15 +53,15 @@ class AdamConfig:
                 f"iterations must be an integer, got {self.iterations!r}") from None
         if not self.iterations >= 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations!r}")
-        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+        if not (_finite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}"
             )
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        if not (_finite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
 
 
 @dataclass

@@ -24,7 +24,8 @@ parameters, including the trace-normalization constant's dependence on them.
 import dataclasses
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -32,7 +33,7 @@ from scipy.linalg import lapack, solve_triangular
 from scipy.linalg.blas import dtrmm
 import scipy.sparse as sp
 
-from .graphs import _check_dense_size, _int64_token, _node_indices
+from .graphs import _check_dense_size, _finite, _int64_token, _node_indices
 from .kernels import (
     KernelSpec,
     check_laplacian_kind,
@@ -155,7 +156,6 @@ class GPRegressionModel:
     train_nodes: np.ndarray
     targets: np.ndarray
     noise2: float = 0.01
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.train_nodes, self.targets = _check_observations(
@@ -163,56 +163,50 @@ class GPRegressionModel:
         check_laplacian_kind(self.spec, self.basis)
 
     def with_raw_params(self, raw: dict) -> "GPRegressionModel":
-        """New model with raw kernel parameters / noise2 replaced."""
+        """New model with raw kernel parameters / noise2 replaced, holding
+        this one's ``_phi_train`` and ``_gram`` if computed: no parameter
+        touches them."""
         spec_updates = {k: v for k, v in raw.items() if k != "noise2"}
         spec = self.spec.with_params(**spec_updates) if spec_updates else self.spec
-        return dataclasses.replace(
-            self, spec=spec, noise2=raw.get("noise2", self.noise2)
-        )
+        new = dataclasses.replace(self, spec=spec, noise2=raw.get("noise2", self.noise2))
+        vars(new).update({k: v for k, v in vars(self).items() if k in ("_phi_train", "_gram")})
+        return new
 
-    # Everything below is derived state, memoized per instance. Parameter
-    # changes go through with_raw_params, which builds a fresh instance, so
-    # stale entries cannot survive a parameter change. ``fit`` carries only
-    # the train rows, E and t, which no parameter touches.
+    # Everything below is derived state, computed on first read and kept on
+    # the instance, so no field is reassigned after construction: a new
+    # parameter value means a new model, from with_raw_params.
 
+    @cached_property
     def _phi_train(self) -> np.ndarray:
-        if "phi_x" not in self._cache:
-            self._cache["phi_x"] = self.basis.eigenvectors[self.train_nodes]
-        return self._cache["phi_x"]
+        return self.basis.eigenvectors[self.train_nodes]
 
+    @cached_property
     def _gram(self):
         """``(E, t)``: E = P^T P and t = P^T y over the train rows P, shared
         by the spectral LML and ``woodbury_posterior``. E is column-major,
         the layout B is built and factored in."""
-        if "gram" not in self._cache:
-            phi = self._phi_train()
-            self._cache["gram"] = (np.asfortranarray(phi.T @ phi), phi.T @ self.targets)
-        return self._cache["gram"]
+        phi = self._phi_train
+        return np.asfortranarray(phi.T @ phi), phi.T @ self.targets
 
+    @cached_property
     def _weights(self):
         """``(d, grads)``: one evaluation serves the posteriors and the LML."""
-        if "weights" not in self._cache:
-            self._cache["weights"] = spectral_weights(
-                self.spec,
-                self.basis.eigenvalues,
-                self.basis.total_dim,
-                with_grads=True,
-            )
-        return self._cache["weights"]
+        return spectral_weights(self.spec, self.basis.eigenvalues, self.basis.total_dim,
+                                with_grads=True)
 
+    @cached_property
     def _c_factor(self):
         """``(half_logdet, inv_chol, alpha, jitter)`` for the dense route:
         log|C| / 2 and L^-1 for L the Cholesky factor of C = K_xx + noise2 I
         (all three in one m x m array), alpha = C^-1 y and the first jitter
         rung that factors; a failed rung rebuilds the array. A C over
-        ``DENSE_ELEMENT_LIMIT`` raises ``ValueError``."""
-        if "c_factor" in self._cache:
-            return self._cache["c_factor"]
+        ``DENSE_ELEMENT_LIMIT`` raises ``ValueError``, and a raise keeps
+        nothing."""
         m = self.train_nodes.size
         _check_dense_size("GPRegressionModel", "train covariance", (m, m),
                           "use fewer training nodes", verb="factor")
-        d, _ = self._weights()
-        phi = self._phi_train()
+        d, _ = self._weights
+        phi = self._phi_train
         for jitter in _JITTERS:
             c = (phi * d) @ phi.T
             # (K + K^T) / 2 in the upper triangle, which dpotrf reads of the
@@ -228,11 +222,11 @@ class GPRegressionModel:
             except scipy.linalg.LinAlgError:
                 del c  # a partial factor: free it before the rebuild
                 continue
-            self._cache["c_factor"] = (*factor, jitter)
-            return self._cache["c_factor"]
+            return (*factor, jitter)
         raise scipy.linalg.LinAlgError("train covariance is not positive definite even "
                                        f"with jitter up to {_JITTERS[-1]:g} * mean(diag)")
 
+    @cached_property
     def _b_factor(self):
         """``(half_logdet, inv_chol_b, root, t, coef)`` for the spectral
         route: log|B| / 2 and L_B^-1 for L_B the Cholesky factor of
@@ -240,27 +234,17 @@ class GPRegressionModel:
         root = sqrt(d), t = P^T y and coef = D^1/2 B^-1 D^1/2 t / noise2.
         B's eigenvalues are >= 1, so it needs no jitter and zero-weight
         modes stay in."""
-        if "b_factor" not in self._cache:
-            d, _ = self._weights()
-            root = np.sqrt(d)
-            e, t = self._gram()
-            b = np.multiply(root[:, None], e, order="F")  # LAPACK's layout
-            b *= root
-            b /= self.noise2
-            b += 0.0  # I's zeros: -0.0 (zero weight, negative E entry) becomes +0.0
-            b.flat[:: d.size + 1] += 1.0
-            half_logdet, inv_chol_b, coef = _factor_solve_invert(
-                b, root * t, "B = I + D^1/2 E D^1/2 / noise2")
-            coef = root * coef / self.noise2
-            self._cache["b_factor"] = (half_logdet, inv_chol_b, root, t, coef)
-        return self._cache["b_factor"]
-
-
-def _carry_cache(old, new, keys):
-    """``new`` holding ``old``'s memoized ``keys``: state of the basis and
-    the fixed nodes, which a fit step does not change."""
-    new._cache.update({k: old._cache[k] for k in keys if k in old._cache})
-    return new
+        d, _ = self._weights
+        root = np.sqrt(d)
+        e, t = self._gram
+        b = np.multiply(root[:, None], e, order="F")  # LAPACK's layout
+        b *= root
+        b /= self.noise2
+        b += 0.0  # I's zeros: -0.0 (zero weight, negative E entry) becomes +0.0
+        b.flat[:: d.size + 1] += 1.0
+        half_logdet, inv_chol_b, coef = _factor_solve_invert(
+            b, root * t, "B = I + D^1/2 E D^1/2 / noise2")
+        return half_logdet, inv_chol_b, root, t, root * coef / self.noise2
 
 
 def _check_observations(n, train_nodes, targets, noise2):
@@ -275,7 +259,7 @@ def _check_observations(n, train_nodes, targets, noise2):
         raise ValueError("regression needs at least one training node")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    if not (np.isfinite(noise2) and noise2 > 0):
+    if not (_finite(noise2) and noise2 > 0):
         raise ValueError(f"noise2 must be positive, got {noise2!r}")
     return x, y
 
@@ -302,9 +286,9 @@ def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSumm
     for block, shape in (("query-train covariance", (q.size, model.train_nodes.size)),
                          ("query eigenvector block", (q.size, model.basis.n_retained))):
         _check_dense_size("posterior", block, shape, "pass a smaller query", verb="form")
-    d, _ = model._weights()
-    _, inv_chol, alpha, _ = model._c_factor()
-    phi_x = model._phi_train()
+    d, _ = model._weights
+    _, inv_chol, alpha, _ = model._c_factor
+    phi_x = model._phi_train
     phi_q = model.basis.eigenvectors[q]
     k_qx = (phi_q * d) @ phi_x.T
 
@@ -357,7 +341,7 @@ def _woodbury(model, query, diag, caller):
                           "pass a smaller query")
     _check_dense_size(caller, "query eigenvector block",
                       (q.size, model.basis.n_retained), "pass a smaller query", verb="form")
-    _, inv_chol_b, root, _, coef = model._b_factor()
+    _, inv_chol_b, root, _, coef = model._b_factor
     phi_q = model.basis.eigenvectors[q]
     mean = phi_q @ coef
     w = dtrmm(1.0, inv_chol_b, root[:, None] * phi_q.T, lower=1, overwrite_b=1)
@@ -405,7 +389,7 @@ def _lml_grads(model, proj, trace_cols, alpha_sq, trace_cinv):
     ``proj`` = P^T alpha and ``trace_cols`` = diag(P^T C^{-1} P); the noise
     term needs alpha^T alpha and tr(C^{-1}).
     """
-    _, d_grads = model._weights()
+    _, d_grads = model._weights
     grads = unconstrained_grads(model.spec, 0.5 * (proj**2 - trace_cols), d_grads)
     g_noise = 0.5 * (alpha_sq - trace_cinv)
     grads["log_noise2"] = g_noise * model.noise2
@@ -414,8 +398,8 @@ def _lml_grads(model, proj, trace_cols, alpha_sq, trace_cinv):
 
 def _lml_dense(model: GPRegressionModel):
     """LML through the memoized factor of the m x m train covariance C."""
-    phi = model._phi_train()
-    half_logdet, inv_chol, alpha, _ = model._c_factor()
+    phi = model._phi_train
+    half_logdet, inv_chol, alpha, _ = model._c_factor
     y = model.targets
     n = y.shape[0]
 
@@ -442,10 +426,10 @@ def _lml_spectral(model: GPRegressionModel):
     meets derivatives dd that vanish there too, except at the kink of a
     p = 1 random walk whose base is exactly 0.
     """
-    d, _ = model._weights()
-    half_logdet, inv_chol_b, _, t, coef = model._b_factor()
-    phi = model._phi_train()
-    e, _ = model._gram()
+    d, _ = model._weights
+    half_logdet, inv_chol_b, _, t, coef = model._b_factor
+    phi = model._phi_train
+    e, _ = model._gram
     y = model.targets
     s2 = model.noise2
     m, l = phi.shape
@@ -476,8 +460,7 @@ def fit(model: GPRegressionModel, config: AdamConfig | None = None):
         {n: model.noise2 if n == "noise2" else getattr(model.spec, n) for n in names})
 
     def advance(current, params):
-        raw = from_unconstrained(params, names)
-        return _carry_cache(current, current.with_raw_params(raw), ("phi_x", "gram"))
+        return current.with_raw_params(from_unconstrained(params, names))
 
     best, values = _maximize(
         log_marginal_likelihood, advance, model, params, config,
@@ -514,12 +497,12 @@ def pathwise_sample(model: GPRegressionModel, query=None, n_samples=1, seed=0):
         _check_dense_size("pathwise_sample", block, shape,
                           "pass a smaller query or fewer samples", verb="form")
     rng = np.random.default_rng(seed)
-    d, _ = model._weights()
+    d, _ = model._weights
     root = np.sqrt(d)
-    phi_x = model._phi_train()
+    phi_x = model._phi_train
     phi_q = model.basis.eigenvectors[q]
     spectral = _route(model) == "spectral"
-    inv_chol = model._b_factor()[1] if spectral else model._c_factor()[1]
+    inv_chol = model._b_factor[1] if spectral else model._c_factor[1]
 
     xi = rng.standard_normal((d.shape[0], n_samples))
     f_x = phi_x @ (root[:, None] * xi)
@@ -654,7 +637,8 @@ def _write_snapshot(path, kind, model, **fields):
 
 
 # JSON type of every snapshot field, shared and per kind: [t] is an array
-# of t or of such arrays, and a float field takes an integer too.
+# of t or of such arrays, and a float field takes an integer too when it
+# converts to a finite float.
 _SNAPSHOT_FIELDS = {
     None: {"schema_version": int, "kernel": dict, "eigenpairs": int},
     "regression": {"noise2": float, "train_nodes": [int], "targets": [float]},
@@ -670,7 +654,7 @@ def _json_is(value, kind) -> bool:
         return type(value) is list and all(
             _json_is(v, kind if type(v) is list else kind[0]) for v in value
         )
-    return type(value) is kind or (kind is float and type(value) is int)
+    return type(value) is kind or (kind is float and type(value) is int and _finite(value))
 
 
 def _read_snapshot(path, kind=None) -> dict:

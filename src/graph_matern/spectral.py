@@ -26,7 +26,7 @@ from scipy.linalg import cython_lapack, lapack
 from scipy.linalg.blas import idamax
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spilu, splu
 
-from .graphs import LaplacianOperator, _check_dense_size
+from .graphs import LaplacianOperator, _check_dense_size, _finite
 
 __all__ = [
     "SpectralBasis",
@@ -458,10 +458,11 @@ def heat_propagate(basis: SpectralBasis, v, t: float) -> np.ndarray:
     """Solution at time ``t`` of the graph heat equation started at ``v``.
 
     Exact on the retained subspace: with a full basis this is e^{-t L} v.
-    Negative times are rejected (backward heat flow is unstable by design).
+    Negative times are rejected (backward heat flow is unstable by design),
+    and so are a NaN or infinite time, whose answers lose the vector's mass.
     """
-    if t < 0:
-        raise ValueError(f"negative time {t}")
+    if not (_finite(t) and t >= 0):
+        raise ValueError(f"non-finite or negative time {t}")
     v = np.asarray(v, dtype=float)
     if v.shape[0] != basis.total_dim:
         raise ValueError(

@@ -190,11 +190,25 @@ class TestModelValidation:
             )
         with pytest.raises(ValueError, match="epsilon"):
             model.with_updates(epsilon=0.0)
-        for jitter in (np.nan, np.inf, -1.0):
+        for jitter in (np.nan, np.inf, -1.0, 10**400):
             with pytest.raises(ValueError, match="^jitter must be finite and >= 0, got "):
                 model.with_updates(jitter=jitter)
         with pytest.raises(ValueError, match="two classes"):
             VariationalClassifier.create(SYM_MATERN, model.basis, 1, np.array([0]))
+
+    @pytest.mark.parametrize("field", ["inducing_nodes", "basis"])
+    def test_with_updates_keeps_the_inducing_rows_while_they_hold(self, field):
+        """A step of the variational or kernel parameters keeps Phi_z; a new
+        basis or inducing set computes it afresh."""
+        _, model = _classifier(5)
+        phi_z = model._phi_z
+        step = model.with_updates(q_mu=model.q_mu + 1.0, spec=model.spec.with_params(kappa=2.0))
+        assert vars(step)["_phi_z"] is phi_z
+        value = np.array([0, 3, 7, 11]) if field == "inducing_nodes" else _classifier(6)[1].basis
+        moved = model.with_updates(**{field: value})
+        assert "_phi_z" not in vars(moved)
+        assert_array_equal(moved._phi_z, moved.basis.eigenvectors[moved.inducing_nodes])
+        assert not np.array_equal(moved._phi_z, phi_z)
 
     def test_tril_is_enforced(self):
         rng, model = _classifier(3, diag_cov=False, randomize=False)
@@ -649,6 +663,13 @@ class TestFitClassifier:
         assert_array_equal(m1.q_mu, m2.q_mu)
         assert m1.spec == m2.spec
 
+    def test_inducing_rows_carried_across_steps(self):
+        model, train, labels = self._clique_setup()
+        config = AdamConfig(iterations=5, learning_rate=0.05)
+        fitted, _ = fit_classifier(model, train, labels, config)
+        assert fitted is not model
+        assert fitted._phi_z is vars(model)["_phi_z"]
+
     def test_trainable_restriction(self):
         model, train, labels = self._clique_setup()
         config = AdamConfig(iterations=20, learning_rate=0.05, trainable=("q_mu",))
@@ -920,6 +941,9 @@ class TestSnapshotAndCsv:
     @pytest.mark.parametrize("field, value", [
         ("whitened", "false"), ("diag_cov", 1), ("n_classes", True), ("epsilon", "0.1"),
         ("q_mu", [[0.0, "0"]]), ("inducing_nodes", [[0, 1.5]]),
+        pytest.param("epsilon", 10**400, id="epsilon-1e400"),
+        pytest.param("jitter", -10**400, id="jitter--1e400"),
+        pytest.param("q_mu", [[10**400, 0.0]], id="q_mu-1e400"),
     ])
     def test_load_refuses_fields_by_name(self, tmp_path, field, value):
         _, model = _classifier(44)

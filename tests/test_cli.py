@@ -1,6 +1,7 @@
 """End-to-end command line runs through main(argv) in-process."""
 
 import json
+import mmap
 import os
 import re
 import warnings
@@ -8,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 from graph_matern import build_laplacian, cli, eigendecompose_full
@@ -158,11 +158,11 @@ class TestEigen:
     def test_full_basis_past_dense_limit_fails_by_name(self, tmp_path, capsys,
                                                        monkeypatch):
         """A pair count clamped to n > DENSE_SIZE_LIMIT is refused by name
-        instead of asking for an n x n dense matrix."""
-        def dense_solve(*args, **kwargs):
-            raise AssertionError("dense eigensolve reached")
+        before the n x n dense matrix is mapped."""
+        def dense_matrix(*args, **kwargs):
+            raise AssertionError("dense matrix mapped")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", dense_solve)
+        monkeypatch.setattr(mmap, "mmap", dense_matrix)
         n = DENSE_SIZE_LIMIT + 1
         graph_path = tmp_path / "path.txt"
         graph_path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
@@ -263,7 +263,7 @@ class TestFitRegression:
         def refuse(self):
             raise AssertionError(f"{other} built")
 
-        monkeypatch.setattr(cli.GPRegressionModel, other, refuse)
+        monkeypatch.setattr(cli.GPRegressionModel, other, property(refuse))
         graph_path, targets_path, _ = regression_case
         out, again = tmp_path / "fit", tmp_path / "predict"
         assert main([
@@ -828,6 +828,23 @@ class TestRefusedBeforeTheEigensolve:
                                 "jitter must be finite and >= 0, got inf"),
         "snapshot_jitter_negative": ("predict", ["--model", "jitter_minus_1.json"],
                                      "jitter must be finite and >= 0, got -1.0"),
+        # An integer past float64's range is refused by name, in a kernel
+        # spec or in a snapshot's number field.
+        "kernel_nu_past_float64": (
+            "fit-regression", ["--kernel", '{"family":"matern","nu":%d,"kappa":1}' % 10**400],
+            f"nu must be positive and finite, got {10**400}"),
+        "snapshot_noise2_past_float64": ("predict", ["--model", "noise2_1e400.json"],
+                                         "snapshot field 'noise2'"),
+        "snapshot_sigma2_past_float64": ("predict", ["--model", "sigma2_1e400.json"],
+                                         f"sigma2 must be positive and finite, got {10**400}"),
+        "snapshot_target_past_float64": ("predict", ["--model", "target_1e400.json"],
+                                         "snapshot field 'targets'"),
+        "snapshot_epsilon_past_float64": ("predict", ["--model", "epsilon_1e400.json"],
+                                          "snapshot field 'epsilon'"),
+        "snapshot_jitter_past_float64": ("predict", ["--model", "jitter_1e400.json"],
+                                         "snapshot field 'jitter'"),
+        "snapshot_q_mu_past_float64": ("predict", ["--model", "q_mu_1e400.json"],
+                                       "snapshot field 'q_mu'"),
         # An eigenpair count is refused by name before the graph is parsed.
         "zero_eigenpairs_eigen": ("eigen", ["--eigenpairs", "0"],
                                   "--eigenpairs must be >= 1, got 0"),
@@ -885,6 +902,13 @@ class TestRefusedBeforeTheEigensolve:
         "jitter_nan.json": json.dumps(dict(CLASSIFIER, jitter=float("nan"))),
         "jitter_inf.json": json.dumps(dict(CLASSIFIER, jitter=float("inf"))),
         "jitter_minus_1.json": json.dumps(dict(CLASSIFIER, jitter=-1.0)),
+        "noise2_1e400.json": json.dumps(dict(REGRESSION, noise2=10**400)),
+        "sigma2_1e400.json": json.dumps(
+            dict(REGRESSION, kernel=dict(REGRESSION["kernel"], sigma2=10**400))),
+        "target_1e400.json": json.dumps(dict(REGRESSION, targets=[10**400, -1.0])),
+        "epsilon_1e400.json": json.dumps(dict(CLASSIFIER, epsilon=10**400)),
+        "jitter_1e400.json": json.dumps(dict(CLASSIFIER, jitter=10**400)),
+        "q_mu_1e400.json": json.dumps(dict(CLASSIFIER, q_mu=[[10**400, 0.0], [0.0, 0.0]])),
     }
 
     @pytest.mark.parametrize("snapshot", ["REGRESSION", "CLASSIFIER"])

@@ -143,6 +143,14 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
             base.with_params(**{field: value})
 
+    @pytest.mark.parametrize("field", ["nu", "kappa", "sigma2"])
+    def test_integer_past_float64_fails_by_name(self, field):
+        """An integer past float64's range is refused by name; one past
+        uint64's that float64 holds is a number like any other."""
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got 1"):
+            MATERN.with_params(**{field: 10**400})
+        assert getattr(MATERN.with_params(**{field: 2**64}), field) == 2**64
+
     def test_numpy_scalars_are_numbers(self):
         spec = KernelSpec(family="matern", nu=np.float64(1.5), kappa=np.int64(2))
         assert spec == MATERN

@@ -99,12 +99,15 @@ class TestAdamConfig:
         ("learning_rate", -0.001),
         ("learning_rate", np.inf),
         ("learning_rate", np.nan),
+        pytest.param("learning_rate", 10**400, id="learning_rate-1e400"),
         ("beta1", -0.1),
         ("beta1", 1.0),
         ("beta2", 1.0),
         ("beta2", np.nan),
         ("eps", 0.0),
         ("eps", -1e-8),
+        ("eps", np.inf),
+        pytest.param("eps", 10**400, id="eps-1e400"),
     ])
     def test_rejects_unworkable_settings_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):

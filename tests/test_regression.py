@@ -69,6 +69,11 @@ def _problem(seed, n=18, n_train=7, spec=MATERN, noise2=0.05):
     return rng, model
 
 
+def _memoized(model):
+    """Names of the derived attributes ``model`` has computed and kept."""
+    return vars(model).keys() - {f.name for f in dataclasses.fields(model)}
+
+
 def _spectral_problem(seed, spec=MATERN, n=40, n_pairs=12, n_train=30, noise2=0.1):
     """A truncated-basis problem with more training nodes than eigenpairs."""
     rng = np.random.default_rng(seed)
@@ -126,14 +131,28 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="laplacian kind"):
             GPRegressionModel(wrong, model.basis, model.train_nodes, model.targets)
 
+    def test_noise2_past_float64_fails_by_name(self):
+        _, model = _problem(2)
+        with pytest.raises(ValueError, match="^noise2 must be positive, got 1"):
+            GPRegressionModel(MATERN, model.basis, [0], [1.0], noise2=10**400)
+        assert GPRegressionModel(MATERN, model.basis, [0], [1.0], noise2=2**64).noise2 == 2**64
+
     def test_with_raw_params_gives_fresh_model(self):
+        """The new model holds the train rows and (E, t) it shares with the
+        old one, which no parameter touches, and computes the weights and
+        both factors afresh."""
         _, model = _problem(3)
-        posterior(model)  # populate cache
+        model._c_factor, model._b_factor  # every derived attribute, on both routes
+        assert _memoized(model) == {"_phi_train", "_gram", "_weights", "_c_factor", "_b_factor"}
         other = model.with_raw_params({"kappa": 5.0, "noise2": 0.2})
         assert other.spec.kappa == 5.0
         assert other.noise2 == 0.2
         assert model.spec.kappa == 2.0
-        assert other._cache == {}
+        assert _memoized(other) == {"_phi_train", "_gram"}
+        assert other._phi_train is model._phi_train and other._gram is model._gram
+        for name in ("_weights", "_c_factor", "_b_factor"):
+            assert getattr(other, name) is not getattr(model, name)
+        assert not np.array_equal(other._weights[0], model._weights[0])
 
 
 class TestPosterior:
@@ -251,7 +270,7 @@ class TestWoodburyPosterior:
     def test_underflowed_modes_kept(self):
         spec = KernelSpec(family="diffusion", kappa=60.0)
         rng, model = _problem(34, spec=spec)
-        assert np.any(model._weights()[0] == 0.0)
+        assert np.any(model._weights[0] == 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = woodbury_posterior(model)
@@ -337,7 +356,7 @@ class TestDenseCovarianceBudget:
             with pytest.raises(ValueError, match="dense 12000 x 12000 query covariance"):
                 route(model)
         assert mem.peak < 16 * 2**20
-        assert model._cache == {}
+        assert not _memoized(model)
         out = route(model, np.arange(5))
         assert out.covariance.shape == (5, 5)
         assert route(model, diag=True).variance.shape == (12000,)
@@ -351,7 +370,7 @@ class TestDenseCovarianceBudget:
         with pytest.raises(ValueError, match=f"^{route.__name__} would return a dense "
                                              "12000 x 12000 query covariance"):
             route(model)
-        assert model._cache == {}
+        assert not _memoized(model)
 
     def test_train_covariance_over_budget_refused_before_any_product(self):
         """The dense route factors the m x m train covariance; with m = 12000
@@ -360,7 +379,7 @@ class TestDenseCovarianceBudget:
         never form it and run."""
         model = self._wide_model(step=1)
         message = "GPRegressionModel would factor a dense 12000 x 12000 train covariance"
-        for call in (model._c_factor, lambda: regression._lml_dense(model)):
+        for call in (lambda: model._c_factor, lambda: regression._lml_dense(model)):
             with PeakMemory() as mem:
                 with pytest.raises(ValueError, match=message):
                     call()
@@ -368,7 +387,7 @@ class TestDenseCovarianceBudget:
         assert posterior(model, np.arange(5), diag=True).variance.shape == (5,)
         assert pathwise_sample(model, np.arange(5)).shape == (1, 5)
         assert woodbury_posterior(model, np.arange(5), diag=True).variance.shape == (5,)
-        assert "c_factor" not in model._cache
+        assert "_c_factor" not in vars(model)
         small = self._wide_dense_model()
         assert posterior(small, np.arange(5), diag=True).variance.shape == (5,)
 
@@ -392,7 +411,7 @@ class TestDenseCovarianceBudget:
             with pytest.raises(ValueError, match=message):
                 call(model, query)
         assert mem.peak < 16 * 2**20
-        assert "c_factor" not in model._cache
+        assert "_c_factor" not in vars(model)
         assert posterior(model, np.arange(5), diag=True).variance.shape == (5,)
         assert pathwise_sample(model, np.arange(5), n_samples=2).shape == (2, 5)
 
@@ -410,7 +429,7 @@ class TestDenseCovarianceBudget:
                                "320000 x 450 query eigenvector block"):
                 woodbury_posterior(model, query, diag=True)
         assert mem.peak < 16 * 2**20
-        assert model._cache == {}
+        assert not _memoized(model)
         assert woodbury_posterior(model, query[:5], diag=True).variance.shape == (5,)
 
 
@@ -526,7 +545,7 @@ class TestLogMarginalLikelihood:
         )
         with pytest.warns(UserWarning, match="clamped to zero"):
             model = _spectral_problem(153, spec=spec, n_pairs=25, n_train=32)
-            d, _ = model._weights()
+            d, _ = model._weights
             assert np.any(d == 0.0) and np.any(d > 0.0)
             self._gradcheck(model, ("alpha", "sigma2", "noise2"))
 
@@ -545,11 +564,11 @@ class TestLogMarginalLikelihood:
             train = np.sort(rng.choice(14, size=12, replace=False))
             model = GPRegressionModel(spec, basis, train, rng.standard_normal(12), noise2=0.1)
             assert_allclose(basis.eigenvalues[-1], 2.0, atol=1e-12)
-            assert model._weights()[0][-1] < 1e-15
+            assert model._weights[0][-1] < 1e-15
         else:
             spec = KernelSpec(family="diffusion", kappa=60.0)
             model = _spectral_problem(156, spec=spec)
-        d, _ = model._weights()
+        d, _ = model._weights
         if case != "inverse_cosine_at_2":
             assert np.any(d == 0.0) and np.any(d > 0.0)
         v_spec, g_spec = regression._lml_spectral(model)
@@ -567,17 +586,17 @@ class TestLogMarginalLikelihood:
         the bits of I + D^1/2 E D^1/2 / s2 factored and inverted out of
         place, signed zeros of zero-weight modes included."""
         model = _spectral_problem(156, spec=KernelSpec(family="diffusion", kappa=60.0))
-        d, _ = model._weights()
+        d, _ = model._weights
         assert np.any(d == 0.0)
-        root, (e, t) = np.sqrt(d), model._gram()
+        root, (e, t) = np.sqrt(d), model._gram
         b = np.eye(d.size) + (root[:, None] * e * root[None, :]) / model.noise2
         chol_b = scipy.linalg.cholesky(b, lower=True)
-        half_logdet, inv_chol_b, _, t_cached, _ = model._b_factor()
+        half_logdet, inv_chol_b, _, t_cached, _ = model._b_factor
         assert half_logdet == float(np.sum(np.log(np.diag(chol_b))))
         assert_array_equal(inv_chol_b.view(np.int64),
                            dtrtri(chol_b, lower=1)[0].view(np.int64))
         assert t_cached is t
-        assert_array_equal(t, model._phi_train().T @ model.targets)
+        assert_array_equal(t, model._phi_train.T @ model.targets)
 
     def test_dense_and_spectral_routes_agree(self):
         rw = KernelSpec(family="random_walk", alpha=0.6, p=2, laplacian_kind="sym_normalized")
@@ -606,7 +625,7 @@ class TestLogMarginalLikelihood:
         def refuse(self):
             raise AssertionError("dense route taken")
 
-        monkeypatch.setattr(GPRegressionModel, "_c_factor", refuse)
+        monkeypatch.setattr(GPRegressionModel, "_c_factor", property(refuse))
         value, grads = log_marginal_likelihood(_spectral_problem(170))
         assert np.isfinite(value) and all(np.isfinite(g) for g in grads.values())
         _, dense = _problem(171)
@@ -665,12 +684,12 @@ class TestDenseFactorHelpers:
                                                    "unnormalized"))
         model = GPRegressionModel(MATERN, leading_pairs(full, 4), np.arange(20),
                                   rng.standard_normal(20), noise2=1e-300)
-        _, inv_chol, _, used = model._c_factor()
+        _, inv_chol, _, used = model._c_factor
         chol = dtrtri(inv_chol, lower=1)[0]  # L from the stored L^-1
         rung = regression._JITTERS.index(used)
         assert rung > 0
-        d, _ = model._weights()
-        phi = model._phi_train()
+        d, _ = model._weights
+        phi = model._phi_train
         k_xx = (phi * d) @ phi.T
         c = (k_xx + k_xx.T) / 2.0 + model.noise2 * np.eye(20)
         scale = float(np.mean(np.diag(c)))
@@ -689,13 +708,13 @@ class TestDenseFactorHelpers:
         the bits of (K_xx + K_xx^T) / 2 + noise2 I factored, solved and
         inverted out of place, with underflowed weights too."""
         _, model = _problem(213, spec=spec)
-        d, _ = model._weights()
-        phi = model._phi_train()
+        d, _ = model._weights
+        phi = model._phi_train
         k_xx = (phi * d) @ phi.T
         c = (k_xx + k_xx.T) / 2.0 + model.noise2 * np.eye(phi.shape[0])
         chol, info = lapack.dpotrf(c, lower=1, clean=1)
         assert info == 0
-        half_logdet, inv_chol, alpha, jitter = model._c_factor()
+        half_logdet, inv_chol, alpha, jitter = model._c_factor
         assert jitter == 0.0
         assert half_logdet == float(np.sum(np.log(np.diag(chol))))
         assert_array_equal(inv_chol.view(np.int64),
@@ -712,9 +731,9 @@ class TestDenseFactorHelpers:
         basis = SpectralBasis(np.linspace(0.0, 2.0, l), vectors, m, "unnormalized")
         model = GPRegressionModel(MATERN, basis, np.arange(m), rng.standard_normal(m),
                                   noise2=0.1)
-        model._phi_train(), model._weights()
+        model._phi_train, model._weights
         with PeakMemory() as mem:
-            _, inv_chol, alpha, _ = model._c_factor()
+            _, inv_chol, alpha, _ = model._c_factor
         assert mem.peak < 1.6 * 8 * m * m
         assert inv_chol.shape == (m, m) and np.all(np.isfinite(alpha))
 
@@ -785,8 +804,8 @@ class TestFit:
         model = _spectral_problem(66)
         fitted, _ = fit(model, AdamConfig(iterations=5, learning_rate=0.05))
         assert fitted is not model
-        assert fitted._cache["phi_x"] is model._cache["phi_x"]
-        assert fitted._cache["gram"] is model._cache["gram"]
+        assert fitted._phi_train is vars(model)["_phi_train"]
+        assert fitted._gram is vars(model)["_gram"]
 
     def test_zero_iterations_returns_start(self):
         _, model = _problem(64)
@@ -849,7 +868,7 @@ class TestPathwiseSample:
         with PeakMemory() as mem:
             samples = pathwise_sample(model, query, n_samples=3, seed=4)
         assert mem.peak < 16 * 2**20
-        assert "c_factor" not in model._cache
+        assert "_c_factor" not in vars(model)
         expected = _numpy_matheron(model, query, 3, 4, feature_space=True)
         assert_allclose(samples, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
 
@@ -1080,6 +1099,12 @@ class TestSnapshotAndCsv:
         ("train_nodes", [0, 10**30], f"^node index {10**30} is not an int64 integer$"),
         ("eigenpairs", 0, "'eigenpairs' is 0, not positive"),
         ("kernel", {"family": "matern", "nu": "abc", "kappa": 1.0}, "nu must be a number"),
+        pytest.param("noise2", 10**400, "field 'noise2' in .* is not a JSON number$",
+                     id="noise2-1e400"),
+        pytest.param("targets", [10**400], "field 'targets' in .* is not a JSON number array$",
+                     id="targets-1e400"),
+        pytest.param("kernel", {"family": "matern", "nu": 1.5, "kappa": 1.0, "sigma2": 10**400},
+                     "^sigma2 must be positive and finite, got 1", id="kernel-sigma2-1e400"),
     ])
     def test_load_refuses_fields_by_name(self, tmp_path, field, value, message):
         _, model = _problem(92)

@@ -727,6 +727,14 @@ class TestHeatPropagate:
         with pytest.raises(ValueError, match="negative time"):
             heat_propagate(basis, np.zeros(4), -0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, 10**400], ids=["nan", "inf", "1e400"])
+    def test_non_finite_time_rejected(self, t):
+        """A NaN time would return NaNs and an infinite one zeros, which
+        lose the vector's mass."""
+        basis = _basis(path_graph(3))
+        with pytest.raises(ValueError, match=f"^non-finite or negative time {t}$"):
+            heat_propagate(basis, np.array([1.0, 0.0, 0.0]), t)
+
     def test_shape_mismatch_rejected(self):
         basis = _basis(path_graph(4))
         with pytest.raises(ValueError, match="does not match node count"):
