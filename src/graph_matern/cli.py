@@ -256,14 +256,26 @@ def _blas_threads() -> int | None:
     return max(counts, default=None)
 
 
+def _peak_rss_mib() -> float | None:
+    """The process's own resident high-water mark (``VmHWM``) in MiB, or None
+    where ``/proc/self/status`` does not exist (off Linux)."""
+    try:
+        with open("/proc/self/status", encoding="utf-8") as fh:
+            kib = next((int(line.split()[1]) for line in fh if line.startswith("VmHWM:")), None)
+    except OSError:
+        return None
+    return None if kib is None else kib / 1024
+
+
 def _write_record(path, timings, **fields):
     """Write a command's JSON run record: the schema version, a UTC
-    timestamp, the command's own ``fields``, its stage ``timings`` (seconds)
-    and the BLAS thread count."""
+    timestamp, the command's own ``fields``, its stage ``timings`` (seconds),
+    the BLAS thread count and the peak RSS so far."""
     _write_json(path, {
         "schema_version": _SCHEMA_VERSION,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **fields, "timings": timings, "blas_threads": _blas_threads(),
+        "peak_rss_mib": _peak_rss_mib(),
     })
 
 

@@ -250,7 +250,7 @@ class GPRegressionModel:
 def _check_observations(n, train_nodes, targets, noise2):
     """``(train_nodes, targets)`` as arrays after every check that needs only
     the node count ``n``: at least one training node, each in [0, n) with a
-    finite target (repeats allowed), and a positive ``noise2``."""
+    finite target (repeats allowed), and a positive, finite ``noise2``."""
     x = _node_indices(train_nodes, n, "training")
     y = np.asarray(targets, dtype=float)
     if y.shape != x.shape:
@@ -260,7 +260,7 @@ def _check_observations(n, train_nodes, targets, noise2):
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     if not (_finite(noise2) and noise2 > 0):
-        raise ValueError(f"noise2 must be positive, got {noise2!r}")
+        raise ValueError(f"noise2 must be positive and finite, got {noise2!r}")
     return x, y
 
 

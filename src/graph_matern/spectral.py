@@ -42,8 +42,8 @@ __all__ = [
     "CACHE_ENV_VAR",
 ]
 
-# Also keeps n^2 and every LAPACK workspace size inside the 32-bit integers
-# that the dense path's LAPACK bindings pass.
+# Also keeps lda * n <= 4607 * 4096 and every LAPACK workspace size inside
+# the 32-bit integers that the dense path's LAPACK bindings pass.
 DENSE_SIZE_LIMIT = 4096
 CACHE_ENV_VAR = "GRAPH_MATERN_CACHE_DIR"
 
@@ -236,10 +236,11 @@ def _lapack_export(name, args):
 
     ``args`` has one letter per argument: ``c`` a character, ``i``/``d`` an
     int/double passed by reference, ``I``/``D`` a column-major int32/float64
-    array (which the routine may write). The returned function takes every
-    argument but the last, ``info``, and returns it. The export's signature
-    string must list the same C types, or the binding is refused by name at
-    import.
+    array passed by its data pointer (the routine may write it, and takes
+    its layout from the call's leading-dimension arguments). The returned
+    function takes every argument but the last, ``info``, and returns it.
+    The export's signature string must list the same C types, or the
+    binding is refused by name at import.
     """
     capsule = cython_lapack.__pyx_capi__[name]
     signature = _capsule_name(capsule)
@@ -262,6 +263,8 @@ def _lapack_export(name, args):
 
 # jobz range n d e vl vu il iu m w z ldz nzc isuppz tryrac work lwork iwork liwork info
 _dstemr = _lapack_export("dstemr", "cciDDddiiiDDiiIiDiIii")
+# uplo n a lda d e tau work lwork info
+_dsytrd = _lapack_export("dsytrd", "ciDiDDDDii")
 # side uplo trans m n a lda tau c ldc work lwork info
 _dormtr = _lapack_export("dormtr", "ccciiDiDDiDii")
 
@@ -269,6 +272,15 @@ _dormtr = _lapack_export("dormtr", "ccciiDiDDiDii")
 def _lapack_check(name, info):
     if info != 0:
         raise EigensolverError(f"LAPACK {name} failed with info={info}")
+
+
+def _with_workspace(name, routine, *args):
+    """Call the exported ``routine`` on ``args`` and its optimal workspace,
+    sized first by a query at lwork = -1."""
+    query = np.empty(1)
+    _lapack_check(name, routine(*args, query, -1))
+    work = np.empty(int(query[0]))
+    _lapack_check(name, routine(*args, work, work.size))
 
 
 def _tridiagonal_lowest(diag, off, n_pairs):
@@ -310,16 +322,19 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
     ``dormtr`` back-transforms only those vectors, in place. This is the
     path ``dsyevr`` takes for a full request; for a partial one ``dsyevr``
     uses bisection and inverse iteration, whose reorthogonalization is
-    quadratic in the count of close pairs. scipy's f2py ``dstemr`` wrapper
-    allocates an n x n output whatever the range, so ``dstemr`` and
-    ``dormtr`` are called through scipy's Cython LAPACK exports into an
-    n x l array. With UPLO='L' neither routine reads above the diagonal, so
-    only the lower triangle is written, into an anonymous mapping: unlike a
-    numpy array this size, advised for huge pages, it leaves the pages above
-    the diagonal unmapped. It is dropped before finalizing, so the peak is
-    the lower triangle, in whole 4 KiB pages, plus the n x l output.
-    Operators over ``DENSE_SIZE_LIMIT`` nodes are refused before that
-    allocation, which keeps dense O(n^3) work at desk scale.
+    quadratic in the count of close pairs. All three run through scipy's
+    Cython LAPACK exports: the f2py ``dstemr`` allocates an n x n output
+    whatever the range, and the f2py ``dsytrd`` copies any lda but n.
+    With UPLO='L' neither ``dsytrd`` nor ``dormtr`` reads above the
+    diagonal, so only the lower triangle is written, into an anonymous
+    mapping: unlike a numpy array this size, advised for huge pages, it
+    leaves the pages above the diagonal unmapped. It is lda x n with 512
+    dividing lda + 1, so A[j, j], at byte 8 j (lda + 1), starts a page and
+    no column's stored part shares a page with another's. The mapping is
+    dropped before finalizing, so the peak is the lower triangle, each
+    column in whole 4 KiB pages, plus the n x l output. Operators over
+    ``DENSE_SIZE_LIMIT`` nodes are refused before that allocation, which
+    keeps dense O(n^3) work at desk scale.
     """
     n = operator.node_count
     if n > DENSE_SIZE_LIMIT:
@@ -327,24 +342,19 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
             f"node count {n} exceeds dense limit {DENSE_SIZE_LIMIT}; "
             "ask for fewer eigenpairs than nodes for a partial basis"
         )
-    buffer = mmap.mmap(-1, 8 * n * n)
+    lda = 512 * -(-(n + 1) // 512) - 1
+    buffer = mmap.mmap(-1, 8 * lda * n)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    dense = np.ndarray((n, n), buffer=buffer, order="F")
+    dense = np.ndarray((lda, n), buffer=buffer, order="F")
     lower = sp.tril(operator.matrix, format="coo")
     np.add.at(dense, (lower.row, lower.col), lower.data)
-    lwork, info = lapack.dsytrd_lwork(n, lower=1)
-    _lapack_check("dsytrd_lwork", info)
-    dense, diag, off, tau, info = lapack.dsytrd(dense, lower=1, lwork=int(lwork),
-                                                overwrite_a=1)
-    _lapack_check("dsytrd", info)
+    diag, off, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    _with_workspace("dsytrd", _dsytrd, b"L", n, dense, lda, diag, off, tau)
     values, vectors = _tridiagonal_lowest(diag, off, n_pairs)
-    query = np.empty(1)
-    reflect = (b"L", b"L", b"N", n, n_pairs, dense, n, tau, vectors, n)
-    _lapack_check("dormtr", _dormtr(*reflect, query, -1))
-    work = np.empty(int(query[0]))
-    _lapack_check("dormtr", _dormtr(*reflect, work, work.size))
-    del dense, reflect, buffer
+    _with_workspace("dormtr", _dormtr, b"L", b"L", b"N", n, n_pairs, dense, lda, tau,
+                    vectors, n)
+    del dense, buffer
     return _finalize(
         values, vectors, n, operator.kind,
         norm_bound=_gershgorin(operator.matrix),

@@ -4,6 +4,7 @@ import json
 import mmap
 import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -640,6 +641,23 @@ class TestRunRecords:
         for basis in eigen.values():
             assert set(basis) == {"cache_hit", "cache_file", "eigensolver"}
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the peak RSS from /proc/self/status")
+    def test_peak_rss_is_this_process_high_water_mark(self, records):
+        """Written in order by one process, the records' peaks never fall
+        and none passes the mark read after them."""
+        with open("/proc/self/status", encoding="utf-8") as fh:
+            now = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+        peaks = [record["peak_rss_mib"] for record in records.values()]
+        assert 0 < peaks[0] and peaks == sorted(peaks) and peaks[-1] <= now / 1024
+
+    def test_peak_rss_is_null_without_proc_status(self, monkeypatch):
+        def missing(*args, **kwargs):
+            raise FileNotFoundError(args[0])
+
+        monkeypatch.setattr(cli, "open", missing, raising=False)
+        assert cli._peak_rss_mib() is None
+
 
 class TestParser:
     def test_version_flag(self, capsys):
@@ -713,7 +731,7 @@ class TestRefusedBeforeTheEigensolve:
         # by the model's own checks; a test-split row too (the row at file
         # index 3 is in the test split of --train-size 2 --seed 1).
         "negative_noise2": ("fit-regression", ["--noise2", "-1"],
-                            "noise2 must be positive, got -1.0"),
+                            "noise2 must be positive and finite, got -1.0"),
         "nan_target": ("fit-regression", ["--targets", "nan_target.csv"],
                        "targets must be finite"),
         "target_node_past_the_graph": ("fit-regression", ["--targets", "target_40.csv"],
@@ -734,7 +752,7 @@ class TestRefusedBeforeTheEigensolve:
             "fit-classify", ["--labels", "test_label_40.csv", *TEST_SPLIT],
             "inducing node out of range [0, 12)"),
         "snapshot_negative_noise2": ("predict", ["--model", "noise2_negative.json"],
-                                     "noise2 must be positive, got -0.01"),
+                                     "noise2 must be positive and finite, got -0.01"),
         "snapshot_q_mu_shape": ("predict", ["--model", "q_mu_2x3.json"],
                                 "q_mu must have shape (2, 2), got (2, 3)"),
         "snapshot_inducing_node_twice": ("predict", ["--model", "inducing_3_3.json"],
@@ -852,6 +870,12 @@ class TestRefusedBeforeTheEigensolve:
                                            "--eigenpairs must be >= 1, got -3"),
         "compare_zero_eigenpairs": ("compare-kernels", ["--eigenpairs", "0"],
                                     "--eigenpairs must be >= 1, got 0"),
+        # A noise2 that float64 reads as infinite, on the command line or in
+        # a snapshot.
+        "noise2_past_float64": ("fit-regression", ["--noise2", "1e400"],
+                                "noise2 must be positive and finite, got inf"),
+        "snapshot_noise2_inf": ("predict", ["--model", "noise2_1e999.json"],
+                                "noise2 must be positive and finite, got inf"),
     }
     # Complete snapshots of each kind, which the files below break one field of.
     REGRESSION = {"schema_version": 1, "kind": "regression", "eigenpairs": 12,
@@ -909,6 +933,7 @@ class TestRefusedBeforeTheEigensolve:
         "epsilon_1e400.json": json.dumps(dict(CLASSIFIER, epsilon=10**400)),
         "jitter_1e400.json": json.dumps(dict(CLASSIFIER, jitter=10**400)),
         "q_mu_1e400.json": json.dumps(dict(CLASSIFIER, q_mu=[[10**400, 0.0], [0.0, 0.0]])),
+        "noise2_1e999.json": json.dumps(REGRESSION).replace('"noise2": 0.01', '"noise2": 1e999'),
     }
 
     @pytest.mark.parametrize("snapshot", ["REGRESSION", "CLASSIFIER"])

@@ -133,8 +133,10 @@ class TestModelValidation:
 
     def test_noise2_past_float64_fails_by_name(self):
         _, model = _problem(2)
-        with pytest.raises(ValueError, match="^noise2 must be positive, got 1"):
+        with pytest.raises(ValueError, match="^noise2 must be positive and finite, got 1"):
             GPRegressionModel(MATERN, model.basis, [0], [1.0], noise2=10**400)
+        with pytest.raises(ValueError, match="^noise2 must be positive and finite, got inf"):
+            GPRegressionModel(MATERN, model.basis, [0], [1.0], noise2=float("inf"))
         assert GPRegressionModel(MATERN, model.basis, [0], [1.0], noise2=2**64).noise2 == 2**64
 
     def test_with_raw_params_gives_fresh_model(self):

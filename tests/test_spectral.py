@@ -519,9 +519,10 @@ print((after - before) * 1024 / (8 * op.node_count**2))
 
 class TestLowerTriangleFill:
     """The dense path fills only the lower triangle that ``dsytrd`` and
-    ``dormtr`` read, into an anonymous mapping: its bases have the bits of
-    the same LAPACK sequence on the whole matrix, and the untouched pages
-    above the diagonal never become resident."""
+    ``dormtr`` read, into an anonymous mapping whose columns each start
+    their stored part on a page: its bases have the bits of the same LAPACK
+    sequence on the whole matrix, and the untouched pages above the
+    diagonal never become resident."""
 
     GRAPHS = {
         "random_weighted": random_connected_graph(np.random.default_rng(291), 60),
@@ -550,7 +551,31 @@ class TestLowerTriangleFill:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
         run = subprocess.run([sys.executable, "-c", _LATTICE_SOLVE], env=env,
                              capture_output=True, text=True, check=True, timeout=600)
-        assert float(run.stdout) < 0.85
+        assert float(run.stdout) < 0.66
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 2485, 4096])
+    def test_every_column_starts_its_lower_part_on_a_page(self, n, monkeypatch):
+        """A[j, j] sits at byte 8 j (lda + 1), a multiple of 4096 when
+        512 divides lda + 1. Both routines get that one lda; the calls are
+        recorded, not run."""
+        ldas = []
+
+        def recorded(position):
+            def call(*args):
+                ldas.append(args[position])
+                if args[-1] == -1:  # the workspace query
+                    args[-2][0] = 1
+                return 0
+            return call
+
+        monkeypatch.setattr(spectral, "_dsytrd", recorded(3))
+        monkeypatch.setattr(spectral, "_dormtr", recorded(6))
+        monkeypatch.setattr(spectral, "_tridiagonal_lowest",
+                            lambda diag, off, k: (np.zeros(k), np.eye(diag.size, k, order="F")))
+        eigendecompose_truncated(build_laplacian(path_graph(n), "unnormalized"), 1)
+        assert len(ldas) == 4 and len(set(ldas)) == 1
+        lda = ldas[0]
+        assert n <= lda < n + 512 and (lda + 1) % 512 == 0
 
 
 def _routed(op, n_pairs, solver):
