@@ -281,12 +281,8 @@ def _marginals(model: VariationalClassifier, batch):
     inv_chol, k_zb, k_bb = blocks["inv_chol"], blocks["k_zb"], blocks["k_bb"]
     a = inv_chol @ k_zb
     base_var = k_bb - np.einsum("ji,ji->i", a, a)
-    ctx = {"blocks": blocks, "a": a, "base_var": base_var}
-    if model.whitened:
-        proj = a
-    else:
-        proj = inv_chol.T @ a
-        ctx["a2"] = proj
+    ctx = {"blocks": blocks, "a": a}
+    proj = a if model.whitened else inv_chol.T @ a
     mean = (model.q_mu @ proj).T
     if model.diag_cov:
         r2 = np.exp(2.0 * model.q_log_scale)
@@ -460,7 +456,7 @@ def _elbo_core(model, batch, labels, xi, n_total, with_grads):
         # proj = chol^{-T} a
         back = inv_chol @ proj_bar
         a_bar += back
-        chol_bar = -np.tril(ctx["a2"] @ back.T)
+        chol_bar = -np.tril(proj @ back.T)
     # a = chol^{-1} k_zb
     kzb_bar = inv_chol.T @ a_bar
     chol_bar = chol_bar - np.tril(kzb_bar @ a.T)

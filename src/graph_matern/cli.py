@@ -143,11 +143,6 @@ def _load_kernel_spec(text, default: KernelSpec) -> KernelSpec:
     return KernelSpec.from_dict(obj)
 
 
-def _class_count(args, labels) -> int:
-    """``--classes``, or one more than the largest label."""
-    return args.classes if args.classes is not None else int(labels.max()) + 1
-
-
 def _timed(timings, name, fn, *args, **kwargs):
     """Call ``fn``, putting its wall time in seconds in ``timings[name]``."""
     start = time.perf_counter()
@@ -176,9 +171,11 @@ def _basis_for(graph, kind, eigenpairs, cache_dir, timings):
 def _read_rows(args, n):
     """``(nodes, values, classes)`` from ``args.task``'s rows file: float
     targets and no class count for regression, integer labels and their
-    ``_class_count`` for classification. A file not given or empty, or any
-    row the task's model refuses on an ``n``-node graph, train or test, is
-    refused before any eigenpair is computed."""
+    class count (``--classes``, or one more than the largest label) for
+    classification. A file not given or empty, or any row the task's model
+    refuses on an ``n``-node graph, is refused before any eigenpair is
+    computed. The rows pass every check of the model, so any train split of
+    them does too, given ``--train-size`` >= 1."""
     regression = args.task == "regression"
     name = "targets" if regression else "labels"
     path = getattr(args, name)
@@ -187,18 +184,12 @@ def _read_rows(args, n):
     nodes, values = read_targets_csv(path) if regression else read_labels_csv(path)
     if nodes.size == 0:
         raise ValueError(f"{name} file is empty")
-    classes = None if regression else _class_count(args, values)
-    _check_rows(args, n, nodes, values, classes)
-    return nodes, values, classes
-
-
-def _check_rows(args, n, nodes, values, classes):
-    """``args.task``'s model checks on rows ``nodes`` and ``values`` of an
-    ``n``-node graph, all or a train split (an empty one fails)."""
-    if args.task == "regression":
+    if regression:
         _check_observations(n, nodes, values, args.noise2)
-    else:
-        _check_variational(n, _initial_fields(classes, nodes), values)
+        return nodes, values, None
+    classes = args.classes if args.classes is not None else int(values.max()) + 1
+    _check_variational(n, _initial_fields(classes, nodes), values)
+    return nodes, values, classes
 
 
 def _fit(args, spec, basis, nodes, values, classes, config, seed, timings):
@@ -246,8 +237,8 @@ def _blas_threads() -> int | None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
             getter = getattr(lib, symbol, None)
             if getter is not None:
                 getter.argtypes, getter.restype = [], ctypes.c_int
@@ -327,7 +318,6 @@ def cmd_fit(args) -> int:
     train_idx, test_idx = _split(
         nodes.size, args.train_size, getattr(args, "test_size", None), args.seed
     )
-    _check_rows(args, graph.node_count, nodes[train_idx], values[train_idx], classes)
     _, basis, eigen = _basis_for(
         graph, spec.laplacian_kind, args.eigenpairs, args.cache_dir, timings
     )
@@ -410,8 +400,6 @@ def cmd_compare_kernels(args) -> int:
     splits = [_split(nodes.size, args.train_size, args.test_size, seed) for seed in seeds]
     if any(test_idx.size == 0 for _, test_idx in splits):
         raise ValueError("empty test split; lower --train-size")
-    for train_idx, _ in splits:
-        _check_rows(args, graph.node_count, nodes[train_idx], values[train_idx], classes)
     specs = [_default_spec(args.task, family, kind, args.rw_p) for family, kind in _COMPARE_ROWS]
 
     bases, eigen = {}, {}
@@ -541,7 +529,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for name, low in (("mc_samples", 1), ("predict_samples", 1), ("repeats", 1),
-                          ("test_size", 0), ("seed", 0), ("eigenpairs", 1)):
+                          ("train_size", 1), ("test_size", 0), ("seed", 0),
+                          ("eigenpairs", 1)):
             value = getattr(args, name, None)
             if value is not None and value < low:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")

@@ -196,11 +196,10 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class LaplacianOperator:
-    """A graph Laplacian with its kind tag and node degrees."""
+    """A graph Laplacian with its kind tag."""
 
     kind: str
     matrix: sp.csr_array
-    degrees: np.ndarray
 
     def __post_init__(self):
         if self.kind not in LAPLACIAN_KINDS:
@@ -223,18 +222,21 @@ def parse_edge_list(text: str) -> WeightedGraph:
     byte-order mark is dropped, as that function drops it, so a file and
     its text parse alike.
 
-    A valid file is read in one vectorized pass (``_parse_fast``). Whenever
-    that pass declines, the line loop (``_parse_lines``) reads the file
+    The header is read once, here (``_nodes_header``). A valid file's edge
+    rows after it are read in one vectorized pass (``_parse_fast``).
+    Whenever that pass declines, the line loop (``_parse_lines``) reads them
     instead and names the first bad line; the two give identical edges on
-    every file the fast pass accepts.
+    every body the fast pass accepts.
     """
     text = text.removeprefix("\ufeff")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    parsed = _parse_fast(text)
+    declared, start, first_line = _nodes_header(text)
+    body = text[start:]
+    parsed = _parse_fast(body)
     if parsed is None:
-        parsed = _parse_lines(text)
-    u, v, w, declared, self_loops = parsed
+        parsed = _parse_lines(body, first_line)
+    u, v, w, self_loops = parsed
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=2)
     return WeightedGraph(declared, u, v, w)
@@ -259,8 +261,16 @@ def _next_data_line(text, start):
     return None
 
 
-def _nodes_header(tokens, lineno):
-    """The count that the tokens of a ``nodes N`` line declare."""
+def _nodes_header(text):
+    """``(declared, start, first_line)`` of the optional ``nodes N`` first
+    data line of ``text``: the count it declares (None without one), the
+    offset of the edge rows after it and the 1-based number of their first
+    line. A malformed header raises ``ValueError`` naming its line."""
+    first = _next_data_line(text, 0)
+    if first is None or first[0][0] != "nodes":
+        return None, 0, 1
+    tokens, end = first
+    lineno = text.count("\n", 0, end - 1) + 1
     if len(tokens) != 2:
         raise ValueError(f"malformed nodes header at line {lineno}")
     try:
@@ -269,72 +279,48 @@ def _nodes_header(tokens, lineno):
         raise ValueError(f"malformed nodes header at line {lineno}") from None
     if declared < 0:
         raise ValueError(f"negative node count at line {lineno}")
-    return declared
+    return declared, end, lineno + 1
 
 
-def _parse_fast(text):
-    """``(u, v, w, declared, self_loops)`` of a valid file from one
-    ``np.loadtxt`` pass, or None to decline.
+def _parse_fast(body):
+    """``(u, v, w, self_loops)`` of valid edge rows from one ``np.loadtxt``
+    pass, or None to decline.
 
     It declines on anything the line loop might read differently or reject:
-    a lone carriage return (the loop splits lines at ``\\n`` only), a
-    malformed header, no edge rows, rows that are not all ``u v`` or all
-    ``u v w``, a token numpy cannot convert (numpy reads no ``1_0`` and no
-    index past int64), any numpy warning (older numpy read ``1.0`` as an
-    int with a warning), a negative index or a weight that is not positive
-    and finite.
+    no edge rows, rows that are not all ``u v`` or all ``u v w``, a token
+    numpy cannot convert (numpy reads no ``1_0`` and no index past int64),
+    any numpy warning (older numpy read ``1.0`` as an int with a warning), a
+    negative index or a weight that is not positive and finite.
     """
-    if "\r" in text and text.count("\r") != text.count("\r\n"):
-        return None
-    first = _next_data_line(text, 0)
-    if first is None:
-        return None
-    tokens, end = first
-    declared, body = None, text
-    if tokens[0] == "nodes":
-        try:
-            declared = _nodes_header(tokens, lineno=None)
-        except ValueError:
-            return None
-        body = text[end:]
-        first = _next_data_line(text, end)
-        if first is None:
-            return None
-        tokens = first[0]
-    if len(tokens) not in _ROWS:
+    first = _next_data_line(body, 0)
+    columns = len(first[0]) if first else 0
+    if columns not in _ROWS:
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(body), dtype=_ROWS[len(tokens)],
+            rows = np.loadtxt(io.StringIO(body), dtype=_ROWS[columns],
                               comments="#", ndmin=1)
     except (ValueError, Warning):
         return None
     u, v = rows["u"], rows["v"]
-    w = rows["w"] if len(tokens) == 3 else np.ones(rows.size)
+    w = rows["w"] if columns == 3 else np.ones(rows.size)
     if u.min() < 0 or v.min() < 0 or not np.all((w > 0) & np.isfinite(w)):
         return None
     keep = u != v
-    return u[keep], v[keep], w[keep], declared, int(rows.size - keep.sum())
+    return u[keep], v[keep], w[keep], int(rows.size - keep.sum())
 
 
-def _parse_lines(text):
-    """``(u, v, w, declared, self_loops)`` read line by line; raises on the
-    first bad line with its 1-based number."""
-    declared = None
+def _parse_lines(body, first_line):
+    """``(u, v, w, self_loops)`` of edge rows read line by line, the first
+    numbered ``first_line``; raises on the first bad line with its number."""
     us, vs, ws = [], [], []
     self_loops = 0
-    saw_data = False
-    for lineno, line in enumerate(io.StringIO(text), start=1):
+    for lineno, line in enumerate(io.StringIO(body), start=first_line):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if not saw_data and tokens[0] == "nodes":
-            declared = _nodes_header(tokens, lineno)
-            saw_data = True
-            continue
-        saw_data = True
         if len(tokens) not in (2, 3):
             raise ValueError(f"expected 'u v [w]' at line {lineno}")
         try:
@@ -358,7 +344,7 @@ def _parse_lines(text):
         vs.append(v)
         ws.append(w)
     return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
-            np.array(ws, dtype=np.float64), declared, self_loops)
+            np.array(ws, dtype=np.float64), self_loops)
 
 
 def read_edge_list(path) -> WeightedGraph:
@@ -391,4 +377,4 @@ def build_laplacian(graph: WeightedGraph, kind: str = "unnormalized") -> Laplaci
     mat = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
-    return LaplacianOperator(kind=kind, matrix=mat, degrees=deg)
+    return LaplacianOperator(kind=kind, matrix=mat)

@@ -71,14 +71,19 @@ class SpectralBasis:
     eigenvalues: (l,) ascending, nonnegative (tiny negatives are clamped).
     eigenvectors: (n, l) with orthonormal columns; each column's first entry
         of meaningful magnitude is positive, fixing the sign.
-    total_dim: n, the node count of the source operator.
     laplacian_kind: kind tag of the source operator.
+
+    ``total_dim`` is n, the node count of the source operator, read from the
+    eigenvectors' rows.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    total_dim: int
     laplacian_kind: str
+
+    @property
+    def total_dim(self) -> int:
+        return self.eigenvectors.shape[0]
 
     @property
     def n_retained(self) -> int:
@@ -167,7 +172,7 @@ def _gershgorin(matrix) -> float:
     return float(np.max(np.abs(matrix).sum(axis=1))) if matrix.shape[0] else 1.0
 
 
-def _finalize(values, vectors, total_dim, kind, norm_bound=None) -> SpectralBasis:
+def _finalize(values, vectors, kind, norm_bound=None) -> SpectralBasis:
     """Sort, fix signs, and clamp rounding negatives to zero.
 
     ``vectors`` is copied only if unsorted or not column-major; signs flip
@@ -194,12 +199,7 @@ def _finalize(values, vectors, total_dim, kind, norm_bound=None) -> SpectralBasi
     _canonical_signs(vectors)
     values.setflags(write=False)
     vectors.setflags(write=False)
-    return SpectralBasis(
-        eigenvalues=values,
-        eigenvectors=vectors,
-        total_dim=int(total_dim),
-        laplacian_kind=kind,
-    )
+    return SpectralBasis(eigenvalues=values, eigenvectors=vectors, laplacian_kind=kind)
 
 
 def _check_nodes(operator: LaplacianOperator):
@@ -208,12 +208,10 @@ def _check_nodes(operator: LaplacianOperator):
 
 
 def eigendecompose_full(operator: LaplacianOperator) -> SpectralBasis:
-    """Dense symmetric eigendecomposition (all n pairs), for n up to
-    ``DENSE_SIZE_LIMIT``; larger operators go through
-    :func:`eigendecompose_truncated` for a partial basis. A graph with no
-    nodes raises ``ValueError``."""
-    _check_nodes(operator)
-    return _dense_lowest(operator, operator.node_count)
+    """All n pairs: :func:`eigendecompose_truncated`'s dense path, for n up
+    to ``DENSE_SIZE_LIMIT``; larger operators need a partial request there.
+    A graph with no nodes raises ``ValueError``."""
+    return eigendecompose_truncated(operator, operator.node_count)
 
 
 _POINTER = {
@@ -355,10 +353,7 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
     _with_workspace("dormtr", _dormtr, b"L", b"L", b"N", n, n_pairs, dense, lda, tau,
                     vectors, n)
     del dense, buffer
-    return _finalize(
-        values, vectors, n, operator.kind,
-        norm_bound=_gershgorin(operator.matrix),
-    )
+    return _finalize(values, vectors, operator.kind, norm_bound=_gershgorin(operator.matrix))
 
 
 def _eigensolver(operator: LaplacianOperator, n_pairs: int) -> str:
@@ -419,7 +414,7 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
                   + np.array2string(residuals, precision=2))
         raise EigensolverError(f"ARPACK converged {converged}/{n_pairs} pairs{detail}",
                                residual_norms=residuals) from exc
-    basis = _finalize(values, vectors, n, operator.kind, norm_bound=gershgorin)
+    basis = _finalize(values, vectors, operator.kind, norm_bound=gershgorin)
     # Imported here: the dense path, which most runs take, never loads it.
     from scipy.sparse.csgraph import connected_components
 
@@ -544,7 +539,7 @@ def load_basis(path, laplacian_kind: str) -> SpectralBasis:
             raise ValueError(f"corrupt basis file {path}: payload size mismatch")
         values = np.fromfile(fh, dtype="<f8", count=l)
         vectors = np.fromfile(fh, dtype="<f8", count=n * l).reshape((n, l), order="F")
-    return _finalize(values, vectors, n, laplacian_kind)
+    return _finalize(values, vectors, laplacian_kind)
 
 
 def _default_cache_dir():

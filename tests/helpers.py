@@ -40,7 +40,7 @@ def wide_basis(kind="unnormalized"):
     a dense 12000 x 12000 array would hold 1.44e8 elements (1.15 GB), over
     ``DENSE_ELEMENT_LIMIT``."""
     vectors = np.linalg.qr(np.random.default_rng(31).standard_normal((12000, 3)))[0]
-    return SpectralBasis(np.array([0.0, 0.5, 1.0]), vectors, 12000, kind)
+    return SpectralBasis(np.array([0.0, 0.5, 1.0]), vectors, kind)
 
 
 def random_graph(rng, n, p=0.3, wmin=0.2, wmax=2.0):
@@ -116,7 +116,8 @@ def two_cliques(k=10, bridge_weight=1.0):
 
 
 def loop_laplacian(edges, n, kind):
-    """Laplacian assembled edge by edge in Python, the way the library once did.
+    """Laplacian assembled edge by edge in Python, the way the library once
+    did, and the node degrees it was built from.
 
     Duplicates merge by summing in input order, degrees accumulate u then v
     per edge, and the COO pattern lists both orientations edge by edge, so
@@ -152,7 +153,7 @@ def loop_laplacian(edges, n, kind):
     ).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
-    return LaplacianOperator(kind=kind, matrix=mat, degrees=deg)
+    return LaplacianOperator(kind=kind, matrix=mat), deg
 
 
 def dense_lowest_oracle(operator, n_pairs):
@@ -174,7 +175,7 @@ def dense_lowest_oracle(operator, n_pairs):
     assert spectral._dormtr(*reflect, query, -1) == 0
     work = np.empty(int(query[0]))
     assert spectral._dormtr(*reflect, work, work.size) == 0
-    return spectral._finalize(values, vectors, n, operator.kind,
+    return spectral._finalize(values, vectors, operator.kind,
                               norm_bound=spectral._gershgorin(operator.matrix))
 
 

@@ -159,15 +159,14 @@ def test_dense_spd_blocks_share_one_factor_and_one_inverse():
 
 
 def test_one_site_chooses_the_eigensolver():
-    """``eigsh`` is called only in ``spectral.eigendecompose_truncated``, and
-    ``_dense_lowest`` only there and in ``eigendecompose_full``, whose
-    request is always full. ``_eigensolver``, the rule, is read only there
+    """``eigsh`` and ``_dense_lowest`` are called only in
+    ``spectral.eigendecompose_truncated``, which ``eigendecompose_full``
+    calls with a full request. ``_eigensolver``, the rule, is read only there
     and by the CLI's run record, so the choice cannot grow a second site."""
     package = Path(graph_matern.__file__).parent
     homes = {
         "eigsh": {("spectral.py", "eigendecompose_truncated")},
-        "_dense_lowest": {("spectral.py", "eigendecompose_truncated"),
-                          ("spectral.py", "eigendecompose_full")},
+        "_dense_lowest": {("spectral.py", "eigendecompose_truncated")},
         "_eigensolver": {("spectral.py", "eigendecompose_truncated"),
                          ("cli.py", "_basis_for")},
     }

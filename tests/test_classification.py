@@ -642,6 +642,24 @@ class TestFitClassifier:
         )
         return model, train, labels
 
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_one_weights_evaluation_per_step(self, batch_size, monkeypatch):
+        """Each step evaluates the ELBO and its gradients once, and the
+        spectral weights once for it, full batch or minibatch."""
+        model, train, labels = self._clique_setup()
+        calls = []
+        real = classification.spectral_weights
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("with_grads"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classification, "spectral_weights", counted)
+        _, trace = fit_classifier(model, train, labels,
+                                  AdamConfig(iterations=9, learning_rate=0.05),
+                                  batch_size=batch_size)
+        assert trace.shape == (9,) and calls == [True] * 9
+
     def test_separates_two_cliques(self):
         model, train, labels = self._clique_setup()
         config = AdamConfig(iterations=300, learning_rate=0.05)

@@ -1,5 +1,6 @@
 """End-to-end command line runs through main(argv) in-process."""
 
+import ctypes
 import json
 import mmap
 import os
@@ -314,8 +315,43 @@ class TestFitRegression:
         assert code == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_kernel_from_a_json_file(self, regression_case, tmp_path):
+        """``--kernel`` names a JSON file as well as holding JSON inline, with
+        the same outputs byte for byte."""
+        graph_path, targets_path, _ = regression_case
+        spec = '{"family": "diffusion", "kappa": 2.0}'
+        (tmp_path / "kernel.json").write_text(spec)
+        outs = [tmp_path / "file", tmp_path / "inline"]
+        for out, kernel in zip(outs, (str(tmp_path / "kernel.json"), spec)):
+            assert main(["fit-regression", "--graph", str(graph_path), "--targets",
+                         str(targets_path), "--out", str(out), "--kernel", kernel,
+                         "--train-size", "16", "--iterations", "5"]) == 0
+        metrics = json.loads((outs[0] / "metrics.json").read_text())
+        assert metrics["kernel"]["family"] == "diffusion"
+        for name in ("predictions.csv", "trace.csv", "model.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 class TestFitClassify:
+    def test_test_size_subsamples_the_test_side(self, classify_case, tmp_path):
+        """A ``--test-size`` below the 8-row test side scores that many of
+        its rows, drawn with seed + 1; a rerun draws the same ones and
+        writes the same bytes."""
+        graph_path, labels_path = classify_case
+        outs = [tmp_path / "run", tmp_path / "rerun"]
+        for out in outs:
+            assert main(["fit-classify", "--graph", str(graph_path), "--labels",
+                         str(labels_path), "--out", str(out), "--train-size", "4",
+                         "--test-size", "3", "--iterations", "20", "--mc-samples", "5",
+                         "--predict-samples", "10", "--seed", "2"]) == 0
+        records = [json.loads((out / "metrics.json").read_text()) for out in outs]
+        assert records[0]["train_count"] == 4 and records[0]["test_count"] == 3
+        assert records[0]["test_accuracy"] == records[1]["test_accuracy"]
+        _, test_idx = cli._split(12, 4, 3, 2)
+        assert test_idx.size == 3 and set(test_idx) < set(cli._split(12, 4, None, 2)[1])
+        for name in ("predictions.csv", "trace.csv", "model.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_separates_cliques_and_predict_matches(self, classify_case, tmp_path, capsys):
         graph_path, labels_path = classify_case
         out = tmp_path / "fit"
@@ -625,6 +661,30 @@ class TestBlasThreads:
             value = record["blas_threads"]
             assert value == pinned and type(value) is int, (command, value)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="finds the libraries in /proc/self/maps")
+    def test_scipys_own_openblas_is_read(self):
+        """scipy's OpenBLAS, which runs its LAPACK, exports
+        ``scipy_openblas_*`` beside numpy's ``scipy_openblas_*64_``; a larger
+        count in scipy's is the one reported."""
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+        libs = [ctypes.CDLL(path) for path in sorted(paths) if ".so" in path]
+        scipys = [lib for lib in libs if hasattr(lib, "scipy_openblas_set_num_threads")]
+        numpys = [lib for lib in libs if hasattr(lib, "scipy_openblas_get_num_threads64_")]
+        if not (scipys and numpys):
+            pytest.skip("numpy and scipy do not each load their own scipy-openblas")
+        get = scipys[0].scipy_openblas_get_num_threads
+        put = scipys[0].scipy_openblas_set_num_threads
+        get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+        numpys[0].scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        before = get()
+        try:
+            put(numpys[0].scipy_openblas_get_num_threads64_() + 1)
+            assert cli._blas_threads() == get() > before
+        finally:
+            put(before)
+
 
 class TestRunRecords:
     def test_every_record_holds_the_readme_table_keys(self, records):
@@ -768,8 +828,8 @@ class TestRefusedBeforeTheEigensolve:
                                 "--train-size", "1"],
             "training node out of range [0, 12)"),
         # Labels are checked by the classifier's one label rule, train and
-        # test rows alike; then the train split, the test size and every
-        # compare-kernels row's kernel.
+        # test rows alike; then the test size and every compare-kernels
+        # row's kernel.
         "label_below_zero": ("fit-classify", ["--labels", "label_minus_1.csv"],
                              "label out of range [0, 2); check the class count"),
         "test_label_below_zero": (
@@ -788,16 +848,6 @@ class TestRefusedBeforeTheEigensolve:
         "compare_only_label_below_zero": (
             "compare-kernels", ["--labels", "only_minus_1.csv"],
             "label out of range [0, 1); check the class count"),
-        "regression_train_size_zero": ("fit-regression", ["--train-size", "0"],
-                                       "regression needs at least one training node"),
-        "classify_train_size_zero": ("fit-classify", ["--train-size", "0"],
-                                     "inducing_nodes must be a nonempty 1-d index array"),
-        "compare_train_size_zero": ("compare-kernels", ["--train-size", "0"],
-                                    "inducing_nodes must be a nonempty 1-d index array"),
-        "compare_regression_train_size_zero": (
-            "compare-kernels", ["--task", "regression", "--targets", "targets.csv",
-                                "--train-size", "0"],
-            "regression needs at least one training node"),
         "negative_test_size": ("fit-classify", ["--test-size", "-1"],
                                "--test-size must be >= 0, got -1"),
         "compare_negative_test_size": ("compare-kernels", ["--test-size", "-1"],
@@ -863,13 +913,24 @@ class TestRefusedBeforeTheEigensolve:
                                          "snapshot field 'jitter'"),
         "snapshot_q_mu_past_float64": ("predict", ["--model", "q_mu_1e400.json"],
                                        "snapshot field 'q_mu'"),
-        # An eigenpair count is refused by name before the graph is parsed.
+        # An eigenpair count or a train size is refused by name before the
+        # graph is parsed.
         "zero_eigenpairs_eigen": ("eigen", ["--eigenpairs", "0"],
                                   "--eigenpairs must be >= 1, got 0"),
         "negative_eigenpairs_regression": ("fit-regression", ["--eigenpairs", "-3"],
                                            "--eigenpairs must be >= 1, got -3"),
         "compare_zero_eigenpairs": ("compare-kernels", ["--eigenpairs", "0"],
                                     "--eigenpairs must be >= 1, got 0"),
+        "regression_train_size_zero": ("fit-regression", ["--train-size", "0"],
+                                       "--train-size must be >= 1, got 0"),
+        "classify_train_size_zero": ("fit-classify", ["--train-size", "0"],
+                                     "--train-size must be >= 1, got 0"),
+        "compare_train_size_zero": ("compare-kernels", ["--train-size", "0"],
+                                    "--train-size must be >= 1, got 0"),
+        "compare_regression_train_size_zero": (
+            "compare-kernels", ["--task", "regression", "--targets", "targets.csv",
+                                "--train-size", "0"],
+            "--train-size must be >= 1, got 0"),
         # A noise2 that float64 reads as infinite, on the command line or in
         # a snapshot.
         "noise2_past_float64": ("fit-regression", ["--noise2", "1e400"],
@@ -935,6 +996,21 @@ class TestRefusedBeforeTheEigensolve:
         "q_mu_1e400.json": json.dumps(dict(CLASSIFIER, q_mu=[[10**400, 0.0], [0.0, 0.0]])),
         "noise2_1e999.json": json.dumps(REGRESSION).replace('"noise2": 0.01', '"noise2": 1e999'),
     }
+
+    @pytest.mark.parametrize("command, rows", [
+        ("fit-regression", ["--targets", "targets.csv"]),
+        ("fit-classify", ["--labels", "labels.csv"]),
+        ("compare-kernels", ["--task", "classification", "--labels", "labels.csv"]),
+    ])
+    def test_train_size_refused_before_the_graph_is_read(self, command, rows, tmp_path,
+                                                          capsys, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("graph read")
+
+        monkeypatch.setattr(cli, "read_edge_list", unread)
+        assert main([command, "--graph", "graph.txt", "--out", str(tmp_path / "x"),
+                     *rows, "--train-size", "0"]) == 1
+        assert "--train-size must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("snapshot", ["REGRESSION", "CLASSIFIER"])
     def test_the_complete_snapshots_reach_the_eigensolve(self, snapshot, classify_case,

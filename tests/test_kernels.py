@@ -190,6 +190,15 @@ class TestSpectralWeights:
             ours, ref = kernels._logsumexp(a), scipy.special.logsumexp(a)
             assert np.float64(ours).tobytes() == np.float64(ref).tobytes(), (a.size, ours, ref)
 
+    def test_weights_that_sum_to_zero_are_refused_by_name(self):
+        """Every mode clamped to zero leaves no variance to normalize: the
+        random walk base 1 - (1 - alpha) lambda is -1 at alpha = 0 and
+        lambda = 2."""
+        spec = RANDOM_WALK.with_params(alpha=0.0, p=1)
+        with pytest.warns(UserWarning, match="clamped to zero"), \
+                pytest.raises(ValueError, match="spectral weights sum to zero"):
+            spectral_weights(spec, np.full(4, 2.0))
+
     def test_normalized_weights_sum_to_sigma2_times_n(self):
         rng = np.random.default_rng(81)
         lam = np.sort(rng.uniform(0, 4, size=15))

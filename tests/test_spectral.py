@@ -359,7 +359,7 @@ class TestTruncatedDecomposition:
             reference = eigendecompose_full(op)
             assert_allclose(basis.eigenvalues, reference.eigenvalues[:5], rtol=0, atol=1e-4)
         with pytest.raises(EigensolverError, match="negative beyond tolerance"):
-            _finalize(np.array([-1e-3, 0.5]), np.eye(2), 2, "unnormalized", norm_bound=10.0)
+            _finalize(np.array([-1e-3, 0.5]), np.eye(2), "unnormalized", norm_bound=10.0)
 
     def test_full_request_falls_back_to_dense(self):
         rng = np.random.default_rng(32)
@@ -677,6 +677,15 @@ class TestApplySpectralFunction:
         out_scalar = apply_spectral_function(basis, lambda x: float(x) ** 2)
         out_vec = apply_spectral_function(basis, lambda lam: lam**2)
         assert_allclose(out_scalar, out_vec, atol=1e-12)
+
+    def test_function_that_reduces_an_array_is_applied_entrywise(self):
+        """A function written for one eigenvalue may return one scalar for
+        the whole array; the values are then taken eigenvalue by eigenvalue."""
+        rng = np.random.default_rng(45)
+        g = random_connected_graph(rng, 8)
+        op = build_laplacian(g, "unnormalized")
+        out = apply_spectral_function(eigendecompose_full(op), lambda x: np.exp(-np.sum(x)))
+        assert_allclose(out, scipy.linalg.expm(-op.matrix.toarray()), atol=1e-10)
 
     def test_output_exactly_symmetric(self):
         rng = np.random.default_rng(44)
