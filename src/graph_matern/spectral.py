@@ -71,19 +71,14 @@ class SpectralBasis:
     eigenvalues: (l,) ascending, nonnegative (tiny negatives are clamped).
     eigenvectors: (n, l) with orthonormal columns; each column's first entry
         of meaningful magnitude is positive, fixing the sign.
+    total_dim: n, the node count of the source operator.
     laplacian_kind: kind tag of the source operator.
-
-    ``total_dim`` is n, the node count of the source operator, read from the
-    eigenvectors' rows.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    total_dim: int
     laplacian_kind: str
-
-    @property
-    def total_dim(self) -> int:
-        return self.eigenvectors.shape[0]
 
     @property
     def n_retained(self) -> int:
@@ -199,7 +194,7 @@ def _finalize(values, vectors, kind, norm_bound=None) -> SpectralBasis:
     _canonical_signs(vectors)
     values.setflags(write=False)
     vectors.setflags(write=False)
-    return SpectralBasis(eigenvalues=values, eigenvectors=vectors, laplacian_kind=kind)
+    return SpectralBasis(values, vectors, vectors.shape[0], kind)
 
 
 def _check_nodes(operator: LaplacianOperator):

@@ -40,7 +40,7 @@ def wide_basis(kind="unnormalized"):
     a dense 12000 x 12000 array would hold 1.44e8 elements (1.15 GB), over
     ``DENSE_ELEMENT_LIMIT``."""
     vectors = np.linalg.qr(np.random.default_rng(31).standard_normal((12000, 3)))[0]
-    return SpectralBasis(np.array([0.0, 0.5, 1.0]), vectors, kind)
+    return SpectralBasis(np.array([0.0, 0.5, 1.0]), vectors, 12000, kind)
 
 
 def random_graph(rng, n, p=0.3, wmin=0.2, wmax=2.0):

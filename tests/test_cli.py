@@ -931,6 +931,8 @@ class TestRefusedBeforeTheEigensolve:
             "compare-kernels", ["--task", "regression", "--targets", "targets.csv",
                                 "--train-size", "0"],
             "--train-size must be >= 1, got 0"),
+        "regression_train_size_negative": ("fit-regression", ["--train-size", "-1"],
+                                           "--train-size must be >= 1, got -1"),
         # A noise2 that float64 reads as infinite, on the command line or in
         # a snapshot.
         "noise2_past_float64": ("fit-regression", ["--noise2", "1e400"],

@@ -286,6 +286,7 @@ class TestWoodburyPosterior:
         basis = SpectralBasis(
             eigenvalues=np.array([1.5, 2.0]),
             eigenvectors=vec,
+            total_dim=4,
             laplacian_kind="sym_normalized",
         )
         spec = KernelSpec(
@@ -342,7 +343,7 @@ class TestDenseCovarianceBudget:
         """300 of 12000 nodes observed on 400 orthonormal pairs, the
         indicators of 30-node blocks: the dense route, as m <= 3l/4."""
         vectors = np.kron(np.eye(400), np.full((30, 1), 30 ** -0.5))
-        basis = SpectralBasis(np.linspace(0.0, 2.0, 400), vectors, "unnormalized")
+        basis = SpectralBasis(np.linspace(0.0, 2.0, 400), vectors, 12000, "unnormalized")
         train_nodes = np.arange(0, 12000, 40)
         targets = np.random.default_rng(32).standard_normal(train_nodes.size)
         model = GPRegressionModel(MATERN, basis, train_nodes, targets, noise2=0.1)
@@ -421,7 +422,7 @@ class TestDenseCovarianceBudget:
         refused by name, with ``diag`` too, before the factor of B or any
         product; a small query still runs."""
         vectors = np.linalg.qr(np.random.default_rng(33).standard_normal((450, 450)))[0]
-        basis = SpectralBasis(np.linspace(0.0, 2.0, 450), vectors, "unnormalized")
+        basis = SpectralBasis(np.linspace(0.0, 2.0, 450), vectors, 450, "unnormalized")
         model = GPRegressionModel(MATERN, basis, np.arange(0, 450, 3), np.ones(150))
         query = np.zeros(320_000, dtype=np.int64)  # a node asked for 320000 times
         assert query.size * 450 > DENSE_ELEMENT_LIMIT
@@ -729,7 +730,7 @@ class TestDenseFactorHelpers:
         m, l = 2000, 500
         rng = np.random.default_rng(214)
         vectors = np.linalg.qr(rng.standard_normal((m, l)))[0]
-        basis = SpectralBasis(np.linspace(0.0, 2.0, l), vectors, "unnormalized")
+        basis = SpectralBasis(np.linspace(0.0, 2.0, l), vectors, m, "unnormalized")
         model = GPRegressionModel(MATERN, basis, np.arange(m), rng.standard_normal(m),
                                   noise2=0.1)
         model._phi_train, model._weights
