@@ -249,9 +249,7 @@ def _kernel_blocks(model: VariationalClassifier, batch):
                       "use fewer inducing nodes", verb="factor")
     _check_dense_size("VariationalClassifier", "inducing-batch covariance", (m, batch.size),
                       "use a smaller batch", verb="form")
-    d, d_grads = spectral_weights(
-        model.spec, model.basis.eigenvalues, model.basis.total_dim, with_grads=True
-    )
+    d, d_grads = spectral_weights(model.spec, model.basis.eigenvalues, model.basis.total_dim)
     phi_z = model._phi_z
     shared = np.array_equal(batch, model.inducing_nodes)
     phi_b = phi_z if shared else model.basis.eigenvectors[batch]
@@ -344,8 +342,9 @@ def _log_lik_forward(model, mean, var, labels, xi, scale):
     return value, gmean, gvar
 
 
-def _kl_terms(model: VariationalClassifier, blocks, with_grads):
-    """Sum of per-class KL(q(u_c) || p(u_c)) and gradients.
+def _kl_terms(model: VariationalClassifier, blocks):
+    """``(value, grads, kzz_bar)``: the sum of per-class KL(q(u_c) || p(u_c)),
+    always with its gradients, each computed after the value.
 
     Whitened: closed forms against N(0, I), no kernel dependence.
     Unwhitened: against N(0, K), K = K_zz + jitter I, summed over the
@@ -354,7 +353,6 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
     """
     mu = model.q_mu
     c, m = mu.shape
-    grads = {}
     if not model.diag_cov:
         tril = model.q_scale_tril
         idx = np.arange(m)
@@ -364,22 +362,16 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
     if model.whitened:
         if model.diag_cov:
             r2 = np.exp(2.0 * model.q_log_scale)
-            value = 0.5 * float(
-                np.sum(r2 + mu**2 - 1.0 - 2.0 * model.q_log_scale)
-            )
-            if with_grads:
-                grads["q_mu"] = mu.copy()
-                grads["q_log_scale"] = r2 - 1.0
+            value = 0.5 * float(np.sum(r2 + mu**2 - 1.0 - 2.0 * model.q_log_scale))
+            grads = {"q_mu": mu.copy(), "q_log_scale": r2 - 1.0}
         else:
             value = 0.5 * float(
                 np.sum(tril**2) + np.sum(mu**2)
                 - mu.size - 2.0 * np.sum(np.log(np.abs(diag)))
             )
-            if with_grads:
-                g = tril.copy()
-                g[:, idx, idx] -= 1.0 / diag
-                grads["q_mu"] = mu.copy()
-                grads["q_scale_tril"] = g
+            g = tril.copy()
+            g[:, idx, idx] -= 1.0 / diag
+            grads = {"q_mu": mu.copy(), "q_scale_tril": g}
         return value, grads, None
 
     chol, inv_chol = blocks["chol"], blocks["inv_chol"]
@@ -394,10 +386,8 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
         trace = float(np.sum((inv_chol @ tril) ** 2))
         logdet_q = 2.0 * float(np.sum(np.log(np.abs(diag))))
     value = 0.5 * (trace + float(np.sum(w_mu**2)) - c * m + c * logdet_k - logdet_q)
-    if not with_grads:
-        return value, grads, None
     kmu = kinv @ mu.T
-    grads["q_mu"] = kmu.T
+    grads = {"q_mu": kmu.T}
     if model.diag_cov:
         grads["q_log_scale"] = np.diag(kinv) * r2 - 1.0
         ks_k = (kinv * np.sum(r2, axis=0)) @ kinv
@@ -409,8 +399,9 @@ def _kl_terms(model: VariationalClassifier, blocks, with_grads):
     return value, grads, 0.5 * (c * kinv - ks_k - kmu @ kmu.T)
 
 
-def _elbo_core(model, batch, labels, xi, n_total, with_grads):
-    """ELBO at fixed draws ``xi`` and, with ``with_grads``, its gradients.
+def _elbo_core(model, batch, labels, xi, n_total):
+    """``(value, grads)``: the ELBO at fixed draws ``xi`` and its gradients,
+    which are always computed, after the value.
 
     When the batch is the inducing set, the K_zb and K_zz sensitivities are
     summed first, so the kernel gradients take one m x m x l product.
@@ -419,10 +410,8 @@ def _elbo_core(model, batch, labels, xi, n_total, with_grads):
     scale = n_total / batch.shape[0]
     ll, gmean, gvar = _log_lik_forward(model, mean, var, labels, xi, scale)
     blocks = ctx["blocks"]
-    kl_value, kl_grads, kl_kzz_bar = _kl_terms(model, blocks, with_grads)
+    kl_value, kl_grads, kl_kzz_bar = _kl_terms(model, blocks)
     value = ll - kl_value
-    if not with_grads:
-        return value, None
 
     a = ctx["a"]
     proj = ctx["proj"]
@@ -497,7 +486,7 @@ def elbo(model: VariationalClassifier, batch, labels, mc_samples=20, seed=0, n_t
     if n_total is None:
         n_total = batch.shape[0]
     xi = np.random.default_rng(seed).standard_normal((mc_samples, batch.shape[0]))
-    value, _ = _elbo_core(model, batch, labels, xi, n_total, with_grads=False)
+    value, _ = _elbo_core(model, batch, labels, xi, n_total)
     return value
 
 
@@ -582,7 +571,7 @@ def fit_classifier(
         pick = (slice(None) if batch_size == n_total
                 else rng.choice(n_total, size=batch_size, replace=False))
         xi = rng.standard_normal((mc_samples, batch_size))
-        return _elbo_core(current, nodes[pick], labels[pick], xi, n_total, with_grads=True)
+        return _elbo_core(current, nodes[pick], labels[pick], xi, n_total)
 
     def advance(current, params):
         # q_scale_tril's gradients are lower triangular: its upper triangle stays 0.

@@ -17,9 +17,10 @@ Profiles:
     inverse_cosine:  w = cos(pi lambda / 4)           (sym-normalized only)
 
 matern and diffusion are computed in log space so extreme smoothness values
-(nu ~ 1e4) stay finite under normalization. Analytic derivatives of d with
-respect to the raw trainable parameters are available for the fit loops; the
-normalization constant's dependence on the parameters is included.
+(nu ~ 1e4) stay finite under normalization. Every evaluation of d also
+returns its analytic derivatives with respect to the raw trainable
+parameters, which every fit and prediction uses; the normalization
+constant's dependence on the parameters is included.
 """
 
 import math
@@ -216,26 +217,20 @@ def _logsumexp(a):
     return np.log1p(s) + np.log(m) + top
 
 
-def _weights_from_log(logw, dlogw, total_dim, sigma2, normalize, with_grads):
+def _weights_from_log(logw, dlogw, total_dim, sigma2, normalize):
     if normalize:
         lse = _logsumexp(logw)
         d = sigma2 * np.exp(math.log(total_dim) + logw - lse)
-        if not with_grads:
-            return d, None
         soft = np.exp(logw - lse)
-        grads = {
-            name: d * (dl - np.dot(soft, dl)) for name, dl in dlogw.items()
-        }
+        grads = {name: d * (dl - np.dot(soft, dl)) for name, dl in dlogw.items()}
     else:
         d = sigma2 * np.exp(logw)
-        if not with_grads:
-            return d, None
         grads = {name: d * dl for name, dl in dlogw.items()}
     grads["sigma2"] = d / sigma2
     return d, grads
 
 
-def _weights_from_linear(w, dw, total_dim, sigma2, normalize, with_grads):
+def _weights_from_linear(w, dw, total_dim, sigma2, normalize):
     if normalize:
         total = float(np.sum(w))
         if total <= 0:
@@ -244,28 +239,25 @@ def _weights_from_linear(w, dw, total_dim, sigma2, normalize, with_grads):
             )
         c = total_dim / total
         d = sigma2 * c * w
-        if not with_grads:
-            return d, None
         grads = {
             name: sigma2 * c * (dwi - w * (np.sum(dwi) / total))
             for name, dwi in dw.items()
         }
     else:
         d = sigma2 * w
-        if not with_grads:
-            return d, None
         grads = {name: sigma2 * dwi for name, dwi in dw.items()}
     grads["sigma2"] = d / sigma2
     return d, grads
 
 
-def spectral_weights(spec: KernelSpec, eigenvalues, total_dim=None, with_grads=False):
-    """Prior spectral weights d_s, optionally with analytic parameter grads.
+def spectral_weights(spec: KernelSpec, eigenvalues, total_dim=None):
+    """Prior spectral weights d_s and their analytic parameter gradients.
 
     Returns ``(d, grads)`` where grads maps each raw trainable parameter
-    name to the elementwise derivative array dd/dparam (None when
-    ``with_grads`` is off). ``total_dim`` is the full node count used by the
-    trace normalization; it defaults to the number of eigenvalues.
+    name, in ``trainable_params`` order, to the elementwise derivative array
+    dd/dparam; d is computed before its gradients. ``total_dim`` is the full
+    node count used by the trace normalization; it defaults to the number of
+    eigenvalues.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     n = lam.shape[0] if total_dim is None else int(total_dim)
@@ -276,17 +268,16 @@ def spectral_weights(spec: KernelSpec, eigenvalues, total_dim=None, with_grads=F
         nu, kappa = spec.nu, spec.kappa
         b = 2.0 * nu / kappa**2 + lam
         logw = -nu * np.log(b)
-        dlogw = {}
-        if with_grads:
-            dlogw["kappa"] = 4.0 * nu**2 / (kappa**3 * b)
-            dlogw["nu"] = -np.log(b) - 2.0 * nu / (kappa**2 * b)
-        return _weights_from_log(logw, dlogw, n, s2, norm, with_grads)
+        dlogw = {
+            "kappa": 4.0 * nu**2 / (kappa**3 * b),
+            "nu": -np.log(b) - 2.0 * nu / (kappa**2 * b),
+        }
+        return _weights_from_log(logw, dlogw, n, s2, norm)
 
     if spec.family == "diffusion":
         kappa = spec.kappa
         logw = -0.5 * kappa**2 * lam
-        dlogw = {"kappa": -kappa * lam} if with_grads else {}
-        return _weights_from_log(logw, dlogw, n, s2, norm, with_grads)
+        return _weights_from_log(logw, {"kappa": -kappa * lam}, n, s2, norm)
 
     if spec.family == "random_walk":
         alpha, p = spec.alpha, spec.p
@@ -300,15 +291,12 @@ def spectral_weights(spec: KernelSpec, eigenvalues, total_dim=None, with_grads=F
                 stacklevel=2,
             )
         w = np.where(clamped, 0.0, w)
-        dw = {}
-        if with_grads:
-            dalpha = p * np.power(base, p - 1) * lam
-            dw["alpha"] = np.where(clamped, 0.0, dalpha)
-        return _weights_from_linear(w, dw, n, s2, norm, with_grads)
+        dalpha = p * np.power(base, p - 1) * lam
+        return _weights_from_linear(w, {"alpha": np.where(clamped, 0.0, dalpha)}, n, s2, norm)
 
     if spec.family == "inverse_cosine":
         w = np.maximum(np.cos(np.pi * np.clip(lam, 0.0, 2.0) / 4.0), 0.0)
-        return _weights_from_linear(w, {}, n, s2, norm, with_grads)
+        return _weights_from_linear(w, {}, n, s2, norm)
 
     raise ValueError(f"unknown kernel family {spec.family!r}")
 

@@ -191,8 +191,7 @@ class GPRegressionModel:
     @cached_property
     def _weights(self):
         """``(d, grads)``: one evaluation serves the posteriors and the LML."""
-        return spectral_weights(self.spec, self.basis.eigenvalues, self.basis.total_dim,
-                                with_grads=True)
+        return spectral_weights(self.spec, self.basis.eigenvalues, self.basis.total_dim)
 
     @cached_property
     def _c_factor(self):

@@ -66,8 +66,23 @@ def test_trainable_params_are_the_gradient_keys(family, normalize):
     parameters in the same order, which is the order a fit steps them in."""
     assert set(_SPECS) == set(kernels.FAMILIES)
     spec = _SPECS[family].with_params(normalize_variance=normalize)
-    _, grads = kernels.spectral_weights(spec, np.linspace(0.0, 1.5, 7), with_grads=True)
+    _, grads = kernels.spectral_weights(spec, np.linspace(0.0, 1.5, 7))
     assert tuple(grads) == kernels.trainable_params(spec)
+
+
+def test_no_function_takes_a_with_grads_switch():
+    """Every fit, prediction and CLI command asks for gradients, so every
+    weight and ELBO evaluation returns them: no function under the package
+    takes a ``with_grads`` parameter to turn them off."""
+    takers = []
+    for path in sorted(Path(graph_matern.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "with_grads" in names:
+                    takers.append(f"{path.name}:{node.lineno}")
+    assert takers == []
 
 
 @pytest.mark.parametrize("kind, diag_cov", [("regression", None), ("classifier", True),

@@ -162,10 +162,8 @@ class TestKlGaussian:
             covs = model.q_scale_tril @ np.transpose(model.q_scale_tril, (0, 2, 1))
         expected = sum(kl_gaussian(model.q_mu[c], covs[c], prior)
                        for c in range(model.n_classes))
-        blocks = _kernel_blocks(model, z)
-        for with_grads in (False, True):
-            value, _, _ = _kl_terms(model, blocks, with_grads)
-            assert_allclose(value, expected, rtol=1e-10)
+        value, _, _ = _kl_terms(model, _kernel_blocks(model, z))
+        assert_allclose(value, expected, rtol=1e-10)
 
 
 class TestModelValidation:
@@ -409,10 +407,10 @@ class TestElboGradients:
         rng = np.random.default_rng(99)
         xi = rng.standard_normal((7, batch.shape[0]))
         n_total = batch.shape[0]
-        value, grads = _elbo_core(model, batch, labels, xi, n_total, True)
+        value, grads = _elbo_core(model, batch, labels, xi, n_total)
 
         def val(m):
-            return _elbo_core(m, batch, labels, xi, n_total, False)[0]
+            return _elbo_core(m, batch, labels, xi, n_total)[0]
 
         def compare(an, fd, label):
             denom = max(abs(fd), abs(an), 1e-3)
@@ -482,10 +480,8 @@ class TestElboGradients:
         labels = rng.integers(0, model.n_classes, size=z.size)
         xi = rng.standard_normal((7, z.size))
         perm = np.roll(np.arange(z.size), 1)
-        value, grads = _elbo_core(model, z, labels, xi, z.size, True)
-        value_p, grads_p = _elbo_core(
-            model, z[perm], labels[perm], xi[:, perm], z.size, True
-        )
+        value, grads = _elbo_core(model, z, labels, xi, z.size)
+        value_p, grads_p = _elbo_core(model, z[perm], labels[perm], xi[:, perm], z.size)
         shared = _kernel_blocks(model, z)
         general = _kernel_blocks(model, z[perm])
         assert shared["phi_b"] is shared["phi_z"]
@@ -570,7 +566,7 @@ class TestOneTriangularInverse:
         for batch in (model.inducing_nodes, np.array([1, 3, 6, 8, 11])):
             labels = rng.integers(0, model.n_classes, size=batch.size)
             xi = rng.standard_normal((5, batch.size))
-            value, grads = _elbo_core(model, batch, labels, xi, 12, True)
+            value, grads = _elbo_core(model, batch, labels, xi, 12)
             blocks = _kernel_blocks(model, batch)
             assert (blocks["phi_b"] is blocks["phi_z"]) == (batch is model.inducing_nodes)
             assert np.isfinite(value)
@@ -607,13 +603,12 @@ class TestMinibatchUnbiased:
         nodes = np.array([0, 2, 5, 7, 9, 11])
         labels = rng.integers(0, model.n_classes, size=nodes.size)
         xi = rng.standard_normal((5, nodes.size))
-        full, full_grads = _elbo_core(model, nodes, labels, xi, nodes.size, True)
+        full, full_grads = _elbo_core(model, nodes, labels, xi, nodes.size)
         batches = [list(pair) for pair in itertools.combinations(range(nodes.size), 2)]
         assert len(batches) == 15
         values, grads = [], []
         for pick in batches:
-            value, g = _elbo_core(model, nodes[pick], labels[pick], xi[:, pick],
-                                  nodes.size, True)
+            value, g = _elbo_core(model, nodes[pick], labels[pick], xi[:, pick], nodes.size)
             blocks = _kernel_blocks(model, nodes[pick])
             assert blocks["phi_b"] is not blocks["phi_z"]
             values.append(value)
@@ -651,14 +646,14 @@ class TestFitClassifier:
         real = classification.spectral_weights
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("with_grads"))
+            calls.append(None)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(classification, "spectral_weights", counted)
         _, trace = fit_classifier(model, train, labels,
                                   AdamConfig(iterations=9, learning_rate=0.05),
                                   batch_size=batch_size)
-        assert trace.shape == (9,) and calls == [True] * 9
+        assert trace.shape == (9,) and len(calls) == 9
 
     def test_separates_two_cliques(self):
         model, train, labels = self._clique_setup()

@@ -221,7 +221,7 @@ class TestSpectralWeights:
         # nu ~ 1e4 underflows the raw profile; the log-space path must survive
         lam = np.linspace(0.0, 8.0, 30)
         spec = KernelSpec(family="matern", nu=1e4, kappa=1.0)
-        d, grads = spectral_weights(spec, lam, with_grads=True)
+        d, grads = spectral_weights(spec, lam)
         assert np.all(np.isfinite(d)) and d.max() > 0
         assert_allclose(d.sum(), 30.0, rtol=1e-10)
         for g in grads.values():
@@ -232,7 +232,7 @@ class TestSpectralWeights:
         d_plus, _ = spectral_weights(spec.with_params(**{name: value + h}), lam)
         d_minus, _ = spectral_weights(spec.with_params(**{name: value - h}), lam)
         fd = (d_plus - d_minus) / (2 * h)
-        _, grads = spectral_weights(spec, lam, with_grads=True)
+        _, grads = spectral_weights(spec, lam)
         scale = np.max(np.abs(fd)) + 1e-12
         assert np.max(np.abs(grads[name] - fd)) / scale < rel, name
 
@@ -259,7 +259,7 @@ class TestSpectralWeights:
             family="random_walk", alpha=0.1, p=3, laplacian_kind="sym_normalized"
         )
         with pytest.warns(UserWarning, match="clamped"):
-            d, grads = spectral_weights(spec, lam, with_grads=True)
+            d, grads = spectral_weights(spec, lam)
         assert np.all(d >= 0)
         assert d[1] == 0.0
         assert grads["alpha"][1] == 0.0
