@@ -73,9 +73,11 @@ def robustmax(f, epsilon: float = 1e-3) -> np.ndarray:
     Works on any (..., C) array; ties go to the lowest class index.
     """
     f = np.asarray(f, dtype=float)
-    c = f.shape[-1]
+    c = f.shape[-1] if f.ndim else 0
     if c < 2:
-        raise ValueError("robustmax needs at least two classes")
+        raise ValueError(
+            f"robustmax needs at least two classes on the last axis, got shape {f.shape}"
+        )
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     out = np.full(f.shape, epsilon / (c - 1))

@@ -130,16 +130,17 @@ def _split(count, train_size, test_size, seed):
 def _load_kernel_spec(text, default: KernelSpec) -> KernelSpec:
     if text is None:
         return default
-    if os.path.exists(text):
+    is_file = os.path.exists(text)
+    if is_file:
         with open(text, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
-            raise ValueError(
-                f"--kernel is neither an existing file nor valid JSON: {text!r}"
-            ) from None
+            source = fh.read()
+    try:
+        obj = json.loads(source if is_file else text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"--kernel file {text!r} is not valid JSON: {exc}" if is_file
+            else f"--kernel is neither an existing file nor valid JSON: {text!r}"
+        ) from None
     return KernelSpec.from_dict(obj)
 
 

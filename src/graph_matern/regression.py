@@ -352,13 +352,14 @@ def _woodbury(model, query, diag, caller):
 
 def _route(model: GPRegressionModel) -> str:
     """``"spectral"`` when the m training nodes exceed 3/4 of the l
-    eigenpairs, else ``"dense"``: whichever LML route is faster, and the
-    route of every other computation on the model, so each reads one factor.
+    eigenpairs, else ``"dense"``: the LML route, and the route of every
+    other computation on the model, so each reads one factor.
 
-    Timed at one BLAS thread for l = 100 to 800, the two routes break even
-    at m = 0.75 l. Below it the m x m Cholesky wins, 2x at m = l/2 and
-    20x on a full basis with m = n/10; above it the l x l route wins, 1.1
-    to 1.8x at m = l and 3 to 4x at m = 1.6 l.
+    3/4 is not the crossover. Timed at one BLAS thread on a 45 x 45 road
+    lattice (LML with gradients), the l x l route was already 1.5 to 1.9x
+    faster at m = 3l/4 for l = 500 and 1000, and the two met near m = 0.6 l
+    at l = 500; at m <= 200 the m x m Cholesky was 2.3 to 48x faster. The
+    threshold stays until a benchmark workload times the dense side.
     """
     m, l = model.train_nodes.size, model.basis.n_retained
     return "spectral" if 4 * m > 3 * l else "dense"

@@ -464,9 +464,9 @@ def heat_propagate(basis: SpectralBasis, v, t: float) -> np.ndarray:
     if not (_finite(t) and t >= 0):
         raise ValueError(f"non-finite or negative time {t}")
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != basis.total_dim:
+    if v.shape[:1] != (basis.total_dim,):
         raise ValueError(
-            f"vector length {v.shape[0]} does not match node count {basis.total_dim}"
+            f"vector of shape {v.shape} does not match node count {basis.total_dim}"
         )
     u = basis.eigenvectors
     coeff = u.T @ v

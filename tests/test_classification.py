@@ -101,6 +101,10 @@ class TestRobustmax:
         with pytest.raises(ValueError, match="epsilon"):
             robustmax(np.array([1.0, 0.0]), epsilon=1.5)
 
+    def test_scalar_has_no_class_axis(self):
+        with pytest.raises(ValueError, match=r"two classes on the last axis, got shape \(\)$"):
+            robustmax(1.0)
+
 
 class TestKlGaussian:
     def test_matching_distributions_give_zero(self):

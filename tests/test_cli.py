@@ -303,6 +303,20 @@ class TestFitRegression:
         assert code == 1
         assert "neither an existing file nor valid JSON" in capsys.readouterr().err
 
+    def test_kernel_file_with_bad_json_names_flag_and_file(self, regression_case, tmp_path,
+                                                           capsys):
+        graph_path, targets_path, _ = regression_case
+        spec_path = tmp_path / "k.json"
+        spec_path.write_text("{bad")
+        code = main([
+            "fit-regression", "--graph", str(graph_path),
+            "--targets", str(targets_path), "--out", str(tmp_path / "x"),
+            "--kernel", str(spec_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--kernel file {str(spec_path)!r} is not valid JSON: Expecting property name" in err
+
     def test_out_of_range_target_node(self, regression_case, tmp_path, capsys):
         graph_path, _, _ = regression_case
         bad = tmp_path / "bad.csv"

@@ -774,6 +774,12 @@ class TestHeatPropagate:
         with pytest.raises(ValueError, match="does not match node count"):
             heat_propagate(basis, np.zeros(5), 1.0)
 
+    def test_scalar_rejected_by_shape(self):
+        """A 0-d vector has no node axis: the length check names its shape."""
+        basis = _basis(path_graph(4))
+        with pytest.raises(ValueError, match=r"^vector of shape \(\) does not match node count 4$"):
+            heat_propagate(basis, 1.0, 0.5)
+
 
 class TestCacheFormat:
     def test_roundtrip_is_bitwise(self, tmp_path):
