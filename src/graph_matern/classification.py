@@ -31,6 +31,7 @@ from scipy.special import log_ndtr
 from .graphs import _check_dense_size, _finite, _int64, _int64_token, _node_indices
 from .kernels import (
     KernelSpec,
+    _sym_product,
     check_laplacian_kind,
     check_trainable,
     from_unconstrained,
@@ -240,9 +241,9 @@ def _kernel_blocks(model: VariationalClassifier, batch):
     product with L^-1 or L^-T. The inducing rows Phi_z are the model's
     ``_phi_z``, which ``with_updates`` carries from step to step; the blocks
     are not kept, as a fit builds a new model every step and prediction asks
-    once. When the batch is the inducing set, as on a full-batch step,
-    Phi_b is Phi_z and the one product (Phi_z D) Phi_z^T is K_zb and,
-    symmetrized, K_zz. An m x m K_zz or an m x b K_zb over
+    once. K_zz is ``kernels._sym_product``'s; when the batch is the inducing
+    set, as on a full-batch step, Phi_b is Phi_z and K_zb is that product,
+    copied before the jitter. An m x m K_zz or an m x b K_zb over
     ``DENSE_ELEMENT_LIMIT`` elements raises ``ValueError`` naming it and its
     shape, before any product.
     """
@@ -255,13 +256,12 @@ def _kernel_blocks(model: VariationalClassifier, batch):
     phi_z = model._phi_z
     shared = np.array_equal(batch, model.inducing_nodes)
     phi_b = phi_z if shared else model.basis.eigenvectors[batch]
-    prod = (phi_z * d) @ phi_z.T
-    k_zz = (prod + prod.T) / 2.0
-    k_zz[np.arange(k_zz.shape[0]), np.arange(k_zz.shape[0])] += model.jitter
+    k_zz = _sym_product(phi_z, d)
+    k_zb = k_zz.copy() if shared else (phi_z * d) @ phi_b.T
+    k_zz.flat[:: m + 1] += model.jitter
     # Symmetric, so the transpose is the column-major matrix.
     chol = _spd_factor(k_zz.T, f"inducing covariance with jitter {model.jitter:g}")
     inv_chol = _tri_inverse(chol.copy(order="F"))
-    k_zb = prod if shared else (phi_z * d) @ phi_b.T
     k_bb = np.einsum("ij,j->i", phi_b**2, d)
     return {
         "d": d, "d_grads": d_grads, "phi_z": phi_z, "phi_b": phi_b,

@@ -62,9 +62,14 @@ _JSON_KEYS = {
 }
 
 
+# nu and kappa lie in [1e-100, 1e100]: there kappa^3, nu^2, 2 nu / kappa^2
+# and the matern gradient quotients built from them are finite and nonzero
+# in float64 for eigenvalues up to 1e8; outside it one of them may not be.
 def _positive(name, value):
     if value is None or not (_finite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if name in ("nu", "kappa") and not 1e-100 <= value <= 1e100:
+        raise ValueError(f"{name} must lie in [1e-100, 1e+100], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -305,9 +310,10 @@ def kernel_matrix(basis: SpectralBasis, spec: KernelSpec, rows=None, cols=None):
     """Cross-covariance block K[rows, cols] (full matrix by default).
 
     The basis must come from the Laplacian kind the spec declares. With a
-    truncated basis this is the rank-l kernel on the retained modes. A block
-    over ``DENSE_ELEMENT_LIMIT`` elements (the full matrix of a graph past
-    11585 nodes) raises ``ValueError`` naming its shape, before any product.
+    truncated basis this is the rank-l kernel on the retained modes; on equal
+    rows and cols it is ``_sym_product``'s, exactly symmetric. A block over
+    ``DENSE_ELEMENT_LIMIT`` elements (the full matrix of a graph past 11585
+    nodes) raises ``ValueError`` naming its shape, before any product.
     """
     check_laplacian_kind(spec, basis)
     n = basis.total_dim
@@ -317,14 +323,19 @@ def kernel_matrix(basis: SpectralBasis, spec: KernelSpec, rows=None, cols=None):
                       (n if ridx is None else ridx.size, n if cidx is None else cidx.size),
                       "pass fewer rows or cols")
     d, _ = spectral_weights(spec, basis.eigenvalues, n)
-    same = (rows is None and cols is None) or (
-        ridx is not None and cidx is not None and np.array_equal(ridx, cidx)
-    )
     u = basis.eigenvectors
-    k = ((u if ridx is None else u[ridx]) * d) @ (u if cidx is None else u[cidx]).T
-    if same:
-        k = (k + k.T) / 2.0
-    return k
+    u_rows = u if ridx is None else u[ridx]
+    if np.array_equal(ridx, cidx):  # equal rows and cols, or neither given
+        return _sym_product(u_rows, d)
+    return (u_rows * d) @ (u if cidx is None else u[cidx]).T
+
+
+def _sym_product(phi, d):
+    """Phi diag(d) Phi^T, d >= 0, as the one symmetric product s s^T with
+    s = Phi sqrt(d): numpy runs it as ``dsyrk``, exactly symmetric at half
+    the flops. Every dense SPD block built from a basis is this product."""
+    s = phi * np.sqrt(d)
+    return s @ s.T
 
 
 def matern_precision_sparse(operator: LaplacianOperator, nu, kappa) -> sp.csr_array:

@@ -30,12 +30,13 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack, solve_triangular
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dtrmm, dtrmv
 import scipy.sparse as sp
 
 from .graphs import _check_dense_size, _finite, _int64_token, _node_indices
 from .kernels import (
     KernelSpec,
+    _sym_product,
     check_laplacian_kind,
     check_trainable,
     from_unconstrained,
@@ -123,11 +124,12 @@ def _tri_inverse(low):
 
 def _factor_solve_invert(a, rhs, name):
     """``(log|a| / 2, L^-1, a^-1 rhs)`` for L the Cholesky factor of the SPD
-    ``a``; L, then L^-1, is written over ``a`` when ``a`` is column-major."""
+    ``a``; L, then L^-1, is written over ``a`` when ``a`` is column-major,
+    and a^-1 rhs is L^-T (L^-1 rhs) by two ``dtrmv``."""
     low = _spd_factor(a, name)
-    solution, _ = lapack.dpotrs(low, rhs, lower=1)
     half_logdet = float(np.sum(np.log(np.diag(low))))
-    return half_logdet, _tri_inverse(low), solution
+    inv = _tri_inverse(low)
+    return half_logdet, inv, dtrmv(inv, dtrmv(inv, rhs, lower=1), lower=1, trans=1, overwrite_x=1)
 
 
 @dataclass(frozen=True)
@@ -197,22 +199,16 @@ class GPRegressionModel:
     def _c_factor(self):
         """``(half_logdet, inv_chol, alpha, jitter)`` for the dense route:
         log|C| / 2 and L^-1 for L the Cholesky factor of C = K_xx + noise2 I
-        (all three in one m x m array), alpha = C^-1 y and the first jitter
-        rung that factors; a failed rung rebuilds the array. A C over
-        ``DENSE_ELEMENT_LIMIT`` raises ``ValueError``, and a raise keeps
-        nothing."""
+        (all three in one m x m array, K_xx ``_sym_product``'s), alpha =
+        C^-1 y and the first jitter rung that factors; a failed rung rebuilds
+        the array. A C over ``DENSE_ELEMENT_LIMIT`` raises ``ValueError``,
+        and a raise keeps nothing."""
         m = self.train_nodes.size
         _check_dense_size("GPRegressionModel", "train covariance", (m, m),
                           "use fewer training nodes", verb="factor")
         d, _ = self._weights
-        phi = self._phi_train
         for jitter in _JITTERS:
-            c = (phi * d) @ phi.T
-            # (K + K^T) / 2 in the upper triangle, which dpotrf reads of the
-            # column-major c.T, by row blocks: c += c.T would buffer a copy.
-            for r in range(0, m, 256):
-                c[r:r + 256, r:] = (c[r:r + 256, r:] + c[r:, r:r + 256].T) / 2.0
-            c += 0.0  # -0.0 becomes +0.0, as adding noise2 I out of place gives
+            c = _sym_product(self._phi_train, d)
             c.flat[:: m + 1] += self.noise2
             scale = float(np.mean(np.diag(c)))
             c.flat[:: m + 1] += jitter * scale
@@ -230,16 +226,13 @@ class GPRegressionModel:
         """``(half_logdet, inv_chol_b, root, t, coef)`` for the spectral
         route: log|B| / 2 and L_B^-1 for L_B the Cholesky factor of
         B = I + D^1/2 E D^1/2 / noise2 (all three in one l x l array),
-        root = sqrt(d), t = P^T y and coef = D^1/2 B^-1 D^1/2 t / noise2.
-        B's eigenvalues are >= 1, so it needs no jitter and zero-weight
-        modes stay in."""
+        root = sqrt(d), t = P^T y and coef = D^1/2 B^-1 D^1/2 t / noise2. B is
+        E times root root^T / noise2 plus I; its eigenvalues are >= 1, so it
+        needs no jitter and zero-weight modes stay in."""
         d, _ = self._weights
         root = np.sqrt(d)
         e, t = self._gram
-        b = np.multiply(root[:, None], e, order="F")  # LAPACK's layout
-        b *= root
-        b /= self.noise2
-        b += 0.0  # I's zeros: -0.0 (zero weight, negative E entry) becomes +0.0
+        b = np.multiply(e, np.outer(root, root / self.noise2), order="F")  # LAPACK's layout
         b.flat[:: d.size + 1] += 1.0
         half_logdet, inv_chol_b, coef = _factor_solve_invert(
             b, root * t, "B = I + D^1/2 E D^1/2 / noise2")
@@ -304,9 +297,7 @@ def posterior(model: GPRegressionModel, query=None, diag=False) -> PosteriorSumm
     if diag:
         var = np.einsum("ij,j->i", phi_q**2, d) - np.einsum("ji,ji->i", half, half)
         return PosteriorSummary(mean=mean, variance=np.maximum(var, 0.0))
-    k_qq = (phi_q * d) @ phi_q.T
-    cov = k_qq - half.T @ half
-    cov = (cov + cov.T) / 2.0
+    cov = _sym_product(phi_q, d) - half.T @ half  # both exactly symmetric
     var = np.maximum(np.diag(cov), 0.0)
     return PosteriorSummary(mean=mean, variance=var, covariance=cov)
 
@@ -526,9 +517,10 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
     that the Lanczos eigensolver also uses, with the k distinct query nodes
     eliminated last. One solve against noise2^{-1} sum_i e_i y_i gives the
     mean. The covariance at the queries is the inverse of their Schur
-    complement, whose LU factors are the factor's rows and columns at the
-    query positions, so it costs one k x k triangular inversion and no
-    covariance columns. Before the factorization, a |query| x |query|
+    complement L_t D_t L_t^T, L_t the trailing k x k block of L and D the
+    pivots (U = D L^T in this unpivoted symmetric factor): S^T S with S =
+    D_t^-1/2 L_t^-1, one k x k triangular inversion and no covariance
+    columns. Before the factorization, a |query| x |query|
     output over ``DENSE_ELEMENT_LIMIT`` elements, or k over
     ``spectral.DENSE_SIZE_LIMIT`` nodes for the k^3 inversion, raises
     ``ValueError`` naming the refused shape. A non-symmetric precision
@@ -569,18 +561,14 @@ def gmrf_posterior(precision, noise2, train_nodes, targets, query=None) -> Poste
             f"{pivots.min():.3e}"
         )
     # The query nodes sit at factor positions perm_c[n-k:]; sorted, they
-    # index lower and upper triangular blocks of L and U.
+    # index a lower triangular block of L. S's columns go in node order.
     at = np.argsort(lu.perm_c[n - k:])
     pos = lu.perm_c[n - k:][at]
-    rows = np.searchsorted(nodes, order[n - k:][at])
     l_tt = lu.L[:, pos][pos].toarray()
-    u_tt = lu.U[:, pos][pos].toarray()
     del lu
-    inv_l = solve_triangular(l_tt, np.eye(k), lower=True, unit_diagonal=True)
-    cov = np.empty((k, k))
-    cov[np.ix_(rows, rows)] = solve_triangular(u_tt, inv_l)
-    cov = cov[np.ix_(inverse, inverse)]
-    cov = (cov + cov.T) / 2.0
+    s = solve_triangular(l_tt, np.eye(k), lower=True, unit_diagonal=True)
+    s = s[:, np.argsort(order[n - k:][at])] / np.sqrt(pivots[pos])[:, None]
+    cov = (s.T @ s)[np.ix_(inverse, inverse)]  # dsyrk: exactly symmetric
     return PosteriorSummary(mean=mean[q], variance=np.diag(cov).copy(), covariance=cov)
 
 

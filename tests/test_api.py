@@ -159,18 +159,39 @@ def test_sparse_factorizations_share_the_minimum_degree_helper():
 def test_dense_spd_blocks_share_one_factor_and_one_inverse():
     """Every dense SPD block of the fits is factored by ``dpotrf`` in
     ``regression._spd_factor`` and its factor inverted by ``dtrtri`` only in
-    ``regression._tri_inverse``; no other Cholesky entry point is called."""
+    ``regression._tri_inverse``; no other Cholesky entry point is called,
+    and no module solves with a Cholesky factor (``dpotrs``, ``cho_solve``):
+    a factor is read through L and L^-1 alone."""
     package = Path(graph_matern.__file__).parent
     homes = {"dpotrf": "_spd_factor", "dtrtri": "_tri_inverse"}
+    names = {"dpotrf", "dtrtri", "cholesky", "cho_factor", "dpotrs", "cho_solve"}
     seen = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for func, name, call in _calls(tree, {"dpotrf", "dtrtri", "cholesky", "cho_factor"}):
+        for func, name, call in _calls(tree, names):
             seen.append(name)
-            assert (path.name, func) == ("regression.py", homes.get(name)), (
+            assert name in homes and (path.name, func) == ("regression.py", homes[name]), (
                 f"{name} at {path.name}:{call.lineno}"
             )
     assert sorted(seen) == ["dpotrf", "dtrtri"]
+
+
+def test_superlu_u_is_read_only_for_its_diagonal():
+    """``gmrf_posterior`` reads the factor of the posterior precision
+    through L and the pivots: in this unpivoted symmetric factor U = D L^T,
+    so every ``.U`` that ``regression`` reads is ``.U.diagonal()``."""
+    path = Path(graph_matern.__file__).parent / "regression.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "U"]
+    assert reads
+    for node in reads:
+        outer = parents[node]
+        assert (isinstance(outer, ast.Attribute) and outer.attr == "diagonal"
+                and isinstance(parents[outer], ast.Call) and parents[outer].func is outer), (
+            f"U read at regression.py:{node.lineno}"
+        )
 
 
 def test_one_site_chooses_the_eigensolver():

@@ -915,6 +915,15 @@ class TestRefusedBeforeTheEigensolve:
         "kernel_nu_past_float64": (
             "fit-regression", ["--kernel", '{"family":"matern","nu":%d,"kappa":1}' % 10**400],
             f"nu must be positive and finite, got {10**400}"),
+        # A nu or kappa whose powers float64 cannot hold is refused with the
+        # accepted range, before the graph is read.
+        "kernel_kappa_past_float64_reach": (
+            "fit-regression", ["--kernel", '{"family":"matern","nu":1.5,"kappa":1e120}'],
+            "kappa must lie in [1e-100, 1e+100], got 1e+120"),
+        "kernel_nu_past_float64_reach": (
+            "fit-classify", ["--kernel", '{"family":"matern","nu":1.4e154,"kappa":1,'
+                                         '"laplacian":"sym_normalized"}'],
+            "nu must lie in [1e-100, 1e+100], got 1.4e+154"),
         "snapshot_noise2_past_float64": ("predict", ["--model", "noise2_1e400.json"],
                                          "snapshot field 'noise2'"),
         "snapshot_sigma2_past_float64": ("predict", ["--model", "sigma2_1e400.json"],

@@ -1,5 +1,7 @@
 """Kernel specs, spectral weights and their gradients, and kernel matrices."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.special
@@ -151,6 +153,27 @@ class TestKernelSpec:
             MATERN.with_params(**{field: 10**400})
         assert getattr(MATERN.with_params(**{field: 2**64}), field) == 2**64
 
+    @pytest.mark.parametrize("spec, field, value", [
+        (MATERN, "kappa", 1e120), (MATERN, "kappa", 5.6e102), (MATERN, "kappa", 1e-120),
+        (MATERN, "nu", 1.4e154), (MATERN, "nu", 1e-101),
+        pytest.param(MATERN, "kappa", 10**101, id="spec-kappa-integer-1e101"),
+        (DIFFUSION, "kappa", 1.4e154), (DIFFUSION, "kappa", 1e-101),
+    ])
+    def test_scale_past_float64_reach_fails_by_name(self, spec, field, value):
+        """A nu or kappa outside [1e-100, 1e100], where kappa**3, nu**2 or
+        2 nu / kappa^2 leaves float64's range, is refused with one message
+        naming the parameter and the range, through the constructor,
+        ``from_dict`` and the sparse precision alike."""
+        message = rf"^{field} must lie in \[1e-100, 1e\+100\], got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            spec.with_params(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            KernelSpec.from_dict(dict(spec.to_dict(), **{field: value}))
+        if field == "kappa":
+            op = build_laplacian(path_graph(4), "unnormalized")
+            with pytest.raises(ValueError, match=message):
+                matern_precision_sparse(op, 2, value)
+
     def test_numpy_scalars_are_numbers(self):
         spec = KernelSpec(family="matern", nu=np.float64(1.5), kappa=np.int64(2))
         assert spec == MATERN
@@ -296,6 +319,24 @@ class TestKernelMatrix:
                 dense_laplacian(g, kind), profiles[spec.family]
             )
             assert_allclose(kernel_matrix(basis, spec), oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("nu", [1e-100, 1e100])
+    @pytest.mark.parametrize("kappa", [1e-100, 1e100])
+    def test_range_edges_evaluate_cleanly(self, nu, kappa):
+        """At each corner of the accepted nu and kappa range, the weights and
+        their gradients are finite for eigenvalues up to 1e8, and so is the
+        kernel (a RuntimeWarning is an error under the suite's filter); so is
+        diffusion at either end of kappa's."""
+        lam = np.array([0.0, 1e-12, 1e-3, 1.0, 3.0, 1e8])
+        for spec in (KernelSpec(family="matern", nu=nu, kappa=kappa),
+                     KernelSpec(family="diffusion", kappa=kappa)):
+            d, grads = spectral_weights(spec, lam)
+            for values in (d, *grads.values()):
+                assert np.all(np.isfinite(values)), spec
+            basis = eigendecompose_full(build_laplacian(path_graph(5), "unnormalized"))
+            k = kernel_matrix(basis, spec)
+            assert np.all(np.isfinite(k)) and np.trace(k) > 0
+            assert_array_equal(k, k.T)
 
     def test_positive_semidefinite_and_symmetric(self):
         rng = np.random.default_rng(92)

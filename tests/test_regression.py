@@ -10,6 +10,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.stats
 from scipy.linalg import lapack
+from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dtrtri
 from scipy.sparse.linalg import splu
 from numpy.testing import assert_allclose, assert_array_equal
@@ -159,8 +160,12 @@ class TestModelValidation:
 
 class TestPosterior:
     def test_matches_brute_force_conditioning(self):
+        """On the dense route, whose covariance K_qq - (L^-1 K_xq)^T (L^-1
+        K_xq) is a difference of two symmetric products, so it is exactly
+        symmetric."""
         for seed in (10, 11, 12):
             rng, model = _problem(seed)
+            assert regression._route(model) == "dense"
             k_full = kernel_matrix(model.basis, model.spec)
             query = np.sort(rng.choice(18, size=6, replace=False))
             mean, cov = conditional_gaussian(
@@ -169,6 +174,7 @@ class TestPosterior:
             out = posterior(model, query)
             assert_allclose(out.mean, mean, atol=1e-8)
             assert_allclose(out.covariance, cov, atol=1e-8)
+            assert_array_equal(out.covariance, out.covariance.T)
             assert_allclose(out.variance, np.diag(cov), atol=1e-8)
             assert_allclose(out.stddev, np.sqrt(out.variance), atol=1e-15)
 
@@ -585,20 +591,27 @@ class TestLogMarginalLikelihood:
 
     def test_b_factor_keeps_the_bits_of_the_formula(self):
         """B, its factor and the factor's inverse share one array; they keep
-        the bits of I + D^1/2 E D^1/2 / s2 factored and inverted out of
-        place, signed zeros of zero-weight modes included."""
+        the bits of E times the outer scaling root root^T / s2, plus the
+        unit diagonal, factored and inverted out of place, signed zeros of
+        zero-weight modes included (off the diagonal a zero weight times a
+        negative E entry stays -0.0), and coef is D^1/2 B^-1 D^1/2 t / s2
+        with B^-1 = L_B^-T L_B^-1 by two ``dtrmv``."""
         model = _spectral_problem(156, spec=KernelSpec(family="diffusion", kappa=60.0))
         d, _ = model._weights
         assert np.any(d == 0.0)
         root, (e, t) = np.sqrt(d), model._gram
-        b = np.eye(d.size) + (root[:, None] * e * root[None, :]) / model.noise2
+        b = e * np.outer(root, root / model.noise2)
+        assert np.any(np.signbit(b) & (b == 0.0))
+        b[np.diag_indices_from(b)] += 1.0
         chol_b = scipy.linalg.cholesky(b, lower=True)
-        half_logdet, inv_chol_b, _, t_cached, _ = model._b_factor
+        inv = dtrtri(chol_b, lower=1)[0]
+        half_logdet, inv_chol_b, _, t_cached, coef = model._b_factor
         assert half_logdet == float(np.sum(np.log(np.diag(chol_b))))
-        assert_array_equal(inv_chol_b.view(np.int64),
-                           dtrtri(chol_b, lower=1)[0].view(np.int64))
+        assert_array_equal(inv_chol_b.view(np.int64), inv.view(np.int64))
         assert t_cached is t
         assert_array_equal(t, model._phi_train.T @ model.targets)
+        solved = dtrmv(inv, dtrmv(inv, root * t, lower=1), lower=1, trans=1)
+        assert_array_equal(coef.view(np.int64), (root * solved / model.noise2).view(np.int64))
 
     def test_dense_and_spectral_routes_agree(self):
         rw = KernelSpec(family="random_walk", alpha=0.6, p=2, laplacian_kind="sym_normalized")
@@ -691,9 +704,8 @@ class TestDenseFactorHelpers:
         rung = regression._JITTERS.index(used)
         assert rung > 0
         d, _ = model._weights
-        phi = model._phi_train
-        k_xx = (phi * d) @ phi.T
-        c = (k_xx + k_xx.T) / 2.0 + model.noise2 * np.eye(20)
+        s = model._phi_train * np.sqrt(d)
+        c = s @ s.T + model.noise2 * np.eye(20)
         scale = float(np.mean(np.diag(c)))
         for j in regression._JITTERS[:rung]:
             with pytest.raises(scipy.linalg.LinAlgError, match="train covariance"):
@@ -707,26 +719,27 @@ class TestDenseFactorHelpers:
     @pytest.mark.parametrize("spec", [MATERN, KernelSpec(family="diffusion", kappa=60.0)])
     def test_c_factor_keeps_the_bits_of_the_formula(self, spec):
         """C, its factor and the factor's inverse share one array; they keep
-        the bits of (K_xx + K_xx^T) / 2 + noise2 I factored, solved and
-        inverted out of place, with underflowed weights too."""
+        the bits of s s^T + noise2 I, s = P D^1/2, factored and inverted out
+        of place, and alpha = L^-T (L^-1 y) by two ``dtrmv``, with
+        underflowed weights too."""
         _, model = _problem(213, spec=spec)
         d, _ = model._weights
-        phi = model._phi_train
-        k_xx = (phi * d) @ phi.T
-        c = (k_xx + k_xx.T) / 2.0 + model.noise2 * np.eye(phi.shape[0])
+        s = model._phi_train * np.sqrt(d)
+        c = s @ s.T + model.noise2 * np.eye(s.shape[0])
         chol, info = lapack.dpotrf(c, lower=1, clean=1)
         assert info == 0
+        inv = dtrtri(chol, lower=1)[0]
         half_logdet, inv_chol, alpha, jitter = model._c_factor
         assert jitter == 0.0
         assert half_logdet == float(np.sum(np.log(np.diag(chol))))
-        assert_array_equal(inv_chol.view(np.int64),
-                           dtrtri(chol, lower=1)[0].view(np.int64))
-        assert_array_equal(alpha.view(np.int64),
-                           scipy.linalg.cho_solve((chol, True), model.targets).view(np.int64))
+        assert_array_equal(inv_chol.view(np.int64), inv.view(np.int64))
+        solved = dtrmv(inv, dtrmv(inv, model.targets, lower=1), lower=1, trans=1)
+        assert_array_equal(alpha.view(np.int64), solved.view(np.int64))
 
     def test_train_covariance_factored_in_one_array(self):
-        """C is built, symmetrized, factored and inverted in one m x m array:
-        the peak stays under 1.6 arrays (the out-of-place build held 3)."""
+        """C is built by one symmetric product, then factored and inverted
+        in one m x m array: the peak stays under 1.6 arrays (the out-of-place
+        build held 3)."""
         m, l = 2000, 500
         rng = np.random.default_rng(214)
         vectors = np.linalg.qr(rng.standard_normal((m, l)))[0]
@@ -943,6 +956,25 @@ class TestGmrfPosterior:
         assert_allclose(out.mean, mean, rtol=1e-8, atol=1e-10)
         assert_allclose(out.covariance, cov, rtol=1e-8, atol=1e-10)
         assert_allclose(out.variance, np.diag(cov), rtol=1e-8, atol=1e-10)
+
+    def test_covariance_is_the_inverse_of_the_posterior_precision(self):
+        """The query covariance S^T S, S = D_t^-1/2 L_t^-1 from L's trailing
+        block and the pivots, equals the dense inverse of the posterior
+        precision Q + sum_i e_i e_i^T / noise2 at the queries, repeated and
+        unsorted ones too, to 1e-12, and is exactly symmetric."""
+        rng = np.random.default_rng(86)
+        q_prior = self._two_components(rng)
+        train = np.array([1, 5, 5, 13, 17])
+        y = rng.standard_normal(5)
+        query = np.array([9, 3, 9, 14, 3, 0, 18])
+        dense = q_prior.toarray() + np.diag(np.bincount(train, minlength=20) / 0.05)
+        cov = np.linalg.inv(dense)[np.ix_(query, query)]
+        out = gmrf_posterior(q_prior, 0.05, train, y, query)
+        assert_array_equal(out.covariance, out.covariance.T)
+        assert_allclose(out.covariance, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max())
+        assert_array_equal(out.variance, np.diag(out.covariance))
+        mean = np.linalg.solve(dense, np.bincount(train, weights=y / 0.05, minlength=20))
+        assert_allclose(out.mean, mean[query], rtol=1e-12, atol=1e-12 * np.abs(mean).max())
 
     def test_one_factorization_and_one_vector_solve(self, monkeypatch):
         """The covariance comes from the factor itself: the only solve is the
