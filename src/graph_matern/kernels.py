@@ -222,21 +222,36 @@ def _logsumexp(a):
     return np.log1p(s) + np.log(m) + top
 
 
-def _weights_from_log(logw, dlogw, total_dim, sigma2, normalize):
-    if normalize:
+def _weights_from_log(spec, logw, dlogw, total_dim):
+    """Weights sigma2 exp(logw), trace-normalized if the spec asks. Without
+    normalization a largest weight past float64's range is refused by name
+    before the weights are formed: no finite weight changes, and none
+    becomes inf."""
+    sigma2 = spec.sigma2
+    if spec.normalize_variance:
         lse = _logsumexp(logw)
         d = sigma2 * np.exp(math.log(total_dim) + logw - lse)
         soft = np.exp(logw - lse)
         grads = {name: d * (dl - np.dot(soft, dl)) for name, dl in dlogw.items()}
     else:
+        with np.errstate(over="ignore"):
+            largest = sigma2 * np.exp(np.max(logw, initial=-np.inf))
+        if not np.isfinite(largest):
+            shape = ", ".join(f"{name}={getattr(spec, name)!r}"
+                              for name in _FAMILY_TABLE[spec.family][0])
+            raise ValueError(
+                f"{spec.family} kernel with {shape}, sigma2={sigma2!r} and normalize off: "
+                "the largest spectral weight passes float64's range; normalize the "
+                "variance or choose other parameters")
         d = sigma2 * np.exp(logw)
         grads = {name: d * dl for name, dl in dlogw.items()}
     grads["sigma2"] = d / sigma2
     return d, grads
 
 
-def _weights_from_linear(w, dw, total_dim, sigma2, normalize):
-    if normalize:
+def _weights_from_linear(spec, w, dw, total_dim):
+    sigma2 = spec.sigma2
+    if spec.normalize_variance:
         total = float(np.sum(w))
         if total <= 0:
             raise ValueError(
@@ -266,8 +281,6 @@ def spectral_weights(spec: KernelSpec, eigenvalues, total_dim=None):
     """
     lam = np.asarray(eigenvalues, dtype=float)
     n = lam.shape[0] if total_dim is None else int(total_dim)
-    s2 = spec.sigma2
-    norm = spec.normalize_variance
 
     if spec.family == "matern":
         nu, kappa = spec.nu, spec.kappa
@@ -277,12 +290,12 @@ def spectral_weights(spec: KernelSpec, eigenvalues, total_dim=None):
             "kappa": 4.0 * nu**2 / (kappa**3 * b),
             "nu": -np.log(b) - 2.0 * nu / (kappa**2 * b),
         }
-        return _weights_from_log(logw, dlogw, n, s2, norm)
+        return _weights_from_log(spec, logw, dlogw, n)
 
     if spec.family == "diffusion":
         kappa = spec.kappa
         logw = -0.5 * kappa**2 * lam
-        return _weights_from_log(logw, {"kappa": -kappa * lam}, n, s2, norm)
+        return _weights_from_log(spec, logw, {"kappa": -kappa * lam}, n)
 
     if spec.family == "random_walk":
         alpha, p = spec.alpha, spec.p
@@ -297,11 +310,11 @@ def spectral_weights(spec: KernelSpec, eigenvalues, total_dim=None):
             )
         w = np.where(clamped, 0.0, w)
         dalpha = p * np.power(base, p - 1) * lam
-        return _weights_from_linear(w, {"alpha": np.where(clamped, 0.0, dalpha)}, n, s2, norm)
+        return _weights_from_linear(spec, w, {"alpha": np.where(clamped, 0.0, dalpha)}, n)
 
     if spec.family == "inverse_cosine":
         w = np.maximum(np.cos(np.pi * np.clip(lam, 0.0, 2.0) / 4.0), 0.0)
-        return _weights_from_linear(w, {}, n, s2, norm)
+        return _weights_from_linear(spec, w, {}, n)
 
     raise ValueError(f"unknown kernel family {spec.family!r}")
 

@@ -232,7 +232,8 @@ class GPRegressionModel:
         d, _ = self._weights
         root = np.sqrt(d)
         e, t = self._gram
-        b = np.multiply(e, np.outer(root, root / self.noise2), order="F")  # LAPACK's layout
+        b = np.multiply.outer(root / self.noise2, root).T  # column-major, LAPACK's layout
+        np.multiply(b, e, out=b)
         b.flat[:: d.size + 1] += 1.0
         half_logdet, inv_chol_b, coef = _factor_solve_invert(
             b, root * t, "B = I + D^1/2 E D^1/2 / noise2")

@@ -16,6 +16,7 @@ import mmap
 import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -276,48 +277,78 @@ def _with_workspace(name, routine, *args):
     _lapack_check(name, routine(*args, work, work.size))
 
 
-def _tridiagonal_lowest(diag, off, n_pairs):
-    """Pairs 1..n_pairs of the symmetric tridiagonal matrix with diagonal
-    ``diag`` and off-diagonal ``off``: ascending values and a column-major
-    n x n_pairs vector array.
+def _tridiagonal_lowest(diag, off, first, last, vectors):
+    """Pairs first..last (1-based, ascending) of the symmetric tridiagonal
+    matrix with diagonal ``diag`` and off-diagonal ``off``: returns their
+    ascending values and writes their vectors into ``vectors``, a
+    column-major n x (last - first + 1) array or column block of one.
 
     MRRR (``dstemr``) first. It can fail inside ``dlarrv`` (info 2X) on an
     index range that splits a cluster of repeated eigenvalues; then
     bisection and inverse iteration (``dstebz`` + ``dstein``) solve the same
-    matrix, as ``dsyevr`` does on that failure.
+    range of the same matrix, as ``dsyevr`` does on that failure.
     """
-    n = diag.size
+    n, count = diag.size, last - first + 1
     values = np.empty(n)
-    vectors = np.empty((n, n_pairs), order="F")
-    info = _dstemr(b"V", b"I", n, diag.copy(), np.append(off, 0.0), 0.0, 0.0, 1, n_pairs,
-                   0, values, vectors, n, n_pairs,
-                   np.empty(2 * n_pairs, dtype=np.intc), 1,
+    info = _dstemr(b"V", b"I", n, diag.copy(), np.append(off, 0.0), 0.0, 0.0, first, last,
+                   0, values, vectors, n, count,
+                   np.empty(2 * count, dtype=np.intc), 1,
                    np.empty(18 * n), 18 * n, np.empty(10 * n, dtype=np.intc), 10 * n)
     if info == 0:
-        return values[:n_pairs], vectors
+        return values[:count]
     if not 20 <= info < 30:
         _lapack_check("dstemr", info)
-    del vectors
-    _, values, block, split, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, n_pairs,
+    _, values, block, split, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, first, last,
                                                   0.0, b"B")
     _lapack_check("dstebz", info)
-    vectors, info = lapack.dstein(diag, off, values[:n_pairs], block, split)
+    vectors[:], info = lapack.dstein(diag, off, values[:count], block, split)
     _lapack_check("dstein", info)
-    return values[:n_pairs], vectors
+    return values[:count]
+
+
+def _pair_chunks(diag, off, n_pairs, bound):
+    """Index ranges ``(first, last)`` that split pairs 1..n_pairs of the
+    tridiagonal matrix into at most two chunks, from the matrix alone.
+
+    One ``dstebz`` call bisects the values at the <= 17 indices around
+    n_pairs / 2 that leave each chunk at least 32 pairs, and the boundary
+    goes at the widest gap among them. A request stays whole when no such
+    index exists (n_pairs < 64) or when that gap is at most 1e-4 of
+    ``bound``, the Gershgorin bound on the spectrum, so no boundary splits a
+    cluster of repeated eigenvalues.
+    """
+    half = n_pairs // 2
+    low, high = max(half - 8, 32), min(half + 8, n_pairs - 31)
+    if high <= low:
+        return [(1, n_pairs)]
+    _, window, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, low, high, 0.0, b"E")
+    _lapack_check("dstebz", info)
+    gaps = np.diff(window[:high - low + 1])
+    widest = int(np.argmax(gaps))
+    if gaps[widest] <= 1e-4 * bound:
+        return [(1, n_pairs)]
+    return [(1, low + widest), (low + widest + 1, n_pairs)]
 
 
 def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
     """Lowest ``n_pairs`` eigenpairs of the dense matrix, by MRRR on exactly
     that index range.
 
-    ``dsytrd`` reduces the column-major matrix to tridiagonal form in place,
-    :func:`_tridiagonal_lowest` solves pairs 1..n_pairs of it, and
-    ``dormtr`` back-transforms only those vectors, in place. This is the
-    path ``dsyevr`` takes for a full request; for a partial one ``dsyevr``
-    uses bisection and inverse iteration, whose reorthogonalization is
-    quadratic in the count of close pairs. All three run through scipy's
-    Cython LAPACK exports: the f2py ``dstemr`` allocates an n x n output
-    whatever the range, and the f2py ``dsytrd`` copies any lda but n.
+    ``dsytrd`` reduces the column-major matrix to tridiagonal form in place.
+    :func:`_pair_chunks` splits pairs 1..n_pairs into at most two index
+    chunks at a wide gap of the spectrum; for each, :func:`_tridiagonal_lowest`
+    solves its pairs and ``dormtr`` back-transforms only its columns of the
+    one n x n_pairs output, in place. With two chunks the calling thread
+    and one worker thread each run one chunk at once: both LAPACK calls go
+    through ctypes, which releases the interpreter lock, and each runs at
+    the BLAS thread count the environment sets. The chunks depend on the
+    tridiagonal matrix alone, so a basis has the same bits whatever the
+    core count or the threads' timing. This is the path ``dsyevr`` takes
+    for a full request; for a partial one ``dsyevr`` uses bisection and
+    inverse iteration, whose reorthogonalization is quadratic in the count
+    of close pairs. All three run through scipy's Cython LAPACK exports:
+    the f2py ``dstemr`` allocates an n x n output whatever the range, and
+    the f2py ``dsytrd`` copies any lda but n.
     With UPLO='L' neither ``dsytrd`` nor ``dormtr`` reads above the
     diagonal, so only the lower triangle is written, into an anonymous
     mapping: unlike a numpy array this size, advised for huge pages, it
@@ -344,11 +375,30 @@ def _dense_lowest(operator: LaplacianOperator, n_pairs: int) -> SpectralBasis:
     np.add.at(dense, (lower.row, lower.col), lower.data)
     diag, off, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
     _with_workspace("dsytrd", _dsytrd, b"L", n, dense, lda, diag, off, tau)
-    values, vectors = _tridiagonal_lowest(diag, off, n_pairs)
-    _with_workspace("dormtr", _dormtr, b"L", b"L", b"N", n, n_pairs, dense, lda, tau,
-                    vectors, n)
+    bound = _gershgorin(operator.matrix)
+    # dormtr's unblocked kernel stores 1 in each reflector's leading entry,
+    # A's first subdiagonal, and restores the old value afterwards, so two
+    # chunks back-transforming at once would each read the other's stored
+    # value as a reflector entry. That entry is 1 by definition and dsytrd
+    # has already returned the subdiagonal in ``off``, so it is set to 1
+    # here and every store and restore writes 1.
+    sub = np.arange(n - 1)
+    dense[sub + 1, sub] = 1.0
+    vectors = np.empty((n, n_pairs), order="F")
+
+    def solve(first, last):
+        columns = vectors[:, first - 1:last]
+        values = _tridiagonal_lowest(diag, off, first, last, columns)
+        _with_workspace("dormtr", _dormtr, b"L", b"L", b"N", n, columns.shape[1], dense, lda,
+                        tau, columns, n)
+        return values
+
+    lowest, *others = _pair_chunks(diag, off, n_pairs, bound)
+    with ThreadPoolExecutor(max_workers=1) as worker:  # starts no thread for one chunk
+        pending = [worker.submit(solve, *chunk) for chunk in others]
+        values = np.concatenate([solve(*lowest)] + [future.result() for future in pending])
     del dense, buffer
-    return _finalize(values, vectors, operator.kind, norm_bound=_gershgorin(operator.matrix))
+    return _finalize(values, vectors, operator.kind, norm_bound=bound)
 
 
 def _eigensolver(operator: LaplacianOperator, n_pairs: int) -> str:

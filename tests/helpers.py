@@ -158,10 +158,13 @@ def loop_laplacian(edges, n, kind):
 
 def dense_lowest_oracle(operator, n_pairs):
     """The dense path's LAPACK sequence on the whole matrix from
-    ``toarray(order="F")``: ``dsytrd``, ``spectral._tridiagonal_lowest``,
-    ``dormtr``, then ``spectral._finalize``. Not independent of the library,
-    unlike the oracles above: it pins the bits of a dense basis, not its
-    accuracy, so a change to how the matrix is filled must match it exactly.
+    ``toarray(order="F")``, with every chunk run in turn in the calling
+    thread: ``dsytrd``, then for each index range of
+    ``spectral._pair_chunks`` ``spectral._tridiagonal_lowest`` and
+    ``dormtr`` on that range's columns, then ``spectral._finalize``. Not
+    independent of the library, unlike the oracles above: it pins the bits
+    of a dense basis, not its accuracy, so a change to how the matrix is
+    filled, or to where and how the chunks run, must match it exactly.
     """
     n = operator.node_count
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
@@ -169,14 +172,18 @@ def dense_lowest_oracle(operator, n_pairs):
     dense, diag, off, tau, info = lapack.dsytrd(operator.matrix.toarray(order="F"), lower=1,
                                                 lwork=int(lwork), overwrite_a=1)
     assert info == 0
-    values, vectors = spectral._tridiagonal_lowest(diag, off, n_pairs)
-    query = np.empty(1)
-    reflect = (b"L", b"L", b"N", n, n_pairs, dense, n, tau, vectors, n)
-    assert spectral._dormtr(*reflect, query, -1) == 0
-    work = np.empty(int(query[0]))
-    assert spectral._dormtr(*reflect, work, work.size) == 0
-    return spectral._finalize(values, vectors, operator.kind,
-                              norm_bound=spectral._gershgorin(operator.matrix))
+    bound = spectral._gershgorin(operator.matrix)
+    vectors = np.empty((n, n_pairs), order="F")
+    values = []
+    for first, last in spectral._pair_chunks(diag, off, n_pairs, bound):
+        columns = vectors[:, first - 1:last]
+        values.append(spectral._tridiagonal_lowest(diag, off, first, last, columns))
+        query = np.empty(1)
+        reflect = (b"L", b"L", b"N", n, columns.shape[1], dense, n, tau, columns, n)
+        assert spectral._dormtr(*reflect, query, -1) == 0
+        work = np.empty(int(query[0]))
+        assert spectral._dormtr(*reflect, work, work.size) == 0
+    return spectral._finalize(np.concatenate(values), vectors, operator.kind, norm_bound=bound)
 
 
 def dense_laplacian(graph, kind):

@@ -215,6 +215,31 @@ def test_one_site_chooses_the_eigensolver():
     assert sorted(seen) == sorted((name, *home) for name in homes for home in homes[name])
 
 
+def test_threads_start_only_in_spectral_and_blas_threads_are_left_alone():
+    """Only ``spectral`` imports ``threading`` or ``concurrent.futures``, for
+    the dense eigensolve's two index chunks, so concurrency stays in one
+    place; and no module names an OpenBLAS ``set_num_threads`` symbol, so the
+    BLAS thread count is the one the environment sets."""
+    imports, setters = [], []
+    for path in sorted(Path(graph_matern.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            imports += [(path.name, name) for name in names
+                        if name.split(".")[0] in ("threading", "concurrent")]
+            text = (node.value if isinstance(node, ast.Constant) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else "")
+            if isinstance(text, str) and "set_num_threads" in text:
+                setters.append(f"{path.name}:{node.lineno}")
+    assert imports == [("spectral.py", "concurrent.futures")]
+    assert setters == []
+
+
 @pytest.mark.parametrize("pattern, home", [
     (r"node out of range \[0,", ("graphs.py", "_node_indices")),
     (r"label.* out of range", ("classification.py", "_check_labels")),

@@ -317,6 +317,19 @@ class TestFitRegression:
         err = capsys.readouterr().err
         assert f"--kernel file {str(spec_path)!r} is not valid JSON: Expecting property name" in err
 
+    def test_unnormalized_weight_past_float64_fails_by_name(self, regression_case, tmp_path,
+                                                             capsys):
+        graph_path, targets_path, _ = regression_case
+        code = main([
+            "fit-regression", "--graph", str(graph_path),
+            "--targets", str(targets_path), "--out", str(tmp_path / "x"),
+            "--iterations", "1",
+            "--kernel", '{"family": "matern", "nu": 1000, "kappa": 100, "normalize": false}',
+        ])
+        assert code == 1
+        assert ("error: matern kernel with nu=1000, kappa=100, sigma2=1.0 and normalize off: "
+                "the largest spectral weight passes float64's range") in capsys.readouterr().err
+
     def test_out_of_range_target_node(self, regression_case, tmp_path, capsys):
         graph_path, _, _ = regression_case
         bad = tmp_path / "bad.csv"

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from graph_matern import (
     KernelSpec,
+    SpectralBasis,
     apply_spectral_function,
     build_laplacian,
     eigendecompose_full,
@@ -239,6 +240,37 @@ class TestSpectralWeights:
         spec_d = DIFFUSION.with_params(normalize_variance=False)
         d, _ = spectral_weights(spec_d, lam)
         assert_allclose(d, diffusion_profile(1.2)(lam), rtol=1e-12)
+
+    @pytest.mark.parametrize("spec, lam, named", [
+        (KernelSpec("matern", nu=1000.0, kappa=100.0, normalize_variance=False), [0.0, 1.0],
+         "matern kernel with nu=1000.0, kappa=100.0, sigma2=1.0"),
+        # exp stays finite (w = 2 at lambda = 0); sigma2 times it does not
+        (KernelSpec("matern", nu=1.0, kappa=2.0, sigma2=1e308, normalize_variance=False),
+         [0.0, 1.0], "matern kernel with nu=1.0, kappa=2.0, sigma2=1e+308"),
+        (KernelSpec("diffusion", kappa=10.0, normalize_variance=False), [-20.0, 0.0],
+         "diffusion kernel with kappa=10.0, sigma2=1.0"),
+    ], ids=["matern_exp", "matern_sigma2", "diffusion"])
+    def test_unnormalized_weight_past_float64_is_refused_by_name(self, spec, lam, named):
+        """Refused before the weights are formed (so with no overflow
+        warning), through ``spectral_weights`` and ``kernel_matrix``;
+        normalized, the same shape evaluates to finite weights."""
+        message = (f"^{re.escape(named)} and normalize off: the largest spectral weight "
+                   "passes float64's range")
+        with pytest.raises(ValueError, match=message):
+            spectral_weights(spec, lam, 2)
+        basis = SpectralBasis(np.array(lam), np.eye(2), 2, "unnormalized")
+        with pytest.raises(ValueError, match=message):
+            kernel_matrix(basis, spec)
+        d, _ = spectral_weights(spec.with_params(normalize_variance=True), lam, 2)
+        assert np.all(np.isfinite(d))
+
+    def test_largest_finite_unnormalized_weight_keeps_its_bits(self):
+        spec = KernelSpec("diffusion", kappa=1.0, sigma2=np.finfo(float).max,
+                          normalize_variance=False)
+        lam = np.array([0.0, 1.0])
+        d, _ = spectral_weights(spec, lam)
+        assert_array_equal(d, spec.sigma2 * np.exp(-0.5 * lam))
+        assert d[0] == np.finfo(float).max
 
     def test_extreme_smoothness_stays_finite(self):
         # nu ~ 1e4 underflows the raw profile; the log-space path must survive

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -328,7 +329,9 @@ class TestTruncatedDecomposition:
         assert err.value.residual_norms is None
 
     def test_partial_dense_request_solves_only_the_subset(self, monkeypatch):
-        """The tridiagonal solver is asked for the wanted index range only."""
+        """The tridiagonal solver is asked for the wanted index range only;
+        from 64 pairs up, in two ranges that meet at the widest gap among
+        the values at indices l/2 - 8 .. l/2 + 8."""
         seen = []
         real = spectral._dstemr
 
@@ -343,6 +346,15 @@ class TestTruncatedDecomposition:
         assert seen == [[1, 12], [1, 40]]
         assert partial.eigenvectors.shape == (40, 12)
         assert_allclose(partial.eigenvalues, full.eigenvalues[:12], rtol=0, atol=1e-12)
+
+        seen.clear()
+        op = build_laplacian(random_connected_graph(np.random.default_rng(34), 150),
+                             "unnormalized")
+        partial = cached_eigendecomposition(op, 100)[0]
+        reference = np.linalg.eigvalsh(op.matrix.toarray())
+        boundary = 42 + int(np.argmax(np.diff(reference[41:58])))  # pairs 42..58
+        assert sorted(seen) == [[1, boundary], [boundary + 1, 100]]
+        assert_allclose(partial.eigenvalues, reference[:100], rtol=0, atol=1e-12)
 
     def test_partial_solve_judges_negatives_against_the_operator_norm(self):
         # One edge of weight 1e10 puts lambda_max near 2e10, and rounding
@@ -485,6 +497,115 @@ class TestDenseLowest:
             spectral._lapack_export("dormtr", "cciiDiDDiDii")
 
 
+def _torus_graph(side):
+    """side x side grid with wrap-around unit edges: every nonzero
+    eigenvalue 4 sin^2(pi j / side) + 4 sin^2(pi k / side) repeats."""
+    idx = np.arange(side * side).reshape(side, side)
+    pairs = [(idx, np.roll(idx, -1, axis=1)), (idx, np.roll(idx, -1, axis=0))]
+    rows = [np.column_stack([a.ravel(), b.ravel(), np.ones(a.size)]) for a, b in pairs]
+    return WeightedGraph.from_edges(np.vstack(rows), node_count=side * side)
+
+
+def _tridiagonal(op):
+    """The diagonal and off-diagonal that the dense path's ``dsytrd`` gives."""
+    lwork, info = scipy.linalg.lapack.dsytrd_lwork(op.node_count, lower=1)
+    _, diag, off, _, info = scipy.linalg.lapack.dsytrd(op.matrix.toarray(order="F"), lower=1,
+                                                       lwork=int(lwork))
+    assert info == 0
+    return diag, off
+
+
+class TestPairChunks:
+    """From 64 pairs up, the dense path splits pairs 1..l into two index
+    chunks at a wide gap of the spectrum near l / 2; the calling thread and
+    one worker thread each solve and back-transform one chunk."""
+
+    GRAPHS = {
+        "lattice_12": lattice_graph(12),
+        "torus_12": _torus_graph(12),
+        "complete_80": complete_graph(80),
+    }
+
+    @pytest.mark.parametrize("kind", ["unnormalized", "sym_normalized"])
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_no_boundary_inside_a_cluster(self, name, kind):
+        """Each boundary leaves 32 pairs or more on each side and lies at a
+        gap wider than 1e-5 of the Gershgorin bound, far above rounding, so
+        no cluster of repeated eigenvalues is split; every basis is
+        accurate. The lattice and torus split, and the complete graph,
+        whose nonzero eigenvalues are all equal, never does."""
+        op = build_laplacian(self.GRAPHS[name], kind)
+        reference = np.linalg.eigvalsh(op.matrix.toarray())
+        bound = _gershgorin(op.matrix)
+        diag, off = _tridiagonal(op)
+        splits = 0
+        for n_pairs in range(64, op.node_count + 1):
+            chunks = spectral._pair_chunks(diag, off, n_pairs, bound)
+            assert chunks[0][0] == 1 and chunks[-1][1] == n_pairs
+            for (_, last), (first, _) in zip(chunks, chunks[1:]):
+                assert first == last + 1 and 32 <= last <= n_pairs - 32
+                assert reference[last] - reference[last - 1] > 1e-5 * bound
+                splits += 1
+            _assert_accurate_lowest(op, spectral._dense_lowest(op, n_pairs), n_pairs)
+        assert (splits > 0) == (name != "complete_80")
+
+    @pytest.mark.parametrize("n_pairs", [64, 100, 150])
+    def test_threaded_chunks_keep_the_bits_of_serial_chunks(self, n_pairs):
+        """The caller and the worker thread give the bits that the same
+        chunks give run one after the other in the calling thread, on every
+        run; the worker runs the upper chunk on a thread of its own."""
+        op = build_laplacian(random_connected_graph(np.random.default_rng(351), 150),
+                             "sym_normalized")
+        assert len(spectral._pair_chunks(*_tridiagonal(op), n_pairs, _gershgorin(op.matrix))) == 2
+        oracle = dense_lowest_oracle(op, n_pairs)
+        for _ in range(3):
+            basis = spectral._dense_lowest(op, n_pairs)
+            assert np.array_equal(basis.eigenvalues, oracle.eigenvalues)
+            assert np.array_equal(basis.eigenvectors, oracle.eigenvectors)
+
+    @staticmethod
+    def _upper_chunk_returns(info, monkeypatch):
+        """Patch ``dstemr`` to return ``info`` on the chunk that does not
+        start at pair 1, and record which thread ran each chunk."""
+        threads = {}
+        real = spectral._dstemr
+
+        def patched(*args):
+            threads[args[7] == 1] = threading.get_ident()
+            return real(*args) if args[7] == 1 else info
+
+        monkeypatch.setattr(spectral, "_dstemr", patched)
+        return threads
+
+    def test_worker_chunk_failure_is_raised_in_the_caller(self, monkeypatch):
+        op = build_laplacian(lattice_graph(12), "unnormalized")
+        threads = self._upper_chunk_returns(13, monkeypatch)
+        with pytest.raises(EigensolverError, match=r"^LAPACK dstemr failed with info=13$"):
+            spectral._dense_lowest(op, 100)
+        assert threads[True] == threading.get_ident() != threads[False]
+
+    def test_dlarrv_failure_falls_back_for_its_chunk_alone(self, monkeypatch):
+        """Info 2X in the upper chunk: inverse iteration solves that chunk's
+        pairs, and the lower chunk keeps the bits of MRRR."""
+        op = build_laplacian(lattice_graph(12), "unnormalized")
+        n_pairs = 100
+        lower = spectral._pair_chunks(*_tridiagonal(op), n_pairs, _gershgorin(op.matrix))[0][1]
+        mrrr = spectral._dense_lowest(op, n_pairs)
+        counts = []
+        real = scipy.linalg.lapack.dstein
+
+        def dstein(diag, off, values, *args):
+            counts.append(values.size)
+            return real(diag, off, values, *args)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", dstein)
+        self._upper_chunk_returns(22, monkeypatch)
+        basis = spectral._dense_lowest(op, n_pairs)
+        assert counts == [n_pairs - lower]
+        assert np.array_equal(basis.eigenvectors[:, :lower], mrrr.eigenvectors[:, :lower])
+        _assert_accurate_lowest(op, basis, n_pairs)
+
+
 def _cycle_graph(n):
     nodes = np.arange(n)
     return WeightedGraph.from_edges(
@@ -570,8 +691,12 @@ class TestLowerTriangleFill:
 
         monkeypatch.setattr(spectral, "_dsytrd", recorded(3))
         monkeypatch.setattr(spectral, "_dormtr", recorded(6))
-        monkeypatch.setattr(spectral, "_tridiagonal_lowest",
-                            lambda diag, off, k: (np.zeros(k), np.eye(diag.size, k, order="F")))
+
+        def tridiagonal(diag, off, first, last, vectors):
+            vectors[:] = np.eye(diag.size, vectors.shape[1])
+            return np.zeros(vectors.shape[1])
+
+        monkeypatch.setattr(spectral, "_tridiagonal_lowest", tridiagonal)
         eigendecompose_truncated(build_laplacian(path_graph(n), "unnormalized"), 1)
         assert len(ldas) == 4 and len(set(ldas)) == 1
         lda = ldas[0]
