@@ -41,9 +41,10 @@ from .kernels import (
 )
 from .optim import AdamConfig, _maximize, adam_step
 from .regression import (
+    _Q_SCALE,
     _read_node_csv,
     _read_snapshot,
-    _snapshot_spec,
+    _snapshot_kwargs,
     _spd_factor,
     _tri_inverse,
     _write_snapshot,
@@ -561,7 +562,7 @@ def fit_classifier(
     _check_draws("fit_classifier", model, mc_samples, batch_size)
 
     # The model field that each trainable variational name steps.
-    fields = {"q_mu": "q_mu", "q_scale": "q_log_scale" if model.diag_cov else "q_scale_tril"}
+    fields = {"q_mu": "q_mu", "q_scale": _Q_SCALE[model.diag_cov]}
     names = check_trainable(model.spec, config.trainable, tuple(fields))
     kernel_names = [name for name in names if name not in fields]
     params = {fields[n]: getattr(model, fields[n]) for n in fields if n in names}
@@ -630,23 +631,10 @@ def read_labels_csv(path):
 
 def save_classifier(model: VariationalClassifier, path):
     """Snapshot spec, inducing set and variational state as schema 1 JSON."""
-    _write_snapshot(path, "classifier", model, q_scale=(
-        model.q_log_scale if model.diag_cov else model.q_scale_tril))
+    _write_snapshot(path, "classifier", model)
 
 
 def load_classifier(path, basis: SpectralBasis) -> VariationalClassifier:
     """Rebuild a snapshot against a caller-provided basis."""
-    return _classifier_from_snapshot(_read_snapshot(path, "classifier"), basis)
-
-
-def _classifier_fields(snapshot) -> dict:
-    """A classifier snapshot's fields besides its kernel and basis."""
-    scale = "q_log_scale" if snapshot["diag_cov"] else "q_scale_tril"
-    fields = {k: snapshot[k] for k in ("n_classes", "inducing_nodes", "q_mu", "whitened")}
-    return {**fields, "epsilon": float(snapshot["epsilon"]),
-            "jitter": float(snapshot["jitter"]), scale: snapshot["q_scale"]}
-
-
-def _classifier_from_snapshot(snapshot, basis: SpectralBasis) -> VariationalClassifier:
-    spec = _snapshot_spec(snapshot, basis.n_retained)
-    return VariationalClassifier(spec=spec, basis=basis, **_classifier_fields(snapshot))
+    snapshot = _read_snapshot(path, "classifier")
+    return VariationalClassifier(basis=basis, **_snapshot_kwargs(snapshot, basis.n_retained))

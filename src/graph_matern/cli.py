@@ -30,8 +30,6 @@ from . import __version__
 from .classification import (
     VariationalClassifier,
     _check_variational,
-    _classifier_fields,
-    _classifier_from_snapshot,
     _initial_fields,
     fit_classifier,
     predict_classes,
@@ -45,10 +43,9 @@ from .regression import (
     GPRegressionModel,
     PosteriorSummary,
     _check_observations,
-    _model_from_snapshot,
     _read_snapshot,
     _route,
-    _snapshot_spec,
+    _snapshot_kwargs,
     _write_json,
     fit,
     posterior,
@@ -365,24 +362,21 @@ def cmd_predict(args) -> int:
     kind = snapshot["kind"]
     # The model's checks that need only the node count, before the eigensolve.
     n = graph.node_count
-    _snapshot_spec(snapshot, min(snapshot["eigenpairs"], n))
+    fields = _snapshot_kwargs(snapshot, min(snapshot["eigenpairs"], n))
     if kind == "regression":
-        _check_observations(n, snapshot["train_nodes"], snapshot["targets"], snapshot["noise2"])
+        _check_observations(n, fields["train_nodes"], fields["targets"], fields["noise2"])
+        build, rows = GPRegressionModel, "regression"
     else:
-        _check_variational(n, _classifier_fields(snapshot))
+        _check_variational(n, fields)
+        build, rows = VariationalClassifier, "classification"
     _, basis, eigen = _basis_for(
-        graph, snapshot["kernel"].laplacian_kind, snapshot["eigenpairs"],
-        args.cache_dir, timings,
+        graph, fields["spec"].laplacian_kind, snapshot["eigenpairs"], args.cache_dir, timings
     )
-    if kind == "regression":
-        model = _model_from_snapshot(snapshot, basis)
-    else:
-        model = _classifier_from_snapshot(snapshot, basis)
+    model = build(basis=basis, **fields)
     _, result = _predict(model, None, args, args.seed, timings)
     out = _out_dir(args)
     _write_predictions(out / "predictions.csv", result)
     _write_record(out / "summary.json", timings, kind=kind, **eigen)
-    rows = "regression" if kind == "regression" else "classification"
     print(f"predict: wrote {basis.total_dim} {rows} rows")
     return 0
 

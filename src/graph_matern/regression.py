@@ -614,12 +614,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_snapshot(path, kind, model, **fields):
+def _write_snapshot(path, kind, model):
     """Schema version 1 JSON: kind, kernel and basis size, then every field of
-    the kind's schema, from ``fields`` or else the model attribute of that
-    name; arrays and numpy scalars are written through ``.tolist()``."""
+    the kind's schema from the model attribute of that name, a classifier's
+    ``q_scale`` from its active scale (``_Q_SCALE``); arrays and numpy
+    scalars are written through ``.tolist()``."""
+    fields = {}
     for name in _SNAPSHOT_FIELDS[kind]:
-        value = fields[name] if name in fields else getattr(model, name)
+        value = getattr(model, _Q_SCALE[model.diag_cov] if name == "q_scale" else name)
         fields[name] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
     _write_json(path, {"schema_version": 1, "kind": kind, "kernel": model.spec.to_dict(),
                        "eigenpairs": model.basis.n_retained, **fields})
@@ -635,6 +637,9 @@ _SNAPSHOT_FIELDS = {
                    "diag_cov": bool, "epsilon": float, "jitter": float,
                    "q_mu": [float], "q_scale": [float]},
 }
+# The classifier attribute that its snapshot field (and trainable name)
+# ``q_scale`` stands for, by ``diag_cov``.
+_Q_SCALE = {True: "q_log_scale", False: "q_scale_tril"}
 _JSON_NAMES = {int: "integer", float: "number", bool: "boolean", dict: "object"}
 
 
@@ -676,14 +681,21 @@ def _read_snapshot(path, kind=None) -> dict:
     return {**payload, "kernel": KernelSpec.from_dict(payload["kernel"])}
 
 
-def _snapshot_spec(snapshot, n_retained: int) -> KernelSpec:
-    """The snapshot's kernel, once its basis size matches ``n_retained``."""
+def _snapshot_kwargs(snapshot, n_retained: int) -> dict:
+    """A checked snapshot as its model's constructor keywords besides
+    ``basis``, once its basis size matches ``n_retained``: the kernel as
+    ``spec``, then every field of its kind, float fields as floats, and a
+    classifier's ``q_scale`` as the attribute ``diag_cov`` names."""
     if snapshot["eigenpairs"] != n_retained:
         raise ValueError(
             f"snapshot expects {snapshot['eigenpairs']} eigenpairs but basis "
             f"holds {n_retained}"
         )
-    return snapshot["kernel"]
+    kwargs = {name: float(snapshot[name]) if t is float else snapshot[name]
+              for name, t in _SNAPSHOT_FIELDS[snapshot["kind"]].items()}
+    if "q_scale" in kwargs:
+        kwargs[_Q_SCALE[kwargs.pop("diag_cov")]] = kwargs.pop("q_scale")
+    return {"spec": snapshot["kernel"], **kwargs}
 
 
 def save_model(model: GPRegressionModel, path):
@@ -693,14 +705,5 @@ def save_model(model: GPRegressionModel, path):
 
 def load_model(path, basis: SpectralBasis) -> GPRegressionModel:
     """Rebuild a snapshot against a caller-provided basis."""
-    return _model_from_snapshot(_read_snapshot(path, "regression"), basis)
-
-
-def _model_from_snapshot(snapshot, basis: SpectralBasis) -> GPRegressionModel:
-    return GPRegressionModel(
-        spec=_snapshot_spec(snapshot, basis.n_retained),
-        basis=basis,
-        train_nodes=snapshot["train_nodes"],
-        targets=np.asarray(snapshot["targets"], dtype=float),
-        noise2=float(snapshot["noise2"]),
-    )
+    snapshot = _read_snapshot(path, "regression")
+    return GPRegressionModel(basis=basis, **_snapshot_kwargs(snapshot, basis.n_retained))

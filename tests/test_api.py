@@ -109,6 +109,22 @@ def test_a_saved_snapshot_has_exactly_its_schema_fields(kind, diag_cov, tmp_path
     assert loaded["kernel"] == spec
 
 
+def test_only_regression_reads_a_snapshots_model_fields():
+    """The snapshot format lives in ``regression``: no other module
+    subscripts a name ``snapshot`` by a field of a kind's schema, so
+    ``load_model``, ``load_classifier`` and ``predict`` all build their models
+    from the one mapping's keywords (``_snapshot_kwargs``)."""
+    keys = {*_SNAPSHOT_FIELDS["regression"], *_SNAPSHOT_FIELDS["classifier"]}
+    sites = []
+    for path in sorted(Path(graph_matern.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "snapshot" and isinstance(node.slice, ast.Constant)
+                    and node.slice.value in keys):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert [site for site in sites if not site.startswith("regression.py:")] == []
+
+
 def _calls(tree, names):
     """(enclosing function, callee name, call) for every call of ``names``."""
     found = []
