@@ -17,7 +17,6 @@ fit (separate generators). The eigenpair cache directory comes from
 """
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -53,7 +52,7 @@ from .regression import (
     save_model,
     woodbury_posterior,
 )
-from .spectral import _eigensolver, _residual_norms, cached_eigendecomposition
+from .spectral import _blas_threads, _eigensolver, _residual_norms, cached_eigendecomposition
 
 _SCHEMA_VERSION = 2  # of the run records; model.json snapshots stay at 1
 
@@ -215,34 +214,6 @@ def _predict(model, query, args, seed, timings):
     probs, pred = _timed(timings, "predict_s", predict_classes, model, query=query,
                          mc_samples=args.predict_samples, seed=seed)
     return pred, (probs, pred)
-
-
-def _blas_threads() -> int | None:
-    """Thread count the loaded OpenBLAS reports, or None if none is found.
-
-    numpy and scipy may each load their own OpenBLAS; the largest count is
-    reported. The libraries are found in the process's memory map, which
-    exists on Linux only.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if line.strip()}
-    except OSError:
-        return None
-    counts = []
-    for path in sorted(p for p in paths if "openblas" in p.lower() and ".so" in p):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts.append(int(getter()))
-                break
-    return max(counts, default=None)
 
 
 def _peak_rss_mib() -> float | None:

@@ -7,7 +7,8 @@ full basis this is exact, truncated it is the best rank-l approximation in
 the retained eigenspace.
 
 Bases can be cached on disk in a small binary format keyed by a content hash
-of the Laplacian, so repeated runs skip the eigensolve.
+of the Laplacian and the BLAS thread count, so repeated runs skip the
+eigensolve.
 """
 
 import ctypes
@@ -592,13 +593,43 @@ def _default_cache_dir():
     return Path(value) if value else None
 
 
+def _blas_threads() -> int | None:
+    """Thread count the loaded OpenBLAS reports, or None if none is found.
+
+    numpy and scipy may each load their own OpenBLAS; the largest count is
+    reported. The libraries are found in the process's memory map, which
+    exists on Linux only.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if line.strip()}
+    except OSError:
+        return None
+    counts = []
+    for path in sorted(p for p in paths if "openblas" in p.lower() and ".so" in p):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(int(getter()))
+                break
+    return max(counts, default=None)
+
+
 def cached_eigendecomposition(
     operator: LaplacianOperator, n_pairs: int, cache_dir=None
 ):
     """:func:`eigendecompose_truncated` behind an on-disk cache.
 
     Returns ``(basis, cache_hit, path)``. The file is keyed by
-    :func:`laplacian_hash` and the pair count. ``cache_dir`` defaults to the
+    :func:`laplacian_hash`, the pair count and the BLAS thread count
+    (:func:`_blas_threads`, 0 when no OpenBLAS is found), since the dense
+    solve's bits differ between thread counts. ``cache_dir`` defaults to the
     ``GRAPH_MATERN_CACHE_DIR`` environment variable; with neither set the
     decomposition is computed fresh and ``path`` is None. ``n_pairs`` larger
     than n is clamped with a warning; below 1 it raises ``ValueError``, as
@@ -618,7 +649,8 @@ def cached_eigendecomposition(
         cache_dir = _default_cache_dir()
     path = None
     if cache_dir is not None:
-        path = Path(cache_dir) / f"{laplacian_hash(operator)}_l{n_pairs}.eig"
+        name = f"{laplacian_hash(operator)}_l{n_pairs}_t{_blas_threads() or 0}.eig"
+        path = Path(cache_dir) / name
         if path.exists():
             return load_basis(path, operator.kind), True, path
 

@@ -1,10 +1,12 @@
-"""End-to-end command line runs through main(argv) in-process."""
+"""End-to-end command line runs through main(argv) in-process, and in
+subprocesses where a run needs its own BLAS thread count."""
 
 import ctypes
 import json
 import mmap
 import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -711,6 +713,46 @@ class TestBlasThreads:
             assert cli._blas_threads() == get() > before
         finally:
             put(before)
+
+    def test_the_eigen_cache_keys_on_the_thread_count(self, tmp_path):
+        """The dense solve's bits may differ between BLAS thread counts, so a
+        basis cached at one count is not served at another. ``eigen`` runs in
+        subprocesses, since OpenBLAS reads ``OPENBLAS_NUM_THREADS`` when it
+        loads. Two runs at one count, each into a fresh cache, write the same
+        file; a 2-thread run into a 1-thread run's cache misses and writes a
+        second file beside the first."""
+        graph_path = tmp_path / "g.txt"
+        _write_graph(graph_path, random_connected_graph(np.random.default_rng(241), 60))
+        tests = Path(__file__).resolve().parent
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+
+        def eigen(threads, cache, out):
+            run = subprocess.run(
+                [sys.executable, "-m", "graph_matern.cli", "eigen", "--graph", str(graph_path),
+                 "--eigenpairs", "40", "--cache-dir", str(cache), "--out", str(out)],
+                env=dict(env, OPENBLAS_NUM_THREADS=str(threads)),
+                capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            record = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+            if record["blas_threads"] != threads:
+                pytest.skip(f"OpenBLAS runs {record['blas_threads']} threads, not {threads}")
+            return record
+
+        files = {}
+        for threads in (1, 2):
+            for repeat in (0, 1):
+                cache = tmp_path / f"cache-t{threads}-{repeat}"
+                record = eigen(threads, cache, tmp_path / f"out-t{threads}-{repeat}")
+                assert (record["cache_hit"], record["eigensolver"]) == (False, "dense")
+                files.setdefault(threads, []).extend(cache.glob("*.eig"))
+            first, second = files[threads]
+            assert first.name == second.name
+            assert first.read_bytes() == second.read_bytes()
+        cache = files[1][0].parent
+        assert eigen(2, cache, tmp_path / "out-mixed")["cache_hit"] is False
+        assert sorted(p.name for p in cache.glob("*.eig")) == sorted(
+            [files[1][0].name, files[2][0].name])
 
 
 class TestRunRecords:
