@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import log_ndtr
 
-from .graphs import _check_dense_size, _finite, _int64, _int64_token, _node_indices
+from .graphs import _check_dense_size, _count, _finite, _int64, _int64_token, _node_indices
 from .kernels import (
     KernelSpec,
     _sym_product,
@@ -69,6 +69,12 @@ _VAR_FLOOR = 1e-12
 _VOTE_CHUNK = 16
 
 
+def _check_epsilon(epsilon):
+    """The one rule of the robust-max epsilon: it lies in (0, 1)."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+
+
 def robustmax(f, epsilon: float = 1e-3) -> np.ndarray:
     """Hard-max link: 1 - eps on the argmax entry, eps/(C-1) elsewhere.
 
@@ -80,8 +86,7 @@ def robustmax(f, epsilon: float = 1e-3) -> np.ndarray:
         raise ValueError(
             f"robustmax needs at least two classes on the last axis, got shape {f.shape}"
         )
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon)
     out = np.full(f.shape, epsilon / (c - 1))
     winner = np.argmax(f, axis=-1)
     np.put_along_axis(out, winner[..., None], 1.0 - epsilon, axis=-1)
@@ -202,9 +207,7 @@ def _check_variational(n, fields, labels=None):
         _check_labels(n, c, z, labels)
     if c < 2:
         raise ValueError("need at least two classes")
-    epsilon = fields.get("epsilon", VariationalClassifier.epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_epsilon(fields.get("epsilon", VariationalClassifier.epsilon))
     jitter = fields.get("jitter", VariationalClassifier.jitter)
     if not (_finite(jitter) and jitter >= 0.0):
         raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
@@ -482,8 +485,7 @@ def elbo(model: VariationalClassifier, batch, labels, mc_samples=20, seed=0, n_t
     (``mc_samples``, b, C-1) likelihood arrays over ``DENSE_ELEMENT_LIMIT``
     elements, raise ``ValueError`` before any draw.
     """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
+    mc_samples = _count("mc_samples", mc_samples, 1)
     batch, labels = _check_labels(model.basis.total_dim, model.n_classes, batch, labels)
     _check_draws("elbo", model, mc_samples, batch.size)
     if n_total is None:
@@ -550,10 +552,9 @@ def fit_classifier(
     (``mc_samples``, batch, C-1) likelihood arrays over
     ``DENSE_ELEMENT_LIMIT`` elements raise ``ValueError`` before any draw.
     """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    mc_samples = _count("mc_samples", mc_samples, 1)
+    if batch_size is not None:
+        batch_size = _count("batch_size", batch_size, 1)
     config = config or AdamConfig()
     nodes, labels = _check_labels(model.basis.total_dim, model.n_classes, nodes, labels)
     n_total = nodes.shape[0]
@@ -601,8 +602,7 @@ def predict_classes(model: VariationalClassifier, query=None, mc_samples=100, se
     ``DENSE_ELEMENT_LIMIT`` elements raises ``ValueError`` naming it and
     its shape, before any product.
     """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
+    mc_samples = _count("mc_samples", mc_samples, 1)
     q = _node_indices(query, model.basis.total_dim, "query")
     for block, shape in (("inducing-query covariance", (model.inducing_nodes.size, q.size)),
                          ("query eigenvector block", (q.size, model.basis.n_retained))):

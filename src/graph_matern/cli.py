@@ -35,7 +35,7 @@ from .classification import (
     read_labels_csv,
     save_classifier,
 )
-from .graphs import LAPLACIAN_KINDS, build_laplacian, read_edge_list
+from .graphs import LAPLACIAN_KINDS, _count, build_laplacian, read_edge_list
 from .kernels import KernelSpec
 from .optim import AdamConfig, metrics, random_split
 from .regression import (
@@ -497,9 +497,8 @@ def main(argv=None) -> int:
         for name, low in (("mc_samples", 1), ("predict_samples", 1), ("repeats", 1),
                           ("train_size", 1), ("test_size", 0), ("seed", 0),
                           ("eigenpairs", 1)):
-            value = getattr(args, name, None)
-            if value is not None and value < low:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+            if getattr(args, name, None) is not None:
+                _count(f"--{name.replace('_', '-')}", getattr(args, name), low)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

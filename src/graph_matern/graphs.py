@@ -63,6 +63,19 @@ def _is_int64(value) -> bool:
         return False
 
 
+def _count(name, value, low=None):
+    """``value`` as an int, the one rule of every count the program takes: an
+    integer in the ``operator.index`` sense, at least ``low`` when given;
+    anything else raises ``ValueError`` naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _int64(values, what="node index"):
     """``values`` as an int64 array, the one integer rule of every index the
     program takes: an int64 array passes through uncopied, and a value that is
@@ -94,9 +107,12 @@ def _int64_token(text) -> int:
 
 def _node_indices(nodes, n, role):
     """``nodes`` as a 1-d int64 array of nodes in [0, n), all n when None;
-    another shape or a node outside raises ``ValueError`` naming ``role``."""
+    a boolean mask, another shape or a node outside raises ``ValueError``
+    naming ``role``."""
     if nodes is None:
         return np.arange(n, dtype=np.int64)
+    if np.asarray(nodes).dtype == bool:
+        raise ValueError(f"{role} node array is boolean; pass the node indices it selects")
     x = _int64(nodes)
     if x.ndim != 1:
         raise ValueError(f"{role} nodes must be a 1-d node index array")

@@ -31,7 +31,8 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import LAPLACIAN_KINDS, LaplacianOperator, _check_dense_size, _finite, _node_indices
+from .graphs import (LAPLACIAN_KINDS, LaplacianOperator, _check_dense_size, _finite,
+                     _is_int64, _node_indices)
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -106,7 +107,7 @@ class KernelSpec:
                 if value is None or not (0.0 <= value < 1.0):
                     raise ValueError(f"alpha must lie in [0, 1), got {value!r}")
             elif name == "p":
-                if value is None or not (1 <= value < 2**63 and value == int(value)):
+                if not (_is_int64(value) and value >= 1):
                     raise ValueError(f"p must be a positive integer, got {value!r}")
                 object.__setattr__(self, "p", int(value))
             else:
@@ -358,7 +359,7 @@ def matern_precision_sparse(operator: LaplacianOperator, nu, kappa) -> sp.csr_ar
     normalization off; each power densifies the stencil by one hop, which is
     why large nu belongs on the spectral path instead.
     """
-    if nu != int(nu) or not 1 <= int(nu) <= 4:
+    if not (_is_int64(nu) and 1 <= nu <= 4):
         raise ValueError(
             f"nu must be an integer in 1..4 for the sparse precision path, got "
             f"{nu!r}; use the spectral kernel for other smoothness values"

@@ -7,12 +7,12 @@ fresh dicts and the inputs are never mutated.
 """
 
 import dataclasses
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import _finite, _int64
+from .graphs import _count, _int64
+from .kernels import _positive
 
 __all__ = [
     "AdamConfig",
@@ -46,22 +46,12 @@ class AdamConfig:
     trainable: tuple | None = None
 
     def __post_init__(self):
-        try:
-            operator.index(self.iterations)
-        except TypeError:
-            raise ValueError(
-                f"iterations must be an integer, got {self.iterations!r}") from None
-        if not self.iterations >= 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations!r}")
-        if not (_finite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
-            )
+        _count("iterations", self.iterations, 0)
+        _positive("learning_rate", self.learning_rate)
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not (_finite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+        _positive("eps", self.eps)
 
 
 @dataclass
@@ -155,6 +145,7 @@ def random_split(nodes, n_train: int, seed: int):
     nodes = _int64(nodes)
     if nodes.ndim != 1:
         raise ValueError("nodes must be a 1-d index array")
+    n_train = _count("n_train", n_train)
     if not 0 <= n_train <= nodes.size:
         raise ValueError(
             f"n_train={n_train} out of range for {nodes.size} nodes"

@@ -33,9 +33,10 @@ from scipy.linalg import lapack, solve_triangular
 from scipy.linalg.blas import dtrmm, dtrmv
 import scipy.sparse as sp
 
-from .graphs import _check_dense_size, _finite, _int64_token, _node_indices
+from .graphs import _check_dense_size, _count, _finite, _int64_token, _node_indices
 from .kernels import (
     KernelSpec,
+    _positive,
     _sym_product,
     check_laplacian_kind,
     check_trainable,
@@ -252,8 +253,7 @@ def _check_observations(n, train_nodes, targets, noise2):
         raise ValueError("regression needs at least one training node")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    if not (_finite(noise2) and noise2 > 0):
-        raise ValueError(f"noise2 must be positive and finite, got {noise2!r}")
+    _positive("noise2", noise2)
     return x, y
 
 
@@ -478,8 +478,7 @@ def pathwise_sample(model: GPRegressionModel, query=None, n_samples=1, seed=0):
     raises ``ValueError`` naming it and its shape, and so does the dense
     route's m x m train covariance over that limit; all before any product.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _count("n_samples", n_samples, 1)
     q = _node_indices(query, model.basis.total_dim, "query")
     m, l = model.train_nodes.size, model.basis.n_retained
     for block, shape in (("query eigenvector block", (q.size, l)),

@@ -28,7 +28,7 @@ from scipy.linalg import cython_lapack, lapack
 from scipy.linalg.blas import idamax
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spilu, splu
 
-from .graphs import LaplacianOperator, _check_dense_size, _finite
+from .graphs import LaplacianOperator, _check_dense_size, _count, _finite
 
 __all__ = [
     "SpectralBasis",
@@ -434,6 +434,7 @@ def eigendecompose_truncated(operator: LaplacianOperator, n_pairs: int) -> Spect
     """
     _check_nodes(operator)
     n = operator.node_count
+    n_pairs = _count("n_pairs", n_pairs)
     if not 1 <= n_pairs <= n:
         raise ValueError(f"n_pairs={n_pairs} out of range for n={n}")
     if _eigensolver(operator, n_pairs) == "dense":
@@ -637,6 +638,7 @@ def cached_eigendecomposition(
     """
     _check_nodes(operator)
     n = operator.node_count
+    n_pairs = _count("n_pairs", n_pairs)
     if n_pairs < 1:
         raise ValueError(f"n_pairs={n_pairs} out of range for n={n}")
     if n_pairs > n:

@@ -12,6 +12,7 @@ import pytest
 import graph_matern
 from graph_matern import cli, kernels
 from graph_matern.regression import _SNAPSHOT_FIELDS
+from helpers import random_connected_graph
 
 MODULES = ("graphs", "spectral", "kernels", "regression", "classification", "optim")
 
@@ -262,14 +263,27 @@ def test_threads_start_only_in_spectral_and_blas_threads_are_left_alone():
     (r"non-positive weight on edge", ("graphs.py", "__post_init__")),
     (r"self-loop at node", ("graphs.py", "__post_init__")),
     (r"element limit of an n-length node array", ("graphs.py", "__post_init__")),
-], ids=["node", "label", "weight", "self_loop", "node_budget"])
+    (r"must be positive and finite", ("kernels.py", "_positive")),
+    (r"must be an integer, got", ("graphs.py", "_count")),
+    (r"must be >= \S*, got", ("graphs.py", "_count")),
+    (r"epsilon must lie in \(0, 1\)", ("classification.py", "_check_epsilon")),
+], ids=["node", "label", "weight", "self_loop", "node_budget", "positive", "count_integer",
+        "count_low", "epsilon"])
 def test_one_function_forms_each_range_message(pattern, home):
     """Each range rule ("a node index lies in [0, n)", "a label lies in
     [0, C)", "an edge weight is positive and finite", "no edge is a
-    self-loop", "a graph's node count fits the n-length array budget") and
-    its message live in one function alone, and the CLI keeps no copy of a
+    self-loop", "a graph's node count fits the n-length array budget", "a
+    real parameter is positive and finite", "a count is an integer of at
+    least its floor", "the robust-max epsilon lies in (0, 1)") and its
+    message live in one function alone, and the CLI keeps no copy of a
     model's checks: it calls the models' own before the eigensolve. A
-    message is matched on its literal text."""
+    message is matched on its literal text.
+
+    ``cmd_compare_kernels``' "--test-size must be >= 1 for compare-kernels"
+    is its own site, and the count pattern does not match it: every other
+    command takes a test size of 0, so the flag loop in ``cli.main`` checks
+    ``--test-size`` against 0, and only the comparison, which scores every
+    split on its test nodes, needs one."""
     package = Path(graph_matern.__file__).parent
     sites = []
 
@@ -387,3 +401,61 @@ def test_each_task_fits_and_predicts_in_one_cli_function():
     for func, name in _loads(tree, set(homes)):
         found.setdefault(name, set()).add(func)
     assert found == {name: {home} for name, home in homes.items()}
+
+
+# A 10-node graph and one small model of each kind, for the argument rules.
+_GRAPH = random_connected_graph(np.random.default_rng(391), 10)
+_OPERATOR = graph_matern.build_laplacian(_GRAPH, "sym_normalized")
+_BASIS = graph_matern.eigendecompose_full(_OPERATOR)
+_SPEC = kernels.KernelSpec("matern", nu=1.5, kappa=2.0, laplacian_kind="sym_normalized")
+_REGRESSION = graph_matern.GPRegressionModel(
+    spec=_SPEC, basis=_BASIS, train_nodes=np.arange(4),
+    targets=np.array([0.3, -1.0, 0.5, 0.2]), noise2=0.1)
+_CLASSIFIER = graph_matern.VariationalClassifier.create(_SPEC, _BASIS, 3, np.arange(4))
+_LABELED = (np.arange(4), np.array([0, 1, 2, 0]))
+_ONE_STEP = graph_matern.AdamConfig(iterations=1)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n_samples", lambda: graph_matern.pathwise_sample(_REGRESSION, n_samples=2.0)),
+    ("mc_samples", lambda: graph_matern.elbo(_CLASSIFIER, *_LABELED, mc_samples=2.5)),
+    ("mc_samples", lambda: graph_matern.fit_classifier(_CLASSIFIER, *_LABELED, _ONE_STEP,
+                                                       mc_samples=2.5)),
+    ("mc_samples", lambda: graph_matern.predict_classes(_CLASSIFIER, mc_samples=2.5)),
+    ("batch_size", lambda: graph_matern.fit_classifier(_CLASSIFIER, *_LABELED, _ONE_STEP,
+                                                       batch_size=1.5)),
+    ("n_pairs", lambda: graph_matern.eigendecompose_truncated(_OPERATOR, 3.0)),
+    ("n_pairs", lambda: graph_matern.cached_eigendecomposition(_OPERATOR, 2.5)),
+    ("n_train", lambda: graph_matern.random_split(np.arange(10), 2.5, 0)),
+    ("iterations", lambda: graph_matern.AdamConfig(iterations=2.5)),
+], ids=["pathwise_sample", "elbo", "fit_classifier", "predict_classes", "batch_size",
+        "eigendecompose_truncated", "cached_eigendecomposition", "random_split",
+        "AdamConfig"])
+def test_every_entry_point_refuses_a_count_that_is_not_an_integer(name, call):
+    """A count is an integer in the ``operator.index`` sense: a float, even
+    an integral one, is refused by ``ValueError`` naming the argument, not
+    by numpy's ``TypeError`` or a silent truncation."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+@pytest.mark.parametrize("nu", [np.inf, np.nan, None], ids=["inf", "nan", "none"])
+def test_the_sparse_precision_refuses_a_nu_that_is_no_integer(nu):
+    with pytest.raises(ValueError, match=r"^nu must be an integer in 1\.\.4 for the sparse "
+                                         f"precision path, got {nu!r}; "):
+        kernels.matern_precision_sparse(_OPERATOR, nu, 2.0)
+
+
+@pytest.mark.parametrize("mask", [np.array([True, False]), [False, True, True],
+                                  np.zeros(10, dtype=bool)], ids=["array", "list", "all_false"])
+def test_a_boolean_node_mask_is_refused_by_name(mask):
+    """A mask cast to integers would name nodes 0 and 1, so it is refused
+    wherever nodes are taken; labels are class indices and keep their rule."""
+    with pytest.raises(ValueError, match="^query node array is boolean; pass the node "
+                                         "indices it selects$"):
+        graph_matern.posterior(_REGRESSION, query=mask)
+    with pytest.raises(ValueError, match="^inducing node array is boolean; "):
+        graph_matern.VariationalClassifier.create(_SPEC, _BASIS, 3, mask)
+    nodes = np.arange(2)
+    assert graph_matern.elbo(_CLASSIFIER, nodes, np.array([True, False])) == \
+        graph_matern.elbo(_CLASSIFIER, nodes, np.array([1, 0]))

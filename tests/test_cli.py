@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from graph_matern import build_laplacian, cli, eigendecompose_full
+from graph_matern import (build_laplacian, cli, eigendecompose_full, eigendecompose_truncated,
+                          spectral)
 from graph_matern.cli import main
 from graph_matern.spectral import DENSE_SIZE_LIMIT
 from helpers import lattice_graph, random_connected_graph, two_cliques
@@ -714,43 +715,65 @@ class TestBlasThreads:
         finally:
             put(before)
 
-    def test_the_eigen_cache_keys_on_the_thread_count(self, tmp_path):
+    def test_the_eigen_cache_keys_on_the_thread_count(self, tmp_path, monkeypatch):
         """The dense solve's bits may differ between BLAS thread counts, so a
-        basis cached at one count is not served at another. ``eigen`` runs in
-        subprocesses, since OpenBLAS reads ``OPENBLAS_NUM_THREADS`` when it
-        loads. Two runs at one count, each into a fresh cache, write the same
-        file; a 2-thread run into a 1-thread run's cache misses and writes a
-        second file beside the first."""
-        graph_path = tmp_path / "g.txt"
-        _write_graph(graph_path, random_connected_graph(np.random.default_rng(241), 60))
+        basis cached at one count is not served at another. ``eigen`` and
+        ``fit-regression`` run in subprocesses, since OpenBLAS reads
+        ``OPENBLAS_NUM_THREADS`` when it loads. Two cold ``eigen`` runs at one
+        count, each into a fresh cache, write the same file, and a short fit
+        that reads each cache writes the same ``model.json``,
+        ``predictions.csv`` and ``trace.csv``. A 2-thread run into a 1-thread
+        run's cache misses and writes a second file beside the first. The 80
+        pairs of the 120-node graph are solved as two index chunks."""
+        graph = random_connected_graph(np.random.default_rng(241), 120)
+        graph_path, targets_path = tmp_path / "g.txt", tmp_path / "targets.csv"
+        _write_graph(graph_path, graph)
+        y = np.random.default_rng(242).standard_normal(120)
+        targets_path.write_text("\n".join(["node,value"] + [f"{i},{float(v)!r}"
+                                                           for i, v in enumerate(y)]) + "\n")
+        chunks, pair_chunks = [], spectral._pair_chunks
+        monkeypatch.setattr(spectral, "_pair_chunks",
+                            lambda *args: chunks.append(pair_chunks(*args)) or chunks[-1])
+        eigendecompose_truncated(build_laplacian(graph, "unnormalized"), 80)
+        assert len(chunks) == 1 and len(chunks[0]) == 2
         tests = Path(__file__).resolve().parent
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
 
-        def eigen(threads, cache, out):
-            run = subprocess.run(
-                [sys.executable, "-m", "graph_matern.cli", "eigen", "--graph", str(graph_path),
-                 "--eigenpairs", "40", "--cache-dir", str(cache), "--out", str(out)],
+        def run(threads, command, cache, out, *flags):
+            done = subprocess.run(
+                [sys.executable, "-m", "graph_matern.cli", command, "--graph", str(graph_path),
+                 "--eigenpairs", "80", "--cache-dir", str(cache), "--out", str(out), *flags],
                 env=dict(env, OPENBLAS_NUM_THREADS=str(threads)),
                 capture_output=True, text=True, timeout=300)
-            assert run.returncode == 0, run.stderr
-            record = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+            assert done.returncode == 0, done.stderr
+            name = "summary.json" if command == "eigen" else "metrics.json"
+            record = json.loads((out / name).read_text(encoding="utf-8"))
             if record["blas_threads"] != threads:
                 pytest.skip(f"OpenBLAS runs {record['blas_threads']} threads, not {threads}")
             return record
 
-        files = {}
+        files, fits = {}, {}
         for threads in (1, 2):
             for repeat in (0, 1):
                 cache = tmp_path / f"cache-t{threads}-{repeat}"
-                record = eigen(threads, cache, tmp_path / f"out-t{threads}-{repeat}")
+                record = run(threads, "eigen", cache, tmp_path / f"out-t{threads}-{repeat}")
                 assert (record["cache_hit"], record["eigensolver"]) == (False, "dense")
                 files.setdefault(threads, []).extend(cache.glob("*.eig"))
+                out = tmp_path / f"fit-t{threads}-{repeat}"
+                record = run(threads, "fit-regression", cache, out, "--targets", str(targets_path),
+                             "--train-size", "60", "--iterations", "5", "--lr", "0.05",
+                             "--seed", "3")
+                assert record["cache_hit"] is True
+                fits.setdefault(threads, []).append(
+                    {name: (out / name).read_bytes()
+                     for name in ("model.json", "predictions.csv", "trace.csv")})
             first, second = files[threads]
             assert first.name == second.name
             assert first.read_bytes() == second.read_bytes()
+            assert fits[threads][0] == fits[threads][1]
         cache = files[1][0].parent
-        assert eigen(2, cache, tmp_path / "out-mixed")["cache_hit"] is False
+        assert run(2, "eigen", cache, tmp_path / "out-mixed")["cache_hit"] is False
         assert sorted(p.name for p in cache.glob("*.eig")) == sorted(
             [files[1][0].name, files[2][0].name])
 
