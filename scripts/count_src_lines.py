@@ -11,12 +11,13 @@ It prints one row per module, then the directory's totals.
 """
 
 import ast
+import io
 import sys
 import tokenize
 from pathlib import Path
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+             tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def _docstring_lines(tree):
@@ -36,10 +37,9 @@ def count(path):
     text = Path(path).read_text(encoding="utf-8")
     docstrings = _docstring_lines(ast.parse(text))
     code = set()
-    with open(path, "rb") as fh:
-        for token in tokenize.tokenize(fh.readline):
-            if token.type not in _NOT_CODE and token.start[0] not in docstrings:
-                code.update(range(token.start[0], token.end[0] + 1))
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in _NOT_CODE and token.start[0] not in docstrings:
+            code.update(range(token.start[0], token.end[0] + 1))
     return len(text.splitlines()), len(code)
 
 
